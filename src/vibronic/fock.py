@@ -20,11 +20,12 @@ smaller cutoffs when couplings push the minima far from the trap center.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh, lobpcg
 
 from .assembly import ModeBasis, QuadraticVibronic, TwoStateModel
 from .errors import DomainError, EigensolverError, ResourceBudgetError
@@ -34,6 +35,8 @@ from .params import PhysicalParams
 SQRT2 = math.sqrt(2.0)
 
 DENSE_CUTOVER = 256  # below this dimension a dense eigensolver is cheaper
+LOBPCG_MAXITER = 60  # good warm starts converge in under 30; past this ARPACK is cheaper
+JACOBI_FLOOR = 1e-2  # smallest preconditioner shift, relative to max(1, |rho|)
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,20 +305,71 @@ def build_fock_matrix(
     )
 
 
-def ground_state(op: FockOperator, tol: float = 1e-11):
-    """Lowest eigenpair of the operator.
+def _residual_limit(tol: float, energy: float) -> float:
+    """Largest accepted ||H v - E v|| for a unit vector v."""
+    return tol * max(1.0, abs(energy))
 
-    Small problems use a dense solver; larger ones use a Krylov iteration with
-    a deterministic all-ones starting vector and a fixed iteration cap.
-    Raises :class:`EigensolverError` carrying the best estimate on iteration
-    failure.
+
+def _checked_pair(matrix, energy: float, vec: np.ndarray, tol: float, solver: str):
+    residual = float(np.linalg.norm(matrix @ vec - energy * vec))
+    limit = _residual_limit(tol, energy)
+    if residual > limit:
+        raise EigensolverError(
+            f"{solver} residual {residual:.3e} exceeds {limit:.3e}", best_estimate=energy
+        )
+    return energy, vec
+
+
+def _jacobi_lobpcg(matrix, v0: np.ndarray, tol: float):
+    """Refine a unit warm start by LOBPCG preconditioned with 1/(diag(H) - rho).
+
+    rho is the Rayleigh quotient of ``v0``; shifts below a small floor are
+    raised to it so the preconditioner stays positive definite.  LOBPCG's
+    warnings about missing the tolerance are silenced: the caller checks the
+    residual and hands a miss to ARPACK.
+    """
+    rho = float(v0 @ (matrix @ v0))
+    shift = np.maximum(matrix.diagonal() - rho, JACOBI_FLOOR * max(1.0, abs(rho)))
+    with warnings.catch_warnings():
+        # Narrow on purpose: catch_warnings is not thread-safe, so a race
+        # between scan threads can at worst leave this same filter behind.
+        warnings.filterwarnings("ignore", message="(Exited|Failed) ", category=UserWarning)
+        vals, vecs = lobpcg(
+            matrix,
+            v0[:, None],
+            M=sp.diags(1.0 / shift),
+            tol=_residual_limit(tol, rho),
+            maxiter=LOBPCG_MAXITER,
+            largest=False,
+        )
+    return float(vals[0]), vecs[:, 0]
+
+
+def ground_state(op: FockOperator, tol: float = 1e-11, v0: np.ndarray = None):
+    """Lowest eigenpair of the operator, with a checked residual.
+
+    Small problems use a dense solver.  Above ``DENSE_CUTOVER`` a warm start
+    ``v0`` is refined by LOBPCG with a Jacobi (diagonal) preconditioner; if
+    that misses the tolerance, or no warm start is given, a Krylov iteration
+    runs from ``v0`` or from a deterministic all-ones vector with a fixed
+    iteration cap.  Every returned pair satisfies
+    ``||H v - E v|| <= tol * max(1, |E|)`` for the unit vector ``v``.
+    Raises :class:`EigensolverError` carrying the best estimate when no
+    solver meets that bound.
     """
     matrix = op.matrix if isinstance(op, FockOperator) else op
     dim = matrix.shape[0]
     if dim <= DENSE_CUTOVER:
         vals, vecs = np.linalg.eigh(matrix.toarray())
-        return float(vals[0]), vecs[:, 0]
-    v0 = np.ones(dim) / math.sqrt(dim)
+        return _checked_pair(matrix, float(vals[0]), vecs[:, 0], tol, "dense eigensolver")
+    if v0 is None:
+        v0 = np.ones(dim) / math.sqrt(dim)
+    else:
+        v0 = v0 / np.linalg.norm(v0)
+        try:
+            return _checked_pair(matrix, *_jacobi_lobpcg(matrix, v0, tol), tol, "LOBPCG")
+        except EigensolverError:
+            pass  # ARPACK takes over from the same warm start
     maxiter = int(10 * math.sqrt(dim)) + 500
     try:
         vals, vecs = eigsh(matrix, k=1, which="SA", v0=v0, maxiter=maxiter, tol=tol)
@@ -324,7 +378,7 @@ def ground_state(op: FockOperator, tol: float = 1e-11):
         raise EigensolverError(
             f"eigensolver did not converge within {maxiter} iterations", best_estimate=best
         ) from exc
-    return float(vals[0]), vecs[:, 0]
+    return _checked_pair(matrix, float(vals[0]), vecs[:, 0], tol, "ARPACK")
 
 
 def converge_cutoff(
@@ -342,31 +396,43 @@ def converge_cutoff(
     """Double the Fock cutoff from 4 until the ground energy stabilizes.
 
     Stops when consecutive energies differ by less than ``e_tol`` or the
-    cutoff would exceed ``max_cutoff``.  Non-convergence is reported in the
-    result rather than raised: persistent energy descent under cutoff growth
-    is the numerical signature of an instability.
+    cutoff would exceed ``max_cutoff``.  Each stage after the first starts
+    its eigensolver from the previous stage's ground vector, zero-padded into
+    the doubled basis.  Non-convergence is reported in the result rather
+    than raised: persistent energy descent under cutoff growth is the
+    numerical signature of an instability.  A stage whose eigensolver failed
+    records its best estimate but can never make the report converged, and
+    a stage over the ``max_bytes`` budget ends the doubling unconverged; only
+    an over-budget first stage raises :class:`ResourceBudgetError`.
     """
     if max_cutoff < 4:
         raise DomainError(f"max_cutoff must be at least 4, got {max_cutoff}")
     history = []
     energy_prev = None
     converged = False
+    op = state = None
     cutoff = 4
     while cutoff <= max_cutoff:
-        op = build_fock_matrix(
-            graph, forms, params, cutoff, frame=frame, coupling=coupling, max_bytes=max_bytes
-        )
+        v0 = None if state is None else _zero_pad(op, state, cutoff)
         try:
-            energy, _ = ground_state(op, tol=eig_tol)
+            op = build_fock_matrix(
+                graph, forms, params, cutoff, frame=frame, coupling=coupling, max_bytes=max_bytes
+            )
+        except ResourceBudgetError:
+            if not history:
+                raise
+            break
+        try:
+            energy, state = ground_state(op, tol=eig_tol, v0=v0)
         except EigensolverError as exc:
             if exc.best_estimate is None:
                 raise
-            energy = exc.best_estimate
+            energy, state = exc.best_estimate, None
         history.append((cutoff, energy))
-        if energy_prev is not None and abs(energy - energy_prev) < e_tol:
+        if state is not None and energy_prev is not None and abs(energy - energy_prev) < e_tol:
             converged = True
             break
-        energy_prev = energy
+        energy_prev = None if state is None else energy
         cutoff *= 2
     return SolveReport(
         energy=history[-1][1],
@@ -377,8 +443,19 @@ def converge_cutoff(
 
 
 def _per_node_views(op: FockOperator, state: np.ndarray):
-    per_node = op.cutoff**op.n_modes
     return state.reshape(op.n_nodes, *([op.cutoff] * max(op.n_modes, 1)))
+
+
+def _zero_pad(op: FockOperator, state: np.ndarray, cutoff: int) -> np.ndarray:
+    """Embed a state of ``op`` into the basis with the larger per-mode ``cutoff``.
+
+    Occupations 0..op.cutoff-1 of every mode keep their amplitudes; the new
+    occupations start empty.
+    """
+    view = _per_node_views(op, state)
+    padded = np.zeros((op.n_nodes,) + (cutoff,) * (view.ndim - 1))
+    padded[tuple(slice(n) for n in view.shape)] = view
+    return padded.ravel()
 
 
 def _mode_expectations(op: FockOperator, state: np.ndarray, mode: int, op_local: np.ndarray):

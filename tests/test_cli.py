@@ -184,6 +184,28 @@ def test_scan_kappa_block_oracle(tmp_path):
         assert float(fields[1]) == pytest.approx(float(fields[2]), abs=1e-7)
 
 
+def test_sparse_scan_is_deterministic_across_threads(tmp_path):
+    # three collective modes from cutoff 8 on: dim 512 and up, past the dense
+    # solver, so every row runs the warm-started sparse eigensolver
+    cfg = write_config(tmp_path, {
+        "task": "gs-scan-kappa",
+        "geometry": {"preset": "tetrahedron", "d": 1.0},
+        "potential": {"type": "explicit", "kappa": -0.1, "xi": -0.1, "nu": 0.5, "v_d": 1.0},
+        "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
+        "solver": {"e_tol": 1e-8, "max_cutoff": 16, "frame": "displaced"},
+        "scan": {"start": 0.2, "stop": 0.6, "samples": 3, "units": "critical"},
+    })
+    runs = [("a", "1"), ("b", "1"), ("c", "2")]
+    for name, threads in runs:
+        out = str(tmp_path / name)
+        assert main(["gs-scan-kappa", "--config", cfg, "--out", out, "--threads", threads]) == 0
+    rows = (tmp_path / "a" / "scan-kappa.csv").read_text().strip().split("\n")[1:]
+    assert all(int(row.split(",")[3]) >= 8 for row in rows)
+    for artifact in ("scan-kappa.csv", "run-manifest.json"):
+        first = (tmp_path / "a" / artifact).read_bytes()
+        assert all((tmp_path / name / artifact).read_bytes() == first for name, _ in runs[1:])
+
+
 def test_scan_kappa_rejects_finite_drive(tmp_path, capsys):
     cfg = {
         "task": "gs-scan-kappa",

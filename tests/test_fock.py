@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from vibronic import (
     Couplings,
     DomainError,
+    EigensolverError,
     ExplicitCouplings,
     PhysicalParams,
     ResourceBudgetError,
@@ -25,8 +27,11 @@ from vibronic import (
     quadrature_moments,
     reduce_modes,
     assemble_state_hamiltonian,
+    tetrahedron,
+    triangle,
 )
-from vibronic.fock import displacement_matrix
+from vibronic import fock
+from vibronic.fock import _zero_pad, displacement_matrix
 
 SQRT2 = math.sqrt(2.0)
 SINGLE = np.zeros((1, 1))
@@ -39,6 +44,18 @@ def two_state(params, kappa, xi, nu=0.1):
 def excited_block(params, kappa, xi, nu=0.1):
     model = two_state(params, kappa, xi, nu)
     return [model.forms[1]]
+
+
+def triangle_model(drive=0.1):
+    pot = ExplicitCouplings(kappa=-0.2, xi=0.0, nu=0.5, v_d=1.0)
+    params = PhysicalParams(omega=1.0, Omega=drive, x0=0.5)
+    graph = build_resonant_manifold(triangle(), -1.0, pot, (0, 0, 1))
+    _, forms = build_molecular_model(graph, derive_couplings(pot, params), params)
+    return graph, forms, params
+
+
+def cold_energy(graph, forms, params, cutoff, frame="bare"):
+    return ground_state(build_fock_matrix(graph, forms, params, cutoff, frame=frame))[0]
 
 
 def test_displaced_oscillator_closed_form():
@@ -72,8 +89,6 @@ def test_dimension_counting():
 
     pot = ExplicitCouplings(kappa=-0.2, xi=0.0, nu=0.5, v_d=1.0)
     pp = PhysicalParams(omega=1.0, Omega=0.1, x0=0.5)
-    from vibronic import triangle
-
     graph = build_resonant_manifold(triangle(), -1.0, pot, (0, 0, 1))
     basis, forms = build_molecular_model(graph, derive_couplings(pot, pp), pp)
     op = build_fock_matrix(graph, forms, pp, cutoff=3)
@@ -83,8 +98,6 @@ def test_dimension_counting():
 def test_hermiticity_residual():
     pot = ExplicitCouplings(kappa=-0.4, xi=0.06, nu=0.5, v_d=1.0)
     params = PhysicalParams(omega=1.0, Omega=0.25, x0=0.5)
-    from vibronic import triangle
-
     graph = build_resonant_manifold(triangle(), -1.0, pot, (0, 0, 1))
     basis, forms = build_molecular_model(graph, derive_couplings(pot, params), params)
     for frame in ("bare", "displaced"):
@@ -285,8 +298,6 @@ def test_reduction_preserves_energies():
 def test_resource_budget_guard():
     pot = ExplicitCouplings(kappa=-0.2, xi=0.0, nu=0.5, v_d=1.0)
     params = PhysicalParams(omega=1.0, Omega=0.1, x0=0.5)
-    from vibronic import triangle
-
     graph = build_resonant_manifold(triangle(), -1.0, pot, (0, 0, 1))
     basis, forms = build_molecular_model(graph, derive_couplings(pot, params), params)
     with pytest.raises(ResourceBudgetError) as err:
@@ -315,3 +326,105 @@ def test_matrix_dump_roundtrip():
         shape=op.matrix.shape,
     ).tocsr()
     assert np.abs(rebuilt - op.matrix).max() < 1e-15
+
+
+def test_zero_pad_keeps_every_basis_state():
+    graph, forms, params = triangle_model()
+    small = build_fock_matrix(graph, forms, params, cutoff=2)
+    big = build_fock_matrix(graph, forms, params, cutoff=4)
+    state = np.arange(1.0, small.dim + 1.0)
+    padded = _zero_pad(small, state, big.cutoff)
+    assert padded.shape == (big.dim,)
+    landed = np.flatnonzero(padded)
+    assert landed.size == small.dim
+    for j in landed:
+        assert big.basis_state(j) == small.basis_state(int(padded[j]) - 1)
+
+
+def test_warm_stages_match_cold_solves():
+    # every stage after the first starts from the padded previous ground vector
+    graph, forms, params = triangle_model()
+    report = converge_cutoff(graph, forms, params, e_tol=0.0, max_cutoff=8)
+    assert [c for c, _ in report.energy_history] == [4, 8]
+    for cutoff, energy in report.energy_history:
+        assert energy == pytest.approx(cold_energy(graph, forms, params, cutoff), abs=1e-10)
+
+    nu = 0.5
+    pair = PhysicalParams(omega=1.0, Omega=0.0, d=1.0, x0=nu)
+    coup = Couplings(kappa=-0.5 / (2.0 * SQRT2 * nu), xi=-0.1, nu=nu)
+    form = assemble_state_hamiltonian((1, 1, 0, 0), tetrahedron(), coup, pair)
+    _, reduced = reduce_modes([form], pair)
+    report = converge_cutoff(SINGLE, reduced, pair, e_tol=0.0, max_cutoff=32, frame="displaced")
+    assert [c for c, _ in report.energy_history] == [4, 8, 16, 32]
+    assert 32 ** reduced[0].dim == 32768
+    for cutoff, energy in report.energy_history:
+        cold = cold_energy(SINGLE, reduced, pair, cutoff, frame="displaced")
+        assert energy == pytest.approx(cold, abs=1e-10)
+
+
+def test_warm_path_keeps_instability_unconverged():
+    # beyond xi_c the energy keeps falling; the last stage (dim 512) is warm
+    params = PhysicalParams(omega=1.0, Omega=0.2)
+    model = two_state(params, 0.0, 1.2 * (-0.25))
+    report = converge_cutoff(model, params=params, e_tol=1e-8, max_cutoff=256)
+    assert not report.converged
+    assert report.cutoff == 256
+    history = [e for _, e in report.energy_history]
+    assert all(e2 < e1 for e1, e2 in zip(history, history[1:]))
+    cold = ground_state(build_fock_matrix(model, params=params, cutoff=256))[0]
+    assert history[-1] == pytest.approx(cold, abs=1e-10)
+
+
+def test_lobpcg_miss_falls_back_to_arpack(monkeypatch):
+    graph, forms, params = triangle_model()
+    stalled = []
+
+    def no_progress(matrix, x, **kwargs):
+        stalled.append(matrix.shape[0])
+        v = x[:, 0]
+        return np.array([v @ (matrix @ v)]), x
+
+    monkeypatch.setattr(fock, "lobpcg", no_progress)
+    report = converge_cutoff(graph, forms, params, e_tol=0.0, max_cutoff=8)
+    assert stalled == [6 * 8**4]
+    assert report.energy == pytest.approx(cold_energy(graph, forms, params, 8), abs=1e-10)
+
+
+def test_eigensolver_failure_never_converges(monkeypatch):
+    # a failed stage reports its best estimate; two equal estimates must not
+    # read as convergence, and the next stage starts cold
+    graph, forms, params = triangle_model()
+
+    def failing_eigsh(matrix, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.array([-1.0]), np.ones((matrix.shape[0], 1)))
+
+    def unexpected_lobpcg(*args, **kwargs):
+        raise AssertionError("a failed stage must not warm-start the next one")
+
+    monkeypatch.setattr(fock, "eigsh", failing_eigsh)
+    monkeypatch.setattr(fock, "lobpcg", unexpected_lobpcg)
+    report = converge_cutoff(graph, forms, params, e_tol=1e-8, max_cutoff=8)
+    assert not report.converged
+    assert report.energy_history == ((4, -1.0), (8, -1.0))
+
+
+def test_ground_state_rejects_unchecked_pair(monkeypatch):
+    graph, forms, params = triangle_model()
+    op = build_fock_matrix(graph, forms, params, cutoff=4)
+
+    def wrong_vector(matrix, **kwargs):
+        return np.array([-0.5]), np.ones((matrix.shape[0], 1)) / math.sqrt(matrix.shape[0])
+
+    monkeypatch.setattr(fock, "eigsh", wrong_vector)
+    with pytest.raises(EigensolverError) as err:
+        ground_state(op)
+    assert err.value.best_estimate == -0.5
+
+
+def test_budget_overrun_keeps_finished_stages():
+    graph, forms, params = triangle_model()
+    report = converge_cutoff(graph, forms, params, max_cutoff=16, max_bytes=10**7)
+    assert not report.converged
+    assert report.energy_history == ((4, cold_energy(graph, forms, params, 4)),)
+    with pytest.raises(ResourceBudgetError):
+        converge_cutoff(graph, forms, params, max_cutoff=16, max_bytes=10**5)
