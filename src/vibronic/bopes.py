@@ -3,9 +3,11 @@
 The adiabatic surface at fixed collective coordinates q is the smallest
 eigenvalue of the electronic matrix ``M(q) = Omega A + diag(E_s(q))`` where
 ``E_s`` is the classical (kinetic-free) energy of node s.  This module locates
-its minima by deterministic multistart simplex descent, fits local quadratics,
-and scans the surface minimum against the drive strength to expose the
-symmetry-breaking transition and its smoothing by quantum effects.
+its minima by deterministic multistart gradient descent (L-BFGS-B with the
+eigenvector-sandwich gradient, each endpoint checked to be a true minimum,
+Nelder-Mead simplex only as the fallback at electronic crossings), fits local
+quadratics, and scans the surface minimum against the drive strength to expose
+the symmetry-breaking transition and its smoothing by quantum effects.
 """
 
 from __future__ import annotations
@@ -25,6 +27,11 @@ from .params import PhysicalParams
 
 DEFAULT_DEDUP_TOL = 1e-4  # basin deduplication distance, in units of x0
 DEFAULT_DEGENERACY_TOL = 1e-8  # energy tolerance for degenerate minima, units of omega
+GAP_TOL = 1e-7  # electronic gap below which the branch counts as crossing, units of omega
+HESSIAN_STEP = 1e-5  # finite-difference step of the minimum check, units of x0
+SADDLE_STEP = 0.1  # step off a saddle along negative curvature, units of x0
+MAX_DESCENTS = 3  # gradient descents per start before the simplex fallback
+_LBFGS_OPTIONS = {"ftol": 1e-18, "gtol": 1e-14, "maxiter": 500}
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,18 +117,25 @@ def bo_eigen_gap(surface: BoSurface, q) -> float:
     return float(vals[1] - vals[0])
 
 
-def bo_gradient(surface: BoSurface, q) -> np.ndarray:
-    """Gradient of the lowest eigenvalue by eigenvector sandwiching.
+def _energy_and_gradient(surface: BoSurface, q: np.ndarray):
+    """Lowest eigenvalue and its eigenvector-sandwich gradient from one ``eigh``.
 
-    Valid away from electronic degeneracies.
+    The gradient is valid away from electronic degeneracies.
     """
-    q = np.asarray(q, dtype=float)
     vals, vecs = np.linalg.eigh(_electronic_matrix(surface, q))
     v = vecs[:, 0]
     grad = np.zeros(surface.dim)
     for s, f in enumerate(surface.forms):
         grad += v[s] ** 2 * (f.linear + 2.0 * f.hessian @ q)
-    return grad
+    return float(vals[0]), grad
+
+
+def bo_gradient(surface: BoSurface, q) -> np.ndarray:
+    """Gradient of the lowest eigenvalue by eigenvector sandwiching.
+
+    Valid away from electronic degeneracies.
+    """
+    return _energy_and_gradient(surface, np.asarray(q, dtype=float))[1]
 
 
 def default_start_points(surface: BoSurface) -> np.ndarray:
@@ -162,23 +176,50 @@ def light_start_points(surface: BoSurface) -> np.ndarray:
     return np.array(starts)
 
 
-def minimize_bo(
-    surface: BoSurface,
-    starts=None,
-    tol: float = 1e-13,
-    degeneracy_tol: float = None,
-) -> MinimaReport:
-    """Locate the surface minima by deterministic multistart simplex descent.
+def _hessian(surface: BoSurface, q: np.ndarray) -> np.ndarray:
+    """Central-difference Hessian of the gradient, symmetrized; 2 dim gradient calls."""
+    h = HESSIAN_STEP * surface.x0
+    rows = []
+    for m in range(surface.dim):
+        e = np.zeros(surface.dim)
+        e[m] = h
+        g_plus = _energy_and_gradient(surface, q + e)[1]
+        g_minus = _energy_and_gradient(surface, q - e)[1]
+        rows.append((g_plus - g_minus) / (2.0 * h))
+    hess = np.array(rows)
+    return 0.5 * (hess + hess.T)
 
-    Distinct basins are deduplicated at distance ``1e-4 x0``; minima are
-    reported sorted by energy and the degeneracy counts those within
-    ``degeneracy_tol`` (default ``1e-8 omega``) of the global minimum.
+
+def _descend(surface: BoSurface, start: np.ndarray):
+    """Gradient descent onto a checked local minimum of the lowest branch.
+
+    Each endpoint must sit away from electronic crossings and have a positive
+    definite Hessian; from a saddle the search steps along the most negative
+    curvature direction and descends again.  Returns ``(q, energy)``, or None
+    at a crossing or when the last of ``MAX_DESCENTS`` descents still ends on
+    a saddle.
     """
-    if starts is None:
-        starts = default_start_points(surface)
-    starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    if degeneracy_tol is None:
-        degeneracy_tol = DEFAULT_DEGENERACY_TOL * surface.omega
+    q = start
+    for _ in range(MAX_DESCENTS):
+        res = _scipy_minimize(
+            lambda p: _energy_and_gradient(surface, p),
+            q,
+            jac=True,
+            method="L-BFGS-B",
+            options=_LBFGS_OPTIONS,
+        )
+        q = res.x
+        if bo_eigen_gap(surface, q) <= GAP_TOL * surface.omega:
+            return None
+        curvatures, directions = np.linalg.eigh(_hessian(surface, q))
+        if curvatures[0] > 0.0:
+            return q, float(res.fun)
+        q = q + SADDLE_STEP * surface.x0 * directions[:, 0]
+    return None
+
+
+def _simplex(surface: BoSurface, start: np.ndarray, tol: float):
+    """Nelder-Mead descent plus a gradient polish away from crossings."""
 
     def fun(q):
         return bo_energy(surface, q)
@@ -189,25 +230,57 @@ def minimize_bo(
         "maxiter": 4000 * surface.dim,
         "maxfev": 4000 * surface.dim,
     }
+    res = _scipy_minimize(fun, start, method="Nelder-Mead", options=options)
+    q, e = res.x, float(res.fun)
+    # Away from electronic crossings the branch is smooth, so a gradient
+    # polish (eigenvector-sandwich gradient) removes the residual simplex
+    # stall and lands every start exactly on its basin floor.
+    if bo_eigen_gap(surface, q) > GAP_TOL * surface.omega:
+        polished = _scipy_minimize(
+            fun,
+            q,
+            jac=lambda p: bo_gradient(surface, p),
+            method="L-BFGS-B",
+            options=_LBFGS_OPTIONS,
+        )
+        if polished.fun <= e:
+            q, e = polished.x, float(polished.fun)
+    return q, e
+
+
+def minimize_bo(
+    surface: BoSurface,
+    starts=None,
+    tol: float = 1e-13,
+    degeneracy_tol: float = None,
+) -> MinimaReport:
+    """Locate the surface minima by deterministic multistart gradient descent.
+
+    From every start, L-BFGS-B descends on the lowest branch with the
+    eigenvector-sandwich gradient.  An endpoint counts as a minimum only when
+    the electronic gap there exceeds ``1e-7 omega`` and the finite-difference
+    Hessian is positive definite; a saddle is left along its negative
+    curvature and descended again, at most three descents in all.  At an
+    electronic crossing, or on a saddle after the last descent, the start
+    falls back to Nelder-Mead simplex descent with a gradient polish, and
+    ``tol`` is the simplex energy tolerance (it is used nowhere else).
+
+    Distinct basins are deduplicated at distance ``1e-4 x0``; minima are
+    reported sorted by energy and the degeneracy counts those within
+    ``degeneracy_tol`` (default ``1e-8 omega``) of the global minimum.
+    """
+    if starts is None:
+        starts = default_start_points(surface)
+    starts = np.atleast_2d(np.asarray(starts, dtype=float))
+    if starts.shape[1] != surface.dim:
+        raise DomainError(f"expected {surface.dim} coordinates per start, got {starts.shape[1]}")
+    if degeneracy_tol is None:
+        degeneracy_tol = DEFAULT_DEGENERACY_TOL * surface.omega
 
     found = []
-    for x0_start in starts:
-        res = _scipy_minimize(fun, x0_start, method="Nelder-Mead", options=options)
-        q, e = res.x, float(res.fun)
-        # Away from electronic crossings the branch is smooth, so a gradient
-        # polish (eigenvector-sandwich gradient) removes the residual simplex
-        # stall and lands every start exactly on its basin floor.
-        if bo_eigen_gap(surface, q) > 1e-7 * surface.omega:
-            polished = _scipy_minimize(
-                fun,
-                q,
-                jac=lambda p: bo_gradient(surface, p),
-                method="L-BFGS-B",
-                options={"ftol": 1e-18, "gtol": 1e-14, "maxiter": 500},
-            )
-            if polished.fun <= e:
-                q, e = polished.x, float(polished.fun)
-        found.append((q, e))
+    for start in starts:
+        minimum = _descend(surface, start)
+        found.append(minimum if minimum is not None else _simplex(surface, start, tol))
 
     dedup_dist = DEFAULT_DEDUP_TOL * surface.x0
     found.sort(key=lambda qe: (qe[1], tuple(qe[0])))

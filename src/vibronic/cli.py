@@ -550,14 +550,13 @@ def _task_wigner(resolved, outdir: Path):
     half = wcfg["grid_half_width"]
     n = wcfg["resolution"]
     axis = np.linspace(-half, half, n)
-    rows = []
+    a_r, a_i = np.meshgrid(axis, axis)  # rows: alpha_I outer, alpha_R inner
+    values = wigner(solution.w, a_r + 1j * a_i).ravel().tolist()
+    rows = list(zip(a_r.ravel().tolist(), a_i.ravel().tolist(), values))
     total = 0.0
     cell = (axis[1] - axis[0]) ** 2
-    for a_i in axis:
-        for a_r in axis:
-            val = wigner(solution.w, complex(a_r, a_i))
-            rows.append((float(a_r), float(a_i), float(val)))
-            total += float(val) * cell
+    for val in values:  # sequential sum in row order keeps the footer bit-stable
+        total += val * cell
     footer = [f"# normalization {_fmt(total)}"]
     _write_csv(outdir / "wigner.csv", ["alpha_R", "alpha_I", "W"], rows, footer)
     _write_manifest(

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from vibronic import (
     DomainError,
@@ -14,6 +17,7 @@ from vibronic import (
     build_molecular_model,
     build_resonant_manifold,
     converge_cutoff,
+    critical_points,
     derive_couplings,
     dumbbell,
     edge_mode_directions,
@@ -23,7 +27,7 @@ from vibronic import (
     transition_scan,
     triangle,
 )
-from vibronic.bopes import surface_scan_csv, transition_scan_csv
+from vibronic.bopes import bo_eigen_gap, surface_scan_csv, transition_scan_csv
 
 SQRT2 = math.sqrt(2.0)
 
@@ -202,3 +206,107 @@ def test_csv_writers():
     assert len(scan_lines) == 34
     # quantum column empty when the solve was skipped
     assert scan_lines[1].split(",")[2] == ""
+
+
+# -- gradient-first minimization on the criterion-11 model -------------------
+
+CRITERION_11_KAPPA = 0.5 * critical_points(1.0, 0.5)[1]
+
+
+def fd_hessian(surface, q, h=1e-5):
+    """Symmetrized central-difference Hessian of the analytic gradient."""
+    rows = []
+    for m in range(surface.dim):
+        e = np.zeros(surface.dim)
+        e[m] = h * surface.x0
+        rows.append((bo_gradient(surface, q + e) - bo_gradient(surface, q - e)) / (2 * e[m]))
+    hess = np.array(rows)
+    return 0.5 * (hess + hess.T)
+
+
+def nelder_mead_energy(surface, start):
+    """Energy the plain simplex reaches from one start (no gradient polish)."""
+    res = minimize(
+        lambda q: bo_energy(surface, q),
+        start,
+        method="Nelder-Mead",
+        options={
+            "xatol": 1e-10 * surface.x0,
+            "fatol": 1e-13,
+            "maxiter": 4000 * surface.dim,
+            "maxfev": 4000 * surface.dim,
+        },
+    )
+    return float(res.fun)
+
+
+def assert_true_minima(surface, report):
+    for q, _ in report.minima:
+        assert bo_eigen_gap(surface, q) > 1e-7 * surface.omega
+        assert np.linalg.eigvalsh(fd_hessian(surface, q))[0] > 0
+
+
+def test_descent_from_the_origin_leaves_the_saddle():
+    _, _, _, _, base = triangle_setup(kappa=CRITERION_11_KAPPA)
+    surface = base.with_omega(0.06)
+    # plain gradient descent from the origin stays in the symmetric subspace
+    # and stops on a saddle of the lowest branch: a doubly degenerate
+    # negative curvature across the symmetry-breaking directions
+    saddle = minimize(
+        lambda q: bo_energy(surface, q),
+        np.zeros(surface.dim),
+        jac=lambda q: bo_gradient(surface, q),
+        method="L-BFGS-B",
+        options={"ftol": 1e-18, "gtol": 1e-14, "maxiter": 500},
+    ).x
+    assert bo_eigen_gap(surface, saddle) > 1e-7
+    curvatures = np.linalg.eigvalsh(fd_hessian(surface, saddle))
+    assert curvatures[:2] == pytest.approx([-16.4, -16.4], abs=0.05)
+    assert curvatures[2] > 0
+
+    report = minimize_bo(surface, starts=light_start_points(surface))
+    assert len(report.minima) == 3
+    assert report.degeneracy == 3
+    assert_true_minima(surface, report)
+    for q, _ in report.minima:
+        assert np.linalg.norm(q - saddle) > 0.1 * surface.x0
+
+
+def test_symmetric_local_minimum_is_reported():
+    _, _, basis, _, base = triangle_setup(kappa=CRITERION_11_KAPPA)
+    surface = base.with_omega(0.06 + 12 * 0.24 / 31)  # criterion-11 scan row near 0.153
+    starts = light_start_points(surface)
+    report = minimize_bo(surface, starts=starts)
+    assert_true_minima(surface, report)
+    assert report.degeneracy == 3
+    assert len(report.minima) == 4
+    # the metastable basin above the broken triple keeps the threefold
+    # symmetry: every atom moves by the same amount
+    q_sym, e_sym = report.minima[-1]
+    assert e_sym - report.global_energy > 1e-4
+    norms = np.linalg.norm(basis.to_full(q_sym).reshape(3, 2), axis=1)
+    assert norms.max() - norms.min() < 1e-6
+    # the simplex from the origin steps over that basin onto the broken floor,
+    # which the gradient-first search reaches to the same energy
+    assert nelder_mead_energy(surface, np.zeros(surface.dim)) < e_sym - 1e-4
+    floor = min(nelder_mead_energy(surface, s) for s in starts)
+    assert abs(report.global_energy - floor) < 1e-12
+
+
+@settings(max_examples=15, deadline=None)
+@given(drive=st.floats(min_value=0.0, max_value=0.3))
+def test_minima_are_checked_and_below_the_simplex(drive):
+    _, _, _, _, base = triangle_setup(kappa=CRITERION_11_KAPPA)
+    surface = base.with_omega(drive)
+    starts = light_start_points(surface)
+    report = minimize_bo(surface, starts=starts)
+    assert_true_minima(surface, report)
+    for start in starts:
+        assert report.global_energy <= nelder_mead_energy(surface, start) + 1e-12
+    again = minimize_bo(surface, starts=starts)
+    assert again.degeneracy == report.degeneracy
+    assert again.global_energy == report.global_energy
+    assert len(again.minima) == len(report.minima)
+    for (q1, e1), (q2, e2) in zip(report.minima, again.minima):
+        assert q1.tobytes() == q2.tobytes()
+        assert e1 == e2

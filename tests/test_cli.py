@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from vibronic import ConfigError
-from vibronic.cli import load_config, main
+from vibronic import ConfigError, bogoliubov_w, derive_couplings, perpendicular_xi_eff, wigner
+from vibronic.cli import _fmt, _write_csv, _write_manifest, load_config, main
 
 GRAPH_CONFIG = {
     "task": "graph",
@@ -97,6 +98,50 @@ def test_wigner_task_grid_and_footer(tmp_path):
     assert total == pytest.approx(1.0, abs=1e-3)
     manifest = json.loads((out / "run-manifest.json").read_text())
     assert manifest["results"]["w"] < 0  # softened mode widens the position axis
+
+
+def _scalar_wigner_task(resolved, outdir):
+    """Reference: the wigner task as a point-by-point loop over the grid."""
+    params = resolved["params"]
+    coup = derive_couplings(resolved["potential"], params)
+    wcfg = resolved["wigner"]
+    if wcfg["mode"] == "perpendicular":
+        xi_eff = perpendicular_xi_eff(coup.kappa, coup.nu)
+    else:
+        xi_eff = coup.xi
+    solution = bogoliubov_w(params.omega, xi_eff)
+    axis = np.linspace(-wcfg["grid_half_width"], wcfg["grid_half_width"], wcfg["resolution"])
+    rows = []
+    total = 0.0
+    cell = (axis[1] - axis[0]) ** 2
+    for a_i in axis:
+        for a_r in axis:
+            val = wigner(solution.w, complex(a_r, a_i))
+            rows.append((float(a_r), float(a_i), float(val)))
+            total += float(val) * cell
+    _write_csv(outdir / "wigner.csv", ["alpha_R", "alpha_I", "W"], rows,
+               [f"# normalization {_fmt(total)}"])
+    _write_manifest(
+        outdir,
+        resolved,
+        ["wigner.csv"],
+        {"w": solution.w, "omega_tilde": solution.omega_tilde, "xi_eff": xi_eff, "normalization": total},
+    )
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [WIGNER_CONFIG["wigner"], {}, {"mode": "parallel", "resolution": 64}],
+    ids=["configured", "default-101", "parallel-64"],
+)
+def test_wigner_task_matches_scalar_loop_bytewise(tmp_path, grid):
+    cfg = write_config(tmp_path, {**WIGNER_CONFIG, "wigner": grid})
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    assert main(["wigner", "--config", cfg, "--out", str(out)]) == 0
+    ref.mkdir()
+    _scalar_wigner_task(load_config(cfg, "wigner"), ref)
+    for name in ("wigner.csv", "run-manifest.json"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
 
 
 def test_missing_task_exits_with_usage(capsys):
