@@ -20,7 +20,6 @@ from .analytic import (
     perpendicular_xi_eff,
     quantum_correction,
     wigner,
-    wigner_displaced,
     wigner_widths,
     zero_point_correction,
 )
@@ -37,6 +36,7 @@ from .assembly import (
     edge_mode_directions,
     expansion_coeffs,
     identity_basis,
+    node_data,
     reduce_modes,
 )
 from .bopes import (

@@ -140,16 +140,6 @@ def wigner(w: float, alpha) -> float:
     return float(value) if value.ndim == 0 else value
 
 
-def wigner_displaced(w: float, alpha, alpha0: complex) -> float:
-    """Extension of :func:`wigner` for a displaced squeezed state.
-
-    Useful for the axis-parallel mode, whose ground state is displaced to the
-    coherent amplitude ``alpha0`` on top of being squeezed.
-    """
-    alpha = np.asarray(alpha, dtype=complex)
-    return wigner(w, alpha - complex(alpha0))
-
-
 def quantum_correction(kappa: float, xi: float, omega: float, nu: float) -> float:
     """Zero-point shift between the exact and clamped-coordinate ground energies.
 

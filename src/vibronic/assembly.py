@@ -332,15 +332,14 @@ class TwoStateModel:
     """Reduced two-state form of the driven pair over its relative mode.
 
     The symmetric single-excitation combination couples to the doubly excited
-    state with strength ``coupling = sqrt(2) Omega``; the antisymmetric
-    combination decouples entirely.  ``forms`` holds the two quadratic forms
-    (trap-only, coupled) over the single relative coordinate.
+    state with strength ``sqrt(2) Omega``, so ``adjacency`` carries the weight
+    ``sqrt(2)``; the antisymmetric combination decouples entirely.  ``forms``
+    holds the two quadratic forms (trap-only, coupled) over the single
+    relative coordinate.
     """
 
-    coupling: float
     forms: tuple
     adjacency: np.ndarray
-    labels: tuple = ("sym", "excited-pair")
 
 
 def dumbbell_hamiltonian(params: PhysicalParams, couplings) -> TwoStateModel:
@@ -361,11 +360,33 @@ def dumbbell_hamiltonian(params: PhysicalParams, couplings) -> TwoStateModel:
         linear=np.array([2.0 * couplings.kappa / x0]),
         hessian=np.array([[trap + 2.0 * couplings.xi / x0**2]]),
     )
-    return TwoStateModel(
-        coupling=SQRT2 * params.Omega,
-        forms=(plus, excited),
-        adjacency=np.array([[0, 1], [1, 0]], dtype=np.int8),
-    )
+    return TwoStateModel(forms=(plus, excited), adjacency=np.array([[0.0, SQRT2], [SQRT2, 0.0]]))
+
+
+def node_data(graph, forms=None):
+    """Weighted adjacency and per-node forms of any accepted model input.
+
+    ``graph`` may be a :class:`ResonantGraph`, a :class:`TwoStateModel`
+    (which supplies its own forms when ``forms`` is None), or a plain
+    adjacency matrix.  Returns ``(adjacency, forms)`` with a float adjacency
+    whose entries multiply the drive ``Omega``.
+    """
+    if isinstance(graph, TwoStateModel):
+        adjacency = graph.adjacency
+        if forms is None:
+            forms = graph.forms
+    elif isinstance(graph, ResonantGraph):
+        adjacency = graph.adjacency
+    else:
+        adjacency = graph
+    adjacency = np.asarray(adjacency, dtype=float)
+    if forms is None:
+        raise DomainError("forms must be provided unless a TwoStateModel is passed")
+    if adjacency.shape[0] != len(forms):
+        raise DomainError(
+            f"adjacency has {adjacency.shape[0]} nodes but {len(forms)} forms were given"
+        )
+    return adjacency, list(forms)
 
 
 def dump_forms_json(forms, basis: ModeBasis = None) -> str:

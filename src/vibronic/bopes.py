@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from .assembly import ModeBasis
+from .assembly import ModeBasis, node_data
 from .errors import DomainError
 from .fock import converge_cutoff
-from .graphs import ResonantGraph
 from .params import PhysicalParams
 
 DEFAULT_DEDUP_TOL = 1e-4  # basin deduplication distance, in units of x0
@@ -32,6 +31,7 @@ HESSIAN_STEP = 1e-5  # finite-difference step of the minimum check, units of x0
 SADDLE_STEP = 0.1  # step off a saddle along negative curvature, units of x0
 MAX_DESCENTS = 3  # gradient descents per start before the simplex fallback
 _LBFGS_OPTIONS = {"ftol": 1e-18, "gtol": 1e-14, "maxiter": 500}
+MIN_SCAN_SAMPLES = 32  # drive samples a transition scan needs to place the kink
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +44,6 @@ class BoSurface:
     omega: float
     x0: float
     mode_basis: ModeBasis = None
-    labels: tuple = None
 
     @property
     def dim(self) -> int:
@@ -70,17 +69,8 @@ class MinimaReport:
 
 def build_bo_surface(graph, forms, params: PhysicalParams, Omega: float = None,
                      mode_basis: ModeBasis = None) -> BoSurface:
-    """Bundle a graph and its reduced forms into a surface object."""
-    if isinstance(graph, ResonantGraph):
-        adjacency = np.asarray(graph.adjacency, dtype=float)
-        labels = tuple(graph.bitstrings)
-    else:
-        adjacency = np.asarray(graph, dtype=float)
-        labels = tuple(str(i) for i in range(adjacency.shape[0]))
-    if adjacency.shape[0] != len(forms):
-        raise DomainError(
-            f"adjacency has {adjacency.shape[0]} nodes but {len(forms)} forms were given"
-        )
+    """Bundle a model (any input :func:`node_data` accepts) into a surface object."""
+    adjacency, forms = node_data(graph, forms)
     return BoSurface(
         adjacency=adjacency,
         forms=tuple(forms),
@@ -88,7 +78,6 @@ def build_bo_surface(graph, forms, params: PhysicalParams, Omega: float = None,
         omega=params.omega,
         x0=params.x0,
         mode_basis=mode_basis,
-        labels=labels,
     )
 
 
@@ -167,12 +156,17 @@ def light_start_points(surface: BoSurface) -> np.ndarray:
     """Reduced seed set for scans: the origin plus every node's stationary point.
 
     Covers the symmetric basin and each configuration's own displaced basin,
-    which is where surface minima live for the preset geometries.
+    which is where surface minima live for the preset geometries.  Exact
+    duplicates (every node whose stationary point is the origin) are kept
+    once, at their first occurrence; a bitwise repeat of a start can only
+    repeat its descent.
     """
     half_width = 3.0 * surface.x0
     starts = [np.zeros(surface.dim)]
     for f in surface.forms:
-        starts.append(np.clip(f.stationary_point(), -half_width, half_width))
+        start = np.clip(f.stationary_point(), -half_width, half_width)
+        if all(start.tobytes() != s.tobytes() for s in starts):
+            starts.append(start)
     return np.array(starts)
 
 
@@ -408,24 +402,23 @@ def transition_scan(
     omegas,
     *,
     quantum: bool = True,
-    e_tol: float = 1e-8,
-    max_cutoff: int = 16,
-    frame: str = "bare",
     starts=None,
-    refine: bool = True,
     mode_basis: ModeBasis = None,
-    min_samples: int = 32,
+    **solver,
 ) -> TransitionScanResult:
     """Scan the surface minimum (and exact ground energy) against the drive.
 
     The kink of the clamped-coordinate curve is located as the maximizer of
     the discrete second difference, refined once on a finer local grid; its
     uncertainty is the refined grid spacing.  The exact curve is computed with
-    the cutoff-doubling solver per grid point when ``quantum`` is true.
+    the cutoff-doubling solver per grid point when ``quantum`` is true; the
+    ``solver`` keywords (``e_tol``, ``max_cutoff``, ``frame``, ``eig_tol``,
+    ...) go to :func:`converge_cutoff` unchanged.  The grid needs at least
+    ``MIN_SCAN_SAMPLES`` strictly increasing drive values.
     """
     omegas = np.asarray(omegas, dtype=float)
-    if omegas.size < min_samples:
-        raise DomainError(f"need at least {min_samples} drive samples, got {omegas.size}")
+    if omegas.size < MIN_SCAN_SAMPLES:
+        raise DomainError(f"need at least {MIN_SCAN_SAMPLES} drive samples, got {omegas.size}")
     if np.any(np.diff(omegas) <= 0):
         raise DomainError("drive grid must be strictly increasing")
 
@@ -443,24 +436,15 @@ def transition_scan(
     if quantum:
         for i, o in enumerate(omegas):
             run_params = dataclasses.replace(params, Omega=float(o))
-            report = converge_cutoff(
-                graph, forms, run_params, e_tol=e_tol, max_cutoff=max_cutoff, frame=frame
-            )
+            report = converge_cutoff(graph, forms, run_params, **solver)
             e_quantum[i] = report.energy
             q_conv[i] = report.converged
             q_cut[i] = report.cutoff
 
     d2_bo = _second_differences(e_bo)
     kink_idx = int(np.argmax(np.abs(d2_bo))) + 1
-    kink_omega = float(omegas[kink_idx])
-    spacing = float(omegas[1] - omegas[0])
-    if refine:
-        lo, hi = omegas[kink_idx - 1], omegas[kink_idx + 1]
-        fine = np.linspace(lo, hi, 9)
-        fine_bo = np.array([bo_minimum(o) for o in fine])
-        d2_fine = _second_differences(fine_bo)
-        kink_omega = float(fine[int(np.argmax(np.abs(d2_fine))) + 1])
-        spacing = float(fine[1] - fine[0])
+    fine = np.linspace(omegas[kink_idx - 1], omegas[kink_idx + 1], 9)
+    d2_fine = _second_differences(np.array([bo_minimum(o) for o in fine]))
 
     d2_q = _second_differences(e_quantum) if quantum else np.array([np.nan])
     return TransitionScanResult(
@@ -469,22 +453,11 @@ def transition_scan(
         e_quantum=e_quantum,
         quantum_converged=q_conv,
         quantum_cutoffs=q_cut,
-        kink_omega=kink_omega,
-        kink_uncertainty=spacing,
+        kink_omega=float(fine[int(np.argmax(np.abs(d2_fine))) + 1]),
+        kink_uncertainty=float(fine[1] - fine[0]),
         bo_second_diff_max=float(np.max(np.abs(d2_bo))),
         quantum_second_diff_max=float(np.nanmax(np.abs(d2_q))) if quantum else math.nan,
     )
-
-
-def surface_scan_csv(surface: BoSurface, points) -> str:
-    """CSV rows ``q components..., E_BO`` for a list of coordinate points."""
-    header = ",".join(f"q{m}" for m in range(surface.dim)) + ",E_BO"
-    lines = [header]
-    for q in points:
-        q = np.asarray(q, dtype=float)
-        values = [repr(float(x)) for x in q] + [repr(bo_energy(surface, q))]
-        lines.append(",".join(values))
-    return "\n".join(lines) + "\n"
 
 
 def transition_scan_csv(result: TransitionScanResult, analytic=None) -> str:

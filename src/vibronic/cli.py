@@ -9,6 +9,12 @@ Tasks: ``graph``, ``gs-scan-xi``, ``gs-scan-kappa``, ``gs-scan-omega``,
 run writes a ``run-manifest.json`` recording the resolved parameters and tool
 version alongside the task artifacts.  Outputs are deterministic: identical
 configs produce byte-identical files.
+
+The three ``gs-scan-*`` tasks run through one driver, ``_task_scan``: the
+``SCANS`` table gives each its scan variable, CSV name and set-up, and every
+row is one ``converge_cutoff`` call with the configured solver options.
+``gs-scan-omega``, ``bopes-scan`` and ``compare`` build the same molecular
+model, in the reduced or full mode space that ``modes`` selects.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .assembly import (
     reduce_modes,
 )
 from .bopes import (
+    MIN_SCAN_SAMPLES,
     build_bo_surface,
     light_start_points,
     minimize_bo,
@@ -268,8 +275,9 @@ def load_config(path: str, task: str) -> dict:
     }
     if resolved["modes"] not in ("reduced", "full"):
         raise ConfigError("config.modes", 'expected "reduced" or "full"')
-    if task in ("gs-scan-xi", "gs-scan-kappa", "gs-scan-omega", "bopes-scan"):
-        resolved["scan"] = _parse_scan(cfg, samples_min=2 if task != "bopes-scan" else 32)
+    if task in SCANS or task == "bopes-scan":
+        samples_min = MIN_SCAN_SAMPLES if task == "bopes-scan" else 2
+        resolved["scan"] = _parse_scan(cfg, samples_min=samples_min)
     if task == "wigner":
         wcfg = cfg.get("wigner", {})
         if not isinstance(wcfg, dict):
@@ -411,78 +419,68 @@ def _map_rows(worker, values, threads: int):
         return list(pool.map(worker, values))
 
 
-def _task_gs_scan_xi(resolved, outdir: Path, threads: int):
+def _molecular_model(resolved):
+    """``(graph, forms, basis, couplings)`` of the configured manifold and modes."""
     params = resolved["params"]
-    potential = resolved["potential"]
-    if not isinstance(potential, ExplicitCouplings):
-        raise ConfigError(
-            "config.potential.type", "gs-scan-xi needs explicit couplings (xi is the scan variable)"
-        )
-    solver = resolved["solver"]
-    xi_c, _ = critical_points(params.omega, potential.nu)
-    xis = _scan_values(resolved["scan"], xi_c)
-
-    def worker(xi):
-        coup = dataclasses.replace(potential, xi=float(xi))
-        model = dumbbell_hamiltonian(params, coup)
-        report = converge_cutoff(
-            model,
-            params=params,
-            e_tol=solver["e_tol"],
-            max_cutoff=solver["max_cutoff"],
-            frame=solver["frame"],
-            eig_tol=solver["eig_tol"],
-        )
-        if params.Omega != 0.0:
-            analytic = None
-        else:
-            try:
-                analytic = min(params.omega * epsilon2(coup.kappa, coup.xi, params.omega), 0.0)
-            except InstabilityError:
-                analytic = "unstable"
-        return (float(xi), report.energy, analytic, report.cutoff, report.converged)
-
-    rows = _map_rows(worker, xis, threads)
-    _write_csv(outdir / "scan-xi.csv", ["xi", "E_numeric", "E_analytic", "cutoff", "converged"], rows)
-    _write_manifest(outdir, resolved, ["scan-xi.csv"], {"xi_c": xi_c})
-    return 0
+    graph = _build_graph(resolved)
+    coup = derive_couplings(resolved["potential"], params)
+    basis, forms = build_molecular_model(
+        graph, coup, params, reduce=resolved["modes"] == "reduced"
+    )
+    return graph, forms, basis, coup
 
 
-def _task_gs_scan_kappa(resolved, outdir: Path, threads: int):
-    params = resolved["params"]
+def _explicit_couplings(resolved, variable: str) -> ExplicitCouplings:
     potential = resolved["potential"]
     if not isinstance(potential, ExplicitCouplings):
         raise ConfigError(
             "config.potential.type",
-            "gs-scan-kappa needs explicit couplings (kappa is the scan variable)",
+            f"{resolved['task']} needs explicit couplings ({variable} is the scan variable)",
         )
+    return potential
+
+
+# Each scan set-up returns (critical scale, model_at, manifest results), where
+# model_at(value) gives the converge_cutoff arguments and the closed-form
+# energy (or None) of one row.
+
+
+def _xi_scan(resolved):
+    params = resolved["params"]
+    potential = _explicit_couplings(resolved, "xi")
+    xi_c, _ = critical_points(params.omega, potential.nu)
+
+    def model_at(xi):
+        coup = dataclasses.replace(potential, xi=xi)
+        analytic = None
+        if params.Omega == 0.0:
+            try:
+                analytic = min(params.omega * epsilon2(coup.kappa, coup.xi, params.omega), 0.0)
+            except InstabilityError:
+                analytic = "unstable"
+        return (dumbbell_hamiltonian(params, coup), None, params), analytic
+
+    return xi_c, model_at, {"xi_c": xi_c}
+
+
+def _kappa_scan(resolved):
+    params = resolved["params"]
+    potential = _explicit_couplings(resolved, "kappa")
     if params.Omega != 0.0:
         raise ConfigError(
             "config.params.Omega", "gs-scan-kappa solves one doubly excited block; set Omega = 0"
         )
-    solver = resolved["solver"]
     _, kappa_c = critical_points(params.omega, potential.nu)
-    kappas = _scan_values(resolved["scan"], kappa_c)
-
     geometry = resolved["geometry"]
     graph = _build_graph(resolved)
     target = next((c for c in graph.configs if sum(c) == 2), None)
     if target is None:
         raise ConfigError("config.seed", "the manifold contains no doubly excited configuration")
 
-    def worker(kappa):
-        coup = dataclasses.replace(potential, kappa=float(kappa))
+    def model_at(kappa):
+        coup = dataclasses.replace(potential, kappa=kappa)
         form = assemble_state_hamiltonian(target, geometry, coup, params)
-        basis, reduced = reduce_modes([form], params)
-        report = converge_cutoff(
-            np.zeros((1, 1)),
-            reduced,
-            params,
-            e_tol=solver["e_tol"],
-            max_cutoff=solver["max_cutoff"],
-            frame=solver["frame"],
-            eig_tol=solver["eig_tol"],
-        )
+        _, reduced = reduce_modes([form], params)
         try:
             if geometry.n_axes == 3:
                 eps = epsilon4(coup.kappa, coup.xi, params.omega, coup.nu)
@@ -491,44 +489,40 @@ def _task_gs_scan_kappa(resolved, outdir: Path, threads: int):
             analytic = params.omega * eps
         except InstabilityError:
             analytic = "unstable"
-        return (float(kappa), report.energy, analytic, report.cutoff, report.converged)
+        return (np.zeros((1, 1)), reduced, params), analytic
 
-    rows = _map_rows(worker, kappas, threads)
-    _write_csv(
-        outdir / "scan-kappa.csv", ["kappa", "E_numeric", "E_analytic", "cutoff", "converged"], rows
-    )
-    _write_manifest(outdir, resolved, ["scan-kappa.csv"], {"kappa_c": kappa_c})
-    return 0
+    return kappa_c, model_at, {"kappa_c": kappa_c}
 
 
-def _task_gs_scan_omega(resolved, outdir: Path, threads: int):
-    params = resolved["params"]
-    solver = resolved["solver"]
-    graph = _build_graph(resolved)
-    coup = derive_couplings(resolved["potential"], params)
-    basis, forms = build_molecular_model(
-        graph, coup, params, reduce=resolved["modes"] == "reduced"
-    )
-    drives = _scan_values(resolved["scan"], 1.0)
+def _omega_scan(resolved):
+    graph, forms, basis, _ = _molecular_model(resolved)
 
-    def worker(drive):
-        run = dataclasses.replace(params, Omega=float(drive))
-        report = converge_cutoff(
-            graph,
-            forms,
-            run,
-            e_tol=solver["e_tol"],
-            max_cutoff=solver["max_cutoff"],
-            frame=solver["frame"],
-            eig_tol=solver["eig_tol"],
-        )
-        return (float(drive), report.energy, None, report.cutoff, report.converged)
+    def model_at(drive):
+        return (graph, forms, dataclasses.replace(resolved["params"], Omega=drive)), None
 
-    rows = _map_rows(worker, drives, threads)
-    _write_csv(
-        outdir / "scan-omega.csv", ["Omega", "E_numeric", "E_analytic", "cutoff", "converged"], rows
-    )
-    _write_manifest(outdir, resolved, ["scan-omega.csv"], {"n_modes": basis.dim})
+    return 1.0, model_at, {"n_modes": basis.dim}
+
+
+# task -> (scan variable, CSV name, set-up)
+SCANS = {
+    "gs-scan-xi": ("xi", "scan-xi.csv", _xi_scan),
+    "gs-scan-kappa": ("kappa", "scan-kappa.csv", _kappa_scan),
+    "gs-scan-omega": ("Omega", "scan-omega.csv", _omega_scan),
+}
+
+
+def _task_scan(resolved, outdir: Path, threads: int):
+    variable, csv_name, setup = SCANS[resolved["task"]]
+    critical_scale, model_at, results = setup(resolved)
+
+    def worker(value):
+        model, analytic = model_at(float(value))
+        report = converge_cutoff(*model, **resolved["solver"])
+        return (float(value), report.energy, analytic, report.cutoff, report.converged)
+
+    rows = _map_rows(worker, _scan_values(resolved["scan"], critical_scale), threads)
+    _write_csv(outdir / csv_name, [variable, "E_numeric", "E_analytic", "cutoff", "converged"], rows)
+    _write_manifest(outdir, resolved, [csv_name], results)
     return 0
 
 
@@ -570,24 +564,11 @@ def _task_wigner(resolved, outdir: Path):
 
 def _task_bopes_scan(resolved, outdir: Path):
     params = resolved["params"]
-    solver = resolved["solver"]
-    graph = _build_graph(resolved)
-    coup = derive_couplings(resolved["potential"], params)
-    basis, forms = build_molecular_model(
-        graph, coup, params, reduce=resolved["modes"] == "reduced"
-    )
+    graph, forms, basis, coup = _molecular_model(resolved)
     drives = _scan_values(resolved["scan"], 1.0)
     starts = light_start_points(build_bo_surface(graph, forms, params, Omega=0.0))
     result = transition_scan(
-        graph,
-        forms,
-        params,
-        drives,
-        e_tol=solver["e_tol"],
-        max_cutoff=solver["max_cutoff"],
-        frame=solver["frame"],
-        mode_basis=basis,
-        starts=starts,
+        graph, forms, params, drives, mode_basis=basis, starts=starts, **resolved["solver"]
     )
     # closed-form ground energy exists at zero drive only: classical minimum
     # of the displaced branch plus the zero-point shift, floored at zero
@@ -619,22 +600,10 @@ def _task_bopes_scan(resolved, outdir: Path):
 
 def _task_compare(resolved, outdir: Path):
     params = resolved["params"]
-    solver = resolved["solver"]
     if params.Omega != 0.0:
         raise ConfigError("config.params.Omega", "compare is a zero-drive consistency check")
-    graph = _build_graph(resolved)
-    coup = derive_couplings(resolved["potential"], params)
-    basis, forms = build_molecular_model(graph, coup, params)
-
-    report = converge_cutoff(
-        graph,
-        forms,
-        params,
-        e_tol=solver["e_tol"],
-        max_cutoff=solver["max_cutoff"],
-        frame=solver["frame"],
-        eig_tol=solver["eig_tol"],
-    )
+    graph, forms, basis, coup = _molecular_model(resolved)
+    report = converge_cutoff(graph, forms, params, **resolved["solver"])
     surface = build_bo_surface(graph, forms, params, Omega=0.0, mode_basis=basis)
     minima = minimize_bo(surface)
     rows = [
@@ -665,6 +634,14 @@ def _task_compare(resolved, outdir: Path):
     return 0
 
 
+_RUNNERS = {
+    "graph": _task_graph,
+    "wigner": _task_wigner,
+    "bopes-scan": _task_bopes_scan,
+    "compare": _task_compare,
+}
+
+
 # ----------------------------------------------------------------------------
 # Entry point
 
@@ -692,21 +669,11 @@ def run(resolved: dict, threads: int = 1) -> int:
     outdir = Path(resolved["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     task = resolved["task"]
-    if task == "graph":
-        return _task_graph(resolved, outdir)
-    if task == "gs-scan-xi":
-        return _task_gs_scan_xi(resolved, outdir, threads)
-    if task == "gs-scan-kappa":
-        return _task_gs_scan_kappa(resolved, outdir, threads)
-    if task == "gs-scan-omega":
-        return _task_gs_scan_omega(resolved, outdir, threads)
-    if task == "wigner":
-        return _task_wigner(resolved, outdir)
-    if task == "bopes-scan":
-        return _task_bopes_scan(resolved, outdir)
-    if task == "compare":
-        return _task_compare(resolved, outdir)
-    raise ConfigError("task", f"unknown task {task!r}")  # unreachable
+    if task in SCANS:
+        return _task_scan(resolved, outdir, threads)
+    if task not in _RUNNERS:
+        raise ConfigError("task", f"unknown task {task!r}")
+    return _RUNNERS[task](resolved, outdir)
 
 
 def main(argv=None) -> int:

@@ -1,8 +1,9 @@
 """Sparse Fock-space assembly and ground-state solvers.
 
-The molecular operator couples electronic nodes through the adjacency matrix
-(weight Omega) while each node carries its own quadratic phonon Hamiltonian
-over the shared collective modes.  The product basis is
+The molecular operator couples electronic nodes through the weighted
+adjacency matrix A (times the drive Omega) while each node carries its own
+quadratic phonon Hamiltonian over the shared collective modes; every model
+input is read by :func:`vibronic.assembly.node_data`.  The product basis is
 (node index) x (occupation tuple), with a uniform per-mode cutoff: occupation
 numbers run over 0..cutoff-1.  Position-quadratic terms are mapped through
 x = x0 (b + b^dag)/sqrt(2) per mode; the trap enters exactly as
@@ -27,9 +28,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh, lobpcg
 
-from .assembly import ModeBasis, QuadraticVibronic, TwoStateModel
+from .assembly import ModeBasis, QuadraticVibronic, node_data
 from .errors import DomainError, EigensolverError, ResourceBudgetError
-from .graphs import ResonantGraph
 from .params import PhysicalParams
 
 SQRT2 = math.sqrt(2.0)
@@ -49,7 +49,6 @@ class FockOperator:
     cutoff: int
     omega: float
     x0: float
-    node_labels: tuple
     displacements: np.ndarray  # (n_nodes, n_modes) phonon-frame offsets
     mode_basis: ModeBasis = None
 
@@ -122,32 +121,6 @@ def displacement_matrix(alpha: float, cutoff: int) -> np.ndarray:
     return d
 
 
-def _resolve_model(graph, forms, params, coupling):
-    """Normalize the (graph, forms, coupling) triple across accepted inputs."""
-    if isinstance(graph, TwoStateModel):
-        adjacency = np.asarray(graph.adjacency, dtype=float)
-        labels = tuple(graph.labels)
-        if forms is None:
-            forms = list(graph.forms)
-        if coupling is None:
-            coupling = graph.coupling
-    elif isinstance(graph, ResonantGraph):
-        adjacency = np.asarray(graph.adjacency, dtype=float)
-        labels = tuple(graph.bitstrings)
-    else:
-        adjacency = np.asarray(graph, dtype=float)
-        labels = tuple(str(i) for i in range(adjacency.shape[0]))
-    if coupling is None:
-        coupling = params.Omega
-    if forms is None:
-        raise DomainError("forms must be provided unless a TwoStateModel is passed")
-    if adjacency.shape[0] != len(forms):
-        raise DomainError(
-            f"adjacency has {adjacency.shape[0]} nodes but {len(forms)} forms were given"
-        )
-    return adjacency, list(forms), labels, float(coupling)
-
-
 def _mode_coefficients(form: QuadraticVibronic, params: PhysicalParams):
     """Map a displacement-convention form to ladder-operator coefficients.
 
@@ -188,11 +161,11 @@ def _frame_displacements(forms, params: PhysicalParams, frame: str) -> np.ndarra
     return beta
 
 
-def _estimate_bytes(n_nodes, n_modes, cutoff, adjacency, displacements, coupling) -> int:
+def _estimate_bytes(n_nodes, n_modes, cutoff, adjacency, displacements, Omega) -> int:
     per_node = cutoff**n_modes
     diag_nnz = n_nodes * per_node * (2 + 4 * n_modes + 4 * n_modes**2)
     off_nnz = 0
-    if coupling != 0.0:
+    if Omega != 0.0:
         for s in range(n_nodes):
             for t in range(s + 1, n_nodes):
                 if adjacency[s, t] != 0:
@@ -211,31 +184,30 @@ def build_fock_matrix(
     cutoff: int = 8,
     *,
     frame: str = "bare",
-    coupling: float = None,
     mode_basis: ModeBasis = None,
     max_bytes: int = 2**31,
 ) -> FockOperator:
     """Assemble the molecular operator in the truncated product Fock basis.
 
     ``graph`` may be a :class:`ResonantGraph`, a :class:`TwoStateModel`, or a
-    plain adjacency matrix.  ``forms`` are the per-node quadratic forms over
-    the shared reduced coordinates.  The off-diagonal electronic coupling
-    defaults to ``params.Omega`` (a :class:`TwoStateModel` carries its own).
-    Raises :class:`ResourceBudgetError` when the estimated size exceeds
-    ``max_bytes``.
+    plain adjacency matrix (see :func:`node_data`).  ``forms`` are the
+    per-node quadratic forms over the shared reduced coordinates.  The
+    off-diagonal block between nodes s and t is ``params.Omega * A[s, t]``
+    times the phonon overlap.  Raises :class:`ResourceBudgetError` when the
+    estimated size exceeds ``max_bytes``.
     """
     if params is None:
         raise DomainError("params is required")
     if cutoff < 2:
         raise DomainError(f"cutoff must be at least 2, got {cutoff}")
-    adjacency, forms, labels, omega_coupling = _resolve_model(graph, forms, params, coupling)
+    adjacency, forms = node_data(graph, forms)
     n_nodes = len(forms)
     n_modes = forms[0].dim
     if any(f.dim != n_modes for f in forms):
         raise DomainError("all node forms must share the same mode count")
 
     beta = _frame_displacements(forms, params, frame)
-    est = _estimate_bytes(n_nodes, n_modes, cutoff, adjacency, beta, omega_coupling)
+    est = _estimate_bytes(n_nodes, n_modes, cutoff, adjacency, beta, params.Omega)
     if est > max_bytes:
         raise ResourceBudgetError(
             f"estimated matrix footprint {est/1e9:.2f} GB exceeds budget {max_bytes/1e9:.2f} GB "
@@ -276,7 +248,7 @@ def build_fock_matrix(
 
     for s in range(n_nodes):
         for t in range(s + 1, n_nodes):
-            if adjacency[s, t] == 0 or omega_coupling == 0.0:
+            if adjacency[s, t] == 0 or params.Omega == 0.0:
                 continue
             factors = []
             for m in range(n_modes):
@@ -288,7 +260,7 @@ def build_fock_matrix(
             overlap = factors[0]
             for f in factors[1:]:
                 overlap = sp.kron(overlap, f, format="csr")
-            blocks[s][t] = (omega_coupling * adjacency[s, t]) * overlap
+            blocks[s][t] = (params.Omega * adjacency[s, t]) * overlap
             blocks[t][s] = blocks[s][t].T
 
     matrix = sp.bmat(blocks, format="csr")
@@ -299,7 +271,6 @@ def build_fock_matrix(
         cutoff=cutoff,
         omega=params.omega,
         x0=params.x0,
-        node_labels=labels,
         displacements=beta,
         mode_basis=mode_basis,
     )
@@ -389,7 +360,6 @@ def converge_cutoff(
     e_tol: float = 1e-8,
     max_cutoff: int = 256,
     frame: str = "bare",
-    coupling: float = None,
     eig_tol: float = 1e-11,
     max_bytes: int = 2**31,
 ) -> SolveReport:
@@ -415,9 +385,7 @@ def converge_cutoff(
     while cutoff <= max_cutoff:
         v0 = None if state is None else _zero_pad(op, state, cutoff)
         try:
-            op = build_fock_matrix(
-                graph, forms, params, cutoff, frame=frame, coupling=coupling, max_bytes=max_bytes
-            )
+            op = build_fock_matrix(graph, forms, params, cutoff, frame=frame, max_bytes=max_bytes)
         except ResourceBudgetError:
             if not history:
                 raise

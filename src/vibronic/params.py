@@ -26,8 +26,6 @@ class PhysicalParams:
         Trap frequency (energy units), must be positive.
     Omega : float
         Laser coupling strength between electronic configurations.
-    Delta : float
-        Laser detuning of the excited state.
     d : float
         Equilibrium nearest-neighbor distance.
     x0 : float, optional
@@ -39,7 +37,6 @@ class PhysicalParams:
 
     omega: float = 1.0
     Omega: float = 0.0
-    Delta: float = 0.0
     d: float = 1.0
     x0: float = None
     mass: float = None

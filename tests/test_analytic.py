@@ -17,7 +17,6 @@ from vibronic import (
     perpendicular_xi_eff,
     quantum_correction,
     wigner,
-    wigner_displaced,
     wigner_widths,
     zero_point_correction,
 )
@@ -180,15 +179,6 @@ def test_squeezing_grows_toward_the_instability():
         sol = bogoliubov_w(1.0, xi_eff)
         widths.append(wigner_widths(sol.w)[1])
     assert widths[0] < widths[1] < widths[2]
-
-
-def test_wigner_displaced_recenters():
-    w = -0.4
-    assert wigner_displaced(w, 1.5 + 0.25j, 1.5 + 0.25j) == pytest.approx(
-        wigner(w, 0.0), rel=1e-14
-    )
-    grid = np.linspace(-1, 1, 5) + 0.0j
-    assert wigner_displaced(w, grid + 0.7, 0.7) == pytest.approx(wigner(w, grid))
 
 
 def test_quantum_correction_values():

@@ -27,7 +27,7 @@ from vibronic import (
     transition_scan,
     triangle,
 )
-from vibronic.bopes import bo_eigen_gap, surface_scan_csv, transition_scan_csv
+from vibronic.bopes import bo_eigen_gap, transition_scan_csv
 
 SQRT2 = math.sqrt(2.0)
 
@@ -190,11 +190,6 @@ def test_transition_scan_validates_grid():
 
 def test_csv_writers():
     params, graph, basis, forms, surface = triangle_setup(kappa=-0.3536)
-    text = surface_scan_csv(surface, [np.zeros(4), 0.1 * np.ones(4)])
-    lines = text.strip().split("\n")
-    assert lines[0] == "q0,q1,q2,q3,E_BO"
-    assert len(lines) == 3
-
     omegas = np.linspace(0.0, 0.3, 33)
     result = transition_scan(
         graph, forms, params, omegas, quantum=False, mode_basis=basis,
@@ -310,3 +305,32 @@ def test_minima_are_checked_and_below_the_simplex(drive):
     for (q1, e1), (q2, e2) in zip(report.minima, again.minima):
         assert q1.tobytes() == q2.tobytes()
         assert e1 == e2
+
+
+def test_light_starts_drop_exact_duplicates():
+    _, _, _, _, base = triangle_setup(kappa=CRITERION_11_KAPPA)
+    half_width = 3.0 * base.x0
+    # the seed list before deduplication: three of the six node forms have
+    # their stationary point at the origin
+    repeated = np.array(
+        [np.zeros(base.dim)]
+        + [np.clip(f.stationary_point(), -half_width, half_width) for f in base.forms]
+    )
+    assert len(repeated) == 7
+    starts = light_start_points(base)
+    assert len(starts) == 4
+    assert len({s.tobytes() for s in starts}) == 4
+    # each start is kept at its first occurrence, in the original order
+    first = [next(i for i, s in enumerate(repeated) if s.tobytes() == t.tobytes()) for t in starts]
+    assert first == [0, 3, 5, 6]
+    for drive in (0.06, 0.06 + 12 * 0.24 / 31, 0.3):
+        surface = base.with_omega(drive)
+        a = minimize_bo(surface, starts=starts)
+        b = minimize_bo(surface, starts=repeated)
+        assert (a.degeneracy, a.global_energy, a.degeneracy_tol) == (
+            b.degeneracy, b.global_energy, b.degeneracy_tol
+        )
+        assert len(a.minima) == len(b.minima)
+        for (q1, e1), (q2, e2) in zip(a.minima, b.minima):
+            assert q1.tobytes() == q2.tobytes()
+            assert e1 == e2

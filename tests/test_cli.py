@@ -230,25 +230,41 @@ def test_scan_kappa_block_oracle(tmp_path):
 
 
 def test_sparse_scan_is_deterministic_across_threads(tmp_path):
-    # three collective modes from cutoff 8 on: dim 512 and up, past the dense
-    # solver, so every row runs the warm-started sparse eigensolver
-    cfg = write_config(tmp_path, {
-        "task": "gs-scan-kappa",
-        "geometry": {"preset": "tetrahedron", "d": 1.0},
-        "potential": {"type": "explicit", "kappa": -0.1, "xi": -0.1, "nu": 0.5, "v_d": 1.0},
-        "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
-        "solver": {"e_tol": 1e-8, "max_cutoff": 16, "frame": "displaced"},
-        "scan": {"start": 0.2, "stop": 0.6, "samples": 3, "units": "critical"},
-    })
+    # kappa: three collective modes from cutoff 8 on, dim 512 and up; omega:
+    # the six-node triangle over four modes, dim 1,536 at cutoff 4.  Both run
+    # past the dense solver, so every row uses the warm-started sparse one.
+    kappa_c = -1.0 / (2.0 * np.sqrt(2.0) * 0.5)
+    configs = {
+        "gs-scan-kappa": ("scan-kappa.csv", {
+            "geometry": {"preset": "tetrahedron", "d": 1.0},
+            "potential": {"type": "explicit", "kappa": -0.1, "xi": -0.1, "nu": 0.5, "v_d": 1.0},
+            "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
+            "solver": {"e_tol": 1e-8, "max_cutoff": 16, "frame": "displaced"},
+            "scan": {"start": 0.2, "stop": 0.6, "samples": 3, "units": "critical"},
+        }),
+        "gs-scan-omega": ("scan-omega.csv", {
+            "geometry": {"preset": "triangle", "d": 1.0},
+            "potential": {"type": "explicit", "kappa": 0.5 * kappa_c, "xi": 0.0, "nu": 0.5,
+                          "v_d": 1.0},
+            "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
+            "seed": "001",
+            "solver": {"e_tol": 1e-8, "max_cutoff": 8, "frame": "bare"},
+            "scan": {"start": 0.05, "stop": 0.25, "samples": 3},
+        }),
+    }
     runs = [("a", "1"), ("b", "1"), ("c", "2")]
-    for name, threads in runs:
-        out = str(tmp_path / name)
-        assert main(["gs-scan-kappa", "--config", cfg, "--out", out, "--threads", threads]) == 0
-    rows = (tmp_path / "a" / "scan-kappa.csv").read_text().strip().split("\n")[1:]
-    assert all(int(row.split(",")[3]) >= 8 for row in rows)
-    for artifact in ("scan-kappa.csv", "run-manifest.json"):
-        first = (tmp_path / "a" / artifact).read_bytes()
-        assert all((tmp_path / name / artifact).read_bytes() == first for name, _ in runs[1:])
+    for task, (csv_name, body) in configs.items():
+        cfg = write_config(tmp_path, {"task": task, **body}, name=f"{task}.json")
+        for name, threads in runs:
+            out = str(tmp_path / task / name)
+            assert main([task, "--config", cfg, "--out", out, "--threads", threads]) == 0
+        rows = (tmp_path / task / "a" / csv_name).read_text().strip().split("\n")[1:]
+        assert all(int(row.split(",")[3]) >= 8 for row in rows)
+        for artifact in (csv_name, "run-manifest.json"):
+            first = (tmp_path / task / "a" / artifact).read_bytes()
+            assert all(
+                (tmp_path / task / name / artifact).read_bytes() == first for name, _ in runs[1:]
+            )
 
 
 def test_scan_kappa_rejects_finite_drive(tmp_path, capsys):
@@ -346,3 +362,59 @@ def test_compare_task_on_the_dumbbell(tmp_path):
     predicted = float(rows["correction_predicted"])
     assert measured == pytest.approx(predicted, abs=1e-7)
     assert rows["numeric_converged"] == "true"
+
+
+def spy_on(monkeypatch, module, name):
+    """Record the arguments of every call to ``module.name`` and pass them on."""
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_bopes_scan_forwards_every_solver_option(tmp_path, monkeypatch):
+    import vibronic.bopes
+
+    calls = spy_on(monkeypatch, vibronic.bopes, "converge_cutoff")
+    cfg = {
+        "task": "bopes-scan",
+        "geometry": {"preset": "dumbbell", "d": 1.0},
+        "potential": {"type": "explicit", "kappa": 0.25, "xi": 0.0, "nu": 0.1, "v_d": 1.0},
+        "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
+        "solver": {"e_tol": 1e-6, "max_cutoff": 16, "frame": "bare", "eig_tol": 1e-9},
+        "scan": {"start": 0.0, "stop": 0.4, "samples": 32},
+    }
+    out = tmp_path / "out"
+    assert main(["bopes-scan", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert len(calls) == 32
+    for _, kwargs in calls:
+        assert kwargs == {"e_tol": 1e-6, "max_cutoff": 16, "frame": "bare", "eig_tol": 1e-9}
+    manifest = json.loads((out / "run-manifest.json").read_text())
+    assert manifest["parameters"]["solver"]["eig_tol"] == 1e-9
+
+
+def test_compare_honours_the_modes_flag(tmp_path, monkeypatch):
+    import vibronic.cli
+
+    calls = spy_on(monkeypatch, vibronic.cli, "converge_cutoff")
+    cfg = {
+        "task": "compare",
+        "geometry": {"preset": "dumbbell", "d": 1.0},
+        "potential": {"type": "explicit", "kappa": 0.4, "xi": 0.05, "nu": 0.2, "v_d": 1.0},
+        "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
+        "solver": {"e_tol": 1e-9, "max_cutoff": 64, "frame": "displaced"},
+    }
+    path = write_config(tmp_path, cfg)
+    for modes, n_modes in (("reduced", 1), ("full", 2)):
+        out = tmp_path / modes
+        calls.clear()
+        assert main(["compare", "--config", path, "--out", str(out), "--modes", modes]) == 0
+        (args, _), = calls
+        assert {form.dim for form in args[1]} == {n_modes}
+        manifest = json.loads((out / "run-manifest.json").read_text())
+        assert manifest["parameters"]["modes"] == modes
