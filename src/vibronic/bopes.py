@@ -403,7 +403,6 @@ def transition_scan(
     *,
     quantum: bool = True,
     starts=None,
-    mode_basis: ModeBasis = None,
     **solver,
 ) -> TransitionScanResult:
     """Scan the surface minimum (and exact ground energy) against the drive.
@@ -422,7 +421,7 @@ def transition_scan(
     if np.any(np.diff(omegas) <= 0):
         raise DomainError("drive grid must be strictly increasing")
 
-    base = build_bo_surface(graph, forms, params, Omega=0.0, mode_basis=mode_basis)
+    base = build_bo_surface(graph, forms, params, Omega=0.0)
 
     def bo_minimum(omega_drive: float) -> float:
         report = minimize_bo(base.with_omega(omega_drive), starts=starts)

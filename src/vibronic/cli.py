@@ -564,12 +564,10 @@ def _task_wigner(resolved, outdir: Path):
 
 def _task_bopes_scan(resolved, outdir: Path):
     params = resolved["params"]
-    graph, forms, basis, coup = _molecular_model(resolved)
+    graph, forms, _, coup = _molecular_model(resolved)
     drives = _scan_values(resolved["scan"], 1.0)
     starts = light_start_points(build_bo_surface(graph, forms, params, Omega=0.0))
-    result = transition_scan(
-        graph, forms, params, drives, mode_basis=basis, starts=starts, **resolved["solver"]
-    )
+    result = transition_scan(graph, forms, params, drives, starts=starts, **resolved["solver"])
     # closed-form ground energy exists at zero drive only: classical minimum
     # of the displaced branch plus the zero-point shift, floored at zero
     analytic = np.full(drives.size, np.nan)

@@ -16,6 +16,15 @@ node's phonon origin to the stationary point of its own quadratic form; this
 represents the same operator exactly (off-diagonal blocks become
 displacement-overlap matrices with closed-form elements) and converges at far
 smaller cutoffs when couplings push the minima far from the trap center.
+
+The operator is a sum of Kronecker products of banded single-mode factors,
+so it is assembled as a stencil: a node block has entries only at the
+occupation steps 0, +-e_m, +-2e_m and +-e_m+-e_n, whose elements are products
+of the bands of X = b + b^dag and X^2.  The column pattern and band products
+are tabulated once per build, and each node's rows, with their links, are
+written in one pass into a single CSR matrix with sorted rows.  Every entry
+is summed in the order of the term list
+``omega n + const, l_m X_m, Q_mn X_m X_n (m <= n)``.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ SQRT2 = math.sqrt(2.0)
 DENSE_CUTOVER = 256  # below this dimension a dense eigensolver is cheaper
 LOBPCG_MAXITER = 60  # good warm starts converge in under 30; past this ARPACK is cheaper
 JACOBI_FLOOR = 1e-2  # smallest preconditioner shift, relative to max(1, |rho|)
+GATHER_CELLS = 2**18  # table cells compacted at once; bounds the gather's temporaries
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,10 +93,6 @@ def _ladder_x(cutoff: int) -> sp.csr_matrix:
     return sp.diags([sq, sq], [-1, 1], format="csr")
 
 
-def _number_op(cutoff: int) -> sp.csr_matrix:
-    return sp.diags(np.arange(float(cutoff)), 0, format="csr")
-
-
 def _momentum_square(cutoff: int) -> np.ndarray:
     """Dense matrix of (i(b^dag - b))^2."""
     n = np.arange(float(cutoff))
@@ -119,19 +125,6 @@ def displacement_matrix(alpha: float, cutoff: int) -> np.ndarray:
         nxt[1:] = sqm[1:] * prev[:-1] - alpha * prev[1:]
         d[:, n + 1] = nxt / math.sqrt(n + 1.0)
     return d
-
-
-def _mode_coefficients(form: QuadraticVibronic, params: PhysicalParams):
-    """Map a displacement-convention form to ladder-operator coefficients.
-
-    Returns (constant, l, Q) for  h = const + omega sum b'b + sum_m l_m X_m
-    + sum_{mn} Q_mn X_m X_n  with X_m = b_m + b_m^dag.
-    """
-    x0 = params.x0
-    trap = params.omega / (2.0 * x0**2)
-    l = form.linear * (x0 / SQRT2)
-    q = (form.hessian - trap * np.eye(form.dim)) * (x0**2 / 2.0)
-    return form.constant, l, q
 
 
 # Stationary points farther than this (in oscillator units) indicate a
@@ -177,6 +170,198 @@ def _estimate_bytes(n_nodes, n_modes, cutoff, adjacency, displacements, Omega) -
     return (diag_nnz + off_nnz) * 20
 
 
+def _node_coefficients(form: QuadraticVibronic, shift: np.ndarray, params: PhysicalParams):
+    """Ladder coefficients ``(const, l, Q)`` of one node in its shifted phonon frame.
+
+    The node block is ``const + omega sum_m n_m + sum_m l_m X_m +
+    sum_mn Q_mn X_m X_n`` with ``X_m = b_m + b_m^dag`` and each mode's origin
+    moved by ``shift`` (oscillator units).
+    """
+    x0 = params.x0
+    trap = params.omega / (2.0 * x0**2)
+    l = form.linear * (x0 / SQRT2)
+    q = (form.hessian - trap * np.eye(form.dim)) * (x0**2 / 2.0)
+    b = shift
+    const = form.constant + params.omega * float(b @ b) + 2.0 * float(l @ b) + 4.0 * float(b @ q @ b)
+    return const, l + params.omega * b + 4.0 * (q @ b), q
+
+
+def _node_terms(node) -> np.ndarray:
+    """Term coefficients of a node block: 0 for the diagonal, then ``l_m``,
+    ``Q_mm`` and ``2 Q_mn`` (m < n, row-major)."""
+    _, l, q = node
+    return np.concatenate(([0.0], l, np.diagonal(q), 2.0 * q[np.triu_indices(l.size, 1)]))
+
+
+def _node_links(adjacency, beta, Omega, cutoff):
+    """Off-diagonal blocks ``(t, weight, factors)`` of each node row, by column node.
+
+    The block is ``weight = Omega * A[s, t]`` (the upper entry, for both
+    blocks of a pair) times the Kronecker product of ``factors[m]``, the
+    displacement matrix of mode m's shift difference oriented rows to
+    columns, and the identity on every mode absent from ``factors``.
+    """
+    links = [[] for _ in range(len(beta))]
+    if Omega == 0.0:
+        return links
+    for s in range(len(beta)):
+        for t in range(s + 1, len(beta)):
+            if adjacency[s, t] == 0:
+                continue
+            delta = beta[t] - beta[s]
+            factors = {m: displacement_matrix(d, cutoff) for m, d in enumerate(delta) if d != 0.0}
+            links[s].append((t, Omega * adjacency[s, t], factors))
+            # row t gets its links to lower nodes before its own, so stays sorted
+            links[t].append((s, Omega * adjacency[s, t], {m: f.T for m, f in factors.items()}))
+    return links
+
+
+def _bands(cutoff: int) -> dict:
+    """Diagonals of X = b + b^dag at offsets +-1 and of X^2 at offsets 0 and +-2."""
+    x = _ladder_x(cutoff)
+    x2 = x @ x
+    return {d: (x2 if d % 2 == 0 else x).diagonal(d) for d in range(-2, 3)}
+
+
+def _along(axis: int, band: np.ndarray, ndim: int) -> np.ndarray:
+    return band.reshape([-1 if k == axis else 1 for k in range(ndim)])
+
+
+def _stencil(coefficients, cutoff: int, bands: dict):
+    """The node-block stencil: the steps some node's terms reach, by column offset.
+
+    The steps are the occupation changes 0, +-e_m, +-2e_m and +-e_m+-e_n.
+    Each is ``(offset, term, rows, element)``: its column offset, its term
+    index into :func:`_node_terms`, the block of rows whose target occupation
+    stays below the cutoff, and the element there without its coefficient,
+    broadcastable over that block (an X band, an X^2 band or the product of
+    two X bands; None for the diagonal step).
+    """
+    n_modes = coefficients[0][1].size
+    used = np.any([_node_terms(node) != 0.0 for node in coefficients], axis=0)
+    unit = np.eye(n_modes, dtype=int)
+    moves = [[0 * unit[0]]]
+    moves += [[unit[m], -unit[m]] for m in range(n_modes)]
+    moves += [[2 * unit[m], -2 * unit[m]] for m in range(n_modes)]
+    moves += [
+        [a * unit[m] + b * unit[n] for a in (1, -1) for b in (1, -1)]
+        for m, n in zip(*np.triu_indices(n_modes, 1))
+    ]
+    strides = cutoff ** np.arange(n_modes - 1, -1, -1)
+    stencil = []
+    for term, steps in enumerate(moves):
+        if term and not used[term]:
+            continue
+        for step in steps:
+            rows = tuple(slice(max(0, -d), cutoff - max(0, d)) for d in step)
+            factors = [_along(m, bands[d], n_modes) for m, d in enumerate(step) if d != 0]
+            if len(factors) == 2:
+                element = factors[0] * factors[1]
+            else:
+                element = factors[0] if factors else None
+            stencil.append((int(step @ strides), term, rows, element))
+    return sorted(stencil, key=lambda entry: entry[0])
+
+
+def _diagonal(node, omega: float, bands: dict, n_modes: int) -> np.ndarray:
+    """Node-block diagonal, summed as omega n + const, then Q_mm (X_m^2) by mode."""
+    const, _, q = node
+    cutoff = bands[0].size
+    occupation = sum(_along(m, np.arange(float(cutoff)), n_modes) for m in range(n_modes))
+    value = omega * occupation + const
+    for m in range(n_modes):
+        if q[m, m] != 0.0:
+            value = value + q[m, m] * _along(m, bands[0], n_modes)
+    return value
+
+
+def _fill_link(vals, cols, keep, link, n_modes: int, cutoff: int):
+    """Write one off-diagonal block row into ``(per_node, width)`` slices.
+
+    The table's axes are the row occupations of every mode followed by the
+    column occupations of the modes the link displaces; the overlap is the
+    product of their factors in mode order, then times the link weight.
+    """
+    t, weight, factors = link
+    moved = sorted(factors)
+    ndim = n_modes + len(moved)
+    shape = (cutoff,) * ndim
+    occupations = np.arange(cutoff, dtype=cols.dtype)
+    column = t * cutoff**n_modes
+    for m in range(n_modes):
+        axis = n_modes + moved.index(m) if m in factors else m
+        column = column + _along(axis, occupations * cutoff ** (n_modes - 1 - m), ndim)
+    overlap = pattern = None
+    for i, m in enumerate(moved):
+        factor = factors[m].reshape([cutoff if k in (m, n_modes + i) else 1 for k in range(ndim)])
+        overlap = factor if overlap is None else overlap * factor
+        pattern = factor != 0.0 if pattern is None else pattern & (factor != 0.0)
+    vals.reshape(shape, copy=False)[...] = weight if overlap is None else weight * overlap
+    cols.reshape(shape, copy=False)[...] = column
+    keep.reshape(shape, copy=False)[...] = True if pattern is None else pattern
+
+
+def _assemble(coefficients, links, omega: float, n_modes: int, cutoff: int) -> sp.csr_matrix:
+    """Write the node blocks and their links row by row into one CSR matrix.
+
+    Each node's rows are filled as a dense ``(per_node, width)`` table whose
+    columns are, in column order, the links to lower nodes, the stencil
+    steps, and the links to higher nodes; the stored entries are the kept
+    cells in row-major order.  Node-block cells outside a step's rows stay
+    zero, and node-block entries that are exactly zero are dropped; link
+    entries are kept wherever their factors are nonzero.
+    """
+    per_node = cutoff**n_modes
+    dim = len(coefficients) * per_node
+    bands = _bands(cutoff)
+    stencil = _stencil(coefficients, cutoff, bands)
+    widths = [len(stencil) + sum(cutoff ** len(f) for _, _, f in row) for row in links]
+    upper = per_node * sum(widths)  # the unwritten tail is never touched
+    idx = np.int32 if max(upper, dim) <= np.iinfo(np.int32).max else np.int64
+    offsets = np.array([offset for offset, _, _, _ in stencil], dtype=idx)
+    data = np.empty(upper)
+    indices = np.empty(upper, dtype=idx)
+    indptr = np.zeros(dim + 1, dtype=idx)
+    pos = 0
+    for s, node in enumerate(coefficients):
+        vals = np.zeros((per_node, widths[s]))
+        cols = np.empty((per_node, widths[s]), dtype=idx)
+        keep = np.empty((per_node, widths[s]), dtype=bool)
+        lower = sum(t < s for t, _, _ in links[s])
+        k = 0
+        for link in links[s][:lower] + [None] + links[s][lower:]:
+            width = len(stencil) if link is None else cutoff ** len(link[2])
+            part = slice(k, k + width)
+            if link is None:
+                coef = _node_terms(node)
+                table = vals[:, part].reshape((cutoff,) * n_modes + (width,), copy=False)
+                for j, (_, term, rows, element) in enumerate(stencil):
+                    if term == 0:
+                        table[..., j] = _diagonal(node, omega, bands, n_modes)
+                    elif coef[term] != 0.0:
+                        table[rows + (j,)] = coef[term] * element
+                np.not_equal(vals[:, part], 0.0, out=keep[:, part])
+                first = s * per_node
+                row_ids = np.arange(first, first + per_node, dtype=idx)
+                np.add.outer(row_ids, offsets, out=cols[:, part])
+            else:
+                _fill_link(vals[:, part], cols[:, part], keep[:, part], link, n_modes, cutoff)
+            k += width
+        counts = keep.sum(axis=1, dtype=idx)
+        counts[0] += pos
+        np.cumsum(counts, out=indptr[s * per_node + 1 : (s + 1) * per_node + 1])
+        height = max(1, GATHER_CELLS // widths[s])
+        for lo in range(0, per_node, height):
+            slab = keep[lo : lo + height]
+            end = pos + np.count_nonzero(slab)
+            data[pos:end] = vals[lo : lo + height][slab]
+            indices[pos:end] = cols[lo : lo + height][slab]
+            pos = end
+    data.resize(pos, refcheck=False)
+    indices.resize(pos, refcheck=False)
+    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+
+
 def build_fock_matrix(
     graph,
     forms=None,
@@ -194,7 +379,15 @@ def build_fock_matrix(
     per-node quadratic forms over the shared reduced coordinates.  The
     off-diagonal block between nodes s and t is ``params.Omega * A[s, t]``
     times the phonon overlap.  Raises :class:`ResourceBudgetError` when the
-    estimated size exceeds ``max_bytes``.
+    estimated size exceeds ``max_bytes``; the estimate is checked before
+    anything of size ``cutoff**n_modes`` is allocated.
+
+    The matrix is written node row by node row from the stencil described
+    in the module docstring.  Links fill the identity diagonal (bare frame,
+    or equal shifts) or the Kronecker product of displacement matrices over
+    the modes whose shifts differ.  Every row's column indices are sorted
+    (int32 below 2**31 entries); node-block entries that are exactly zero
+    are not stored.
     """
     if params is None:
         raise DomainError("params is required")
@@ -215,55 +408,9 @@ def build_fock_matrix(
             estimated_bytes=est,
         )
 
-    per_node = cutoff**n_modes
-    x_local = _ladder_x(cutoff)
-    n_local = _number_op(cutoff)
-    eye_local = sp.identity(cutoff, format="csr")
-
-    def embed(op_local, mode):
-        left = sp.identity(cutoff**mode, format="csr")
-        right = sp.identity(cutoff ** (n_modes - mode - 1), format="csr")
-        return sp.kron(sp.kron(left, op_local, format="csr"), right, format="csr")
-
-    x_full = [embed(x_local, m) for m in range(n_modes)]
-    n_full = [embed(n_local, m) for m in range(n_modes)]
-    trap_op = sum(n_full[1:], n_full[0]) if n_modes > 1 else n_full[0]
-
-    blocks = [[None] * n_nodes for _ in range(n_nodes)]
-    for s, form in enumerate(forms):
-        const, l, q = _mode_coefficients(form, params)
-        b = beta[s]
-        const_s = const + params.omega * float(b @ b) + 2.0 * float(l @ b) + 4.0 * float(b @ q @ b)
-        l_s = l + params.omega * b + 4.0 * (q @ b)
-        h = (params.omega * trap_op) + const_s * sp.identity(per_node, format="csr")
-        for m in range(n_modes):
-            if l_s[m] != 0.0:
-                h = h + l_s[m] * x_full[m]
-        for m in range(n_modes):
-            for n in range(m, n_modes):
-                c = q[m, n] if m == n else 2.0 * q[m, n]
-                if c != 0.0:
-                    h = h + c * (x_full[m] @ x_full[n])
-        blocks[s][s] = h
-
-    for s in range(n_nodes):
-        for t in range(s + 1, n_nodes):
-            if adjacency[s, t] == 0 or params.Omega == 0.0:
-                continue
-            factors = []
-            for m in range(n_modes):
-                delta = beta[t, m] - beta[s, m]
-                if delta == 0.0:
-                    factors.append(eye_local)
-                else:
-                    factors.append(sp.csr_matrix(displacement_matrix(delta, cutoff)))
-            overlap = factors[0]
-            for f in factors[1:]:
-                overlap = sp.kron(overlap, f, format="csr")
-            blocks[s][t] = (params.Omega * adjacency[s, t]) * overlap
-            blocks[t][s] = blocks[s][t].T
-
-    matrix = sp.bmat(blocks, format="csr")
+    coefficients = [_node_coefficients(f, b, params) for f, b in zip(forms, beta)]
+    links = _node_links(adjacency, beta, params.Omega, cutoff)
+    matrix = _assemble(coefficients, links, params.omega, n_modes, cutoff)
     return FockOperator(
         matrix=matrix,
         n_nodes=n_nodes,

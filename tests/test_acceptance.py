@@ -289,7 +289,6 @@ def test_criterion_11_structural_transition_shape():
         e_tol=1e-3,
         max_cutoff=8,
         frame="bare",
-        mode_basis=basis,
         starts=vb.light_start_points(surface),
     )
     ratio = result.bo_second_diff_max / result.quantum_second_diff_max

@@ -169,8 +169,7 @@ def test_transition_scan_bo_only():
     params, graph, basis, forms, surface = triangle_setup(kappa=-0.3536)
     omegas = np.linspace(0.0, 0.3, 33)
     result = transition_scan(
-        graph, forms, params, omegas, quantum=False, mode_basis=basis,
-        starts=light_start_points(surface),
+        graph, forms, params, omegas, quantum=False, starts=light_start_points(surface)
     )
     assert 0.05 < result.kink_omega < 0.28
     assert result.kink_uncertainty < omegas[1] - omegas[0]
@@ -192,8 +191,7 @@ def test_csv_writers():
     params, graph, basis, forms, surface = triangle_setup(kappa=-0.3536)
     omegas = np.linspace(0.0, 0.3, 33)
     result = transition_scan(
-        graph, forms, params, omegas, quantum=False, mode_basis=basis,
-        starts=light_start_points(surface),
+        graph, forms, params, omegas, quantum=False, starts=light_start_points(surface)
     )
     scan_text = transition_scan_csv(result)
     scan_lines = scan_text.strip().split("\n")

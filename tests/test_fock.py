@@ -1,8 +1,12 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -12,6 +16,7 @@ from vibronic import (
     EigensolverError,
     ExplicitCouplings,
     PhysicalParams,
+    QuadraticVibronic,
     ResourceBudgetError,
     build_fock_matrix,
     build_molecular_model,
@@ -24,6 +29,7 @@ from vibronic import (
     epsilon2,
     ground_state,
     mean_displacements,
+    node_data,
     quadrature_moments,
     reduce_modes,
     assemble_state_hamiltonian,
@@ -428,3 +434,208 @@ def test_budget_overrun_keeps_finished_stages():
     assert report.energy_history == ((4, cold_energy(graph, forms, params, 4)),)
     with pytest.raises(ResourceBudgetError):
         converge_cutoff(graph, forms, params, max_cutoff=16, max_bytes=10**5)
+
+
+def reference_fock_matrix(graph, forms=None, params=None, cutoff=8, frame="bare"):
+    """The operator assembled term by term from Kronecker products and ``bmat``.
+
+    Each node block is a sparse sum of single-mode operators embedded with
+    ``kron``; the links are Kronecker products of displacement matrices; the
+    blocks are joined by ``scipy.sparse.bmat``.  ``build_fock_matrix`` must
+    store exactly the entries of this matrix.
+    """
+    adjacency, forms = node_data(graph, forms)
+    n_nodes, n_modes = len(forms), forms[0].dim
+    beta = fock._frame_displacements(forms, params, frame)
+    per_node = cutoff**n_modes
+    eye_local = sp.identity(cutoff, format="csr")
+
+    def embed(op_local, mode):
+        left = sp.identity(cutoff**mode, format="csr")
+        right = sp.identity(cutoff ** (n_modes - mode - 1), format="csr")
+        return sp.kron(sp.kron(left, op_local, format="csr"), right, format="csr")
+
+    x_full = [embed(fock._ladder_x(cutoff), m) for m in range(n_modes)]
+    n_full = [embed(sp.diags(np.arange(float(cutoff)), 0, format="csr"), m) for m in range(n_modes)]
+    trap_op = sum(n_full[1:], n_full[0]) if n_modes > 1 else n_full[0]
+
+    blocks = [[None] * n_nodes for _ in range(n_nodes)]
+    x0, omega = params.x0, params.omega
+    for s, form in enumerate(forms):
+        l = form.linear * (x0 / SQRT2)
+        q = (form.hessian - omega / (2.0 * x0**2) * np.eye(n_modes)) * (x0**2 / 2.0)
+        b = beta[s]
+        const_s = form.constant + omega * float(b @ b) + 2.0 * float(l @ b) + 4.0 * float(b @ q @ b)
+        l_s = l + omega * b + 4.0 * (q @ b)
+        h = (omega * trap_op) + const_s * sp.identity(per_node, format="csr")
+        for m in range(n_modes):
+            if l_s[m] != 0.0:
+                h = h + l_s[m] * x_full[m]
+        for m in range(n_modes):
+            for n in range(m, n_modes):
+                c = q[m, n] if m == n else 2.0 * q[m, n]
+                if c != 0.0:
+                    h = h + c * (x_full[m] @ x_full[n])
+        blocks[s][s] = h
+
+    for s in range(n_nodes):
+        for t in range(s + 1, n_nodes):
+            if adjacency[s, t] == 0 or params.Omega == 0.0:
+                continue
+            factors = []
+            for m in range(n_modes):
+                delta = beta[t, m] - beta[s, m]
+                if delta == 0.0:
+                    factors.append(eye_local)
+                else:
+                    factors.append(sp.csr_matrix(displacement_matrix(delta, cutoff)))
+            overlap = factors[0]
+            for f in factors[1:]:
+                overlap = sp.kron(overlap, f, format="csr")
+            blocks[s][t] = (params.Omega * adjacency[s, t]) * overlap
+            blocks[t][s] = blocks[s][t].T
+
+    matrix = sp.bmat(blocks, format="csr")
+    if n_nodes == 1:
+        # bmat hands a lone block back in the row order its sparse sums left,
+        # which is not sorted; the stored entries are the same
+        matrix.sort_indices()
+    return matrix
+
+
+def assert_same_operator(graph, forms, params, cutoff, frame="bare"):
+    op = build_fock_matrix(graph, forms, params, cutoff, frame=frame)
+    ref = reference_fock_matrix(graph, forms, params, cutoff, frame)
+    for name in ("indptr", "indices"):
+        ours, theirs = getattr(op.matrix, name), getattr(ref, name)
+        assert ours.dtype == theirs.dtype == np.int32
+        assert np.array_equal(ours, theirs), name
+    assert op.matrix.data.tobytes() == ref.data.tobytes()
+    assert dump_matrix_coo(op) == dump_matrix_coo(dataclasses.replace(op, matrix=ref))
+    return op
+
+
+def pair_manifold(drive):
+    # six nodes, one per excited pair, each centred on its own shifted minimum
+    pot = ExplicitCouplings(kappa=-0.2, xi=-0.05, nu=0.3, v_d=1.0)
+    params = PhysicalParams(omega=1.0, Omega=drive, x0=0.3)
+    graph = build_resonant_manifold(tetrahedron(), -3.0, pot, (1, 1, 0, 0))
+    _, forms = build_molecular_model(graph, derive_couplings(pot, params), params)
+    return graph, forms, params
+
+
+@pytest.mark.parametrize("cutoff", [2, 4, 8])
+def test_stencil_matches_reference_triangle(cutoff):
+    graph, forms, params = triangle_model()
+    assert_same_operator(graph, forms, params, cutoff)
+
+
+def test_stencil_matches_reference_tetrahedron_pairs():
+    graph, forms, params = pair_manifold(drive=0.2)
+    assert len(forms) == 6
+    op = assert_same_operator(graph, forms, params, cutoff=2, frame="displaced")
+    shifts = {tuple(row) for row in op.displacements}
+    assert len(shifts) == 6  # every link displaces some modes
+
+
+@pytest.mark.parametrize("frame", ["bare", "displaced"])
+@pytest.mark.parametrize("drive", [0.0, 0.3])
+def test_stencil_matches_reference_dumbbell(frame, drive):
+    params = PhysicalParams(omega=1.0, Omega=drive, d=1.0, x0=0.1)
+    pot = ExplicitCouplings(kappa=0.4, xi=0.05, nu=0.1, v_d=1.0)
+    model = dumbbell_hamiltonian(params, derive_couplings(pot, params))
+    for cutoff in (2, 3, 16):
+        assert_same_operator(model, None, params, cutoff, frame)
+
+
+def test_stencil_matches_reference_bare_adjacency():
+    # weighted, with one missing edge, on the triangle's forms
+    _, forms, params = triangle_model(drive=0.3)
+    adjacency = np.zeros((6, 6))
+    for s, t, w in [(0, 1, 1.0), (0, 2, 0.5), (1, 3, SQRT2), (2, 4, -2.0), (3, 5, 0.0), (4, 5, 1.0)]:
+        adjacency[s, t] = adjacency[t, s] = w
+    for frame in ("bare", "displaced"):
+        assert_same_operator(adjacency, forms, params, 3, frame)
+
+
+def test_stencil_matches_reference_unreduced_forms():
+    pot = ExplicitCouplings(kappa=0.4, xi=0.08, nu=0.1, v_d=1.0)
+    params = PhysicalParams(omega=1.0, Omega=0.25, d=1.0, x0=0.1)
+    graph = build_resonant_manifold(dumbbell(), -1.0, pot, (0, 1))
+    _, forms = build_molecular_model(graph, derive_couplings(pot, params), params, reduce=False)
+    assert forms[0].dim == 2
+    for frame in ("bare", "displaced"):
+        assert_same_operator(graph, forms, params, 8, frame)
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 8])
+def test_stencil_matches_reference_single_node(cutoff):
+    nu = 0.5
+    pair = PhysicalParams(omega=1.0, Omega=0.0, d=1.0, x0=nu)
+    coup = Couplings(kappa=-0.5 / (2.0 * SQRT2 * nu), xi=-0.1, nu=nu)
+    form = assemble_state_hamiltonian((1, 1, 0, 0), tetrahedron(), coup, pair)
+    _, reduced = reduce_modes([form], pair)
+    for frame in ("bare", "displaced"):
+        op = assert_same_operator(SINGLE, reduced, pair, cutoff, frame)
+        assert op.matrix.has_sorted_indices
+
+
+def _coupling(scale):
+    return st.one_of(st.just(0.0), st.floats(-scale, scale, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def small_models(draw):
+    n_nodes = draw(st.integers(1, 3))
+    n_modes = draw(st.integers(1, 3))
+    params = PhysicalParams(
+        omega=draw(st.sampled_from([1.0, 0.7])),
+        Omega=draw(_coupling(0.5)),
+        x0=draw(st.sampled_from([0.3, 1.0])),
+    )
+    trap = params.omega / (2.0 * params.x0**2)
+    forms = []
+    for s in range(n_nodes):
+        hessian = np.zeros((n_modes, n_modes))
+        for m in range(n_modes):
+            # an exact trap diagonal leaves Q_mm = 0
+            hessian[m, m] = trap + draw(st.one_of(st.just(0.0), st.floats(-0.5, 2.0)))
+            for n in range(m + 1, n_modes):
+                hessian[m, n] = hessian[n, m] = draw(_coupling(0.5))
+        linear = np.array([draw(_coupling(1.0)) for _ in range(n_modes)])
+        forms.append(QuadraticVibronic((s,), draw(_coupling(1.0)), linear, hessian))
+    adjacency = np.zeros((n_nodes, n_nodes))
+    for s in range(n_nodes):
+        for t in range(s + 1, n_nodes):
+            adjacency[s, t] = adjacency[t, s] = draw(st.sampled_from([0.0, 1.0, SQRT2, -0.5]))
+    cutoff = draw(st.integers(2, 6))
+    frame = draw(st.sampled_from(["bare", "displaced"]))
+    return adjacency, forms, params, cutoff, frame
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=small_models())
+def test_stencil_matches_reference_random_models(model):
+    adjacency, forms, params, cutoff, frame = model
+    assert_same_operator(adjacency, forms, params, cutoff, frame)
+
+
+def test_budget_guard_fires_before_allocation():
+    graph, forms, params = triangle_model()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError):
+            build_fock_matrix(graph, forms, params, cutoff=64, max_bytes=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+def test_budget_ends_doubling_at_largest_affordable_cutoff():
+    # cutoff 32 (dim 6.3 M) is over the default budget; the stages up to 16 stay
+    graph, forms, params = triangle_model()
+    report = converge_cutoff(graph, forms, params, e_tol=0.0, max_cutoff=32)
+    assert not report.converged
+    assert report.cutoff == 16
+    assert [c for c, _ in report.energy_history] == [4, 8, 16]
