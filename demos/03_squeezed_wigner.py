@@ -39,11 +39,9 @@ def main():
     coup = vb.Couplings(kappa=0.99 * kc_big, xi=0.0, nu=nu_big)
     form = vb.assemble_state_hamiltonian((1, 1, 0, 0), vb.tetrahedron(), coup, params)
     basis, reduced = vb.reduce_modes([form], params)
-    op = vb.build_fock_matrix(
-        SINGLE, reduced, params, cutoff=64, frame="displaced", mode_basis=basis
-    )
+    op = vb.build_fock_matrix(SINGLE, reduced, params, cutoff=64, frame="displaced")
     _, state = vb.ground_state(op)
-    moves = np.linalg.norm(vb.mean_displacements(op, state), axis=1)
+    moves = np.linalg.norm(vb.mean_displacements(op, state, basis), axis=1)
     print(f"\nper-atom mean displacement at kappa = 0.99 kappa_c (nu={nu_big}):")
     for i, r in enumerate(moves):
         print(f"  atom {i}: {r / params.x0:.3f} x0")

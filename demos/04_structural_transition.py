@@ -21,8 +21,8 @@ def main():
     kappa = 0.5 * kappa_c
     pot = vb.ExplicitCouplings(kappa=kappa, xi=0.0, nu=NU, v_d=1.0)
     graph = vb.build_resonant_manifold(vb.triangle(), -1.0, pot, (0, 0, 1))
-    basis, forms = vb.build_molecular_model(graph, vb.derive_couplings(pot, params), params)
-    surface = vb.build_bo_surface(graph, forms, params, Omega=0.0, mode_basis=basis)
+    _, forms = vb.build_molecular_model(graph, vb.derive_couplings(pot, params), params)
+    surface = vb.build_bo_surface(graph, forms, params, Omega=0.0)
 
     report = vb.minimize_bo(surface)
     print(f"zero drive: {report.degeneracy} degenerate distorted shapes at E = "

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedVariantError
+from .errors import DomainError
 from .graphs import Geometry, ResonantGraph, config_to_string
-from .params import Couplings, ExplicitCouplings, PhysicalParams, potential_eval
+from .params import PhysicalParams, pair_potential
 
 SQRT2 = math.sqrt(2.0)
 
@@ -113,23 +113,6 @@ class ModeBasis:
         return self.vectors @ np.asarray(reduced_vector, dtype=float)
 
 
-def _pair_derivatives(geometry: Geometry, k: int, l: int, model):
-    """(V', V'', r0) for the pair, from a radial model or pinned couplings."""
-    r0 = geometry.distance(k, l)
-    if isinstance(model, (Couplings, ExplicitCouplings)):
-        if abs(r0 - geometry.d) > 1e-9 * geometry.d:
-            raise UnsupportedVariantError(
-                "pinned couplings define the expansion only at the nominal distance "
-                f"d={geometry.d}; pair ({k},{l}) sits at r={r0}"
-            )
-        x0 = model.nu * geometry.d
-        v1 = SQRT2 * model.kappa / x0
-        v2 = 2.0 * model.xi / x0**2
-        return v1, v2, r0
-    v, v1, v2 = potential_eval(model, r0)
-    return v1, v2, r0
-
-
 def expansion_coeffs(pair, geometry: Geometry, model) -> ExpansionCoefficients:
     """Second-order expansion coefficients of the pair interaction.
 
@@ -140,7 +123,8 @@ def expansion_coeffs(pair, geometry: Geometry, model) -> ExpansionCoefficients:
     k, l = pair
     if k == l:
         raise DomainError(f"pair must consist of two distinct atoms, got ({k},{l})")
-    v1, v2, r0 = _pair_derivatives(geometry, k, l, model)
+    r0 = geometry.distance(k, l)
+    _, v1, v2 = pair_potential(model, r0, geometry.d)
     rvec = geometry.positions[k] - geometry.positions[l]
     rhat = rvec / np.linalg.norm(rvec)
     proj = np.outer(rhat, rhat)

@@ -19,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from .assembly import ModeBasis, node_data
+from .assembly import node_data
 from .errors import DomainError
 from .fock import converge_cutoff
 from .params import PhysicalParams
 
 DEFAULT_DEDUP_TOL = 1e-4  # basin deduplication distance, in units of x0
 DEFAULT_DEGENERACY_TOL = 1e-8  # energy tolerance for degenerate minima, units of omega
+SIMPLEX_TOL = 1e-13  # energy tolerance of the simplex fallback
 GAP_TOL = 1e-7  # electronic gap below which the branch counts as crossing, units of omega
 HESSIAN_STEP = 1e-5  # finite-difference step of the minimum check, units of x0
 SADDLE_STEP = 0.1  # step off a saddle along negative curvature, units of x0
@@ -43,7 +44,6 @@ class BoSurface:
     Omega: float
     omega: float
     x0: float
-    mode_basis: ModeBasis = None
 
     @property
     def dim(self) -> int:
@@ -67,8 +67,7 @@ class MinimaReport:
     degeneracy_tol: float
 
 
-def build_bo_surface(graph, forms, params: PhysicalParams, Omega: float = None,
-                     mode_basis: ModeBasis = None) -> BoSurface:
+def build_bo_surface(graph, forms, params: PhysicalParams, Omega: float = None) -> BoSurface:
     """Bundle a model (any input :func:`node_data` accepts) into a surface object."""
     adjacency, forms = node_data(graph, forms)
     return BoSurface(
@@ -77,7 +76,6 @@ def build_bo_surface(graph, forms, params: PhysicalParams, Omega: float = None,
         Omega=params.Omega if Omega is None else float(Omega),
         omega=params.omega,
         x0=params.x0,
-        mode_basis=mode_basis,
     )
 
 
@@ -212,7 +210,7 @@ def _descend(surface: BoSurface, start: np.ndarray):
     return None
 
 
-def _simplex(surface: BoSurface, start: np.ndarray, tol: float):
+def _simplex(surface: BoSurface, start: np.ndarray):
     """Nelder-Mead descent plus a gradient polish away from crossings."""
 
     def fun(q):
@@ -220,7 +218,7 @@ def _simplex(surface: BoSurface, start: np.ndarray, tol: float):
 
     options = {
         "xatol": 1e-10 * surface.x0,
-        "fatol": tol,
+        "fatol": SIMPLEX_TOL,
         "maxiter": 4000 * surface.dim,
         "maxfev": 4000 * surface.dim,
     }
@@ -242,12 +240,7 @@ def _simplex(surface: BoSurface, start: np.ndarray, tol: float):
     return q, e
 
 
-def minimize_bo(
-    surface: BoSurface,
-    starts=None,
-    tol: float = 1e-13,
-    degeneracy_tol: float = None,
-) -> MinimaReport:
+def minimize_bo(surface: BoSurface, starts=None) -> MinimaReport:
     """Locate the surface minima by deterministic multistart gradient descent.
 
     From every start, L-BFGS-B descends on the lowest branch with the
@@ -256,25 +249,24 @@ def minimize_bo(
     Hessian is positive definite; a saddle is left along its negative
     curvature and descended again, at most three descents in all.  At an
     electronic crossing, or on a saddle after the last descent, the start
-    falls back to Nelder-Mead simplex descent with a gradient polish, and
-    ``tol`` is the simplex energy tolerance (it is used nowhere else).
+    falls back to Nelder-Mead simplex descent (energy tolerance
+    ``SIMPLEX_TOL``) with a gradient polish.
 
     Distinct basins are deduplicated at distance ``1e-4 x0``; minima are
     reported sorted by energy and the degeneracy counts those within
-    ``degeneracy_tol`` (default ``1e-8 omega``) of the global minimum.
+    ``DEFAULT_DEGENERACY_TOL * omega`` of the global minimum.
     """
     if starts is None:
         starts = default_start_points(surface)
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     if starts.shape[1] != surface.dim:
         raise DomainError(f"expected {surface.dim} coordinates per start, got {starts.shape[1]}")
-    if degeneracy_tol is None:
-        degeneracy_tol = DEFAULT_DEGENERACY_TOL * surface.omega
+    degeneracy_tol = DEFAULT_DEGENERACY_TOL * surface.omega
 
     found = []
     for start in starts:
         minimum = _descend(surface, start)
-        found.append(minimum if minimum is not None else _simplex(surface, start, tol))
+        found.append(minimum if minimum is not None else _simplex(surface, start))
 
     dedup_dist = DEFAULT_DEDUP_TOL * surface.x0
     found.sort(key=lambda qe: (qe[1], tuple(qe[0])))

@@ -69,7 +69,7 @@ from .params import (
     PowerLaw,
     PowerLawSum,
     derive_couplings,
-    potential_eval,
+    pair_potential,
 )
 
 TASKS = (
@@ -201,10 +201,7 @@ def _parse_params(cfg: dict, geometry: Geometry, potential) -> tuple:
 def _resolve_delta(delta_rule, potential, geometry: Geometry) -> float:
     if isinstance(delta_rule, (int, float)) and not isinstance(delta_rule, bool):
         return float(delta_rule)
-    if isinstance(potential, ExplicitCouplings):
-        v_d = potential.v_d
-    else:
-        v_d = potential_eval(potential, geometry.d)[0]
+    v_d = pair_potential(potential, geometry.d, geometry.d)[0]
     return -v_d if delta_rule == "-V" else -3.0 * v_d
 
 
@@ -260,6 +257,9 @@ def load_config(path: str, task: str) -> dict:
     geometry = _parse_geometry(cfg)
     potential = _parse_potential(cfg)
     params, delta_rule = _parse_params(cfg, geometry, potential)
+    seed = cfg.get("seed")
+    if seed is not None and (not isinstance(seed, str) or not seed or set(seed) - {"0", "1"}):
+        raise ConfigError("config.seed", f"expected a nonempty bitstring over {{0,1}}, got {seed!r}")
     resolved = {
         "task": task,
         "geometry": geometry,
@@ -268,7 +268,7 @@ def load_config(path: str, task: str) -> dict:
         "delta_rule": delta_rule,
         "delta": _resolve_delta(delta_rule, potential, geometry),
         "solver": _parse_solver(cfg),
-        "seed": cfg.get("seed"),
+        "seed": seed,
         "modes": cfg.get("modes", "reduced"),
         "out": cfg.get("out", "."),
         "raw": cfg,
@@ -600,9 +600,9 @@ def _task_compare(resolved, outdir: Path):
     params = resolved["params"]
     if params.Omega != 0.0:
         raise ConfigError("config.params.Omega", "compare is a zero-drive consistency check")
-    graph, forms, basis, coup = _molecular_model(resolved)
+    graph, forms, _, coup = _molecular_model(resolved)
     report = converge_cutoff(graph, forms, params, **resolved["solver"])
-    surface = build_bo_surface(graph, forms, params, Omega=0.0, mode_basis=basis)
+    surface = build_bo_surface(graph, forms, params, Omega=0.0)
     minima = minimize_bo(surface)
     rows = [
         ("E_numeric", report.energy),

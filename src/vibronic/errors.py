@@ -22,7 +22,7 @@ class CriticalBoundaryError(InstabilityError):
 
 
 class ResourceBudgetError(VibronicError):
-    """Estimated matrix size exceeds the configured memory budget."""
+    """A matrix build would allocate more than the configured memory budget."""
 
     def __init__(self, message, estimated_bytes=None):
         super().__init__(message)

@@ -20,10 +20,13 @@ smaller cutoffs when couplings push the minima far from the trap center.
 The operator is a sum of Kronecker products of banded single-mode factors,
 so it is assembled as a stencil: a node block has entries only at the
 occupation steps 0, +-e_m, +-2e_m and +-e_m+-e_n, whose elements are products
-of the bands of X = b + b^dag and X^2.  The column pattern and band products
-are tabulated once per build, and each node's rows, with their links, are
-written in one pass into a single CSR matrix with sorted rows.  Every entry
-is summed in the order of the term list
+of the bands of X = b + b^dag and X^2.  Each node row's width is counted
+first: its stencil steps (the occupation steps of the terms some node uses)
+plus one column block per link, cutoff^k wide for a link whose k modes have
+different frame shifts.  Those widths alone size the memory budget check and
+every array of the build.  The band products are then tabulated once, and
+each node's rows, with their links, are written in one pass into a single CSR
+matrix with sorted rows.  Every entry is summed in the order of the term list
 ``omega n + const, l_m X_m, Q_mn X_m X_n (m <= n)``.
 """
 
@@ -57,10 +60,8 @@ class FockOperator:
     n_nodes: int
     n_modes: int
     cutoff: int
-    omega: float
     x0: float
     displacements: np.ndarray  # (n_nodes, n_modes) phonon-frame offsets
-    mode_basis: ModeBasis = None
 
     @property
     def dim(self) -> int:
@@ -154,22 +155,6 @@ def _frame_displacements(forms, params: PhysicalParams, frame: str) -> np.ndarra
     return beta
 
 
-def _estimate_bytes(n_nodes, n_modes, cutoff, adjacency, displacements, Omega) -> int:
-    per_node = cutoff**n_modes
-    diag_nnz = n_nodes * per_node * (2 + 4 * n_modes + 4 * n_modes**2)
-    off_nnz = 0
-    if Omega != 0.0:
-        for s in range(n_nodes):
-            for t in range(s + 1, n_nodes):
-                if adjacency[s, t] != 0:
-                    width = 1
-                    for m in range(n_modes):
-                        if displacements[s, m] != displacements[t, m]:
-                            width *= cutoff
-                    off_nnz += 2 * per_node * width
-    return (diag_nnz + off_nnz) * 20
-
-
 def _node_coefficients(form: QuadraticVibronic, shift: np.ndarray, params: PhysicalParams):
     """Ladder coefficients ``(const, l, Q)`` of one node in its shifted phonon frame.
 
@@ -193,13 +178,14 @@ def _node_terms(node) -> np.ndarray:
     return np.concatenate(([0.0], l, np.diagonal(q), 2.0 * q[np.triu_indices(l.size, 1)]))
 
 
-def _node_links(adjacency, beta, Omega, cutoff):
-    """Off-diagonal blocks ``(t, weight, factors)`` of each node row, by column node.
+def _node_links(adjacency, beta, Omega):
+    """Off-diagonal blocks ``(t, weight, shifts)`` of each node row, by column node.
 
     The block is ``weight = Omega * A[s, t]`` (the upper entry, for both
-    blocks of a pair) times the Kronecker product of ``factors[m]``, the
-    displacement matrix of mode m's shift difference oriented rows to
-    columns, and the identity on every mode absent from ``factors``.
+    blocks of a pair) times the Kronecker product of the displacement
+    matrices of ``shifts[m] = beta[max(s, t), m] - beta[min(s, t), m]``, over
+    the modes whose shifts differ, oriented rows to columns, and the identity
+    on every other mode.
     """
     links = [[] for _ in range(len(beta))]
     if Omega == 0.0:
@@ -208,11 +194,10 @@ def _node_links(adjacency, beta, Omega, cutoff):
         for t in range(s + 1, len(beta)):
             if adjacency[s, t] == 0:
                 continue
-            delta = beta[t] - beta[s]
-            factors = {m: displacement_matrix(d, cutoff) for m, d in enumerate(delta) if d != 0.0}
-            links[s].append((t, Omega * adjacency[s, t], factors))
+            shifts = {m: d for m, d in enumerate(beta[t] - beta[s]) if d != 0.0}
+            links[s].append((t, Omega * adjacency[s, t], shifts))
             # row t gets its links to lower nodes before its own, so stays sorted
-            links[t].append((s, Omega * adjacency[s, t], {m: f.T for m, f in factors.items()}))
+            links[t].append((s, Omega * adjacency[s, t], shifts))
     return links
 
 
@@ -227,15 +212,11 @@ def _along(axis: int, band: np.ndarray, ndim: int) -> np.ndarray:
     return band.reshape([-1 if k == axis else 1 for k in range(ndim)])
 
 
-def _stencil(coefficients, cutoff: int, bands: dict):
-    """The node-block stencil: the steps some node's terms reach, by column offset.
+def _steps(coefficients):
+    """The occupation steps some node's terms reach, as ``(term, step)`` pairs.
 
-    The steps are the occupation changes 0, +-e_m, +-2e_m and +-e_m+-e_n.
-    Each is ``(offset, term, rows, element)``: its column offset, its term
-    index into :func:`_node_terms`, the block of rows whose target occupation
-    stays below the cutoff, and the element there without its coefficient,
-    broadcastable over that block (an X band, an X^2 band or the product of
-    two X bands; None for the diagonal step).
+    The steps are the occupation changes 0, +-e_m, +-2e_m and +-e_m+-e_n;
+    ``term`` indexes :func:`_node_terms`, and a term no node uses adds none.
     """
     n_modes = coefficients[0][1].size
     used = np.any([_node_terms(node) != 0.0 for node in coefficients], axis=0)
@@ -247,19 +228,44 @@ def _stencil(coefficients, cutoff: int, bands: dict):
         [a * unit[m] + b * unit[n] for a in (1, -1) for b in (1, -1)]
         for m, n in zip(*np.triu_indices(n_modes, 1))
     ]
+    used[0] = True  # the diagonal step is always kept
+    return [(term, step) for term, steps in enumerate(moves) if used[term] for step in steps]
+
+
+def _footprint(widths, per_node: int):
+    """``(bytes, index dtype)`` that :func:`_assemble` allocates for these row widths.
+
+    The bytes are the CSR ``data``/``indices``/``indptr`` arrays at their
+    untrimmed size plus the widest node's ``(per_node, width)`` value, column
+    and mask tables.
+    """
+    dim = len(widths) * per_node
+    upper = per_node * sum(widths)
+    idx = np.int32 if max(upper, dim) <= np.iinfo(np.int32).max else np.int64
+    size = np.dtype(idx).itemsize
+    return upper * (8 + size) + (dim + 1) * size + per_node * max(widths) * (9 + size), idx
+
+
+def _stencil(steps, cutoff: int, bands: dict):
+    """The node-block stencil: the ``steps`` sorted by column offset.
+
+    Each entry is ``(offset, term, rows, element)``: the step's column
+    offset, its term index into :func:`_node_terms`, the block of rows whose
+    target occupation stays below the cutoff, and the element there without
+    its coefficient, broadcastable over that block (an X band, an X^2 band or
+    the product of two X bands; None for the diagonal step).
+    """
+    n_modes = steps[0][1].size
     strides = cutoff ** np.arange(n_modes - 1, -1, -1)
     stencil = []
-    for term, steps in enumerate(moves):
-        if term and not used[term]:
-            continue
-        for step in steps:
-            rows = tuple(slice(max(0, -d), cutoff - max(0, d)) for d in step)
-            factors = [_along(m, bands[d], n_modes) for m, d in enumerate(step) if d != 0]
-            if len(factors) == 2:
-                element = factors[0] * factors[1]
-            else:
-                element = factors[0] if factors else None
-            stencil.append((int(step @ strides), term, rows, element))
+    for term, step in steps:
+        rows = tuple(slice(max(0, -d), cutoff - max(0, d)) for d in step)
+        factors = [_along(m, bands[d], n_modes) for m, d in enumerate(step) if d != 0]
+        if len(factors) == 2:
+            element = factors[0] * factors[1]
+        else:
+            element = factors[0] if factors else None
+        stencil.append((int(step @ strides), term, rows, element))
     return sorted(stencil, key=lambda entry: entry[0])
 
 
@@ -275,14 +281,18 @@ def _diagonal(node, omega: float, bands: dict, n_modes: int) -> np.ndarray:
     return value
 
 
-def _fill_link(vals, cols, keep, link, n_modes: int, cutoff: int):
-    """Write one off-diagonal block row into ``(per_node, width)`` slices.
+def _fill_link(vals, cols, keep, s: int, link, n_modes: int, cutoff: int):
+    """Write node s's block row of one link into ``(per_node, width)`` slices.
 
     The table's axes are the row occupations of every mode followed by the
     column occupations of the modes the link displaces; the overlap is the
-    product of their factors in mode order, then times the link weight.
+    product of their displacement matrices (transposed in the row of the
+    higher node) in mode order, then times the link weight.
     """
-    t, weight, factors = link
+    t, weight, shifts = link
+    factors = {m: displacement_matrix(d, cutoff) for m, d in shifts.items()}
+    if t < s:
+        factors = {m: f.T for m, f in factors.items()}
     moved = sorted(factors)
     ndim = n_modes + len(moved)
     shape = (cutoff,) * ndim
@@ -301,29 +311,29 @@ def _fill_link(vals, cols, keep, link, n_modes: int, cutoff: int):
     keep.reshape(shape, copy=False)[...] = True if pattern is None else pattern
 
 
-def _assemble(coefficients, links, omega: float, n_modes: int, cutoff: int) -> sp.csr_matrix:
+def _assemble(coefficients, steps, links, widths, idx, omega: float, cutoff: int) -> sp.csr_matrix:
     """Write the node blocks and their links row by row into one CSR matrix.
 
-    Each node's rows are filled as a dense ``(per_node, width)`` table whose
-    columns are, in column order, the links to lower nodes, the stencil
+    Each node's rows are filled as a dense ``(per_node, widths[s])`` table
+    whose columns are, in column order, the links to lower nodes, the stencil
     steps, and the links to higher nodes; the stored entries are the kept
-    cells in row-major order.  Node-block cells outside a step's rows stay
-    zero, and node-block entries that are exactly zero are dropped; link
-    entries are kept wherever their factors are nonzero.
+    cells in row-major order, with ``idx`` indices.  Node-block cells outside
+    a step's rows stay zero, and node-block entries that are exactly zero are
+    dropped; link entries are kept wherever their factors are nonzero.
     """
+    n_modes = steps[0][1].size
     per_node = cutoff**n_modes
     dim = len(coefficients) * per_node
-    bands = _bands(cutoff)
-    stencil = _stencil(coefficients, cutoff, bands)
-    widths = [len(stencil) + sum(cutoff ** len(f) for _, _, f in row) for row in links]
     upper = per_node * sum(widths)  # the unwritten tail is never touched
-    idx = np.int32 if max(upper, dim) <= np.iinfo(np.int32).max else np.int64
+    bands = _bands(cutoff)
+    stencil = _stencil(steps, cutoff, bands)
     offsets = np.array([offset for offset, _, _, _ in stencil], dtype=idx)
     data = np.empty(upper)
     indices = np.empty(upper, dtype=idx)
     indptr = np.zeros(dim + 1, dtype=idx)
     pos = 0
     for s, node in enumerate(coefficients):
+        vals = cols = keep = table = slab = None  # drop the last node's tables before the next
         vals = np.zeros((per_node, widths[s]))
         cols = np.empty((per_node, widths[s]), dtype=idx)
         keep = np.empty((per_node, widths[s]), dtype=bool)
@@ -345,7 +355,7 @@ def _assemble(coefficients, links, omega: float, n_modes: int, cutoff: int) -> s
                 row_ids = np.arange(first, first + per_node, dtype=idx)
                 np.add.outer(row_ids, offsets, out=cols[:, part])
             else:
-                _fill_link(vals[:, part], cols[:, part], keep[:, part], link, n_modes, cutoff)
+                _fill_link(vals[:, part], cols[:, part], keep[:, part], s, link, n_modes, cutoff)
             k += width
         counts = keep.sum(axis=1, dtype=idx)
         counts[0] += pos
@@ -369,7 +379,6 @@ def build_fock_matrix(
     cutoff: int = 8,
     *,
     frame: str = "bare",
-    mode_basis: ModeBasis = None,
     max_bytes: int = 2**31,
 ) -> FockOperator:
     """Assemble the molecular operator in the truncated product Fock basis.
@@ -379,8 +388,10 @@ def build_fock_matrix(
     per-node quadratic forms over the shared reduced coordinates.  The
     off-diagonal block between nodes s and t is ``params.Omega * A[s, t]``
     times the phonon overlap.  Raises :class:`ResourceBudgetError` when the
-    estimated size exceeds ``max_bytes``; the estimate is checked before
-    anything of size ``cutoff**n_modes`` is allocated.
+    build would allocate more than ``max_bytes``: the CSR arrays at their
+    untrimmed size (every stencil step and link cell of every row) plus the
+    widest node's dense tables.  That footprint is counted from the row
+    widths before anything of size ``cutoff**n_modes`` is allocated.
 
     The matrix is written node row by node row from the stencil described
     in the module docstring.  Links fill the identity diagonal (bare frame,
@@ -400,26 +411,27 @@ def build_fock_matrix(
         raise DomainError("all node forms must share the same mode count")
 
     beta = _frame_displacements(forms, params, frame)
-    est = _estimate_bytes(n_nodes, n_modes, cutoff, adjacency, beta, params.Omega)
-    if est > max_bytes:
+    coefficients = [_node_coefficients(f, b, params) for f, b in zip(forms, beta)]
+    steps = _steps(coefficients)
+    links = _node_links(adjacency, beta, params.Omega)
+    # a row's table columns: its stencil steps, then cutoff**k per link displacing k modes
+    widths = [len(steps) + sum(cutoff ** len(shifts) for _, _, shifts in row) for row in links]
+    footprint, idx = _footprint(widths, cutoff**n_modes)
+    if footprint > max_bytes:
         raise ResourceBudgetError(
-            f"estimated matrix footprint {est/1e9:.2f} GB exceeds budget {max_bytes/1e9:.2f} GB "
+            f"matrix footprint {footprint/1e9:.2f} GB exceeds budget {max_bytes/1e9:.2f} GB "
             f"(nodes={n_nodes}, modes={n_modes}, cutoff={cutoff})",
-            estimated_bytes=est,
+            estimated_bytes=footprint,
         )
 
-    coefficients = [_node_coefficients(f, b, params) for f, b in zip(forms, beta)]
-    links = _node_links(adjacency, beta, params.Omega, cutoff)
-    matrix = _assemble(coefficients, links, params.omega, n_modes, cutoff)
+    matrix = _assemble(coefficients, steps, links, widths, idx, params.omega, cutoff)
     return FockOperator(
         matrix=matrix,
         n_nodes=n_nodes,
         n_modes=n_modes,
         cutoff=cutoff,
-        omega=params.omega,
         x0=params.x0,
         displacements=beta,
-        mode_basis=mode_basis,
     )
 
 
@@ -624,19 +636,16 @@ def quadrature_moments(op: FockOperator, state: np.ndarray, mode: int):
     return mean_x, var_x, var_p
 
 
-def mean_displacements(op: FockOperator, state: np.ndarray) -> np.ndarray:
+def mean_displacements(op: FockOperator, state: np.ndarray, basis: ModeBasis) -> np.ndarray:
     """Per-atom mean displacement vectors of a solved state.
 
-    Requires the operator to carry its mode basis; returns an
+    ``basis`` maps the operator's modes to atom coordinates; returns an
     ``(n_atoms, n_axes)`` array in length units.
     """
-    if op.mode_basis is None:
-        raise DomainError("operator carries no mode basis; cannot map modes to atoms")
-    q_mean = np.array(
-        [quadrature_moments(op, state, m)[0] for m in range(op.n_modes)]
-    )
-    full = op.mode_basis.to_full(q_mean)
-    return full.reshape(op.mode_basis.n_atoms, op.mode_basis.n_axes)
+    if basis.dim != op.n_modes:
+        raise DomainError(f"mode basis has {basis.dim} modes, the operator {op.n_modes}")
+    q_mean = np.array([quadrature_moments(op, state, m)[0] for m in range(op.n_modes)])
+    return basis.to_full(q_mean).reshape(basis.n_atoms, basis.n_axes)
 
 
 def dump_matrix_coo(op: FockOperator) -> str:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .params import potential_eval
+from .params import pair_potential
 
 Config = tuple  # tuple[int, ...], one entry per atom
 
@@ -151,22 +151,8 @@ def diagonal_energy(config: Config, geometry: Geometry, Delta: float, model) -> 
     energy = Delta * sum(config)
     for k, l in geometry.pairs():
         if config[k] and config[l]:
-            energy += _pair_interaction(geometry, k, l, model)
+            energy += pair_potential(model, geometry.distance(k, l), geometry.d)[0]
     return energy
-
-
-def _pair_interaction(geometry: Geometry, k: int, l: int, model) -> float:
-    from .params import ExplicitCouplings
-
-    r = geometry.distance(k, l)
-    if isinstance(model, ExplicitCouplings):
-        if abs(r - geometry.d) > 1e-9 * geometry.d:
-            raise DomainError(
-                "ExplicitCouplings defines the interaction only at the nominal "
-                f"distance d={geometry.d}; pair ({k},{l}) sits at r={r}"
-            )
-        return model.v_d
-    return potential_eval(model, r)[0]
 
 
 def build_resonant_manifold(

@@ -149,6 +149,26 @@ def potential_eval(model, r: float):
     return model.eval(r)
 
 
+def pair_potential(model, r: float, d: float):
+    """``(V, V', V'')`` of a pair at distance ``r`` under any interaction model.
+
+    Radial models are evaluated at ``r``.  Pinned couplings
+    (:class:`Couplings`, :class:`ExplicitCouplings`) define the interaction
+    only at the nominal distance ``d``, where ``V = v_d``,
+    ``V' = sqrt(2) kappa / x0`` and ``V'' = 2 xi / x0^2`` with ``x0 = nu d``;
+    at any other distance they raise :class:`UnsupportedVariantError`.
+    """
+    if isinstance(model, (Couplings, ExplicitCouplings)):
+        if abs(r - d) > 1e-9 * d:
+            raise UnsupportedVariantError(
+                f"pinned couplings define the interaction only at the nominal distance d={d}; "
+                f"a pair sits at r={r}"
+            )
+        x0 = model.nu * d
+        return model.v_d, SQRT2 * model.kappa / x0, 2.0 * model.xi / x0**2
+    return potential_eval(model, r)
+
+
 def derive_couplings(model, params: PhysicalParams) -> Couplings:
     """Derive the coupling constants (kappa, xi, nu) from a potential model.
 

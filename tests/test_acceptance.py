@@ -190,14 +190,12 @@ def test_criterion_08_displacement_bound_near_instability():
     _, kappa_c = vb.critical_points(1.0, nu)
     kappa = 0.99 * kappa_c
     basis, reduced = _excited_pair_form(vb.tetrahedron(), kappa, 0.0, nu, params)
-    op = vb.build_fock_matrix(
-        SINGLE, reduced, params, cutoff=64, frame="displaced", mode_basis=basis
-    )
+    op = vb.build_fock_matrix(SINGLE, reduced, params, cutoff=64, frame="displaced")
     energy, state = vb.ground_state(op)
     # sanity on the solved problem; the strongly squeezed perpendicular
     # zero-point energy converges slowly in cutoff, the displacement does not
     assert abs(energy - vb.epsilon4(kappa, 0.0, 1.0, nu)) < 1e-4
-    moves = vb.mean_displacements(op, state)
+    moves = vb.mean_displacements(op, state, basis)
     biggest = float(np.linalg.norm(moves, axis=1).max())
     assert biggest < 0.4 * params.x0
     _report(
@@ -216,7 +214,7 @@ def test_criterion_09_surface_quadratic_form_and_triple_minimum():
     pot = vb.ExplicitCouplings(kappa=kappa, xi=xi, nu=nu, v_d=1.0)
     graph = vb.build_resonant_manifold(vb.triangle(), -1.0, pot, (0, 0, 1))
     basis, forms = vb.build_molecular_model(graph, vb.derive_couplings(pot, params), params)
-    surface = vb.build_bo_surface(graph, forms, params, Omega=0.0, mode_basis=basis)
+    surface = vb.build_bo_surface(graph, forms, params, Omega=0.0)
 
     report = vb.minimize_bo(surface)
     assert report.degeneracy == 3
@@ -259,7 +257,7 @@ def test_criterion_10_zero_point_correction():
             graph, forms, params, e_tol=1e-7, max_cutoff=16, frame="displaced"
         )
         assert quantum.converged
-        surface = vb.build_bo_surface(graph, forms, params, Omega=0.0, mode_basis=basis)
+        surface = vb.build_bo_surface(graph, forms, params, Omega=0.0)
         minima = vb.minimize_bo(surface)
         measured = quantum.energy - minima.global_energy
         predicted = vb.quantum_correction(kappa, xi, 1.0, nu)
@@ -276,7 +274,7 @@ def test_criterion_11_structural_transition_shape():
     pot = vb.ExplicitCouplings(kappa=kappa, xi=0.0, nu=nu, v_d=1.0)
     graph = vb.build_resonant_manifold(vb.triangle(), -1.0, pot, (0, 0, 1))
     basis, forms = vb.build_molecular_model(graph, vb.derive_couplings(pot, params), params)
-    surface = vb.build_bo_surface(graph, forms, params, Omega=0.0, mode_basis=basis)
+    surface = vb.build_bo_surface(graph, forms, params, Omega=0.0)
 
     # the scan window brackets the kink; the well-hybridization bend right at
     # zero drive is genuine curvature of the exact curve unrelated to the

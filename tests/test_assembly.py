@@ -7,9 +7,11 @@ import pytest
 from vibronic import (
     Couplings,
     ExplicitCouplings,
+    Geometry,
     PhysicalParams,
     PowerLaw,
     PowerLawSum,
+    UnsupportedVariantError,
     assemble_graph_hamiltonians,
     assemble_state_hamiltonian,
     build_molecular_model,
@@ -221,3 +223,15 @@ def test_forms_dump_roundtrip():
     assert doc["forms"][0]["state"] == "11"
     assert len(doc["forms"][0]["linear"]) == 1
     assert np.asarray(doc["mode_basis"]).shape == (2, 1)
+
+
+def test_pinned_couplings_reject_off_nominal_pairs():
+    # the square's diagonal pairs sit at sqrt(2) d, where pinned couplings are undefined
+    square = Geometry(np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]))
+    params = PhysicalParams(omega=1.0, d=1.0, x0=0.1)
+    for model in (Couplings(kappa=0.1, xi=0.02, nu=0.1), ExplicitCouplings(kappa=0.1, xi=0.02, nu=0.1)):
+        edge = assemble_state_hamiltonian((1, 1, 0, 0), square, model, params)
+        # atom 0 feels V'(d) = sqrt(2) kappa / (nu d) along the pair axis
+        assert edge.linear[:3] == pytest.approx([-SQRT2, 0.0, 0.0])
+        with pytest.raises(UnsupportedVariantError, match="nominal distance"):
+            assemble_state_hamiltonian((1, 0, 1, 0), square, model, params)

@@ -38,7 +38,7 @@ def triangle_setup(kappa, xi=0.0, nu=0.5, omega=1.0, Omega=0.0):
     graph = build_resonant_manifold(triangle(), -1.0, pot, (0, 0, 1))
     coup = derive_couplings(pot, params)
     basis, forms = build_molecular_model(graph, coup, params)
-    surface = build_bo_surface(graph, forms, params, mode_basis=basis)
+    surface = build_bo_surface(graph, forms, params)
     return params, graph, basis, forms, surface
 
 
@@ -64,7 +64,7 @@ def test_dumbbell_drive_only_surface():
     pot = ExplicitCouplings(kappa=0.0, xi=0.0, nu=0.1, v_d=1.0)
     graph = build_resonant_manifold(dumbbell(), -1.0, pot, (0, 1))
     basis, forms = build_molecular_model(graph, derive_couplings(pot, params), params)
-    surface = build_bo_surface(graph, forms, params, mode_basis=basis)
+    surface = build_bo_surface(graph, forms, params)
     assert bo_energy(surface, np.zeros(1)) == pytest.approx(-SQRT2 * 0.25, rel=1e-12)
 
 

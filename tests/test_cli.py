@@ -189,6 +189,13 @@ def test_schema_errors_carry_the_key_path(tmp_path):
     assert exc.value.path == "config.scan.samples"
 
 
+@pytest.mark.parametrize("seed", [1, "0x1"])
+def test_seed_must_be_a_bitstring(tmp_path, capsys, seed):
+    cfg = dict(GRAPH_CONFIG, seed=seed)
+    assert main(["graph", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("config error: config.seed")
+
+
 def test_task_mismatch_is_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, GRAPH_CONFIG), "wigner")

@@ -277,9 +277,9 @@ def test_mean_displacements_of_excited_pair():
     coup = Couplings(kappa=kappa, xi=0.0, nu=0.3)
     form = assemble_state_hamiltonian((1, 1), dumbbell(), coup, params)
     basis, reduced = reduce_modes([form], params)
-    op = build_fock_matrix(SINGLE, reduced, params, cutoff=64, mode_basis=basis)
+    op = build_fock_matrix(SINGLE, reduced, params, cutoff=64)
     _, state = ground_state(op)
-    disp = mean_displacements(op, state)
+    disp = mean_displacements(op, state, basis)
     expected = params.x0 * SQRT2 * kappa / 1.0  # x0 |beta*|, beta* = -sqrt(2) kappa/omega
     assert np.abs(disp).flatten() == pytest.approx([expected, expected], rel=1e-8)
     assert disp.sum() == pytest.approx(0.0, abs=1e-10)  # no center-of-mass motion
@@ -630,6 +630,23 @@ def test_budget_guard_fires_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 10**6
+
+
+@pytest.mark.parametrize("cutoff", [4, 8, 16])
+def test_budget_counts_what_the_build_allocates(cutoff):
+    graph, forms, params = triangle_model()
+    with pytest.raises(ResourceBudgetError) as err:
+        build_fock_matrix(graph, forms, params, cutoff, max_bytes=0)
+    footprint = err.value.estimated_bytes
+    with pytest.raises(ResourceBudgetError):
+        build_fock_matrix(graph, forms, params, cutoff, max_bytes=footprint - 1)
+    tracemalloc.start()
+    try:
+        build_fock_matrix(graph, forms, params, cutoff, max_bytes=footprint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.8 * peak <= footprint <= 1.25 * peak
 
 
 def test_budget_ends_doubling_at_largest_affordable_cutoff():

@@ -9,6 +9,7 @@ from vibronic import (
     ExplicitCouplings,
     Geometry,
     PowerLaw,
+    UnsupportedVariantError,
     build_resonant_manifold,
     config_from_string,
     config_to_string,
@@ -173,3 +174,14 @@ def test_geometry_validation():
     geom = tetrahedron(d=2.0)
     for k, l in geom.pairs():
         assert geom.distance(k, l) == pytest.approx(2.0, rel=1e-12)
+
+
+def test_pinned_couplings_reject_off_nominal_pairs():
+    # the square's diagonal pairs sit at sqrt(2) d, where pinned couplings are undefined
+    square = Geometry(np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]))
+    pot = ExplicitCouplings(kappa=0.1, xi=0.0, nu=0.1, v_d=0.5)
+    assert diagonal_energy((1, 1, 0, 0), square, -1.0, pot) == -1.5
+    with pytest.raises(UnsupportedVariantError, match="nominal distance"):
+        diagonal_energy((1, 0, 1, 0), square, -1.0, pot)
+    with pytest.raises(UnsupportedVariantError, match="nominal distance"):
+        build_resonant_manifold(square, -1.0, pot, (1, 1, 0, 0))
