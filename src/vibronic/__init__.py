@@ -68,6 +68,7 @@ from .fock import (
     SolveReport,
     build_fock_matrix,
     converge_cutoff,
+    converge_drives,
     dump_matrix_coo,
     ground_state,
     mean_displacements,

@@ -17,11 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .assembly import node_data
 from .errors import DomainError
-from .fock import converge_cutoff
+from .fock import converge_drives
 from .params import PhysicalParams
 
 DEFAULT_DEDUP_TOL = 1e-4  # basin deduplication distance, in units of x0
@@ -191,9 +190,11 @@ def _descend(surface: BoSurface, start: np.ndarray):
     at a crossing or when the last of ``MAX_DESCENTS`` descents still ends on
     a saddle.
     """
+    from scipy.optimize import minimize  # only surface searches need it
+
     q = start
     for _ in range(MAX_DESCENTS):
-        res = _scipy_minimize(
+        res = minimize(
             lambda p: _energy_and_gradient(surface, p),
             q,
             jac=True,
@@ -212,6 +213,7 @@ def _descend(surface: BoSurface, start: np.ndarray):
 
 def _simplex(surface: BoSurface, start: np.ndarray):
     """Nelder-Mead descent plus a gradient polish away from crossings."""
+    from scipy.optimize import minimize  # only surface searches need it
 
     def fun(q):
         return bo_energy(surface, q)
@@ -222,13 +224,13 @@ def _simplex(surface: BoSurface, start: np.ndarray):
         "maxiter": 4000 * surface.dim,
         "maxfev": 4000 * surface.dim,
     }
-    res = _scipy_minimize(fun, start, method="Nelder-Mead", options=options)
+    res = minimize(fun, start, method="Nelder-Mead", options=options)
     q, e = res.x, float(res.fun)
     # Away from electronic crossings the branch is smooth, so a gradient
     # polish (eigenvector-sandwich gradient) removes the residual simplex
     # stall and lands every start exactly on its basin floor.
     if bo_eigen_gap(surface, q) > GAP_TOL * surface.omega:
-        polished = _scipy_minimize(
+        polished = minimize(
             fun,
             q,
             jac=lambda p: bo_gradient(surface, p),
@@ -402,9 +404,10 @@ def transition_scan(
     The kink of the clamped-coordinate curve is located as the maximizer of
     the discrete second difference, refined once on a finer local grid; its
     uncertainty is the refined grid spacing.  The exact curve is computed with
-    the cutoff-doubling solver per grid point when ``quantum`` is true; the
+    the cutoff-doubling solver at every grid point when ``quantum`` is true,
+    carried along the grid by :func:`converge_drives`, which gets the
     ``solver`` keywords (``e_tol``, ``max_cutoff``, ``frame``, ``eig_tol``,
-    ...) go to :func:`converge_cutoff` unchanged.  The grid needs at least
+    ...) unchanged.  The grid needs at least
     ``MIN_SCAN_SAMPLES`` strictly increasing drive values.
     """
     omegas = np.asarray(omegas, dtype=float)
@@ -425,9 +428,7 @@ def transition_scan(
     q_conv = np.zeros(omegas.size, dtype=bool)
     q_cut = np.zeros(omegas.size, dtype=int)
     if quantum:
-        for i, o in enumerate(omegas):
-            run_params = dataclasses.replace(params, Omega=float(o))
-            report = converge_cutoff(graph, forms, run_params, **solver)
+        for i, report in enumerate(converge_drives(graph, forms, params, omegas, **solver)):
             e_quantum[i] = report.energy
             q_conv[i] = report.converged
             q_cut[i] = report.cutoff

@@ -27,18 +27,34 @@ different frame shifts.  Those widths alone size the memory budget check and
 every array of the build.  The band products are then tabulated once, and
 each node's rows, with their links, are written in one pass into a single CSR
 matrix with sorted rows.  Every entry is summed in the order of the term list
-``omega n + const, l_m X_m, Q_mn X_m X_n (m <= n)``.
+``omega n + const, l_m X_m, Q_mn X_m X_n (m <= n)``.  Link entries are
+written last, as ``(Omega * A_st) * overlap`` at positions the build records.
+
+:func:`converge_cutoff` doubles the cutoff until the ground energy settles,
+starting each stage from the lower stage's zero-padded vector, refined above
+``DENSE_CUTOVER`` states by a block-1 Jacobi-preconditioned LOBPCG with
+ARPACK as the fallback; every returned pair has a checked residual.
+:func:`converge_drives` runs that doubling along a list of drives and carries
+work from drive to drive: each cutoff's operator is built once and only its
+link entries are rewritten (every drive still sees its own build bitwise),
+and each sparse stage starts from the previous drives' ground vectors at its
+cutoff, extrapolated linearly, unless that start fails or ends above the
+lower stage's energy, which nested bases forbid.  Energies agree with
+independent :func:`converge_cutoff` calls to within the eigensolver tolerance.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import functools
 import math
-import warnings
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh, lobpcg
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .assembly import ModeBasis, QuadraticVibronic, node_data
 from .errors import DomainError, EigensolverError, ResourceBudgetError
@@ -62,6 +78,9 @@ class FockOperator:
     cutoff: int
     x0: float
     displacements: np.ndarray  # (n_nodes, n_modes) phonon-frame offsets
+    # per link block: (A[s, t], position of each row's first entry in matrix.data,
+    # displacement factors, table shape); see _write_links
+    links: tuple = ()
 
     @property
     def dim(self) -> int:
@@ -171,18 +190,27 @@ def _node_coefficients(form: QuadraticVibronic, shift: np.ndarray, params: Physi
     return const, l + params.omega * b + 4.0 * (q @ b), q
 
 
+@functools.lru_cache(maxsize=32)
+def _mode_pairs(n_modes: int):
+    """Read-only index arrays ``(m, n)`` of the mode pairs m < n, row-major."""
+    pairs = np.triu_indices(n_modes, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def _node_terms(node) -> np.ndarray:
     """Term coefficients of a node block: 0 for the diagonal, then ``l_m``,
     ``Q_mm`` and ``2 Q_mn`` (m < n, row-major)."""
     _, l, q = node
-    return np.concatenate(([0.0], l, np.diagonal(q), 2.0 * q[np.triu_indices(l.size, 1)]))
+    return np.concatenate(([0.0], l, np.diagonal(q), 2.0 * q[_mode_pairs(l.size)]))
 
 
 def _node_links(adjacency, beta, Omega):
-    """Off-diagonal blocks ``(t, weight, shifts)`` of each node row, by column node.
+    """Off-diagonal blocks ``(t, a, shifts)`` of each node row, by column node.
 
-    The block is ``weight = Omega * A[s, t]`` (the upper entry, for both
-    blocks of a pair) times the Kronecker product of the displacement
+    The block is ``Omega * a`` with ``a = A[s, t]`` (the upper entry, for
+    both blocks of a pair) times the Kronecker product of the displacement
     matrices of ``shifts[m] = beta[max(s, t), m] - beta[min(s, t), m]``, over
     the modes whose shifts differ, oriented rows to columns, and the identity
     on every other mode.
@@ -195,17 +223,64 @@ def _node_links(adjacency, beta, Omega):
             if adjacency[s, t] == 0:
                 continue
             shifts = {m: d for m, d in enumerate(beta[t] - beta[s]) if d != 0.0}
-            links[s].append((t, Omega * adjacency[s, t], shifts))
+            links[s].append((t, adjacency[s, t], shifts))
             # row t gets its links to lower nodes before its own, so stays sorted
-            links[t].append((s, Omega * adjacency[s, t], shifts))
+            links[t].append((s, adjacency[s, t], shifts))
     return links
 
 
-def _bands(cutoff: int) -> dict:
-    """Diagonals of X = b + b^dag at offsets +-1 and of X^2 at offsets 0 and +-2."""
-    x = _ladder_x(cutoff)
-    x2 = x @ x
-    return {d: (x2 if d % 2 == 0 else x).diagonal(d) for d in range(-2, 3)}
+def _link_pattern(factors) -> np.ndarray:
+    """Where every displacement factor of a link block is nonzero."""
+    pattern = factors[0] != 0.0
+    for factor in factors[1:]:
+        pattern = pattern & (factor != 0.0)
+    return pattern
+
+
+def _write_links(data: np.ndarray, links, Omega: float):
+    """Write every link entry of a CSR ``data`` array at drive ``Omega``.
+
+    ``links`` holds ``(A[s, t], heads, factors, shape)`` per link block, as
+    :func:`_assemble` records them, where ``heads`` are the positions of the
+    block's first entry in each of its rows.  An identity block (no
+    factors) has that one entry per row, ``Omega * A[s, t]``.  Any other
+    block has ``(Omega * A[s, t]) * overlap`` at the cells where every factor
+    is nonzero, consecutive within a row; the overlap, the product of the
+    factors in mode order, is recomputed block by block, so a block stores
+    only one position per row.
+    """
+    for a, heads, factors, shape in links:
+        weight = Omega * a
+        if not factors:
+            data[heads] = weight
+            continue
+        overlap = factors[0]
+        for factor in factors[1:]:
+            overlap = overlap * factor
+        kept = np.broadcast_to(_link_pattern(factors), shape)
+        counts = kept.sum(axis=tuple(range(len(shape) - len(factors), len(shape)))).ravel()
+        # a kept cell's position: its row's head plus its rank among the row's kept cells
+        base = np.repeat(heads - (np.cumsum(counts) - counts), counts)
+        data[base + np.arange(base.size)] = np.broadcast_to(weight * overlap, shape)[kept]
+
+
+@functools.lru_cache(maxsize=32)
+def _bands(cutoff: int):
+    """Diagonals of X = b + b^dag at offsets +-1 and of X^2 at offsets 0 and +-2.
+
+    The X^2 elements are the sums of products of X elements that the matrix
+    product forms; the mapping and its arrays are read-only, shared by every
+    build.
+    """
+    sq = np.sqrt(np.arange(1.0, cutoff))
+    square = sq * sq
+    diagonal = np.zeros(cutoff)
+    diagonal[1:] = square
+    diagonal[:-1] += square
+    step2 = sq[:-1] * sq[1:]
+    for band in (sq, diagonal, step2):
+        band.setflags(write=False)
+    return MappingProxyType({-2: step2, -1: sq, 0: diagonal, 1: sq, 2: step2})
 
 
 def _along(axis: int, band: np.ndarray, ndim: int) -> np.ndarray:
@@ -226,27 +301,29 @@ def _steps(coefficients):
     moves += [[2 * unit[m], -2 * unit[m]] for m in range(n_modes)]
     moves += [
         [a * unit[m] + b * unit[n] for a in (1, -1) for b in (1, -1)]
-        for m, n in zip(*np.triu_indices(n_modes, 1))
+        for m, n in zip(*_mode_pairs(n_modes))
     ]
     used[0] = True  # the diagonal step is always kept
     return [(term, step) for term, steps in enumerate(moves) if used[term] for step in steps]
 
 
-def _footprint(widths, per_node: int):
+def _footprint(widths, n_blocks: int, per_node: int):
     """``(bytes, index dtype)`` that :func:`_assemble` allocates for these row widths.
 
     The bytes are the CSR ``data``/``indices``/``indptr`` arrays at their
-    untrimmed size plus the widest node's ``(per_node, width)`` value, column
-    and mask tables.
+    untrimmed size, the widest node's ``(per_node, width)`` value, column
+    and mask tables, and the link records: a position per row of each of
+    the ``n_blocks`` link blocks.
     """
     dim = len(widths) * per_node
     upper = per_node * sum(widths)
     idx = np.int32 if max(upper, dim) <= np.iinfo(np.int32).max else np.int64
     size = np.dtype(idx).itemsize
-    return upper * (8 + size) + (dim + 1) * size + per_node * max(widths) * (9 + size), idx
+    tables = per_node * max(widths) * (9 + size)
+    return upper * (8 + size) + (dim + 1 + per_node * n_blocks) * size + tables, idx
 
 
-def _stencil(steps, cutoff: int, bands: dict):
+def _stencil(steps, cutoff: int, bands):
     """The node-block stencil: the ``steps`` sorted by column offset.
 
     Each entry is ``(offset, term, rows, element)``: the step's column
@@ -269,7 +346,7 @@ def _stencil(steps, cutoff: int, bands: dict):
     return sorted(stencil, key=lambda entry: entry[0])
 
 
-def _diagonal(node, omega: float, bands: dict, n_modes: int) -> np.ndarray:
+def _diagonal(node, omega: float, bands, n_modes: int) -> np.ndarray:
     """Node-block diagonal, summed as omega n + const, then Q_mm (X_m^2) by mode."""
     const, _, q = node
     cutoff = bands[0].size
@@ -281,15 +358,17 @@ def _diagonal(node, omega: float, bands: dict, n_modes: int) -> np.ndarray:
     return value
 
 
-def _fill_link(vals, cols, keep, s: int, link, n_modes: int, cutoff: int):
+def _fill_link(cols, keep, s: int, link, n_modes: int, cutoff: int):
     """Write node s's block row of one link into ``(per_node, width)`` slices.
 
     The table's axes are the row occupations of every mode followed by the
-    column occupations of the modes the link displaces; the overlap is the
-    product of their displacement matrices (transposed in the row of the
-    higher node) in mode order, then times the link weight.
+    column occupations of the modes the link displaces.  Returns the block's
+    factors, the displacement matrices of those modes (transposed in the row
+    of the higher node) shaped to broadcast over the table, in mode order,
+    and the table's shape.  A cell is kept where every factor is nonzero;
+    :func:`_write_links` writes the values.
     """
-    t, weight, shifts = link
+    t, _, shifts = link
     factors = {m: displacement_matrix(d, cutoff) for m, d in shifts.items()}
     if t < s:
         factors = {m: f.T for m, f in factors.items()}
@@ -301,17 +380,16 @@ def _fill_link(vals, cols, keep, s: int, link, n_modes: int, cutoff: int):
     for m in range(n_modes):
         axis = n_modes + moved.index(m) if m in factors else m
         column = column + _along(axis, occupations * cutoff ** (n_modes - 1 - m), ndim)
-    overlap = pattern = None
-    for i, m in enumerate(moved):
-        factor = factors[m].reshape([cutoff if k in (m, n_modes + i) else 1 for k in range(ndim)])
-        overlap = factor if overlap is None else overlap * factor
-        pattern = factor != 0.0 if pattern is None else pattern & (factor != 0.0)
-    vals.reshape(shape, copy=False)[...] = weight if overlap is None else weight * overlap
+    factors = tuple(
+        factors[m].reshape([cutoff if k in (m, n_modes + i) else 1 for k in range(ndim)])
+        for i, m in enumerate(moved)
+    )
     cols.reshape(shape, copy=False)[...] = column
-    keep.reshape(shape, copy=False)[...] = True if pattern is None else pattern
+    keep.reshape(shape, copy=False)[...] = _link_pattern(factors) if factors else True
+    return factors, shape
 
 
-def _assemble(coefficients, steps, links, widths, idx, omega: float, cutoff: int) -> sp.csr_matrix:
+def _assemble(coefficients, steps, links, widths, idx, omega: float, Omega: float, cutoff: int):
     """Write the node blocks and their links row by row into one CSR matrix.
 
     Each node's rows are filled as a dense ``(per_node, widths[s])`` table
@@ -320,6 +398,10 @@ def _assemble(coefficients, steps, links, widths, idx, omega: float, cutoff: int
     cells in row-major order, with ``idx`` indices.  Node-block cells outside
     a step's rows stay zero, and node-block entries that are exactly zero are
     dropped; link entries are kept wherever their factors are nonzero.
+
+    Returns the matrix and its link records ``(A[s, t], heads, factors,
+    shape)`` per link block (see :func:`_write_links`); the link entries are
+    written through them, at drive ``Omega``, once the tables are gone.
     """
     n_modes = steps[0][1].size
     per_node = cutoff**n_modes
@@ -331,6 +413,7 @@ def _assemble(coefficients, steps, links, widths, idx, omega: float, cutoff: int
     data = np.empty(upper)
     indices = np.empty(upper, dtype=idx)
     indptr = np.zeros(dim + 1, dtype=idx)
+    records = []
     pos = 0
     for s, node in enumerate(coefficients):
         vals = cols = keep = table = slab = None  # drop the last node's tables before the next
@@ -338,6 +421,7 @@ def _assemble(coefficients, steps, links, widths, idx, omega: float, cutoff: int
         cols = np.empty((per_node, widths[s]), dtype=idx)
         keep = np.empty((per_node, widths[s]), dtype=bool)
         lower = sum(t < s for t, _, _ in links[s])
+        blocks = []  # (columns, A[s, t], factors, shape) of this row's link blocks
         k = 0
         for link in links[s][:lower] + [None] + links[s][lower:]:
             width = len(stencil) if link is None else cutoff ** len(link[2])
@@ -355,7 +439,8 @@ def _assemble(coefficients, steps, links, widths, idx, omega: float, cutoff: int
                 row_ids = np.arange(first, first + per_node, dtype=idx)
                 np.add.outer(row_ids, offsets, out=cols[:, part])
             else:
-                _fill_link(vals[:, part], cols[:, part], keep[:, part], s, link, n_modes, cutoff)
+                factors, shape = _fill_link(cols[:, part], keep[:, part], s, link, n_modes, cutoff)
+                blocks.append((part, link[1], factors, shape))
             k += width
         counts = keep.sum(axis=1, dtype=idx)
         counts[0] += pos
@@ -367,9 +452,15 @@ def _assemble(coefficients, steps, links, widths, idx, omega: float, cutoff: int
             data[pos:end] = vals[lo : lo + height][slab]
             indices[pos:end] = cols[lo : lo + height][slab]
             pos = end
+        # a block's first entry in a row follows the row's kept cells left of it
+        starts = indptr[s * per_node : (s + 1) * per_node]
+        for part, a, factors, shape in blocks:
+            heads = starts + keep[:, : part.start].sum(axis=1, dtype=idx)
+            records.append((a, heads, factors, shape))
     data.resize(pos, refcheck=False)
     indices.resize(pos, refcheck=False)
-    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    _write_links(data, records, Omega)
+    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim)), tuple(records)
 
 
 def build_fock_matrix(
@@ -389,16 +480,19 @@ def build_fock_matrix(
     off-diagonal block between nodes s and t is ``params.Omega * A[s, t]``
     times the phonon overlap.  Raises :class:`ResourceBudgetError` when the
     build would allocate more than ``max_bytes``: the CSR arrays at their
-    untrimmed size (every stencil step and link cell of every row) plus the
-    widest node's dense tables.  That footprint is counted from the row
-    widths before anything of size ``cutoff**n_modes`` is allocated.
+    untrimmed size (every stencil step and link cell of every row), the
+    widest node's dense tables and the link records.  That footprint is
+    counted from the row widths before anything of size ``cutoff**n_modes``
+    is allocated.
 
     The matrix is written node row by node row from the stencil described
     in the module docstring.  Links fill the identity diagonal (bare frame,
     or equal shifts) or the Kronecker product of displacement matrices over
     the modes whose shifts differ.  Every row's column indices are sorted
     (int32 below 2**31 entries); node-block entries that are exactly zero
-    are not stored.
+    are not stored.  ``FockOperator.links`` records where each link block's
+    entries sit in ``matrix.data``, with the block's displacement factors,
+    so that a scan can move the operator to another nonzero drive in place.
     """
     if params is None:
         raise DomainError("params is required")
@@ -416,7 +510,8 @@ def build_fock_matrix(
     links = _node_links(adjacency, beta, params.Omega)
     # a row's table columns: its stencil steps, then cutoff**k per link displacing k modes
     widths = [len(steps) + sum(cutoff ** len(shifts) for _, _, shifts in row) for row in links]
-    footprint, idx = _footprint(widths, cutoff**n_modes)
+    n_blocks = sum(len(row) for row in links)
+    footprint, idx = _footprint(widths, n_blocks, cutoff**n_modes)
     if footprint > max_bytes:
         raise ResourceBudgetError(
             f"matrix footprint {footprint/1e9:.2f} GB exceeds budget {max_bytes/1e9:.2f} GB "
@@ -424,7 +519,9 @@ def build_fock_matrix(
             estimated_bytes=footprint,
         )
 
-    matrix = _assemble(coefficients, steps, links, widths, idx, params.omega, cutoff)
+    matrix, records = _assemble(
+        coefficients, steps, links, widths, idx, params.omega, params.Omega, cutoff
+    )
     return FockOperator(
         matrix=matrix,
         n_nodes=n_nodes,
@@ -432,6 +529,7 @@ def build_fock_matrix(
         cutoff=cutoff,
         x0=params.x0,
         displacements=beta,
+        links=records,
     )
 
 
@@ -443,7 +541,7 @@ def _residual_limit(tol: float, energy: float) -> float:
 def _checked_pair(matrix, energy: float, vec: np.ndarray, tol: float, solver: str):
     residual = float(np.linalg.norm(matrix @ vec - energy * vec))
     limit = _residual_limit(tol, energy)
-    if residual > limit:
+    if not residual <= limit:  # a NaN residual fails too
         raise EigensolverError(
             f"{solver} residual {residual:.3e} exceeds {limit:.3e}", best_estimate=energy
         )
@@ -451,28 +549,56 @@ def _checked_pair(matrix, energy: float, vec: np.ndarray, tol: float, solver: st
 
 
 def _jacobi_lobpcg(matrix, v0: np.ndarray, tol: float):
-    """Refine a unit warm start by LOBPCG preconditioned with 1/(diag(H) - rho).
+    """Refine a unit warm start by block-1 LOBPCG preconditioned with 1/(diag(H) - rho).
 
     rho is the Rayleigh quotient of ``v0``; shifts below a small floor are
-    raised to it so the preconditioner stays positive definite.  LOBPCG's
-    warnings about missing the tolerance are silenced: the caller checks the
+    raised to it so the preconditioner stays positive definite.  Each
+    iteration applies Rayleigh-Ritz to the span of the iterate x, its
+    preconditioned residual w and the previous direction p (Knyazev, SIAM J.
+    Sci. Comput. 23, 517 (2001)), orthonormalized through the Cholesky factor
+    of their Gram matrix; p is dropped for a step whenever that factor fails.
+    Stops when ||H x - rho x|| meets the limit for ``tol`` at the starting
+    rho, or after ``LOBPCG_MAXITER`` iterations; the caller checks the
     residual and hands a miss to ARPACK.
     """
-    rho = float(v0 @ (matrix @ v0))
-    shift = np.maximum(matrix.diagonal() - rho, JACOBI_FLOOR * max(1.0, abs(rho)))
-    with warnings.catch_warnings():
-        # Narrow on purpose: catch_warnings is not thread-safe, so a race
-        # between scan threads can at worst leave this same filter behind.
-        warnings.filterwarnings("ignore", message="(Exited|Failed) ", category=UserWarning)
-        vals, vecs = lobpcg(
-            matrix,
-            v0[:, None],
-            M=sp.diags(1.0 / shift),
-            tol=_residual_limit(tol, rho),
-            maxiter=LOBPCG_MAXITER,
-            largest=False,
-        )
-    return float(vals[0]), vecs[:, 0]
+    space = np.zeros((3, 2, v0.size))  # rows x, w, p, each with H times it
+    x, hx = space[0]
+    x[:] = v0
+    hx[:] = matrix @ v0
+    rho = float(x @ hx)
+    precond = 1.0 / np.maximum(matrix.diagonal() - rho, JACOBI_FLOOR * max(1.0, abs(rho)))
+    limit = _residual_limit(tol, rho)
+    rows = 2  # p joins after the first step
+    for _ in range(LOBPCG_MAXITER):
+        residual = hx - rho * x
+        if np.linalg.norm(residual) <= limit:
+            break
+        w, hw = space[1]
+        np.multiply(precond, residual, out=w)
+        hw[:] = matrix @ w
+        products = space[:rows].reshape(2 * rows, -1) @ space[:rows, 0].T
+        scale = 1.0 / np.sqrt(np.diagonal(products[::2]))  # unit rows, vectors untouched
+        gram = products[::2] * np.outer(scale, scale)
+        ritz = products[1::2] * np.outer(scale, scale)
+        try:
+            factor = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            rows = 2  # p has fallen into the span of x and w
+            gram, ritz, scale = gram[:2, :2], ritz[:2, :2], scale[:2]
+            factor = np.linalg.cholesky(gram)
+        inverse = np.linalg.inv(factor)
+        values, vectors = np.linalg.eigh(inverse @ ritz @ inverse.T)
+        step = inverse.T @ vectors[:, 0]  # the new x over the unit rows; it has unit norm
+        direction = np.concatenate(([0.0], step[1:]))  # its part outside x: the new p
+        length = np.linalg.norm(factor.T @ direction)  # its norm over the rows
+        if not length > 0.0:
+            break  # the span holds nothing below x, or it broke down: the caller checks x
+        direction /= length
+        update = (np.array([step, direction]) * scale) @ space[:rows].reshape(rows, -1)
+        space[::2] = update.reshape(2, 2, -1)
+        rho = float(values[0])
+        rows = 3
+    return rho, x.copy()
 
 
 def ground_state(op: FockOperator, tol: float = 1e-11, v0: np.ndarray = None):
@@ -498,7 +624,7 @@ def ground_state(op: FockOperator, tol: float = 1e-11, v0: np.ndarray = None):
         v0 = v0 / np.linalg.norm(v0)
         try:
             return _checked_pair(matrix, *_jacobi_lobpcg(matrix, v0, tol), tol, "LOBPCG")
-        except EigensolverError:
+        except (EigensolverError, np.linalg.LinAlgError):
             pass  # ARPACK takes over from the same warm start
     maxiter = int(10 * math.sqrt(dim)) + 500
     try:
@@ -532,41 +658,135 @@ def converge_cutoff(
     numerical signature of an instability.  A stage whose eigensolver failed
     records its best estimate but can never make the report converged, and
     a stage over the ``max_bytes`` budget ends the doubling unconverged; only
-    an over-budget first stage raises :class:`ResourceBudgetError`.
+    an over-budget first stage raises :class:`ResourceBudgetError`.  This is
+    :func:`converge_drives` at the one drive ``params.Omega``.
     """
+    if params is None:
+        raise DomainError("params is required")
+    return converge_drives(
+        graph, forms, params, (params.Omega,),
+        e_tol=e_tol, max_cutoff=max_cutoff, frame=frame, eig_tol=eig_tol, max_bytes=max_bytes,
+    )[0]
+
+
+def _extrapolate(trail):
+    """Start vector from the last drives' ground vectors at one cutoff, latest first.
+
+    Two vectors give ``2 v1 - v2`` with ``v2``'s sign aligned to ``v1``; one
+    gives itself; none gives None.
+    """
+    if len(trail) < 2:
+        return trail[0] if trail else None
+    v1, v2 = trail
+    return 2.0 * v1 - (v2 if v1 @ v2 >= 0.0 else -v2)
+
+
+def _carried_operator(operators: dict, graph, forms, params, cutoff: int, frame, max_bytes):
+    """The stage operator at drive ``params.Omega``.
+
+    A drive of 0 has no links and gets its own build.  Any other drive reuses
+    ``operators[cutoff]``, built at the first such drive, with its link
+    entries rewritten in place.
+    """
+    if params.Omega == 0.0:
+        return build_fock_matrix(graph, forms, params, cutoff, frame=frame, max_bytes=max_bytes)
+    op = operators.get(cutoff)
+    if op is None:
+        op = build_fock_matrix(graph, forms, params, cutoff, frame=frame, max_bytes=max_bytes)
+        operators[cutoff] = op
+    else:
+        _write_links(op.matrix.data, op.links, params.Omega)
+    return op
+
+
+def _stage_pair(op: FockOperator, tol: float, guess, padded, bound):
+    """Ground pair of one stage, from ``guess`` if that start succeeds at or below ``bound``.
+
+    Otherwise the stage is solved from ``padded``, the lower stage's vector
+    (None for a cold start), and a failed eigensolver gives
+    ``(best estimate, None)``.
+    """
+    if guess is not None:
+        with contextlib.suppress(EigensolverError):
+            energy, state = ground_state(op, tol=tol, v0=guess)
+            if bound is None or energy <= bound:
+                return energy, state
+    try:
+        return ground_state(op, tol=tol, v0=padded)
+    except EigensolverError as exc:
+        if exc.best_estimate is None:
+            raise
+        return exc.best_estimate, None
+
+
+def converge_drives(
+    graph,
+    forms,
+    params: PhysicalParams,
+    drives,
+    *,
+    e_tol: float = 1e-8,
+    max_cutoff: int = 256,
+    frame: str = "bare",
+    eig_tol: float = 1e-11,
+    max_bytes: int = 2**31,
+) -> tuple:
+    """Run the cutoff doubling of :func:`converge_cutoff` at every drive, in order.
+
+    Returns one :class:`SolveReport` per drive, each with the stages,
+    stopping rule and failure handling of a one-drive call.  Work is carried
+    from drive to drive.  Each cutoff's operator is built once, at the first
+    nonzero drive that reaches it, and later nonzero drives rewrite only its
+    link entries in place, which gives the build's matrix bitwise; a drive of
+    exactly 0 (no links) gets its own build.  Above ``DENSE_CUTOVER`` a stage
+    starts from the previous drives' ground vectors at its cutoff,
+    extrapolated linearly in the drive index, and falls back to the
+    zero-padded lower stage's vector when that start fails or ends above the
+    lower stage's energy, which the nested bases forbid.  The scan holds one
+    operator per reached cutoff besides the build in progress.
+    """
+    if params is None:
+        raise DomainError("params is required")
     if max_cutoff < 4:
         raise DomainError(f"max_cutoff must be at least 4, got {max_cutoff}")
-    history = []
-    energy_prev = None
-    converged = False
-    op = state = None
-    cutoff = 4
-    while cutoff <= max_cutoff:
-        v0 = None if state is None else _zero_pad(op, state, cutoff)
-        try:
-            op = build_fock_matrix(graph, forms, params, cutoff, frame=frame, max_bytes=max_bytes)
-        except ResourceBudgetError:
-            if not history:
-                raise
-            break
-        try:
-            energy, state = ground_state(op, tol=eig_tol, v0=v0)
-        except EigensolverError as exc:
-            if exc.best_estimate is None:
-                raise
-            energy, state = exc.best_estimate, None
-        history.append((cutoff, energy))
-        if state is not None and energy_prev is not None and abs(energy - energy_prev) < e_tol:
-            converged = True
-            break
-        energy_prev = None if state is None else energy
-        cutoff *= 2
-    return SolveReport(
-        energy=history[-1][1],
-        cutoff=history[-1][0],
-        converged=converged,
-        energy_history=tuple(history),
-    )
+    operators = {}  # cutoff -> operator built at a nonzero drive
+    trails = {}  # cutoff -> ground vectors of the last two drives there, latest first
+    reports = []
+    for drive in drives:
+        run = dataclasses.replace(params, Omega=float(drive))
+        history = []
+        energy_prev = None
+        converged = False
+        op = state = None
+        cutoff = 4
+        while cutoff <= max_cutoff:
+            padded = None if state is None else _zero_pad(op, state, cutoff)
+            try:
+                op = _carried_operator(operators, graph, forms, run, cutoff, frame, max_bytes)
+            except ResourceBudgetError:
+                if not history:
+                    raise
+                break
+            # dense stages ignore starts, so only sparse ones keep a trail
+            trail = trails.setdefault(cutoff, []) if op.dim > DENSE_CUTOVER else []
+            energy, state = _stage_pair(op, eig_tol, _extrapolate(trail), padded, energy_prev)
+            if state is not None:
+                trail[:] = [state, *trail[:1]]
+            history.append((cutoff, energy))
+            if state is not None and energy_prev is not None and abs(energy - energy_prev) < e_tol:
+                converged = True
+                break
+            energy_prev = None if state is None else energy
+            cutoff *= 2
+        reports.append(
+            SolveReport(
+                energy=history[-1][1],
+                cutoff=history[-1][0],
+                converged=converged,
+                energy_history=tuple(history),
+            )
+        )
+    return tuple(reports)
 
 
 def _per_node_views(op: FockOperator, state: np.ndarray):

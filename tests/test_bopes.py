@@ -1,4 +1,8 @@
+import dataclasses
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,3 +336,35 @@ def test_light_starts_drop_exact_duplicates():
         for (q1, e1), (q2, e2) in zip(a.minima, b.minima):
             assert q1.tobytes() == q2.tobytes()
             assert e1 == e2
+
+
+def test_transition_scan_rows_match_independent_solves():
+    # the criterion-11 grid: carrying operators and vectors along the drives
+    # changes no cutoff or converged flag, and energies only in the last digits
+    params, graph, _, forms, surface = triangle_setup(kappa=0.5 * critical_points(1.0, 0.5)[1])
+    drives = np.linspace(0.06, 0.30, 121)
+    solver = {"e_tol": 1e-3, "max_cutoff": 8, "frame": "bare"}
+    result = transition_scan(
+        graph, forms, params, drives, starts=light_start_points(surface), **solver
+    )
+    for i, drive in enumerate(drives):
+        row = converge_cutoff(graph, forms, dataclasses.replace(params, Omega=drive), **solver)
+        assert result.quantum_cutoffs[i] == row.cutoff
+        assert result.quantum_converged[i] == row.converged
+        assert result.e_quantum[i] == pytest.approx(row.energy, abs=1e-10)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only the surface searches use scipy.optimize, so they import it
+    import vibronic
+
+    src = str(Path(vibronic.__file__).resolve().parents[1])
+    code = "import sys, vibronic; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert out.stdout.strip() == "False"

@@ -1,9 +1,18 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from vibronic import ConfigError, bogoliubov_w, derive_couplings, perpendicular_xi_eff, wigner
+from vibronic import (
+    ConfigError,
+    bogoliubov_w,
+    converge_cutoff,
+    derive_couplings,
+    perpendicular_xi_eff,
+    wigner,
+)
 from vibronic.cli import _fmt, _write_csv, _write_manifest, load_config, main
 
 GRAPH_CONFIG = {
@@ -326,17 +335,37 @@ def test_full_modes_flag_matches_reduced(tmp_path):
     assert manifest_f["parameters"]["modes"] == "full"
 
 
+DUMBBELL_BOPES_SCAN = {
+    "task": "bopes-scan",
+    "geometry": {"preset": "dumbbell", "d": 1.0},
+    "potential": {"type": "explicit", "kappa": 0.25, "xi": 0.0, "nu": 0.1, "v_d": 1.0},
+    "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
+    "solver": {"e_tol": 1e-6, "max_cutoff": 16, "frame": "bare"},
+    "scan": {"start": 0.0, "stop": 0.4, "samples": 33},
+}
+
+# the criterion-11 triangle over 32 drives; its stages are above the dense
+# cutover, so every row after the first starts from the rows before it
+TRIANGLE_BOPES_SCAN = {
+    "task": "bopes-scan",
+    "geometry": {"preset": "triangle", "d": 1.0},
+    "potential": {
+        "type": "explicit",
+        "kappa": 0.5 * (-1.0 / (2.0 * math.sqrt(2.0) * 0.5)),  # half the critical coupling
+        "xi": 0.0,
+        "nu": 0.5,
+        "v_d": 1.0,
+    },
+    "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
+    "solver": {"e_tol": 1e-3, "max_cutoff": 8, "frame": "bare"},
+    "scan": {"start": 0.06, "stop": 0.30, "samples": 32},
+}
+
+
 def test_bopes_scan_task(tmp_path):
-    cfg = {
-        "task": "bopes-scan",
-        "geometry": {"preset": "dumbbell", "d": 1.0},
-        "potential": {"type": "explicit", "kappa": 0.25, "xi": 0.0, "nu": 0.1, "v_d": 1.0},
-        "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
-        "solver": {"e_tol": 1e-6, "max_cutoff": 16, "frame": "bare"},
-        "scan": {"start": 0.0, "stop": 0.4, "samples": 33},
-    }
     out = tmp_path / "out"
-    assert main(["bopes-scan", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    path = write_config(tmp_path, DUMBBELL_BOPES_SCAN)
+    assert main(["bopes-scan", "--config", path, "--out", str(out)]) == 0
     lines = (out / "bopes-scan.csv").read_text().strip().split("\n")
     assert lines[0] == "Omega,E_BO,E_quantum,E_analytic,converged,cutoff"
     assert len(lines) == 34
@@ -387,7 +416,7 @@ def spy_on(monkeypatch, module, name):
 def test_bopes_scan_forwards_every_solver_option(tmp_path, monkeypatch):
     import vibronic.bopes
 
-    calls = spy_on(monkeypatch, vibronic.bopes, "converge_cutoff")
+    calls = spy_on(monkeypatch, vibronic.bopes, "converge_drives")
     cfg = {
         "task": "bopes-scan",
         "geometry": {"preset": "dumbbell", "d": 1.0},
@@ -398,11 +427,39 @@ def test_bopes_scan_forwards_every_solver_option(tmp_path, monkeypatch):
     }
     out = tmp_path / "out"
     assert main(["bopes-scan", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
-    assert len(calls) == 32
-    for _, kwargs in calls:
-        assert kwargs == {"e_tol": 1e-6, "max_cutoff": 16, "frame": "bare", "eig_tol": 1e-9}
+    (args, kwargs), = calls
+    assert len(args[3]) == 32
+    assert kwargs == {"e_tol": 1e-6, "max_cutoff": 16, "frame": "bare", "eig_tol": 1e-9}
     manifest = json.loads((out / "run-manifest.json").read_text())
     assert manifest["parameters"]["solver"]["eig_tol"] == 1e-9
+
+
+def test_bopes_scan_rows_match_independent_solves(tmp_path, monkeypatch):
+    import vibronic.bopes
+
+    calls = spy_on(monkeypatch, vibronic.bopes, "converge_drives")
+    out = tmp_path / "out"
+    path = write_config(tmp_path, DUMBBELL_BOPES_SCAN)
+    assert main(["bopes-scan", "--config", path, "--out", str(out)]) == 0
+    (args, solver), = calls
+    graph, forms, params, drives = args
+    rows = (out / "bopes-scan.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == len(drives)
+    for row, drive in zip(rows, drives):
+        _, _, e_quantum, _, converged, cutoff = row.split(",")
+        alone = converge_cutoff(graph, forms, dataclasses.replace(params, Omega=drive), **solver)
+        assert float(e_quantum) == pytest.approx(alone.energy, abs=1e-10)
+        assert converged == str(alone.converged).lower()
+        assert int(cutoff) == alone.cutoff
+
+
+def test_bopes_scan_is_deterministic(tmp_path):
+    path = write_config(tmp_path, TRIANGLE_BOPES_SCAN)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["bopes-scan", "--config", path, "--out", str(out)]) == 0
+    for name in ("bopes-scan.csv", "run-manifest.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_compare_honours_the_modes_flag(tmp_path, monkeypatch):

@@ -1,14 +1,15 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from vibronic import (
     Couplings,
@@ -22,6 +23,7 @@ from vibronic import (
     build_molecular_model,
     build_resonant_manifold,
     converge_cutoff,
+    converge_drives,
     derive_couplings,
     dumbbell,
     dumbbell_hamiltonian,
@@ -385,12 +387,11 @@ def test_lobpcg_miss_falls_back_to_arpack(monkeypatch):
     graph, forms, params = triangle_model()
     stalled = []
 
-    def no_progress(matrix, x, **kwargs):
+    def no_progress(matrix, v0, tol):
         stalled.append(matrix.shape[0])
-        v = x[:, 0]
-        return np.array([v @ (matrix @ v)]), x
+        return float(v0 @ (matrix @ v0)), v0
 
-    monkeypatch.setattr(fock, "lobpcg", no_progress)
+    monkeypatch.setattr(fock, "_jacobi_lobpcg", no_progress)
     report = converge_cutoff(graph, forms, params, e_tol=0.0, max_cutoff=8)
     assert stalled == [6 * 8**4]
     assert report.energy == pytest.approx(cold_energy(graph, forms, params, 8), abs=1e-10)
@@ -408,10 +409,135 @@ def test_eigensolver_failure_never_converges(monkeypatch):
         raise AssertionError("a failed stage must not warm-start the next one")
 
     monkeypatch.setattr(fock, "eigsh", failing_eigsh)
-    monkeypatch.setattr(fock, "lobpcg", unexpected_lobpcg)
+    monkeypatch.setattr(fock, "_jacobi_lobpcg", unexpected_lobpcg)
     report = converge_cutoff(graph, forms, params, e_tol=1e-8, max_cutoff=8)
     assert not report.converged
     assert report.energy_history == ((4, -1.0), (8, -1.0))
+
+
+def csr_parts(matrix):
+    return tuple(a.copy() for a in (matrix.indptr, matrix.indices, matrix.data))
+
+
+def same_bits(a, b):
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize(
+    "model, frame, max_cutoff",
+    [
+        ("dumbbell", "bare", 16),
+        ("dumbbell", "displaced", 16),
+        ("triangle", "bare", 4),
+        ("triangle", "displaced", 4),
+    ],
+)
+def test_drive_scan_operators_match_fresh_builds(monkeypatch, model, frame, max_cutoff):
+    # a scan rewrites each cutoff's link entries in place; every stage must
+    # see the build at its own drive bitwise, also after a zero drive, which
+    # has no links and so its own build, and on a grid that starts there
+    if model == "dumbbell":
+        params = PhysicalParams(omega=1.0, Omega=0.0)
+        graph, forms = two_state(params, 0.3, -0.1), None
+    else:
+        graph, forms, params = triangle_model(0.0)
+    drives = [0.0, 0.1, 0.25, 0.0, 0.4]
+    cutoffs = [c for c in (4, 8, 16) if c <= max_cutoff]
+    seen = []
+    solve = fock.ground_state
+
+    def spy(op, tol=1e-11, v0=None):
+        seen.append((op.cutoff, csr_parts(op.matrix)))
+        return solve(op, tol=tol, v0=v0)
+
+    monkeypatch.setattr(fock, "ground_state", spy)
+    reports = converge_drives(
+        graph, forms, params, drives, e_tol=0.0, max_cutoff=max_cutoff, frame=frame
+    )
+    assert [[c for c, _ in r.energy_history] for r in reports] == [cutoffs] * len(drives)
+    fresh = {
+        (i, c): csr_parts(
+            build_fock_matrix(graph, forms, dataclasses.replace(params, Omega=d), c, frame=frame).matrix
+        )
+        for i, d in enumerate(drives)
+        for c in cutoffs
+    }
+    drive, matched = 0, set()
+    for cutoff, parts in seen:  # stages run drive by drive; a re-solve repeats one
+        while not same_bits(parts, fresh[drive, cutoff]):  # KeyError: no drive's build
+            drive += 1
+        matched.add((drive, cutoff))
+    assert matched == set(fresh)
+
+
+def test_drive_scan_warm_starts_match_independent_solves(monkeypatch):
+    graph, forms, params = triangle_model()
+    drives = np.linspace(0.06, 0.14, 5)
+    starts = []
+    solve = fock.ground_state
+
+    def spy(op, tol=1e-11, v0=None):
+        starts.append((op.cutoff, v0 is not None))
+        return solve(op, tol=tol, v0=v0)
+
+    monkeypatch.setattr(fock, "ground_state", spy)
+    reports = converge_drives(graph, forms, params, drives, e_tol=0.0, max_cutoff=8)
+    monkeypatch.undo()
+    # only the first drive's first stage starts cold
+    assert starts[0] == (4, False)
+    assert all(warm for _, warm in starts[1:])
+    for drive, report in zip(drives, reports):
+        alone = converge_cutoff(
+            graph, forms, dataclasses.replace(params, Omega=drive), e_tol=0.0, max_cutoff=8
+        )
+        assert [c for c, _ in report.energy_history] == [4, 8]
+        for (_, energy), (_, energy_alone) in zip(report.energy_history, alone.energy_history):
+            assert energy == pytest.approx(energy_alone, abs=1e-10)
+
+
+def test_continuation_above_the_lower_stage_is_solved_again(monkeypatch):
+    # a start that lands on an excited state of the cutoff-8 stage ends above
+    # the cutoff-4 energy, which nested bases forbid: the stage is re-solved
+    # from the padded cutoff-4 vector
+    graph, forms, params = triangle_model()
+    op = build_fock_matrix(graph, forms, params, cutoff=8)
+    values, vectors = eigsh(op.matrix, k=2, which="SA", tol=1e-13)
+    assert values[1] - values[0] > 1e-3
+    starts = iter([None, vectors[:, 1]])  # cutoff 4 starts cold, cutoff 8 on the excited state
+    monkeypatch.setattr(fock, "_extrapolate", lambda trail: next(starts))
+    report = converge_cutoff(graph, forms, params, e_tol=0.0, max_cutoff=8)
+    for cutoff, energy in report.energy_history:
+        assert energy == pytest.approx(cold_energy(graph, forms, params, cutoff), abs=1e-10)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), size=st.floats(1e-9, 0.5))
+def test_lobpcg_kernel_matches_dense_eigh(n, seed, size):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    a = a + a.T
+    values, vectors = np.linalg.eigh(a)
+    start = vectors[:, 0] + size * rng.normal(size=n) / math.sqrt(n)
+    start /= np.linalg.norm(start)
+    rho = float(start @ a @ start)
+    assume(rho < values[1])  # below the first excited level, so the ground state is reached
+    energy, vec = fock._jacobi_lobpcg(sp.csr_matrix(a), start, 1e-11)
+    limit = fock._residual_limit(1e-11, rho)
+    assert np.linalg.norm(a @ vec - energy * vec) <= limit
+    assert abs(energy - values[0]) <= limit
+
+
+def test_lobpcg_breakdown_hands_over_quietly():
+    # past the instability the displaced frame's stages reach energies near
+    # -1e7 with a diagonal below 256; LOBPCG runs out of directions there and
+    # must leave the stage to ARPACK without a floating-point warning
+    params = PhysicalParams(omega=1.0, Omega=0.5)
+    model = two_state(params, 0.3, 0.85 * (-0.25))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = converge_cutoff(model, params=params, max_cutoff=256, frame="displaced")
+    assert not report.converged
+    assert report.cutoff == 256
 
 
 def test_ground_state_rejects_unchecked_pair(monkeypatch):
