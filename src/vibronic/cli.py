@@ -115,15 +115,18 @@ def _parse_geometry(cfg: dict) -> Geometry:
         raise ConfigError("config.geometry", "expected an object")
     if "preset" in geo:
         name = geo["preset"]
-        if name not in GEOMETRY_PRESETS:
+        if not isinstance(name, str) or name not in GEOMETRY_PRESETS:
             raise ConfigError(
                 "config.geometry.preset",
                 f"unknown preset {name!r}; choose from {sorted(GEOMETRY_PRESETS)}",
             )
         d = _number(geo.get("d", 1.0), "config.geometry.d", positive=True)
+        full_3d = geo.get("full_3d", False)
+        if not isinstance(full_3d, bool):
+            raise ConfigError("config.geometry.full_3d", f"expected true or false, got {full_3d!r}")
         if name == "tetrahedron":
             return GEOMETRY_PRESETS[name](d)
-        return GEOMETRY_PRESETS[name](d, full_3d=bool(geo.get("full_3d", False)))
+        return GEOMETRY_PRESETS[name](d, full_3d=full_3d)
     if "positions" in geo:
         pos = geo["positions"]
         if not isinstance(pos, list) or not pos:
@@ -191,7 +194,8 @@ def _parse_params(cfg: dict, geometry: Geometry, potential) -> tuple:
             )
 
     delta_rule = pcfg.get("delta", "-V")
-    if not (delta_rule in ("-V", "-3V") or isinstance(delta_rule, (int, float))):
+    is_number = isinstance(delta_rule, (int, float)) and not isinstance(delta_rule, bool)
+    if not (delta_rule in ("-V", "-3V") or is_number):
         raise ConfigError("config.params.delta", 'expected "-V", "-3V", or a number')
 
     params = PhysicalParams(omega=omega, Omega=drive, d=geometry.d, x0=x0, mass=mass)
@@ -275,6 +279,8 @@ def load_config(path: str, task: str) -> dict:
     }
     if resolved["modes"] not in ("reduced", "full"):
         raise ConfigError("config.modes", 'expected "reduced" or "full"')
+    if not isinstance(resolved["out"], str):
+        raise ConfigError("config.out", f"expected a directory path, got {resolved['out']!r}")
     if task in SCANS or task == "bopes-scan":
         samples_min = MIN_SCAN_SAMPLES if task == "bopes-scan" else 2
         resolved["scan"] = _parse_scan(cfg, samples_min=samples_min)

@@ -29,6 +29,8 @@ each node's rows, with their links, are written in one pass into a single CSR
 matrix with sorted rows.  Every entry is summed in the order of the term list
 ``omega n + const, l_m X_m, Q_mn X_m X_n (m <= n)``.  Link entries are
 written last, as ``(Omega * A_st) * overlap`` at positions the build records.
+The observables read the same bands: :func:`quadrature_moments` dots them with
+three per-node marginals of the state along one mode.
 
 :func:`converge_cutoff` doubles the cutoff until the ground energy settles,
 starting each stage from the lower stage's zero-padded vector, refined above
@@ -54,7 +56,6 @@ from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .assembly import ModeBasis, QuadraticVibronic, node_data
 from .errors import DomainError, EigensolverError, ResourceBudgetError
@@ -86,16 +87,6 @@ class FockOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def basis_state(self, index: int):
-        """Decode a basis index into (node index, occupation tuple)."""
-        per_node = self.cutoff**self.n_modes
-        node, rest = divmod(index, per_node)
-        occ = []
-        for _ in range(self.n_modes):
-            rest, r = divmod(rest, self.cutoff)
-            occ.append(r)
-        return node, tuple(reversed(occ))
-
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
@@ -105,23 +96,6 @@ class SolveReport:
     cutoff: int
     converged: bool
     energy_history: tuple  # ((cutoff, energy), ...)
-
-
-def _ladder_x(cutoff: int) -> sp.csr_matrix:
-    """Matrix of b + b^dag."""
-    sq = np.sqrt(np.arange(1.0, cutoff))
-    return sp.diags([sq, sq], [-1, 1], format="csr")
-
-
-def _momentum_square(cutoff: int) -> np.ndarray:
-    """Dense matrix of (i(b^dag - b))^2."""
-    n = np.arange(float(cutoff))
-    m = np.diag(2.0 * n + 1.0)
-    off = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
-    for i, v in enumerate(off):
-        m[i, i + 2] = -v
-        m[i + 2, i] = -v
-    return m
 
 
 def displacement_matrix(alpha: float, cutoff: int) -> np.ndarray:
@@ -613,7 +587,7 @@ def ground_state(op: FockOperator, tol: float = 1e-11, v0: np.ndarray = None):
     Raises :class:`EigensolverError` carrying the best estimate when no
     solver meets that bound.
     """
-    matrix = op.matrix if isinstance(op, FockOperator) else op
+    matrix = op.matrix
     dim = matrix.shape[0]
     if dim <= DENSE_CUTOVER:
         vals, vecs = np.linalg.eigh(matrix.toarray())
@@ -626,6 +600,8 @@ def ground_state(op: FockOperator, tol: float = 1e-11, v0: np.ndarray = None):
             return _checked_pair(matrix, *_jacobi_lobpcg(matrix, v0, tol), tol, "LOBPCG")
         except (EigensolverError, np.linalg.LinAlgError):
             pass  # ARPACK takes over from the same warm start
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh  # only ARPACK stages need it
+
     maxiter = int(10 * math.sqrt(dim)) + 500
     try:
         vals, vecs = eigsh(matrix, k=1, which="SA", v0=v0, maxiter=maxiter, tol=tol)
@@ -805,18 +781,6 @@ def _zero_pad(op: FockOperator, state: np.ndarray, cutoff: int) -> np.ndarray:
     return padded.ravel()
 
 
-def _mode_expectations(op: FockOperator, state: np.ndarray, mode: int, op_local: np.ndarray):
-    """Per-node expectation values of a single-mode operator."""
-    t = _per_node_views(op, state)
-    tm = np.moveaxis(t, 1 + mode, -1)
-    flat = tm.reshape(op.n_nodes, -1, op.cutoff)
-    out = np.empty(op.n_nodes)
-    for s in range(op.n_nodes):
-        block = flat[s]
-        out[s] = float(np.sum(block * (block @ op_local.T)))
-    return out
-
-
 def quadrature_moments(op: FockOperator, state: np.ndarray, mode: int):
     """Position mean/variance and momentum variance for one mode.
 
@@ -834,16 +798,17 @@ def quadrature_moments(op: FockOperator, state: np.ndarray, mode: int):
     if abs(norm - 1.0) > 1e-8:
         raise DomainError(f"state vector must be normalized, |psi|^2 = {norm}")
 
-    x_local = _ladder_x(op.cutoff).toarray()
-    x2_local = x_local @ x_local
-    p2_local = _momentum_square(op.cutoff)
-
-    weights = np.array(
-        [float(np.sum(v**2)) for v in _per_node_views(op, state).reshape(op.n_nodes, -1)]
+    # the mode marginals: node s's sums of psi_n psi_(n+k) over every other mode, k = 0, 1, 2
+    flat = np.moveaxis(_per_node_views(op, state), 1 + mode, -1).reshape(op.n_nodes, -1, op.cutoff)
+    pairs, neighbours, skips = (
+        np.einsum("srn,srn->sn", flat[..., : op.cutoff - k], flat[..., k:]) for k in range(3)
     )
-    ex_t = _mode_expectations(op, state, mode, x_local)
-    ex2_t = _mode_expectations(op, state, mode, x2_local)
-    ep2 = float(_mode_expectations(op, state, mode, p2_local).sum())
+    bands = _bands(op.cutoff)
+    weights = pairs.sum(axis=1)
+    ex_t = 2.0 * (neighbours @ bands[1])  # per node: X is the +-1 band
+    skip = 2.0 * (skips @ bands[2])  # the +-2 band, shared by X^2 and P^2
+    ex2_t = pairs @ bands[0] + skip
+    ep2 = float((pairs @ (2.0 * np.arange(op.cutoff) + 1.0) - skip).sum())  # P^2 = 2n + 1 - skip
 
     b = op.displacements[:, mode]
     mean_big_x = float(ex_t.sum() + 2.0 * (b * weights).sum())

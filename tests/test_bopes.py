@@ -355,16 +355,19 @@ def test_transition_scan_rows_match_independent_solves():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # only the surface searches use scipy.optimize, so they import it
+    # only the surface searches use scipy.optimize, and only ARPACK stages
+    # scipy.sparse.linalg, so each imports its own
     import vibronic
 
     src = str(Path(vibronic.__file__).resolve().parents[1])
-    code = "import sys, vibronic; print('scipy.optimize' in sys.modules)"
+    code = "import sys, vibronic.cli; print(*(m in sys.modules for m in sys.argv[1:]))"
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, "scipy.optimize", "scipy.sparse.linalg"],
         capture_output=True,
         text=True,
         check=True,
         env={"PYTHONPATH": src, "PATH": ""},
     )
-    assert out.stdout.strip() == "False"
+    loaded_optimize, loaded_sparse_linalg = out.stdout.split()
+    assert loaded_optimize == "False"
+    assert loaded_sparse_linalg == "False"

@@ -197,6 +197,18 @@ def test_schema_errors_carry_the_key_path(tmp_path):
         load_config(write_config(tmp_path, cfg), "gs-scan-xi")
     assert exc.value.path == "config.scan.samples"
 
+    # values that were misread (a bool delta as "-3V", "false" as true) or crashed
+    for key, value, path in (
+        ("params", dict(GRAPH_CONFIG["params"], delta=True), "config.params.delta"),
+        ("geometry", {"preset": "dumbbell", "full_3d": "false"}, "config.geometry.full_3d"),
+        ("geometry", {"preset": ["dumbbell"]}, "config.geometry.preset"),
+        ("out", 5, "config.out"),
+    ):
+        cfg = dict(GRAPH_CONFIG, **{key: value})
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_config(tmp_path, cfg), "graph")
+        assert exc.value.path == path
+
 
 @pytest.mark.parametrize("seed", [1, "0x1"])
 def test_seed_must_be_a_bitstring(tmp_path, capsys, seed):

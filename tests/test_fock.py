@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 import warnings
@@ -92,8 +93,9 @@ def test_dimension_counting():
     params = PhysicalParams(omega=1.0, Omega=0.1)
     op = build_fock_matrix(two_state(params, 0.2, 0.0), params=params, cutoff=16)
     assert op.dim == 2 * 16
-    assert op.basis_state(0) == (0, (0,))
-    assert op.basis_state(17) == (1, (1,))
+    shape = (op.n_nodes,) + (op.cutoff,) * op.n_modes
+    assert np.unravel_index(0, shape) == (0, 0)
+    assert np.unravel_index(17, shape) == (1, 1)
 
     pot = ExplicitCouplings(kappa=-0.2, xi=0.0, nu=0.5, v_d=1.0)
     pp = PhysicalParams(omega=1.0, Omega=0.1, x0=0.5)
@@ -287,6 +289,74 @@ def test_mean_displacements_of_excited_pair():
     assert disp.sum() == pytest.approx(0.0, abs=1e-10)  # no center-of-mass motion
 
 
+@functools.lru_cache(maxsize=None)
+def triangle_operator(frame, cutoff):
+    pot = ExplicitCouplings(kappa=-0.2, xi=0.0, nu=0.5, v_d=1.0)
+    params = PhysicalParams(omega=1.0, Omega=0.1, x0=0.5)
+    graph = build_resonant_manifold(triangle(), -1.0, pot, (0, 0, 1))
+    basis, forms = build_molecular_model(graph, derive_couplings(pot, params), params)
+    return basis, build_fock_matrix(graph, forms, params, cutoff, frame=frame)
+
+
+def dense_moments(op, state, mode):
+    """``(mean_x, var_x, var_p)`` of one mode from the lab-frame X and P^2 over the whole basis.
+
+    X = b + b^dag and P^2 = (i(b^dag - b))^2 are written out as matrices of
+    the truncated mode, embedded with ``kron``, and X is moved by each node's
+    frame shift; X^2 is the product of the truncated X with itself.
+    """
+    c, per_node = op.cutoff, op.cutoff**op.n_modes
+    sq = np.sqrt(np.arange(1.0, c))
+    x = sp.diags([sq, sq], [-1, 1], format="csr")
+    n = np.arange(float(c))
+    p2 = np.diag(2.0 * n + 1.0)
+    off = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
+    for i, v in enumerate(off):
+        p2[i, i + 2] = -v
+        p2[i + 2, i] = -v
+
+    def embed(local):
+        left = sp.identity(op.n_nodes * c**mode, format="csr")
+        right = sp.identity(c ** (op.n_modes - mode - 1), format="csr")
+        return sp.kron(sp.kron(left, sp.csr_matrix(local)), right, format="csr")
+
+    shift = sp.kron(sp.diags(2.0 * op.displacements[:, mode]), sp.identity(per_node))
+    x_state = (embed(x) + shift) @ state
+    mean = state @ x_state
+    return (
+        op.x0 * mean / SQRT2,
+        op.x0**2 * (x_state @ x_state - mean**2) / 2.0,
+        state @ (embed(p2) @ state) / (2.0 * op.x0**2),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    frame=st.sampled_from(["bare", "displaced"]),
+    cutoff=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quadrature_moments_match_dense_operators(frame, cutoff, seed):
+    # random states over every node and mode, in both frames; at cutoff 2 the
+    # +-2 band is empty.  Means of random states come as small as 1e-5, so a
+    # mean is compared to 1e-12 of its value or of the mode's position spread.
+    basis, op = triangle_operator(frame, cutoff)
+    assert (frame == "displaced") == bool(np.any(op.displacements))
+    state = np.random.default_rng(seed).standard_normal(op.dim)
+    state /= np.linalg.norm(state)
+    means, spreads = [], []
+    for mode in range(op.n_modes):
+        mean_x, var_x, var_p = dense_moments(op, state, mode)
+        got = quadrature_moments(op, state, mode)
+        assert got[0] == pytest.approx(mean_x, rel=1e-12, abs=1e-12 * math.sqrt(var_x))
+        assert got[1:] == pytest.approx((var_x, var_p), rel=1e-12)
+        means.append(mean_x)
+        spreads.append(math.sqrt(var_x))
+    expected = basis.to_full(np.array(means)).reshape(basis.n_atoms, basis.n_axes)
+    got = mean_displacements(op, state, basis)
+    assert got == pytest.approx(expected, rel=1e-12, abs=1e-12 * min(spreads))
+
+
 def test_reduction_preserves_energies():
     # discarded directions are free modes: solving in the unreduced coordinate
     # space gives the same ground energy as the reduced model
@@ -345,8 +415,10 @@ def test_zero_pad_keeps_every_basis_state():
     assert padded.shape == (big.dim,)
     landed = np.flatnonzero(padded)
     assert landed.size == small.dim
+    big_shape = (big.n_nodes,) + (big.cutoff,) * big.n_modes
+    small_shape = (small.n_nodes,) + (small.cutoff,) * small.n_modes
     for j in landed:
-        assert big.basis_state(j) == small.basis_state(int(padded[j]) - 1)
+        assert np.unravel_index(j, big_shape) == np.unravel_index(int(padded[j]) - 1, small_shape)
 
 
 def test_warm_stages_match_cold_solves():
@@ -408,7 +480,7 @@ def test_eigensolver_failure_never_converges(monkeypatch):
     def unexpected_lobpcg(*args, **kwargs):
         raise AssertionError("a failed stage must not warm-start the next one")
 
-    monkeypatch.setattr(fock, "eigsh", failing_eigsh)
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", failing_eigsh)
     monkeypatch.setattr(fock, "_jacobi_lobpcg", unexpected_lobpcg)
     report = converge_cutoff(graph, forms, params, e_tol=1e-8, max_cutoff=8)
     assert not report.converged
@@ -547,7 +619,7 @@ def test_ground_state_rejects_unchecked_pair(monkeypatch):
     def wrong_vector(matrix, **kwargs):
         return np.array([-0.5]), np.ones((matrix.shape[0], 1)) / math.sqrt(matrix.shape[0])
 
-    monkeypatch.setattr(fock, "eigsh", wrong_vector)
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", wrong_vector)
     with pytest.raises(EigensolverError) as err:
         ground_state(op)
     assert err.value.best_estimate == -0.5
@@ -581,7 +653,8 @@ def reference_fock_matrix(graph, forms=None, params=None, cutoff=8, frame="bare"
         right = sp.identity(cutoff ** (n_modes - mode - 1), format="csr")
         return sp.kron(sp.kron(left, op_local, format="csr"), right, format="csr")
 
-    x_full = [embed(fock._ladder_x(cutoff), m) for m in range(n_modes)]
+    sq = np.sqrt(np.arange(1.0, cutoff))
+    x_full = [embed(sp.diags([sq, sq], [-1, 1], format="csr"), m) for m in range(n_modes)]
     n_full = [embed(sp.diags(np.arange(float(cutoff)), 0, format="csr"), m) for m in range(n_modes)]
     trap_op = sum(n_full[1:], n_full[0]) if n_modes > 1 else n_full[0]
 
