@@ -25,7 +25,7 @@ def scan(drive, xibars):
     rows = []
     for xibar in xibars:
         xi = xibar * XI_CRITICAL
-        model = vb.dumbbell_hamiltonian(params, vb.Couplings(KAPPA, xi, NU))
+        model = vb.dumbbell_hamiltonian(params, vb.ExplicitCouplings(KAPPA, xi, NU))
         report = vb.converge_cutoff(
             model, params=params, e_tol=1e-8, max_cutoff=256, frame="displaced"
         )

@@ -36,7 +36,7 @@ def main():
     nu_big = 1.5
     params = vb.PhysicalParams(omega=omega, Omega=0.0, d=1.0, x0=nu_big)
     _, kc_big = vb.critical_points(omega, nu_big)
-    coup = vb.Couplings(kappa=0.99 * kc_big, xi=0.0, nu=nu_big)
+    coup = vb.ExplicitCouplings(kappa=0.99 * kc_big, xi=0.0, nu=nu_big)
     form = vb.assemble_state_hamiltonian((1, 1, 0, 0), vb.tetrahedron(), coup, params)
     basis, reduced = vb.reduce_modes([form], params)
     op = vb.build_fock_matrix(SINGLE, reduced, params, cutoff=64, frame="displaced")

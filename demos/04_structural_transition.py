@@ -37,7 +37,6 @@ def main():
         e_tol=1e-3,
         max_cutoff=8,
         frame="bare",
-        starts=vb.light_start_points(surface),
     )
     from vibronic.bopes import transition_scan_csv
 

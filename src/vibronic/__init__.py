@@ -17,6 +17,7 @@ from .analytic import (
     critical_points,
     epsilon2,
     epsilon4,
+    pair_epsilon,
     perpendicular_xi_eff,
     quantum_correction,
     wigner,
@@ -89,7 +90,6 @@ from .graphs import (
     triangle,
 )
 from .params import (
-    Couplings,
     ExplicitCouplings,
     PhysicalParams,
     PowerLaw,

@@ -83,39 +83,45 @@ def _check_stable(name: str, reduced: float):
         raise CriticalBoundaryError(f"{name} sits at its critical value within resolution")
 
 
+def pair_epsilon(kappa: float, xi: float, omega: float, nu: float, n_perp: int) -> float:
+    """Dimensionless zero-drive ground energy of an excited pair.
+
+    The pair's axial mode carries the linear coupling and the curvature
+    ``xi``; each of its ``n_perp`` perpendicular modes carries
+    ``nu kappa / sqrt(2)`` and adds its zero-point shift
+    ``(sqrt(1 - kappabar) - 1) / 2``.  The axial dumbbell has no
+    perpendicular mode, the planar triangle one, the tetrahedron two, so
+    ``n_perp = n_axes - 1``.  The pair's ground energy is ``omega`` times the
+    result; ``nu`` enters only through the perpendicular modes.
+    """
+    xi_c, kappa_c = critical_points(omega, nu)
+    xibar = xi / xi_c
+    _check_stable("xi/xi_c", xibar)
+    eps = -(2.0 * kappa**2 / omega**2) / (1.0 - xibar) + 0.5 * math.sqrt(1.0 - xibar)
+    if n_perp:
+        kappabar = kappa / kappa_c
+        _check_stable("kappa/kappa_c", kappabar)
+        eps += 0.5 * n_perp * math.sqrt(1.0 - kappabar)
+    return eps - 0.5 * (1 + n_perp)
+
+
 def epsilon2(kappa: float, xi: float, omega: float) -> float:
     """Dimensionless ground-state energy of the excited-pair mode.
 
-    The pair's ground energy is ``omega * epsilon2``; the full two-atom ground
-    energy at zero drive is ``min(omega * epsilon2, 0)``.
+    The ``n_perp = 0`` case of :func:`pair_epsilon`.  The pair's ground
+    energy is ``omega * epsilon2``; the full two-atom ground energy at zero
+    drive is ``min(omega * epsilon2, 0)``.
     """
-    xi_c, _ = critical_points(omega, 1.0)
-    xibar = xi / xi_c
-    _check_stable("xi/xi_c", xibar)
-    return (
-        -(2.0 * kappa**2 / omega**2) / (1.0 - xibar)
-        + 0.5 * math.sqrt(1.0 - xibar)
-        - 0.5
-    )
+    return pair_epsilon(kappa, xi, omega, 1.0, 0)
 
 
 def epsilon4(kappa: float, xi: float, omega: float, nu: float) -> float:
     """Dimensionless ground-state energy of a doubly excited pair in 3D.
 
-    Adds the two perpendicular modes to :func:`epsilon2`; the four-atom ground
+    The ``n_perp = 2`` case of :func:`pair_epsilon`; the four-atom ground
     energy at zero drive is ``min(omega * epsilon4, 0)``.
     """
-    xi_c, kappa_c = critical_points(omega, nu)
-    xibar = xi / xi_c
-    kappabar = kappa / kappa_c
-    _check_stable("xi/xi_c", xibar)
-    _check_stable("kappa/kappa_c", kappabar)
-    return (
-        -(2.0 * kappa**2 / omega**2) / (1.0 - xibar)
-        + 0.5 * math.sqrt(1.0 - xibar)
-        + math.sqrt(1.0 - kappabar)
-        - 1.5
-    )
+    return pair_epsilon(kappa, xi, omega, nu, 2)
 
 
 def wigner_widths(w: float):

@@ -271,13 +271,14 @@ def build_molecular_model(graph: ResonantGraph, couplings, params: PhysicalParam
     return basis, forms
 
 
-def edge_mode_directions(geometry: Geometry, pair, basis: ModeBasis = None):
+def edge_mode_directions(geometry: Geometry, pair, basis: ModeBasis):
     """Unit displacement generators of a pair's relative motion.
 
-    Returns ``(parallel, perpendiculars)`` in full coordinate space, or mapped
-    to reduced coordinates when a basis is given.  The parallel direction moves
-    the two atoms apart along their axis; perpendicular directions move them
-    oppositely within the orthogonal plane intersected with the active axes.
+    Returns ``(parallel, perpendiculars)`` in the coordinates of ``basis``
+    (:func:`identity_basis` keeps the full coordinate space).  The parallel
+    direction moves the two atoms apart along their axis; perpendicular
+    directions move them oppositely within the orthogonal plane intersected
+    with the active axes.
     """
     k, l = pair
     na = geometry.n_axes
@@ -305,10 +306,7 @@ def edge_mode_directions(geometry: Geometry, pair, basis: ModeBasis = None):
             v = v / np.linalg.norm(v)
             acc.append(v)
             perps.append(embed(v))
-    if basis is not None:
-        parallel = basis.to_reduced(parallel)
-        perps = [basis.to_reduced(p) for p in perps]
-    return parallel, perps
+    return basis.to_reduced(parallel), [basis.to_reduced(p) for p in perps]
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,6 +32,9 @@ SADDLE_STEP = 0.1  # step off a saddle along negative curvature, units of x0
 MAX_DESCENTS = 3  # gradient descents per start before the simplex fallback
 _LBFGS_OPTIONS = {"ftol": 1e-18, "gtol": 1e-14, "maxiter": 500}
 MIN_SCAN_SAMPLES = 32  # drive samples a transition scan needs to place the kink
+FIT_RADIUS = 0.1  # initial stencil radius of the quadratic fit, units of x0
+FIT_GAP_TOL = 1e-9  # electronic gap every fit stencil point must exceed
+FIT_MAX_SHRINKS = 8  # stencil halvings before the fit gives up on a crossing
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,23 +305,17 @@ class QuadraticFit:
         return self.linear - 2.0 * self.quadratic @ self.center
 
 
-def bo_quadratic_check(
-    surface: BoSurface,
-    center,
-    radius: float = None,
-    gap_tol: float = 1e-9,
-    max_shrinks: int = 8,
-) -> QuadraticFit:
+def bo_quadratic_check(surface: BoSurface, center) -> QuadraticFit:
     """Fit the surface by a quadratic on a small stencil around ``center``.
 
-    If any stencil point approaches an electronic level crossing the stencil
-    radius is halved and the fit retried, so the fit always samples a single
-    smooth eigenvalue branch.
+    The stencil starts at radius ``FIT_RADIUS * x0``.  If any stencil point
+    approaches an electronic level crossing (gap at most ``FIT_GAP_TOL``) the
+    radius is halved and the fit retried, at most ``FIT_MAX_SHRINKS`` times,
+    so the fit always samples a single smooth eigenvalue branch.
     """
     center = np.asarray(center, dtype=float)
     dim = surface.dim
-    if radius is None:
-        radius = 0.1 * surface.x0
+    radius = FIT_RADIUS * surface.x0
 
     offsets = [np.zeros(dim)]
     for m in range(dim):
@@ -334,10 +331,10 @@ def bo_quadratic_check(
                 offsets.append(v)
     offsets = np.array(offsets)
 
-    for _ in range(max_shrinks + 1):
+    for _ in range(FIT_MAX_SHRINKS + 1):
         points = center + radius * offsets
         gaps = [bo_eigen_gap(surface, p) for p in points]
-        if min(gaps) > gap_tol:
+        if min(gaps) > FIT_GAP_TOL:
             break
         radius *= 0.5
     else:
@@ -372,11 +369,15 @@ def bo_quadratic_check(
 
 @dataclass(frozen=True, eq=False)
 class TransitionScanResult:
-    """Surface and exact ground energies over a drive-strength grid."""
+    """Surface minima and exact ground energies over a drive-strength grid.
+
+    ``e_quantum``, ``quantum_converged`` and ``quantum_cutoffs`` hold the
+    cutoff-doubling report of every drive.
+    """
 
     omegas: np.ndarray
     e_bo: np.ndarray
-    e_quantum: np.ndarray  # NaN entries when the quantum solve was skipped
+    e_quantum: np.ndarray
     quantum_converged: np.ndarray
     quantum_cutoffs: np.ndarray
     kink_omega: float
@@ -389,26 +390,18 @@ def _second_differences(values: np.ndarray) -> np.ndarray:
     return values[2:] - 2.0 * values[1:-1] + values[:-2]
 
 
-def transition_scan(
-    graph,
-    forms,
-    params: PhysicalParams,
-    omegas,
-    *,
-    quantum: bool = True,
-    starts=None,
-    **solver,
-) -> TransitionScanResult:
-    """Scan the surface minimum (and exact ground energy) against the drive.
+def transition_scan(graph, forms, params: PhysicalParams, omegas, **solver) -> TransitionScanResult:
+    """Scan the surface minimum and the exact ground energy against the drive.
 
-    The kink of the clamped-coordinate curve is located as the maximizer of
-    the discrete second difference, refined once on a finer local grid; its
-    uncertainty is the refined grid spacing.  The exact curve is computed with
-    the cutoff-doubling solver at every grid point when ``quantum`` is true,
-    carried along the grid by :func:`converge_drives`, which gets the
-    ``solver`` keywords (``e_tol``, ``max_cutoff``, ``frame``, ``eig_tol``,
-    ...) unchanged.  The grid needs at least
-    ``MIN_SCAN_SAMPLES`` strictly increasing drive values.
+    Every drive's surface minimum comes from :func:`minimize_bo`, seeded with
+    the :func:`light_start_points` of the zero-drive surface.  The kink of
+    the clamped-coordinate curve is located as the maximizer of the discrete
+    second difference, refined once on a finer local grid; its uncertainty
+    is the refined grid spacing.  The exact curve is computed with the
+    cutoff-doubling solver at every grid point, carried along the grid by
+    :func:`converge_drives`, which gets the ``solver`` keywords (``e_tol``,
+    ``max_cutoff``, ``frame``, ``eig_tol``, ...) unchanged.  The grid needs
+    at least ``MIN_SCAN_SAMPLES`` strictly increasing drive values.
     """
     omegas = np.asarray(omegas, dtype=float)
     if omegas.size < MIN_SCAN_SAMPLES:
@@ -417,38 +410,29 @@ def transition_scan(
         raise DomainError("drive grid must be strictly increasing")
 
     base = build_bo_surface(graph, forms, params, Omega=0.0)
+    starts = light_start_points(base)
 
     def bo_minimum(omega_drive: float) -> float:
-        report = minimize_bo(base.with_omega(omega_drive), starts=starts)
-        return report.global_energy
+        return minimize_bo(base.with_omega(omega_drive), starts=starts).global_energy
 
     e_bo = np.array([bo_minimum(o) for o in omegas])
-
-    e_quantum = np.full_like(e_bo, np.nan)
-    q_conv = np.zeros(omegas.size, dtype=bool)
-    q_cut = np.zeros(omegas.size, dtype=int)
-    if quantum:
-        for i, report in enumerate(converge_drives(graph, forms, params, omegas, **solver)):
-            e_quantum[i] = report.energy
-            q_conv[i] = report.converged
-            q_cut[i] = report.cutoff
+    reports = converge_drives(graph, forms, params, omegas, **solver)
+    e_quantum = np.array([report.energy for report in reports])
 
     d2_bo = _second_differences(e_bo)
     kink_idx = int(np.argmax(np.abs(d2_bo))) + 1
     fine = np.linspace(omegas[kink_idx - 1], omegas[kink_idx + 1], 9)
     d2_fine = _second_differences(np.array([bo_minimum(o) for o in fine]))
-
-    d2_q = _second_differences(e_quantum) if quantum else np.array([np.nan])
     return TransitionScanResult(
         omegas=omegas,
         e_bo=e_bo,
         e_quantum=e_quantum,
-        quantum_converged=q_conv,
-        quantum_cutoffs=q_cut,
+        quantum_converged=np.array([report.converged for report in reports], dtype=bool),
+        quantum_cutoffs=np.array([report.cutoff for report in reports], dtype=int),
         kink_omega=float(fine[int(np.argmax(np.abs(d2_fine))) + 1]),
         kink_uncertainty=float(fine[1] - fine[0]),
         bo_second_diff_max=float(np.max(np.abs(d2_bo))),
-        quantum_second_diff_max=float(np.nanmax(np.abs(d2_q))) if quantum else math.nan,
+        quantum_second_diff_max=float(np.max(np.abs(_second_differences(e_quantum)))),
     )
 
 
@@ -461,14 +445,13 @@ def transition_scan_csv(result: TransitionScanResult, analytic=None) -> str:
     """
     lines = ["Omega,E_BO,E_quantum,E_analytic,converged,cutoff"]
     for i in range(result.omegas.size):
-        eq = result.e_quantum[i]
         ea = math.nan if analytic is None else float(analytic[i])
         lines.append(
             ",".join(
                 [
                     repr(float(result.omegas[i])),
                     repr(float(result.e_bo[i])),
-                    "" if math.isnan(eq) else repr(float(eq)),
+                    repr(float(result.e_quantum[i])),
                     "" if math.isnan(ea) else repr(ea),
                     str(bool(result.quantum_converged[i])).lower(),
                     str(int(result.quantum_cutoffs[i])),

@@ -15,6 +15,12 @@ The three ``gs-scan-*`` tasks run through one driver, ``_task_scan``: the
 row is one ``converge_cutoff`` call with the configured solver options.
 ``gs-scan-omega``, ``bopes-scan`` and ``compare`` build the same molecular
 model, in the reduced or full mode space that ``modes`` selects.
+
+Every closed-form energy column comes from :func:`analytic.pair_epsilon`.
+``gs-scan-kappa`` and the zero-drive rows of ``bopes-scan`` use
+``n_perp = geometry.n_axes - 1`` perpendicular modes, the count ``compare``
+gives :func:`analytic.zero_point_correction`; ``gs-scan-xi`` solves the axial
+pair alone and uses none.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -32,8 +39,7 @@ from . import __version__
 from .analytic import (
     bogoliubov_w,
     critical_points,
-    epsilon2,
-    epsilon4,
+    pair_epsilon,
     perpendicular_xi_eff,
     wigner,
     zero_point_correction,
@@ -47,7 +53,6 @@ from .assembly import (
 from .bopes import (
     MIN_SCAN_SAMPLES,
     build_bo_surface,
-    light_start_points,
     minimize_bo,
     transition_scan,
     transition_scan_csv,
@@ -96,6 +101,8 @@ def _require(cfg: dict, key: str, path: str):
 def _number(value, path: str, positive=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
+    if not math.isfinite(value):  # json.loads reads the bare tokens NaN and Infinity
+        raise ConfigError(path, f"expected a finite number, got {value}")
     if positive and value <= 0:
         raise ConfigError(path, f"expected a positive number, got {value}")
     return float(value)
@@ -195,8 +202,8 @@ def _parse_params(cfg: dict, geometry: Geometry, potential) -> tuple:
 
     delta_rule = pcfg.get("delta", "-V")
     is_number = isinstance(delta_rule, (int, float)) and not isinstance(delta_rule, bool)
-    if not (delta_rule in ("-V", "-3V") or is_number):
-        raise ConfigError("config.params.delta", 'expected "-V", "-3V", or a number')
+    if not (delta_rule in ("-V", "-3V") or is_number and math.isfinite(delta_rule)):
+        raise ConfigError("config.params.delta", 'expected "-V", "-3V", or a finite number')
 
     params = PhysicalParams(omega=omega, Omega=drive, d=geometry.d, x0=x0, mass=mass)
     return params, delta_rule
@@ -446,6 +453,11 @@ def _explicit_couplings(resolved, variable: str) -> ExplicitCouplings:
     return potential
 
 
+def _pair_energy(coup, params: PhysicalParams, n_perp: int) -> float:
+    """Closed-form zero-drive energy of an excited pair with ``n_perp`` perpendicular modes."""
+    return params.omega * pair_epsilon(coup.kappa, coup.xi, params.omega, coup.nu, n_perp)
+
+
 # Each scan set-up returns (critical scale, model_at, manifest results), where
 # model_at(value) gives the converge_cutoff arguments and the closed-form
 # energy (or None) of one row.
@@ -460,8 +472,9 @@ def _xi_scan(resolved):
         coup = dataclasses.replace(potential, xi=xi)
         analytic = None
         if params.Omega == 0.0:
+            # the axial pair model has no perpendicular mode, whatever the geometry
             try:
-                analytic = min(params.omega * epsilon2(coup.kappa, coup.xi, params.omega), 0.0)
+                analytic = min(_pair_energy(coup, params, 0), 0.0)
             except InstabilityError:
                 analytic = "unstable"
         return (dumbbell_hamiltonian(params, coup), None, params), analytic
@@ -488,11 +501,7 @@ def _kappa_scan(resolved):
         form = assemble_state_hamiltonian(target, geometry, coup, params)
         _, reduced = reduce_modes([form], params)
         try:
-            if geometry.n_axes == 3:
-                eps = epsilon4(coup.kappa, coup.xi, params.omega, coup.nu)
-            else:
-                eps = epsilon2(coup.kappa, coup.xi, params.omega)
-            analytic = params.omega * eps
+            analytic = _pair_energy(coup, params, geometry.n_axes - 1)
         except InstabilityError:
             analytic = "unstable"
         return (np.zeros((1, 1)), reduced, params), analytic
@@ -572,21 +581,15 @@ def _task_bopes_scan(resolved, outdir: Path):
     params = resolved["params"]
     graph, forms, _, coup = _molecular_model(resolved)
     drives = _scan_values(resolved["scan"], 1.0)
-    starts = light_start_points(build_bo_surface(graph, forms, params, Omega=0.0))
-    result = transition_scan(graph, forms, params, drives, starts=starts, **resolved["solver"])
-    # closed-form ground energy exists at zero drive only: classical minimum
-    # of the displaced branch plus the zero-point shift, floored at zero
+    result = transition_scan(graph, forms, params, drives, **resolved["solver"])
+    # closed-form ground energy exists at zero drive only: the excited pair's
+    # energy, floored at the zero of the pair-free configurations
     analytic = np.full(drives.size, np.nan)
     zero_rows = np.nonzero(drives == 0.0)[0]
     if zero_rows.size:
         try:
-            xibar = coup.xi / (-params.omega / 4.0)
-            branch = -(2.0 * coup.kappa**2 / params.omega) / (1.0 - xibar)
-            shift = zero_point_correction(
-                coup.kappa, coup.xi, params.omega, coup.nu,
-                n_perp=resolved["geometry"].n_axes - 1,
-            )
-            analytic[zero_rows] = min(branch + shift, 0.0)
+            n_perp = resolved["geometry"].n_axes - 1
+            analytic[zero_rows] = min(_pair_energy(coup, params, n_perp), 0.0)
         except InstabilityError:
             pass
     (outdir / "bopes-scan.csv").write_text(

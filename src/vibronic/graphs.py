@@ -21,6 +21,10 @@ from .params import pair_potential
 
 Config = tuple  # tuple[int, ...], one entry per atom
 
+# Diagonal energies within this fraction of max(|E_seed|, omega) of the
+# seed's count as degenerate with it.
+DEGENERACY_REL_TOL = 1e-9
+
 
 def config_from_string(bits: str) -> Config:
     """Parse a bitstring like ``"0110"`` into a configuration tuple."""
@@ -160,17 +164,16 @@ def build_resonant_manifold(
     Delta: float,
     model,
     seed: Config,
-    rel_tol: float = 1e-9,
     omega: float = 1.0,
     Omega: float = None,
 ) -> ResonantGraph:
     """Collect every configuration degenerate with ``seed`` and link single flips.
 
     All 2^N configurations are enumerated; those whose diagonal energy matches
-    the seed's within ``rel_tol * max(|E_seed|, omega)`` form the node set.
-    Edges connect members differing in exactly one occupation.  If ``Omega``
-    is supplied, a warning is emitted when ``|Omega/Delta| > 0.1`` since the
-    manifold picture assumes far-detuned driving.
+    the seed's within ``DEGENERACY_REL_TOL * max(|E_seed|, omega)`` form the
+    node set.  Edges connect members differing in exactly one occupation.  If
+    ``Omega`` is supplied, a warning is emitted when ``|Omega/Delta| > 0.1``
+    since the manifold picture assumes far-detuned driving.
     """
     n = geometry.n_atoms
     if not 1 <= n <= 16:
@@ -189,7 +192,7 @@ def build_resonant_manifold(
     for code in range(2**n):
         config = tuple((code >> (n - 1 - i)) & 1 for i in range(n))
         e = diagonal_energy(config, geometry, Delta, model)
-        if abs(e - e_seed) <= rel_tol * scale:
+        if abs(e - e_seed) <= DEGENERACY_REL_TOL * scale:
             members.append(config)
     members.sort(key=config_to_string)
 

@@ -108,12 +108,14 @@ class PowerLawSum:
 
 @dataclass(frozen=True)
 class ExplicitCouplings:
-    """Pins the coupling constants directly, bypassing any radial potential.
+    """Coupling constants at the equilibrium distance, pinned directly.
 
-    Needed to scan the linear coupling ``kappa`` or curvature ``xi`` as free
-    parameters detached from a single potential shape.  ``v_d`` is the
-    interaction energy at the equilibrium distance, used only for diagonal
-    configuration energies (zero if irrelevant).
+    As an interaction model it bypasses any radial potential, which is needed
+    to scan the linear coupling ``kappa`` or curvature ``xi`` as free
+    parameters detached from a single potential shape; it is also what
+    :func:`derive_couplings` returns.  ``v_d`` is the interaction energy at
+    the equilibrium distance, used only for diagonal configuration energies
+    (zero if irrelevant).
     """
 
     kappa: float
@@ -124,16 +126,6 @@ class ExplicitCouplings:
     def __post_init__(self):
         if self.nu <= 0:
             raise DomainError(f"nu must be positive, got {self.nu}")
-
-
-@dataclass(frozen=True)
-class Couplings:
-    """Derived vibronic coupling constants at the equilibrium distance."""
-
-    kappa: float
-    xi: float
-    nu: float
-    v_d: float = 0.0
 
 
 def potential_eval(model, r: float):
@@ -153,12 +145,12 @@ def pair_potential(model, r: float, d: float):
     """``(V, V', V'')`` of a pair at distance ``r`` under any interaction model.
 
     Radial models are evaluated at ``r``.  Pinned couplings
-    (:class:`Couplings`, :class:`ExplicitCouplings`) define the interaction
-    only at the nominal distance ``d``, where ``V = v_d``,
+    (:class:`ExplicitCouplings`) define the interaction only at the nominal
+    distance ``d``, where ``V = v_d``,
     ``V' = sqrt(2) kappa / x0`` and ``V'' = 2 xi / x0^2`` with ``x0 = nu d``;
     at any other distance they raise :class:`UnsupportedVariantError`.
     """
-    if isinstance(model, (Couplings, ExplicitCouplings)):
+    if isinstance(model, ExplicitCouplings):
         if abs(r - d) > 1e-9 * d:
             raise UnsupportedVariantError(
                 f"pinned couplings define the interaction only at the nominal distance d={d}; "
@@ -169,16 +161,16 @@ def pair_potential(model, r: float, d: float):
     return potential_eval(model, r)
 
 
-def derive_couplings(model, params: PhysicalParams) -> Couplings:
+def derive_couplings(model, params: PhysicalParams) -> ExplicitCouplings:
     """Derive the coupling constants (kappa, xi, nu) from a potential model.
 
     For radial models, kappa = x0 V'(d)/sqrt(2) and xi = x0^2 V''(d)/2
     evaluated at the equilibrium distance d.  An :class:`ExplicitCouplings`
-    model passes through unchanged.
+    model is returned as it is.
     """
     if isinstance(model, ExplicitCouplings):
-        return Couplings(kappa=model.kappa, xi=model.xi, nu=model.nu, v_d=model.v_d)
+        return model
     v, v1, v2 = potential_eval(model, params.d)
     kappa = params.x0 * v1 / SQRT2
     xi = params.x0**2 * v2 / 2.0
-    return Couplings(kappa=kappa, xi=xi, nu=params.nu, v_d=v)
+    return ExplicitCouplings(kappa=kappa, xi=xi, nu=params.nu, v_d=v)

@@ -26,7 +26,7 @@ def _report(criterion, elapsed, detail=""):
 
 def _excited_pair_form(geometry, kappa, xi, nu, params):
     state = tuple(1 if i < 2 else 0 for i in range(geometry.n_atoms))
-    coup = vb.Couplings(kappa=kappa, xi=xi, nu=nu)
+    coup = vb.ExplicitCouplings(kappa=kappa, xi=xi, nu=nu)
     form = vb.assemble_state_hamiltonian(state, geometry, coup, params)
     basis, reduced = vb.reduce_modes([form], params)
     return basis, reduced
@@ -73,7 +73,7 @@ def test_criterion_03_dumbbell_energy_oracle():
     for kappa in np.linspace(0.0, 1.0, 5):
         for xibar in np.linspace(-2.0, 0.9, 5):
             xi = xibar * (-0.25)
-            model = vb.dumbbell_hamiltonian(params, vb.Couplings(kappa, xi, 0.1))
+            model = vb.dumbbell_hamiltonian(params, vb.ExplicitCouplings(kappa, xi, 0.1))
             report = vb.converge_cutoff(
                 SINGLE, [model.forms[1]], params, e_tol=1e-9, max_cutoff=256, frame="displaced"
             )
@@ -115,7 +115,7 @@ def test_criterion_05_instability_detection():
     params = vb.PhysicalParams(omega=1.0, Omega=0.0)
 
     def excited_block(kappa, xi):
-        model = vb.dumbbell_hamiltonian(params, vb.Couplings(kappa, xi, 0.1))
+        model = vb.dumbbell_hamiltonian(params, vb.ExplicitCouplings(kappa, xi, 0.1))
         return [model.forms[1]]
 
     # curvature instability on the pair mode
@@ -157,7 +157,7 @@ def test_criterion_06_instability_persists_at_finite_drive():
     start = time.time()
     params = vb.PhysicalParams(omega=1.0, Omega=0.5)
     for kappa in (0.0, 0.2):
-        model = vb.dumbbell_hamiltonian(params, vb.Couplings(kappa, 1.1 * (-0.25), 0.1))
+        model = vb.dumbbell_hamiltonian(params, vb.ExplicitCouplings(kappa, 1.1 * (-0.25), 0.1))
         report = vb.converge_cutoff(model, params=params, e_tol=1e-8, max_cutoff=256)
         assert not report.converged
         history = [e for _, e in report.energy_history]
@@ -287,7 +287,6 @@ def test_criterion_11_structural_transition_shape():
         e_tol=1e-3,
         max_cutoff=8,
         frame="bare",
-        starts=vb.light_start_points(surface),
     )
     ratio = result.bo_second_diff_max / result.quantum_second_diff_max
     assert ratio >= 5.0

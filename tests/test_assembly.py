@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from vibronic import (
-    Couplings,
     ExplicitCouplings,
     Geometry,
     PhysicalParams,
@@ -80,7 +79,7 @@ def test_expansion_vanishes_at_potential_stationary_point():
 
 def test_single_excitation_states_are_trap_only():
     params = PhysicalParams(omega=1.0, x0=0.1)
-    coup = Couplings(kappa=-1.0, xi=0.3, nu=0.1)
+    coup = ExplicitCouplings(kappa=-1.0, xi=0.3, nu=0.1)
     for geom, state in [(dumbbell(), (0, 1)), (triangle(), (0, 1, 0)), (tetrahedron(), (1, 0, 0, 0))]:
         form = assemble_state_hamiltonian(state, geom, coup, params)
         trap = params.omega / (2 * params.x0**2)
@@ -90,7 +89,7 @@ def test_single_excitation_states_are_trap_only():
 
 def test_dumbbell_pair_couplings_reproduce_closed_forms():
     params = PhysicalParams(omega=1.0, x0=0.1)
-    coup = Couplings(kappa=-0.42426406871192851, xi=0.21, nu=0.1)
+    coup = ExplicitCouplings(kappa=-0.42426406871192851, xi=0.21, nu=0.1)
     form = assemble_state_hamiltonian((1, 1), dumbbell(), coup, params)
     basis, (red,) = reduce_modes([form], params)
     assert basis.dim == 1
@@ -104,7 +103,7 @@ def test_tetrahedron_pair_mode_coefficients(nu):
     # one parallel mode carrying (sqrt(2) kappa, xi) and two perpendicular
     # modes carrying nu kappa / sqrt(2) each
     params = PhysicalParams(omega=1.0, x0=nu)
-    coup = Couplings(kappa=-1.0, xi=0.05, nu=nu)
+    coup = ExplicitCouplings(kappa=-1.0, xi=0.05, nu=nu)
     form = assemble_state_hamiltonian((1, 1, 0, 0), tetrahedron(), coup, params)
     basis, (red,) = reduce_modes([form], params)
     assert basis.dim == 3
@@ -134,7 +133,7 @@ def test_reduced_dimensions_for_presets():
 
 def test_mode_basis_orthonormal_and_spanning():
     params = PhysicalParams(omega=1.0, x0=0.1)
-    coup = Couplings(kappa=-1.0, xi=0.1, nu=0.1)
+    coup = ExplicitCouplings(kappa=-1.0, xi=0.1, nu=0.1)
     graph = build_resonant_manifold(
         tetrahedron(), -1.0, ExplicitCouplings(-1.0, 0.1, 0.1, 1.0), (1, 0, 0, 0)
     )
@@ -152,7 +151,7 @@ def test_mode_basis_orthonormal_and_spanning():
 
 def test_center_of_mass_never_enters_the_basis():
     params = PhysicalParams(omega=1.0, x0=0.1)
-    coup = Couplings(kappa=-1.0, xi=0.1, nu=0.1)
+    coup = ExplicitCouplings(kappa=-1.0, xi=0.1, nu=0.1)
     for geom, seed in [(triangle(), (0, 0, 1)), (tetrahedron(), (1, 0, 0, 0))]:
         graph = build_resonant_manifold(geom, -1.0, ExplicitCouplings(-1.0, 0.1, 0.1, 1.0), seed)
         basis, _ = build_molecular_model(graph, coup, params)
@@ -165,7 +164,7 @@ def test_center_of_mass_never_enters_the_basis():
 
 def test_reduced_dimension_is_relabeling_invariant():
     params = PhysicalParams(omega=1.0, x0=0.1)
-    coup = Couplings(kappa=-1.0, xi=0.1, nu=0.1)
+    coup = ExplicitCouplings(kappa=-1.0, xi=0.1, nu=0.1)
     geom = tetrahedron()
     perm = [1, 2, 3, 0]
     from vibronic import Geometry
@@ -195,7 +194,7 @@ def test_full_3d_override_enlarges_the_mode_space():
 
 def test_two_state_model_matches_spec_form():
     params = PhysicalParams(omega=1.0, Omega=0.4, x0=0.2)
-    coup = Couplings(kappa=-0.7, xi=0.12, nu=0.2)
+    coup = ExplicitCouplings(kappa=-0.7, xi=0.12, nu=0.2)
     model = dumbbell_hamiltonian(params, coup)
     # the off-diagonal weight sqrt(2) multiplies the drive Omega
     assert params.Omega * model.adjacency[0, 1] == pytest.approx(SQRT2 * 0.4, rel=1e-15)
@@ -216,7 +215,7 @@ def test_identity_basis_covers_active_coordinates():
 
 def test_forms_dump_roundtrip():
     params = PhysicalParams(omega=1.0, x0=0.1)
-    coup = Couplings(kappa=-1.0, xi=0.1, nu=0.1)
+    coup = ExplicitCouplings(kappa=-1.0, xi=0.1, nu=0.1)
     form = assemble_state_hamiltonian((1, 1), dumbbell(), coup, params)
     basis, reduced = reduce_modes([form], params)
     doc = json.loads(dump_forms_json(reduced, basis))
@@ -229,9 +228,9 @@ def test_pinned_couplings_reject_off_nominal_pairs():
     # the square's diagonal pairs sit at sqrt(2) d, where pinned couplings are undefined
     square = Geometry(np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]))
     params = PhysicalParams(omega=1.0, d=1.0, x0=0.1)
-    for model in (Couplings(kappa=0.1, xi=0.02, nu=0.1), ExplicitCouplings(kappa=0.1, xi=0.02, nu=0.1)):
-        edge = assemble_state_hamiltonian((1, 1, 0, 0), square, model, params)
-        # atom 0 feels V'(d) = sqrt(2) kappa / (nu d) along the pair axis
-        assert edge.linear[:3] == pytest.approx([-SQRT2, 0.0, 0.0])
-        with pytest.raises(UnsupportedVariantError, match="nominal distance"):
-            assemble_state_hamiltonian((1, 0, 1, 0), square, model, params)
+    model = ExplicitCouplings(kappa=0.1, xi=0.02, nu=0.1)
+    edge = assemble_state_hamiltonian((1, 1, 0, 0), square, model, params)
+    # atom 0 feels V'(d) = sqrt(2) kappa / (nu d) along the pair axis
+    assert edge.linear[:3] == pytest.approx([-SQRT2, 0.0, 0.0])
+    with pytest.raises(UnsupportedVariantError, match="nominal distance"):
+        assemble_state_hamiltonian((1, 0, 1, 0), square, model, params)

@@ -169,16 +169,17 @@ def test_quantum_floor_sits_above_surface_floor_by_zero_point_shift():
     assert measured == pytest.approx(predicted, abs=1e-7)
 
 
+# the criterion-11 solver settings
+SCAN_SOLVER = {"e_tol": 1e-3, "max_cutoff": 8, "frame": "bare"}
+
+
 def test_transition_scan_bo_only():
     params, graph, basis, forms, surface = triangle_setup(kappa=-0.3536)
     omegas = np.linspace(0.0, 0.3, 33)
-    result = transition_scan(
-        graph, forms, params, omegas, quantum=False, starts=light_start_points(surface)
-    )
+    result = transition_scan(graph, forms, params, omegas, **SCAN_SOLVER)
     assert 0.05 < result.kink_omega < 0.28
     assert result.kink_uncertainty < omegas[1] - omegas[0]
     assert result.bo_second_diff_max > 0
-    assert np.isnan(result.e_quantum).all()
     # surface minimum decreases monotonically with the drive
     assert np.all(np.diff(result.e_bo) < 0)
 
@@ -186,23 +187,19 @@ def test_transition_scan_bo_only():
 def test_transition_scan_validates_grid():
     params, graph, basis, forms, _ = triangle_setup(kappa=-0.3536)
     with pytest.raises(DomainError):
-        transition_scan(graph, forms, params, np.linspace(0, 0.3, 8), quantum=False)
+        transition_scan(graph, forms, params, np.linspace(0, 0.3, 8))
     with pytest.raises(DomainError):
-        transition_scan(graph, forms, params, np.zeros(40), quantum=False)
+        transition_scan(graph, forms, params, np.zeros(40))
 
 
 def test_csv_writers():
     params, graph, basis, forms, surface = triangle_setup(kappa=-0.3536)
     omegas = np.linspace(0.0, 0.3, 33)
-    result = transition_scan(
-        graph, forms, params, omegas, quantum=False, starts=light_start_points(surface)
-    )
+    result = transition_scan(graph, forms, params, omegas, **SCAN_SOLVER)
     scan_text = transition_scan_csv(result)
     scan_lines = scan_text.strip().split("\n")
     assert scan_lines[0] == "Omega,E_BO,E_quantum,E_analytic,converged,cutoff"
     assert len(scan_lines) == 34
-    # quantum column empty when the solve was skipped
-    assert scan_lines[1].split(",")[2] == ""
 
 
 # -- gradient-first minimization on the criterion-11 model -------------------
@@ -343,12 +340,9 @@ def test_transition_scan_rows_match_independent_solves():
     # changes no cutoff or converged flag, and energies only in the last digits
     params, graph, _, forms, surface = triangle_setup(kappa=0.5 * critical_points(1.0, 0.5)[1])
     drives = np.linspace(0.06, 0.30, 121)
-    solver = {"e_tol": 1e-3, "max_cutoff": 8, "frame": "bare"}
-    result = transition_scan(
-        graph, forms, params, drives, starts=light_start_points(surface), **solver
-    )
+    result = transition_scan(graph, forms, params, drives, **SCAN_SOLVER)
     for i, drive in enumerate(drives):
-        row = converge_cutoff(graph, forms, dataclasses.replace(params, Omega=drive), **solver)
+        row = converge_cutoff(graph, forms, dataclasses.replace(params, Omega=drive), **SCAN_SOLVER)
         assert result.quantum_cutoffs[i] == row.cutoff
         assert result.quantum_converged[i] == row.converged
         assert result.e_quantum[i] == pytest.approx(row.energy, abs=1e-10)

@@ -197,17 +197,27 @@ def test_schema_errors_carry_the_key_path(tmp_path):
         load_config(write_config(tmp_path, cfg), "gs-scan-xi")
     assert exc.value.path == "config.scan.samples"
 
-    # values that were misread (a bool delta as "-3V", "false" as true) or crashed
+    # values that were misread (a bool delta as "-3V", "false" as true), crashed,
+    # or passed as the non-finite numbers json reads from NaN and Infinity
     for key, value, path in (
         ("params", dict(GRAPH_CONFIG["params"], delta=True), "config.params.delta"),
         ("geometry", {"preset": "dumbbell", "full_3d": "false"}, "config.geometry.full_3d"),
         ("geometry", {"preset": ["dumbbell"]}, "config.geometry.preset"),
         ("out", 5, "config.out"),
+        ("params", dict(GRAPH_CONFIG["params"], omega=math.nan), "config.params.omega"),
+        ("params", dict(GRAPH_CONFIG["params"], delta=math.nan), "config.params.delta"),
+        ("solver", {"e_tol": math.nan}, "config.solver.e_tol"),
     ):
         cfg = dict(GRAPH_CONFIG, **{key: value})
         with pytest.raises(ConfigError) as exc:
             load_config(write_config(tmp_path, cfg), "graph")
         assert exc.value.path == path
+
+    cfg = json.loads(json.dumps(SCAN_XI_CONFIG))
+    cfg["scan"]["stop"] = math.inf
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_config(tmp_path, cfg), "gs-scan-xi")
+    assert exc.value.path == "config.scan.stop"
 
 
 @pytest.mark.parametrize("seed", [1, "0x1"])
@@ -255,6 +265,28 @@ def test_scan_kappa_block_oracle(tmp_path):
     for line in lines[1:]:
         fields = line.split(",")
         assert float(fields[1]) == pytest.approx(float(fields[2]), abs=1e-7)
+
+
+def test_scan_kappa_planar_pair_oracle(tmp_path):
+    # the triangle's excited pair has one perpendicular mode, so the closed
+    # form is neither epsilon2 (none) nor epsilon4 (two)
+    cfg = {
+        "task": "gs-scan-kappa",
+        "geometry": {"preset": "triangle", "d": 1.0},
+        "potential": {"type": "explicit", "kappa": 0.0, "xi": -0.1, "nu": 0.25, "v_d": 1.0},
+        "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
+        "seed": "110",
+        "solver": {"e_tol": 1e-9, "max_cutoff": 32, "frame": "displaced"},
+        "scan": {"start": 0.0, "stop": 0.6, "samples": 4, "units": "critical"},
+    }
+    out = tmp_path / "out"
+    assert main(["gs-scan-kappa", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    rows = (out / "scan-kappa.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 4
+    for row in rows:
+        _, e_numeric, e_analytic, _, converged = row.split(",")
+        assert converged == "true"
+        assert float(e_analytic) == pytest.approx(float(e_numeric), abs=1e-6)
 
 
 def test_sparse_scan_is_deterministic_across_threads(tmp_path):

@@ -13,7 +13,6 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from vibronic import (
-    Couplings,
     DomainError,
     EigensolverError,
     ExplicitCouplings,
@@ -33,6 +32,7 @@ from vibronic import (
     ground_state,
     mean_displacements,
     node_data,
+    pair_epsilon,
     quadrature_moments,
     reduce_modes,
     assemble_state_hamiltonian,
@@ -47,7 +47,7 @@ SINGLE = np.zeros((1, 1))
 
 
 def two_state(params, kappa, xi, nu=0.1):
-    return dumbbell_hamiltonian(params, Couplings(kappa=kappa, xi=xi, nu=nu))
+    return dumbbell_hamiltonian(params, ExplicitCouplings(kappa=kappa, xi=xi, nu=nu))
 
 
 def excited_block(params, kappa, xi, nu=0.1):
@@ -183,6 +183,30 @@ def test_converge_cutoff_stable_and_unstable():
     assert cutoffs[0] == 4 and cutoffs[-1] == 256
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    kappabar=st.floats(min_value=0.0, max_value=0.6),
+    xibar=st.floats(min_value=-1.0, max_value=0.6),
+    nu=st.floats(min_value=0.1, max_value=0.5),
+)
+def test_excited_pair_energy_matches_the_closed_form(kappabar, xibar, nu):
+    # the doubly excited pair with none, one and two perpendicular modes
+    params = PhysicalParams(omega=1.0, x0=nu)
+    coup = ExplicitCouplings(kappa=kappabar * -1.0 / (2.0 * SQRT2 * nu), xi=xibar * -0.25, nu=nu)
+    pairs = ((dumbbell(), (1, 1)), (triangle(), (1, 1, 0)), (tetrahedron(), (1, 1, 0, 0)))
+    for geometry, config in pairs:
+        form = assemble_state_hamiltonian(config, geometry, coup, params)
+        _, reduced = reduce_modes([form], params)
+        report = converge_cutoff(
+            SINGLE, reduced, params, e_tol=1e-9, max_cutoff=32, frame="displaced"
+        )
+        assert report.converged
+        n_perp = geometry.n_axes - 1
+        assert report.energy == pytest.approx(
+            pair_epsilon(coup.kappa, coup.xi, 1.0, nu, n_perp), abs=1e-6
+        )
+
+
 def test_converge_cutoff_trivial_point_converges_immediately():
     params = PhysicalParams(omega=1.0, Omega=0.0)
     report = converge_cutoff(
@@ -278,7 +302,7 @@ def test_mean_displacements_of_excited_pair():
     # both atoms move by x0 |beta| in opposite directions along the axis
     params = PhysicalParams(omega=1.0, Omega=0.0, x0=0.3, d=1.0)
     kappa = 0.4
-    coup = Couplings(kappa=kappa, xi=0.0, nu=0.3)
+    coup = ExplicitCouplings(kappa=kappa, xi=0.0, nu=0.3)
     form = assemble_state_hamiltonian((1, 1), dumbbell(), coup, params)
     basis, reduced = reduce_modes([form], params)
     op = build_fock_matrix(SINGLE, reduced, params, cutoff=64)
@@ -431,7 +455,7 @@ def test_warm_stages_match_cold_solves():
 
     nu = 0.5
     pair = PhysicalParams(omega=1.0, Omega=0.0, d=1.0, x0=nu)
-    coup = Couplings(kappa=-0.5 / (2.0 * SQRT2 * nu), xi=-0.1, nu=nu)
+    coup = ExplicitCouplings(kappa=-0.5 / (2.0 * SQRT2 * nu), xi=-0.1, nu=nu)
     form = assemble_state_hamiltonian((1, 1, 0, 0), tetrahedron(), coup, pair)
     _, reduced = reduce_modes([form], pair)
     report = converge_cutoff(SINGLE, reduced, pair, e_tol=0.0, max_cutoff=32, frame="displaced")
@@ -771,7 +795,7 @@ def test_stencil_matches_reference_unreduced_forms():
 def test_stencil_matches_reference_single_node(cutoff):
     nu = 0.5
     pair = PhysicalParams(omega=1.0, Omega=0.0, d=1.0, x0=nu)
-    coup = Couplings(kappa=-0.5 / (2.0 * SQRT2 * nu), xi=-0.1, nu=nu)
+    coup = ExplicitCouplings(kappa=-0.5 / (2.0 * SQRT2 * nu), xi=-0.1, nu=nu)
     form = assemble_state_hamiltonian((1, 1, 0, 0), tetrahedron(), coup, pair)
     _, reduced = reduce_modes([form], pair)
     for frame in ("bare", "displaced"):

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vibronic import (
-    Couplings,
     DomainError,
     ExplicitCouplings,
     PhysicalParams,
@@ -101,7 +100,7 @@ def test_derive_couplings_from_power_law():
 def test_derive_couplings_passthrough():
     model = ExplicitCouplings(kappa=-1.0, xi=0.0, nu=0.1, v_d=2.5)
     coup = derive_couplings(model, PhysicalParams())
-    assert coup == Couplings(kappa=-1.0, xi=0.0, nu=0.1, v_d=2.5)
+    assert coup == ExplicitCouplings(kappa=-1.0, xi=0.0, nu=0.1, v_d=2.5)
 
 
 def test_stationary_point_gives_zero_kappa():
