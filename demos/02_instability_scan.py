@@ -25,9 +25,9 @@ def scan(drive, xibars):
     rows = []
     for xibar in xibars:
         xi = xibar * XI_CRITICAL
-        model = vb.dumbbell_hamiltonian(params, vb.ExplicitCouplings(KAPPA, xi, NU))
+        adjacency, forms = vb.dumbbell_hamiltonian(params, vb.ExplicitCouplings(KAPPA, xi, NU))
         report = vb.converge_cutoff(
-            model, params=params, e_tol=1e-8, max_cutoff=256, frame="displaced"
+            adjacency, forms, params, e_tol=1e-8, max_cutoff=256, frame="displaced"
         )
         analytic = None
         if drive == 0.0:

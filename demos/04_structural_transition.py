@@ -22,7 +22,7 @@ def main():
     pot = vb.ExplicitCouplings(kappa=kappa, xi=0.0, nu=NU, v_d=1.0)
     graph = vb.build_resonant_manifold(vb.triangle(), -1.0, pot, (0, 0, 1))
     _, forms = vb.build_molecular_model(graph, vb.derive_couplings(pot, params), params)
-    surface = vb.build_bo_surface(graph, forms, params, Omega=0.0)
+    surface = vb.build_bo_surface(graph, forms, params)
 
     report = vb.minimize_bo(surface)
     print(f"zero drive: {report.degeneracy} degenerate distorted shapes at E = "

@@ -28,7 +28,6 @@ from .assembly import (
     ExpansionCoefficients,
     ModeBasis,
     QuadraticVibronic,
-    TwoStateModel,
     assemble_graph_hamiltonians,
     assemble_state_hamiltonian,
     build_molecular_model,

@@ -102,10 +102,6 @@ class ModeBasis:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    @property
-    def n_coords(self) -> int:
-        return self.vectors.shape[0]
-
     def to_reduced(self, full_vector) -> np.ndarray:
         return self.vectors.T @ np.asarray(full_vector, dtype=float)
 
@@ -309,27 +305,16 @@ def edge_mode_directions(geometry: Geometry, pair, basis: ModeBasis):
     return basis.to_reduced(parallel), [basis.to_reduced(p) for p in perps]
 
 
-@dataclass(frozen=True, eq=False)
-class TwoStateModel:
-    """Reduced two-state form of the driven pair over its relative mode.
+def dumbbell_hamiltonian(params: PhysicalParams, couplings):
+    """Two-state model of the driven pair over its axial relative mode.
 
     The symmetric single-excitation combination couples to the doubly excited
-    state with strength ``sqrt(2) Omega``, so ``adjacency`` carries the weight
-    ``sqrt(2)``; the antisymmetric combination decouples entirely.  ``forms``
-    holds the two quadratic forms (trap-only, coupled) over the single
-    relative coordinate.
-    """
-
-    forms: tuple
-    adjacency: np.ndarray
-
-
-def dumbbell_hamiltonian(params: PhysicalParams, couplings) -> TwoStateModel:
-    """Two-state operator form of the driven pair (axial relative mode).
-
-    Diagonal blocks are ``omega b'b`` and
-    ``omega b'b + sqrt(2) kappa (b+b') + xi (b+b')^2``; the off-diagonal
-    coupling is ``sqrt(2) Omega``.
+    state with strength ``sqrt(2) Omega``, so the adjacency carries the weight
+    ``sqrt(2)``; the antisymmetric combination decouples entirely.  Returns
+    ``(adjacency, forms)``, the model input every solver reads, with the two
+    quadratic forms (trap-only, coupled) over the single relative coordinate:
+    diagonal blocks ``omega b'b`` and
+    ``omega b'b + sqrt(2) kappa (b+b') + xi (b+b')^2``.
     """
     omega, x0 = params.omega, params.x0
     trap = omega / (2.0 * x0**2)
@@ -342,28 +327,18 @@ def dumbbell_hamiltonian(params: PhysicalParams, couplings) -> TwoStateModel:
         linear=np.array([2.0 * couplings.kappa / x0]),
         hessian=np.array([[trap + 2.0 * couplings.xi / x0**2]]),
     )
-    return TwoStateModel(forms=(plus, excited), adjacency=np.array([[0.0, SQRT2], [SQRT2, 0.0]]))
+    return np.array([[0.0, SQRT2], [SQRT2, 0.0]]), [plus, excited]
 
 
-def node_data(graph, forms=None):
-    """Weighted adjacency and per-node forms of any accepted model input.
+def node_data(graph, forms):
+    """Weighted adjacency and per-node forms of a model input.
 
-    ``graph`` may be a :class:`ResonantGraph`, a :class:`TwoStateModel`
-    (which supplies its own forms when ``forms`` is None), or a plain
-    adjacency matrix.  Returns ``(adjacency, forms)`` with a float adjacency
-    whose entries multiply the drive ``Omega``.
+    ``graph`` may be a :class:`ResonantGraph` or a plain adjacency matrix.
+    Returns ``(adjacency, forms)`` with a float adjacency whose entries
+    multiply the drive ``Omega``.
     """
-    if isinstance(graph, TwoStateModel):
-        adjacency = graph.adjacency
-        if forms is None:
-            forms = graph.forms
-    elif isinstance(graph, ResonantGraph):
-        adjacency = graph.adjacency
-    else:
-        adjacency = graph
+    adjacency = graph.adjacency if isinstance(graph, ResonantGraph) else graph
     adjacency = np.asarray(adjacency, dtype=float)
-    if forms is None:
-        raise DomainError("forms must be provided unless a TwoStateModel is passed")
     if adjacency.shape[0] != len(forms):
         raise DomainError(
             f"adjacency has {adjacency.shape[0]} nodes but {len(forms)} forms were given"

@@ -69,13 +69,13 @@ class MinimaReport:
     degeneracy_tol: float
 
 
-def build_bo_surface(graph, forms, params: PhysicalParams, Omega: float = None) -> BoSurface:
-    """Bundle a model (any input :func:`node_data` accepts) into a surface object."""
+def build_bo_surface(graph, forms, params: PhysicalParams) -> BoSurface:
+    """Bundle a model (any input :func:`node_data` accepts) into a surface at ``params.Omega``."""
     adjacency, forms = node_data(graph, forms)
     return BoSurface(
         adjacency=adjacency,
         forms=tuple(forms),
-        Omega=params.Omega if Omega is None else float(Omega),
+        Omega=params.Omega,
         omega=params.omega,
         x0=params.x0,
     )
@@ -396,8 +396,9 @@ def transition_scan(graph, forms, params: PhysicalParams, omegas, **solver) -> T
     Every drive's surface minimum comes from :func:`minimize_bo`, seeded with
     the :func:`light_start_points` of the zero-drive surface.  The kink of
     the clamped-coordinate curve is located as the maximizer of the discrete
-    second difference, refined once on a finer local grid; its uncertainty
-    is the refined grid spacing.  The exact curve is computed with the
+    second difference, refined once on a finer local grid, whose drives
+    bitwise equal to grid drives reuse those minima; its uncertainty is the
+    refined grid spacing.  The exact curve is computed with the
     cutoff-doubling solver at every grid point, carried along the grid by
     :func:`converge_drives`, which gets the ``solver`` keywords (``e_tol``,
     ``max_cutoff``, ``frame``, ``eig_tol``, ...) unchanged.  The grid needs
@@ -409,7 +410,7 @@ def transition_scan(graph, forms, params: PhysicalParams, omegas, **solver) -> T
     if np.any(np.diff(omegas) <= 0):
         raise DomainError("drive grid must be strictly increasing")
 
-    base = build_bo_surface(graph, forms, params, Omega=0.0)
+    base = build_bo_surface(graph, forms, params).with_omega(0.0)
     starts = light_start_points(base)
 
     def bo_minimum(omega_drive: float) -> float:
@@ -422,7 +423,9 @@ def transition_scan(graph, forms, params: PhysicalParams, omegas, **solver) -> T
     d2_bo = _second_differences(e_bo)
     kink_idx = int(np.argmax(np.abs(d2_bo))) + 1
     fine = np.linspace(omegas[kink_idx - 1], omegas[kink_idx + 1], 9)
-    d2_fine = _second_differences(np.array([bo_minimum(o) for o in fine]))
+    on_grid = {o.tobytes(): e for o, e in zip(omegas, e_bo)}
+    e_fine = [on_grid[o.tobytes()] if o.tobytes() in on_grid else bo_minimum(o) for o in fine]
+    d2_fine = _second_differences(np.array(e_fine))
     return TransitionScanResult(
         omegas=omegas,
         e_bo=e_bo,

@@ -20,7 +20,9 @@ Every closed-form energy column comes from :func:`analytic.pair_epsilon`.
 ``gs-scan-kappa`` and the zero-drive rows of ``bopes-scan`` use
 ``n_perp = geometry.n_axes - 1`` perpendicular modes, the count ``compare``
 gives :func:`analytic.zero_point_correction`; ``gs-scan-xi`` solves the axial
-pair alone and uses none.
+pair alone and uses none.  The closed forms hold for one excited pair, so
+``bopes-scan`` and ``compare`` leave their cell empty (``compare``'s manifest
+gives ``null``) when a node of the manifold holds three or more excitations.
 """
 
 from __future__ import annotations
@@ -98,10 +100,18 @@ def _require(cfg: dict, key: str, path: str):
     return cfg[key]
 
 
+def _finite(value) -> bool:
+    """Whether a number is a finite float; json.loads reads NaN, Infinity and any size of int."""
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
 def _number(value, path: str, positive=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    if not math.isfinite(value):  # json.loads reads the bare tokens NaN and Infinity
+    if not _finite(value):
         raise ConfigError(path, f"expected a finite number, got {value}")
     if positive and value <= 0:
         raise ConfigError(path, f"expected a positive number, got {value}")
@@ -192,21 +202,26 @@ def _parse_params(cfg: dict, geometry: Geometry, potential) -> tuple:
         mass = _number(mass, "config.params.mass", positive=True)
     if x0 is None and mass is None and isinstance(potential, ExplicitCouplings):
         x0 = potential.nu * geometry.d
-    if x0 is not None and isinstance(potential, ExplicitCouplings):
-        implied = potential.nu * geometry.d
-        if abs(x0 - implied) > 1e-9 * implied:
-            raise ConfigError(
-                "config.params.x0",
-                f"inconsistent with potential.nu: x0={x0} but nu*d={implied}",
-            )
+
+    params = PhysicalParams(omega=omega, Omega=drive, d=geometry.d, x0=x0, mass=mass)
+    # the x0 that PhysicalParams resolved must agree with every other source of it
+    if isinstance(potential, ExplicitCouplings):
+        given = "config.params.mass" if x0 is None else "config.params.x0"
+        _same_x0(params.x0, potential.nu * geometry.d, given, "potential.nu")
+    if x0 is not None and mass is not None:
+        _same_x0(x0, PhysicalParams(omega=omega, mass=mass).x0, "config.params.mass", "mass")
 
     delta_rule = pcfg.get("delta", "-V")
     is_number = isinstance(delta_rule, (int, float)) and not isinstance(delta_rule, bool)
-    if not (delta_rule in ("-V", "-3V") or is_number and math.isfinite(delta_rule)):
+    if not (delta_rule in ("-V", "-3V") or is_number and _finite(delta_rule)):
         raise ConfigError("config.params.delta", 'expected "-V", "-3V", or a finite number')
 
-    params = PhysicalParams(omega=omega, Omega=drive, d=geometry.d, x0=x0, mass=mass)
     return params, delta_rule
+
+
+def _same_x0(x0: float, implied: float, path: str, source: str):
+    if abs(x0 - implied) > 1e-9 * implied:
+        raise ConfigError(path, f"inconsistent with {source}: x0={x0} but {source} gives {implied}")
 
 
 def _resolve_delta(delta_rule, potential, geometry: Geometry) -> float:
@@ -260,6 +275,8 @@ def load_config(path: str, task: str) -> dict:
         raise ConfigError(
             "config", f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ConfigError("config", f"invalid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config", "top level must be an object")
     if "task" in cfg and cfg["task"] != task:
@@ -282,7 +299,6 @@ def load_config(path: str, task: str) -> dict:
         "seed": seed,
         "modes": cfg.get("modes", "reduced"),
         "out": cfg.get("out", "."),
-        "raw": cfg,
     }
     if resolved["modes"] not in ("reduced", "full"):
         raise ConfigError("config.modes", 'expected "reduced" or "full"')
@@ -453,6 +469,11 @@ def _explicit_couplings(resolved, variable: str) -> ExplicitCouplings:
     return potential
 
 
+def _one_pair_per_node(graph) -> bool:
+    """Whether no node holds more than one excited pair, the closed forms' domain."""
+    return max(sum(config) for config in graph.configs) < 3
+
+
 def _pair_energy(coup, params: PhysicalParams, n_perp: int) -> float:
     """Closed-form zero-drive energy of an excited pair with ``n_perp`` perpendicular modes."""
     return params.omega * pair_epsilon(coup.kappa, coup.xi, params.omega, coup.nu, n_perp)
@@ -477,7 +498,7 @@ def _xi_scan(resolved):
                 analytic = min(_pair_energy(coup, params, 0), 0.0)
             except InstabilityError:
                 analytic = "unstable"
-        return (dumbbell_hamiltonian(params, coup), None, params), analytic
+        return (*dumbbell_hamiltonian(params, coup), params), analytic
 
     return xi_c, model_at, {"xi_c": xi_c}
 
@@ -582,11 +603,11 @@ def _task_bopes_scan(resolved, outdir: Path):
     graph, forms, _, coup = _molecular_model(resolved)
     drives = _scan_values(resolved["scan"], 1.0)
     result = transition_scan(graph, forms, params, drives, **resolved["solver"])
-    # closed-form ground energy exists at zero drive only: the excited pair's
-    # energy, floored at the zero of the pair-free configurations
+    # closed-form ground energy exists at zero drive only, and with one excited
+    # pair per node: the pair's energy, floored at the zero of the pair-free nodes
     analytic = np.full(drives.size, np.nan)
     zero_rows = np.nonzero(drives == 0.0)[0]
-    if zero_rows.size:
+    if zero_rows.size and _one_pair_per_node(graph):
         try:
             n_perp = resolved["geometry"].n_axes - 1
             analytic[zero_rows] = min(_pair_energy(coup, params, n_perp), 0.0)
@@ -611,7 +632,7 @@ def _task_compare(resolved, outdir: Path):
         raise ConfigError("config.params.Omega", "compare is a zero-drive consistency check")
     graph, forms, _, coup = _molecular_model(resolved)
     report = converge_cutoff(graph, forms, params, **resolved["solver"])
-    surface = build_bo_surface(graph, forms, params, Omega=0.0)
+    surface = build_bo_surface(graph, forms, params)
     minima = minimize_bo(surface)
     rows = [
         ("E_numeric", report.energy),
@@ -621,21 +642,15 @@ def _task_compare(resolved, outdir: Path):
         ("BO_degeneracy", minima.degeneracy),
         ("correction_measured", report.energy - minima.global_energy),
     ]
-    try:
-        rows.append(
-            (
-                "correction_predicted",
-                zero_point_correction(
-                    coup.kappa,
-                    coup.xi,
-                    params.omega,
-                    coup.nu,
-                    n_perp=resolved["geometry"].n_axes - 1,
-                ),
+    predicted = None  # the closed form holds for one excited pair per node
+    if _one_pair_per_node(graph):
+        try:
+            predicted = zero_point_correction(
+                coup.kappa, coup.xi, params.omega, coup.nu, n_perp=resolved["geometry"].n_axes - 1
             )
-        )
-    except InstabilityError:
-        rows.append(("correction_predicted", "unstable"))
+        except InstabilityError:
+            predicted = "unstable"
+    rows.append(("correction_predicted", predicted))
     _write_csv(outdir / "compare.csv", ["quantity", "value"], rows)
     _write_manifest(outdir, resolved, ["compare.csv"], dict(rows))
     return 0

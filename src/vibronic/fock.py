@@ -439,8 +439,8 @@ def _assemble(coefficients, steps, links, widths, idx, omega: float, Omega: floa
 
 def build_fock_matrix(
     graph,
-    forms=None,
-    params: PhysicalParams = None,
+    forms,
+    params: PhysicalParams,
     cutoff: int = 8,
     *,
     frame: str = "bare",
@@ -448,16 +448,15 @@ def build_fock_matrix(
 ) -> FockOperator:
     """Assemble the molecular operator in the truncated product Fock basis.
 
-    ``graph`` may be a :class:`ResonantGraph`, a :class:`TwoStateModel`, or a
-    plain adjacency matrix (see :func:`node_data`).  ``forms`` are the
-    per-node quadratic forms over the shared reduced coordinates.  The
-    off-diagonal block between nodes s and t is ``params.Omega * A[s, t]``
-    times the phonon overlap.  Raises :class:`ResourceBudgetError` when the
-    build would allocate more than ``max_bytes``: the CSR arrays at their
-    untrimmed size (every stencil step and link cell of every row), the
-    widest node's dense tables and the link records.  That footprint is
-    counted from the row widths before anything of size ``cutoff**n_modes``
-    is allocated.
+    ``graph`` may be a :class:`ResonantGraph` or a plain adjacency matrix
+    (see :func:`node_data`).  ``forms`` are the per-node quadratic forms over
+    the shared reduced coordinates.  The off-diagonal block between nodes s
+    and t is ``params.Omega * A[s, t]`` times the phonon overlap.  Raises
+    :class:`ResourceBudgetError` when the build would allocate more than
+    ``max_bytes``: the CSR arrays at their untrimmed size (every stencil step
+    and link cell of every row), the widest node's dense tables and the link
+    records.  That footprint is counted from the row widths before anything
+    of size ``cutoff**n_modes`` is allocated.
 
     The matrix is written node row by node row from the stencil described
     in the module docstring.  Links fill the identity diagonal (bare frame,
@@ -468,8 +467,6 @@ def build_fock_matrix(
     entries sit in ``matrix.data``, with the block's displacement factors,
     so that a scan can move the operator to another nonzero drive in place.
     """
-    if params is None:
-        raise DomainError("params is required")
     if cutoff < 2:
         raise DomainError(f"cutoff must be at least 2, got {cutoff}")
     adjacency, forms = node_data(graph, forms)
@@ -615,8 +612,8 @@ def ground_state(op: FockOperator, tol: float = 1e-11, v0: np.ndarray = None):
 
 def converge_cutoff(
     graph,
-    forms=None,
-    params: PhysicalParams = None,
+    forms,
+    params: PhysicalParams,
     *,
     e_tol: float = 1e-8,
     max_cutoff: int = 256,
@@ -637,8 +634,6 @@ def converge_cutoff(
     an over-budget first stage raises :class:`ResourceBudgetError`.  This is
     :func:`converge_drives` at the one drive ``params.Omega``.
     """
-    if params is None:
-        raise DomainError("params is required")
     return converge_drives(
         graph, forms, params, (params.Omega,),
         e_tol=e_tol, max_cutoff=max_cutoff, frame=frame, eig_tol=eig_tol, max_bytes=max_bytes,
@@ -721,8 +716,6 @@ def converge_drives(
     lower stage's energy, which the nested bases forbid.  The scan holds one
     operator per reached cutoff besides the build in progress.
     """
-    if params is None:
-        raise DomainError("params is required")
     if max_cutoff < 4:
         raise DomainError(f"max_cutoff must be at least 4, got {max_cutoff}")
     operators = {}  # cutoff -> operator built at a nonzero drive

@@ -138,9 +138,6 @@ class ResonantGraph:
     def degree_sequence(self):
         return [int(x) for x in self.adjacency.sum(axis=1)]
 
-    def index(self, config: Config) -> int:
-        return self.configs.index(tuple(config))
-
 
 def diagonal_energy(config: Config, geometry: Geometry, Delta: float, model) -> float:
     """Diagonal configuration energy at the equilibrium positions.

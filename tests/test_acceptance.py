@@ -73,9 +73,9 @@ def test_criterion_03_dumbbell_energy_oracle():
     for kappa in np.linspace(0.0, 1.0, 5):
         for xibar in np.linspace(-2.0, 0.9, 5):
             xi = xibar * (-0.25)
-            model = vb.dumbbell_hamiltonian(params, vb.ExplicitCouplings(kappa, xi, 0.1))
+            _, forms = vb.dumbbell_hamiltonian(params, vb.ExplicitCouplings(kappa, xi, 0.1))
             report = vb.converge_cutoff(
-                SINGLE, [model.forms[1]], params, e_tol=1e-9, max_cutoff=256, frame="displaced"
+                SINGLE, [forms[1]], params, e_tol=1e-9, max_cutoff=256, frame="displaced"
             )
             assert report.converged
             assert report.cutoff <= 256
@@ -115,8 +115,8 @@ def test_criterion_05_instability_detection():
     params = vb.PhysicalParams(omega=1.0, Omega=0.0)
 
     def excited_block(kappa, xi):
-        model = vb.dumbbell_hamiltonian(params, vb.ExplicitCouplings(kappa, xi, 0.1))
-        return [model.forms[1]]
+        _, forms = vb.dumbbell_hamiltonian(params, vb.ExplicitCouplings(kappa, xi, 0.1))
+        return [forms[1]]
 
     # curvature instability on the pair mode
     unstable = vb.converge_cutoff(
@@ -158,7 +158,7 @@ def test_criterion_06_instability_persists_at_finite_drive():
     params = vb.PhysicalParams(omega=1.0, Omega=0.5)
     for kappa in (0.0, 0.2):
         model = vb.dumbbell_hamiltonian(params, vb.ExplicitCouplings(kappa, 1.1 * (-0.25), 0.1))
-        report = vb.converge_cutoff(model, params=params, e_tol=1e-8, max_cutoff=256)
+        report = vb.converge_cutoff(*model, params, e_tol=1e-8, max_cutoff=256)
         assert not report.converged
         history = [e for _, e in report.energy_history]
         assert all(e2 < e1 for e1, e2 in zip(history, history[1:]))
@@ -214,7 +214,7 @@ def test_criterion_09_surface_quadratic_form_and_triple_minimum():
     pot = vb.ExplicitCouplings(kappa=kappa, xi=xi, nu=nu, v_d=1.0)
     graph = vb.build_resonant_manifold(vb.triangle(), -1.0, pot, (0, 0, 1))
     basis, forms = vb.build_molecular_model(graph, vb.derive_couplings(pot, params), params)
-    surface = vb.build_bo_surface(graph, forms, params, Omega=0.0)
+    surface = vb.build_bo_surface(graph, forms, params)
 
     report = vb.minimize_bo(surface)
     assert report.degeneracy == 3
@@ -257,7 +257,7 @@ def test_criterion_10_zero_point_correction():
             graph, forms, params, e_tol=1e-7, max_cutoff=16, frame="displaced"
         )
         assert quantum.converged
-        surface = vb.build_bo_surface(graph, forms, params, Omega=0.0)
+        surface = vb.build_bo_surface(graph, forms, params)
         minima = vb.minimize_bo(surface)
         measured = quantum.energy - minima.global_energy
         predicted = vb.quantum_correction(kappa, xi, 1.0, nu)
@@ -274,7 +274,7 @@ def test_criterion_11_structural_transition_shape():
     pot = vb.ExplicitCouplings(kappa=kappa, xi=0.0, nu=nu, v_d=1.0)
     graph = vb.build_resonant_manifold(vb.triangle(), -1.0, pot, (0, 0, 1))
     basis, forms = vb.build_molecular_model(graph, vb.derive_couplings(pot, params), params)
-    surface = vb.build_bo_surface(graph, forms, params, Omega=0.0)
+    surface = vb.build_bo_surface(graph, forms, params)
 
     # the scan window brackets the kink; the well-hybridization bend right at
     # zero drive is genuine curvature of the exact curve unrelated to the

@@ -195,13 +195,13 @@ def test_full_3d_override_enlarges_the_mode_space():
 def test_two_state_model_matches_spec_form():
     params = PhysicalParams(omega=1.0, Omega=0.4, x0=0.2)
     coup = ExplicitCouplings(kappa=-0.7, xi=0.12, nu=0.2)
-    model = dumbbell_hamiltonian(params, coup)
+    adjacency, forms = dumbbell_hamiltonian(params, coup)
     # the off-diagonal weight sqrt(2) multiplies the drive Omega
-    assert params.Omega * model.adjacency[0, 1] == pytest.approx(SQRT2 * 0.4, rel=1e-15)
-    assert model.adjacency[0, 1] == model.adjacency[1, 0] == SQRT2
-    l0, q0 = mode_form_coefficients(model.forms[0], params)
+    assert params.Omega * adjacency[0, 1] == pytest.approx(SQRT2 * 0.4, rel=1e-15)
+    assert adjacency[0, 1] == adjacency[1, 0] == SQRT2
+    l0, q0 = mode_form_coefficients(forms[0], params)
     assert l0 == pytest.approx([0.0]) and q0[0, 0] == pytest.approx(0.0, abs=1e-15)
-    l1, q1 = mode_form_coefficients(model.forms[1], params)
+    l1, q1 = mode_form_coefficients(forms[1], params)
     assert l1[0] == pytest.approx(SQRT2 * coup.kappa, rel=1e-14)
     assert q1[0, 0] == pytest.approx(coup.xi, rel=1e-14)
 

@@ -184,6 +184,32 @@ def test_transition_scan_bo_only():
     assert np.all(np.diff(result.e_bo) < 0)
 
 
+def test_transition_scan_minimizes_each_drive_once(monkeypatch):
+    # refinement drives bitwise equal to grid drives reuse the grid's minima
+    import vibronic.bopes
+
+    drives = []
+    original = vibronic.bopes.minimize_bo
+
+    def spy(surface, starts=None):
+        drives.append(surface.Omega)
+        return original(surface, starts=starts)
+
+    monkeypatch.setattr(vibronic.bopes, "minimize_bo", spy)
+    params = PhysicalParams(omega=1.0, Omega=0.0, d=1.0, x0=0.1)
+    pot = ExplicitCouplings(kappa=0.25, xi=0.0, nu=0.1, v_d=1.0)
+    graph = build_resonant_manifold(dumbbell(), -1.0, pot, (0, 1))
+    _, forms = build_molecular_model(graph, derive_couplings(pot, params), params)
+    omegas = np.linspace(0.0, 0.4, 33)
+    result = transition_scan(graph, forms, params, omegas, e_tol=1e-6, max_cutoff=16)
+    d2 = result.e_bo[2:] - 2.0 * result.e_bo[1:-1] + result.e_bo[:-2]
+    kink_idx = int(np.argmax(np.abs(d2))) + 1
+    fine = np.linspace(omegas[kink_idx - 1], omegas[kink_idx + 1], 9)
+    refined = [f for f in fine if f not in omegas]
+    assert len(refined) < fine.size
+    assert drives == list(omegas) + refined
+
+
 def test_transition_scan_validates_grid():
     params, graph, basis, forms, _ = triangle_setup(kappa=-0.3536)
     with pytest.raises(DomainError):

@@ -197,8 +197,9 @@ def test_schema_errors_carry_the_key_path(tmp_path):
         load_config(write_config(tmp_path, cfg), "gs-scan-xi")
     assert exc.value.path == "config.scan.samples"
 
-    # values that were misread (a bool delta as "-3V", "false" as true), crashed,
-    # or passed as the non-finite numbers json reads from NaN and Infinity
+    # values that were misread (a bool delta as "-3V", "false" as true), crashed
+    # (integers beyond the float range), ignored (a mass next to x0), or passed
+    # as the non-finite numbers json reads from NaN and Infinity
     for key, value, path in (
         ("params", dict(GRAPH_CONFIG["params"], delta=True), "config.params.delta"),
         ("geometry", {"preset": "dumbbell", "full_3d": "false"}, "config.geometry.full_3d"),
@@ -207,6 +208,9 @@ def test_schema_errors_carry_the_key_path(tmp_path):
         ("params", dict(GRAPH_CONFIG["params"], omega=math.nan), "config.params.omega"),
         ("params", dict(GRAPH_CONFIG["params"], delta=math.nan), "config.params.delta"),
         ("solver", {"e_tol": math.nan}, "config.solver.e_tol"),
+        ("params", dict(GRAPH_CONFIG["params"], omega=10**400), "config.params.omega"),
+        ("params", dict(GRAPH_CONFIG["params"], delta=-(10**400)), "config.params.delta"),
+        ("params", dict(GRAPH_CONFIG["params"], mass=4.0), "config.params.mass"),
     ):
         cfg = dict(GRAPH_CONFIG, **{key: value})
         with pytest.raises(ConfigError) as exc:
@@ -218,6 +222,13 @@ def test_schema_errors_carry_the_key_path(tmp_path):
     with pytest.raises(ConfigError) as exc:
         load_config(write_config(tmp_path, cfg), "gs-scan-xi")
     assert exc.value.path == "config.scan.stop"
+
+    # json.loads refuses integer literals past Python's digit limit
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(GRAPH_CONFIG).replace("1.0", "1" + "0" * 5000, 1))
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(path), "graph")
+    assert exc.value.path == "config"
 
 
 @pytest.mark.parametrize("seed", [1, "0x1"])
@@ -233,11 +244,20 @@ def test_task_mismatch_is_rejected(tmp_path):
 
 
 def test_inconsistent_oscillator_length_is_rejected(tmp_path):
+    # potential nu implies x0 = 0.1, as does mass 100 at omega 1; mass 4 gives 0.5
+    for given, path in (
+        ({"x0": 0.7}, "config.params.x0"),
+        ({"mass": 4.0}, "config.params.mass"),
+        ({"x0": 0.1, "mass": 4.0}, "config.params.mass"),
+    ):
+        cfg = json.loads(json.dumps(SCAN_XI_CONFIG))
+        cfg["params"].update(given)
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_config(tmp_path, cfg), "gs-scan-xi")
+        assert exc.value.path == path
     cfg = json.loads(json.dumps(SCAN_XI_CONFIG))
-    cfg["params"]["x0"] = 0.7  # potential nu implies x0 = 0.1
-    with pytest.raises(ConfigError) as exc:
-        load_config(write_config(tmp_path, cfg), "gs-scan-xi")
-    assert exc.value.path == "config.params.x0"
+    cfg["params"].update(x0=0.1, mass=100.0)
+    assert load_config(write_config(tmp_path, cfg), "gs-scan-xi")["params"].x0 == 0.1
 
 
 def test_wrong_potential_kind_for_xi_scan(tmp_path, capsys):
@@ -442,6 +462,37 @@ def test_compare_task_on_the_dumbbell(tmp_path):
     predicted = float(rows["correction_predicted"])
     assert measured == pytest.approx(predicted, abs=1e-7)
     assert rows["numeric_converged"] == "true"
+
+
+def test_closed_forms_stay_empty_beyond_one_pair_per_node(tmp_path):
+    # at delta = -3V the triangle's manifold is the one node "111", which holds
+    # three excited pairs, where the one-pair closed forms do not hold
+    kappa_c = -1.0 / (2.0 * math.sqrt(2.0) * 0.5)
+    body = {
+        "geometry": {"preset": "triangle", "d": 1.0},
+        "potential": {"type": "explicit", "kappa": 0.3 * kappa_c, "xi": 0.0, "nu": 0.5,
+                      "v_d": 1.0},
+        "params": {"omega": 1.0, "Omega": 0.0, "delta": "-3V"},
+        "solver": {"e_tol": 1e-3, "max_cutoff": 8, "frame": "displaced"},
+    }
+    out = tmp_path / "compare"
+    path = write_config(tmp_path, {"task": "compare", **body}, name="compare.json")
+    assert main(["compare", "--config", path, "--out", str(out)]) == 0
+    rows = dict(
+        line.split(",") for line in (out / "compare.csv").read_text().strip().split("\n")[1:]
+    )
+    assert rows["correction_predicted"] == ""
+    assert float(rows["correction_measured"]) < 0.0
+    manifest = json.loads((out / "run-manifest.json").read_text())
+    assert manifest["results"]["correction_predicted"] is None
+
+    out = tmp_path / "bopes"
+    scan = {"start": 0.0, "stop": 0.31, "samples": 32}
+    path = write_config(tmp_path, {"task": "bopes-scan", **body, "scan": scan}, name="bopes.json")
+    assert main(["bopes-scan", "--config", path, "--out", str(out)]) == 0
+    rows = (out / "bopes-scan.csv").read_text().strip().split("\n")[1:]
+    assert rows[0].startswith("0.0,")
+    assert all(row.split(",")[3] == "" for row in rows)
 
 
 def spy_on(monkeypatch, module, name):

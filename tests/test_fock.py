@@ -51,8 +51,8 @@ def two_state(params, kappa, xi, nu=0.1):
 
 
 def excited_block(params, kappa, xi, nu=0.1):
-    model = two_state(params, kappa, xi, nu)
-    return [model.forms[1]]
+    _, forms = two_state(params, kappa, xi, nu)
+    return [forms[1]]
 
 
 def triangle_model(drive=0.1):
@@ -69,14 +69,14 @@ def cold_energy(graph, forms, params, cutoff, frame="bare"):
 
 def test_displaced_oscillator_closed_form():
     params = PhysicalParams(omega=1.0, Omega=0.0)
-    op = build_fock_matrix(two_state(params, 0.5, 0.0), params=params, cutoff=64)
+    op = build_fock_matrix(*two_state(params, 0.5, 0.0), params, cutoff=64)
     energy, _ = ground_state(op)
     assert energy == pytest.approx(-0.5, abs=1e-10)
 
 
 def test_free_trap_ground_energy_is_zero():
     params = PhysicalParams(omega=1.0, Omega=0.0)
-    op = build_fock_matrix(two_state(params, 0.0, 0.0), params=params, cutoff=8)
+    op = build_fock_matrix(*two_state(params, 0.0, 0.0), params, cutoff=8)
     energy, _ = ground_state(op)
     assert energy == pytest.approx(0.0, abs=1e-12)
 
@@ -84,14 +84,14 @@ def test_free_trap_ground_energy_is_zero():
 def test_pure_electronic_coupling():
     for drive in (0.3, -0.3, 1.0):
         params = PhysicalParams(omega=1.0, Omega=drive)
-        op = build_fock_matrix(two_state(params, 0.0, 0.0), params=params, cutoff=8)
+        op = build_fock_matrix(*two_state(params, 0.0, 0.0), params, cutoff=8)
         energy, _ = ground_state(op)
         assert energy == pytest.approx(-SQRT2 * abs(drive), abs=1e-12)
 
 
 def test_dimension_counting():
     params = PhysicalParams(omega=1.0, Omega=0.1)
-    op = build_fock_matrix(two_state(params, 0.2, 0.0), params=params, cutoff=16)
+    op = build_fock_matrix(*two_state(params, 0.2, 0.0), params, cutoff=16)
     assert op.dim == 2 * 16
     shape = (op.n_nodes,) + (op.cutoff,) * op.n_modes
     assert np.unravel_index(0, shape) == (0, 0)
@@ -118,7 +118,7 @@ def test_hermiticity_residual():
 
 def test_zero_drive_is_block_diagonal():
     params = PhysicalParams(omega=1.0, Omega=0.0)
-    op = build_fock_matrix(two_state(params, 0.5, 0.1), params=params, cutoff=8)
+    op = build_fock_matrix(*two_state(params, 0.5, 0.1), params, cutoff=8)
     dense = op.matrix.toarray()
     assert np.abs(dense[:8, 8:]).max() == 0.0
     assert np.abs(dense[8:, :8]).max() == 0.0
@@ -133,7 +133,7 @@ def test_block_symmetry_at_zero_drive():
     ]
     for kappa, xi in cases:
         op = build_fock_matrix(
-            two_state(params, kappa, xi), params=params, cutoff=128, frame="displaced"
+            *two_state(params, kappa, xi), params, cutoff=128, frame="displaced"
         )
         energy, _ = ground_state(op)
         expected = min(epsilon2(kappa, xi, 1.0), 0.0)
@@ -147,8 +147,8 @@ def test_path_and_two_state_models_agree():
     basis, forms = build_molecular_model(graph, derive_couplings(pot, params), params)
     e_path, _ = ground_state(build_fock_matrix(graph, forms, params, cutoff=32))
     e_two, _ = ground_state(
-        build_fock_matrix(dumbbell_hamiltonian(params, derive_couplings(pot, params)),
-                          params=params, cutoff=32)
+        build_fock_matrix(*dumbbell_hamiltonian(params, derive_couplings(pot, params)),
+                          params, cutoff=32)
     )
     assert e_path == pytest.approx(e_two, abs=1e-10)
 
@@ -157,7 +157,7 @@ def test_variational_monotonicity_in_cutoff():
     params = PhysicalParams(omega=1.0, Omega=0.2)
     energies = []
     for cutoff in (4, 8, 16, 32):
-        op = build_fock_matrix(two_state(params, 0.6, -0.15), params=params, cutoff=cutoff)
+        op = build_fock_matrix(*two_state(params, 0.6, -0.15), params, cutoff=cutoff)
         energies.append(ground_state(op)[0])
     assert all(e2 <= e1 + 1e-12 for e1, e2 in zip(energies, energies[1:]))
 
@@ -222,11 +222,29 @@ def test_frames_agree_at_finite_drive():
     pot = ExplicitCouplings(kappa=0.4, xi=0.05, nu=0.1, v_d=1.0)
     params = PhysicalParams(omega=1.0, Omega=0.3, d=1.0, x0=0.1)
     model = dumbbell_hamiltonian(params, derive_couplings(pot, params))
-    e_bare = converge_cutoff(model, params=params, e_tol=1e-10, max_cutoff=128, frame="bare")
-    e_disp = converge_cutoff(model, params=params, e_tol=1e-10, max_cutoff=128, frame="displaced")
+    e_bare = converge_cutoff(*model, params, e_tol=1e-10, max_cutoff=128, frame="bare")
+    e_disp = converge_cutoff(*model, params, e_tol=1e-10, max_cutoff=128, frame="displaced")
     assert e_bare.converged and e_disp.converged
     assert e_bare.energy == pytest.approx(e_disp.energy, abs=1e-9)
     assert e_disp.cutoff <= e_bare.cutoff
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kappa=st.floats(min_value=-0.4, max_value=0.4),
+    xibar=st.floats(min_value=-1.0, max_value=0.6),
+    drive=st.floats(min_value=0.0, max_value=0.5),
+)
+def test_frames_agree_on_random_stable_couplings(kappa, xibar, drive):
+    # one operator in two frames: both converge to one energy, the displaced
+    # frame at no larger cutoff
+    params = PhysicalParams(omega=1.0, Omega=drive, d=1.0, x0=0.1)
+    model = two_state(params, kappa, xibar * -0.25, nu=0.1)
+    bare = converge_cutoff(*model, params, e_tol=1e-10, max_cutoff=128, frame="bare")
+    displaced = converge_cutoff(*model, params, e_tol=1e-10, max_cutoff=128, frame="displaced")
+    assert bare.converged and displaced.converged
+    assert bare.energy == pytest.approx(displaced.energy, abs=1e-9)
+    assert displaced.cutoff <= bare.cutoff
 
 
 def test_displacement_matrix_against_expm_oracle():
@@ -417,7 +435,7 @@ def test_cutoff_validation():
 
 def test_matrix_dump_roundtrip():
     params = PhysicalParams(omega=1.0, Omega=0.2)
-    op = build_fock_matrix(two_state(params, 0.3, 0.0), params=params, cutoff=4)
+    op = build_fock_matrix(*two_state(params, 0.3, 0.0), params, cutoff=4)
     text = dump_matrix_coo(op)
     rows = [line.split() for line in text.strip().split("\n")]
     rebuilt = sp.coo_matrix(
@@ -470,12 +488,12 @@ def test_warm_path_keeps_instability_unconverged():
     # beyond xi_c the energy keeps falling; the last stage (dim 512) is warm
     params = PhysicalParams(omega=1.0, Omega=0.2)
     model = two_state(params, 0.0, 1.2 * (-0.25))
-    report = converge_cutoff(model, params=params, e_tol=1e-8, max_cutoff=256)
+    report = converge_cutoff(*model, params, e_tol=1e-8, max_cutoff=256)
     assert not report.converged
     assert report.cutoff == 256
     history = [e for _, e in report.energy_history]
     assert all(e2 < e1 for e1, e2 in zip(history, history[1:]))
-    cold = ground_state(build_fock_matrix(model, params=params, cutoff=256))[0]
+    cold = ground_state(build_fock_matrix(*model, params, cutoff=256))[0]
     assert history[-1] == pytest.approx(cold, abs=1e-10)
 
 
@@ -534,7 +552,7 @@ def test_drive_scan_operators_match_fresh_builds(monkeypatch, model, frame, max_
     # has no links and so its own build, and on a grid that starts there
     if model == "dumbbell":
         params = PhysicalParams(omega=1.0, Omega=0.0)
-        graph, forms = two_state(params, 0.3, -0.1), None
+        graph, forms = two_state(params, 0.3, -0.1)
     else:
         graph, forms, params = triangle_model(0.0)
     drives = [0.0, 0.1, 0.25, 0.0, 0.4]
@@ -631,7 +649,7 @@ def test_lobpcg_breakdown_hands_over_quietly():
     model = two_state(params, 0.3, 0.85 * (-0.25))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = converge_cutoff(model, params=params, max_cutoff=256, frame="displaced")
+        report = converge_cutoff(*model, params, max_cutoff=256, frame="displaced")
     assert not report.converged
     assert report.cutoff == 256
 
@@ -658,7 +676,7 @@ def test_budget_overrun_keeps_finished_stages():
         converge_cutoff(graph, forms, params, max_cutoff=16, max_bytes=10**5)
 
 
-def reference_fock_matrix(graph, forms=None, params=None, cutoff=8, frame="bare"):
+def reference_fock_matrix(graph, forms, params, cutoff=8, frame="bare"):
     """The operator assembled term by term from Kronecker products and ``bmat``.
 
     Each node block is a sparse sum of single-mode operators embedded with
@@ -768,7 +786,7 @@ def test_stencil_matches_reference_dumbbell(frame, drive):
     pot = ExplicitCouplings(kappa=0.4, xi=0.05, nu=0.1, v_d=1.0)
     model = dumbbell_hamiltonian(params, derive_couplings(pot, params))
     for cutoff in (2, 3, 16):
-        assert_same_operator(model, None, params, cutoff, frame)
+        assert_same_operator(*model, params, cutoff, frame)
 
 
 def test_stencil_matches_reference_bare_adjacency():
