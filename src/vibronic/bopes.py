@@ -3,11 +3,12 @@
 The adiabatic surface at fixed collective coordinates q is the smallest
 eigenvalue of the electronic matrix ``M(q) = Omega A + diag(E_s(q))`` where
 ``E_s`` is the classical (kinetic-free) energy of node s.  This module locates
-its minima by deterministic multistart gradient descent (L-BFGS-B with the
-eigenvector-sandwich gradient, each endpoint checked to be a true minimum,
-Nelder-Mead simplex only as the fallback at electronic crossings), fits local
-quadratics, and scans the surface minimum against the drive strength to expose
-the symmetry-breaking transition and its smoothing by quantum effects.
+its minima by deterministic multistart Newton descent (exact gradient and
+Hessian of the lowest eigenvalue from one ``eigh`` of M, each endpoint
+checked to be a true minimum, Nelder-Mead simplex only as the fallback at
+electronic crossings), fits local quadratics, and scans the surface minimum
+against the drive strength to expose the symmetry-breaking transition and
+its smoothing by quantum effects.
 """
 
 from __future__ import annotations
@@ -27,10 +28,14 @@ DEFAULT_DEDUP_TOL = 1e-4  # basin deduplication distance, in units of x0
 DEFAULT_DEGENERACY_TOL = 1e-8  # energy tolerance for degenerate minima, units of omega
 SIMPLEX_TOL = 1e-13  # energy tolerance of the simplex fallback
 GAP_TOL = 1e-7  # electronic gap below which the branch counts as crossing, units of omega
-HESSIAN_STEP = 1e-5  # finite-difference step of the minimum check, units of x0
+CURVATURE_FLOOR = 1e-3  # smallest |curvature| a Newton step divides by, units of omega/x0^2
+DECREMENT_TOL = 1e-15  # Newton decrement that ends a descent, relative to max(omega, |E|)
+STEP_TOL = 1e-10  # Newton step that ends a descent, units of x0
+MAX_NEWTON_STEPS = 100  # Newton steps per descent
+MAX_BACKTRACKS = 40  # step halvings per Newton step
+ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
 SADDLE_STEP = 0.1  # step off a saddle along negative curvature, units of x0
-MAX_DESCENTS = 3  # gradient descents per start before the simplex fallback
-_LBFGS_OPTIONS = {"ftol": 1e-18, "gtol": 1e-14, "maxiter": 500}
+MAX_DESCENTS = 3  # Newton descents per start before the simplex fallback
 MIN_SCAN_SAMPLES = 32  # drive samples a transition scan needs to place the kink
 FIT_RADIUS = 0.1  # initial stencil radius of the quadratic fit, units of x0
 FIT_GAP_TOL = 1e-9  # electronic gap every fit stencil point must exceed
@@ -39,17 +44,24 @@ FIT_MAX_SHRINKS = 8  # stencil halvings before the fit gives up on a crossing
 
 @dataclass(frozen=True, eq=False)
 class BoSurface:
-    """Electronic matrix data for clamped-coordinate energies."""
+    """Electronic matrix data for clamped-coordinate energies.
+
+    The node forms are also held stacked, so node energies, gradients and
+    Hessians at q take a few array operations.
+    """
 
     adjacency: np.ndarray
     forms: tuple  # per-node QuadraticVibronic over reduced coordinates
+    constants: np.ndarray  # (n,) stacked form constants
+    linears: np.ndarray  # (n, dim) stacked linear terms
+    hessians: np.ndarray  # (n, dim, dim) stacked Hessians
     Omega: float
     omega: float
     x0: float
 
     @property
     def dim(self) -> int:
-        return self.forms[0].dim
+        return self.linears.shape[1]
 
     @property
     def n_nodes(self) -> int:
@@ -61,12 +73,17 @@ class BoSurface:
 
 @dataclass(frozen=True, eq=False)
 class MinimaReport:
-    """Distinct local minima found by the multistart search, sorted by energy."""
+    """Distinct local minima of the multistart search, sorted by energy, and its work counts."""
 
     minima: tuple  # ((q, energy), ...) sorted by energy
     degeneracy: int
     global_energy: float
     degeneracy_tol: float
+    starts: int
+    descents: int  # Newton descents, restarts off saddles and simplex polishes included
+    evaluations: int  # diagonalizations of the electronic matrix, simplex ones included
+    saddles_left: int
+    simplex_fallbacks: int  # starts that met a crossing or ended on a saddle every time
 
 
 def build_bo_surface(graph, forms, params: PhysicalParams) -> BoSurface:
@@ -75,6 +92,9 @@ def build_bo_surface(graph, forms, params: PhysicalParams) -> BoSurface:
     return BoSurface(
         adjacency=adjacency,
         forms=tuple(forms),
+        constants=np.array([f.constant for f in forms]),
+        linears=np.array([f.linear for f in forms]),
+        hessians=np.array([f.hessian for f in forms]),
         Omega=params.Omega,
         omega=params.omega,
         x0=params.x0,
@@ -82,9 +102,8 @@ def build_bo_surface(graph, forms, params: PhysicalParams) -> BoSurface:
 
 
 def _electronic_matrix(surface: BoSurface, q: np.ndarray) -> np.ndarray:
-    m = surface.Omega * surface.adjacency
-    diag = [f.energy_at(q) for f in surface.forms]
-    return m + np.diag(diag)
+    energies = surface.constants + surface.linears @ q + (surface.hessians @ q) @ q
+    return surface.Omega * surface.adjacency + np.diag(energies)
 
 
 def bo_energy(surface: BoSurface, q) -> float:
@@ -92,39 +111,36 @@ def bo_energy(surface: BoSurface, q) -> float:
     q = np.asarray(q, dtype=float)
     if q.shape != (surface.dim,):
         raise DomainError(f"expected {surface.dim} coordinates, got shape {q.shape}")
-    if surface.n_nodes == 1:
-        return surface.forms[0].energy_at(q)
     return float(np.linalg.eigvalsh(_electronic_matrix(surface, q))[0])
+
+
+def _derivatives(surface: BoSurface, q: np.ndarray):
+    """Lowest eigenvalue, electronic gap, exact gradient and Hessian from one ``eigh``.
+
+    With eigenpairs ``(E_k, u_k)`` of M, ``v = u_0`` and node gradients
+    ``G = L + 2 H q``, the gradient is ``sum_s v_s^2 G_s`` and the Hessian
+    ``sum_s v_s^2 2 H_s + 2 sum_{k>0} b_k b_k^T / (E_0 - E_k)`` with
+    ``b_k = G^T (v * u_k)``.  Valid away from electronic degeneracies.
+    """
+    vals, vecs = np.linalg.eigh(_electronic_matrix(surface, q))
+    v = vecs[:, 0]
+    node_grads = surface.linears + 2.0 * surface.hessians @ q
+    b = node_grads.T @ (v[:, None] * vecs[:, 1:])
+    hess = 2.0 * np.einsum("s,sij->ij", v * v, surface.hessians)
+    with np.errstate(all="ignore"):  # no Hessian at a crossing, where callers stop
+        hess += 2.0 * (b / (vals[0] - vals[1:])) @ b.T
+    gap = float(vals[1] - vals[0]) if vals.size > 1 else math.inf
+    return float(vals[0]), gap, (v * v) @ node_grads, hess
 
 
 def bo_eigen_gap(surface: BoSurface, q) -> float:
     """Gap between the two lowest electronic eigenvalues at q."""
-    q = np.asarray(q, dtype=float)
-    if surface.n_nodes == 1:
-        return math.inf
-    vals = np.linalg.eigvalsh(_electronic_matrix(surface, q))
-    return float(vals[1] - vals[0])
-
-
-def _energy_and_gradient(surface: BoSurface, q: np.ndarray):
-    """Lowest eigenvalue and its eigenvector-sandwich gradient from one ``eigh``.
-
-    The gradient is valid away from electronic degeneracies.
-    """
-    vals, vecs = np.linalg.eigh(_electronic_matrix(surface, q))
-    v = vecs[:, 0]
-    grad = np.zeros(surface.dim)
-    for s, f in enumerate(surface.forms):
-        grad += v[s] ** 2 * (f.linear + 2.0 * f.hessian @ q)
-    return float(vals[0]), grad
+    return _derivatives(surface, np.asarray(q, dtype=float))[1]
 
 
 def bo_gradient(surface: BoSurface, q) -> np.ndarray:
-    """Gradient of the lowest eigenvalue by eigenvector sandwiching.
-
-    Valid away from electronic degeneracies.
-    """
-    return _energy_and_gradient(surface, np.asarray(q, dtype=float))[1]
+    """Gradient of the lowest eigenvalue; valid away from electronic degeneracies."""
+    return _derivatives(surface, np.asarray(q, dtype=float))[2]
 
 
 def default_start_points(surface: BoSurface) -> np.ndarray:
@@ -170,56 +186,46 @@ def light_start_points(surface: BoSurface) -> np.ndarray:
     return np.array(starts)
 
 
-def _hessian(surface: BoSurface, q: np.ndarray) -> np.ndarray:
-    """Central-difference Hessian of the gradient, symmetrized; 2 dim gradient calls."""
-    h = HESSIAN_STEP * surface.x0
-    rows = []
-    for m in range(surface.dim):
-        e = np.zeros(surface.dim)
-        e[m] = h
-        g_plus = _energy_and_gradient(surface, q + e)[1]
-        g_minus = _energy_and_gradient(surface, q - e)[1]
-        rows.append((g_plus - g_minus) / (2.0 * h))
-    hess = np.array(rows)
-    return 0.5 * (hess + hess.T)
+def _newton(surface: BoSurface, q: np.ndarray, tally: dict):
+    """Saddle-free Newton descent on the lowest branch, with Armijo backtracking.
 
-
-def _descend(surface: BoSurface, start: np.ndarray):
-    """Gradient descent onto a checked local minimum of the lowest branch.
-
-    Each endpoint must sit away from electronic crossings and have a positive
-    definite Hessian; from a saddle the search steps along the most negative
-    curvature direction and descends again.  Returns ``(q, energy)``, or None
-    at a crossing or when the last of ``MAX_DESCENTS`` descents still ends on
-    a saddle.
+    Each step divides the gradient by the absolute Hessian eigenvalues, each
+    floored at ``CURVATURE_FLOOR omega/x0^2``, so it descends along negative
+    curvature too.  The descent ends when the Newton decrement ``-g.p`` is
+    below ``DECREMENT_TOL max(omega, |E|)`` or the step below ``STEP_TOL x0``,
+    and returns ``(q, energy, curvatures, directions)`` there; it returns
+    None at an electronic crossing (gap at most ``GAP_TOL omega``) or when
+    it does not converge.
     """
-    from scipy.optimize import minimize  # only surface searches need it
-
-    q = start
-    for _ in range(MAX_DESCENTS):
-        res = minimize(
-            lambda p: _energy_and_gradient(surface, p),
-            q,
-            jac=True,
-            method="L-BFGS-B",
-            options=_LBFGS_OPTIONS,
-        )
-        q = res.x
-        if bo_eigen_gap(surface, q) <= GAP_TOL * surface.omega:
+    floor = CURVATURE_FLOOR * surface.omega / surface.x0**2
+    tally["descents"] += 1
+    tally["evaluations"] += 1
+    e, gap, grad, hess = _derivatives(surface, q)
+    for _ in range(MAX_NEWTON_STEPS):
+        if gap <= GAP_TOL * surface.omega:
             return None
-        curvatures, directions = np.linalg.eigh(_hessian(surface, q))
-        if curvatures[0] > 0.0:
-            return q, float(res.fun)
-        q = q + SADDLE_STEP * surface.x0 * directions[:, 0]
+        curvatures, directions = np.linalg.eigh(hess)
+        step = -directions @ ((directions.T @ grad) / np.maximum(np.abs(curvatures), floor))
+        decrement = -float(grad @ step)
+        small_step = np.linalg.norm(step) <= STEP_TOL * surface.x0
+        if decrement <= DECREMENT_TOL * max(surface.omega, abs(e)) or small_step:
+            return q, e, curvatures, directions
+        for halvings in range(MAX_BACKTRACKS):
+            alpha = 0.5**halvings
+            tally["evaluations"] += 1
+            trial = _derivatives(surface, q + alpha * step)
+            if trial[0] <= e - ARMIJO * alpha * decrement:
+                break
+        else:
+            return None
+        q = q + alpha * step
+        e, gap, grad, hess = trial
     return None
 
 
-def _simplex(surface: BoSurface, start: np.ndarray):
-    """Nelder-Mead descent plus a gradient polish away from crossings."""
-    from scipy.optimize import minimize  # only surface searches need it
-
-    def fun(q):
-        return bo_energy(surface, q)
+def _simplex(surface: BoSurface, start: np.ndarray, tally: dict):
+    """Nelder-Mead descent plus a Newton polish away from crossings."""
+    from scipy.optimize import minimize  # only the crossing fallback needs it
 
     options = {
         "xatol": 1e-10 * surface.x0,
@@ -227,35 +233,28 @@ def _simplex(surface: BoSurface, start: np.ndarray):
         "maxiter": 4000 * surface.dim,
         "maxfev": 4000 * surface.dim,
     }
-    res = minimize(fun, start, method="Nelder-Mead", options=options)
+    res = minimize(lambda q: bo_energy(surface, q), start, method="Nelder-Mead", options=options)
+    tally["evaluations"] += res.nfev
     q, e = res.x, float(res.fun)
-    # Away from electronic crossings the branch is smooth, so a gradient
-    # polish (eigenvector-sandwich gradient) removes the residual simplex
-    # stall and lands every start exactly on its basin floor.
-    if bo_eigen_gap(surface, q) > GAP_TOL * surface.omega:
-        polished = minimize(
-            fun,
-            q,
-            jac=lambda p: bo_gradient(surface, p),
-            method="L-BFGS-B",
-            options=_LBFGS_OPTIONS,
-        )
-        if polished.fun <= e:
-            q, e = polished.x, float(polished.fun)
+    # away from crossings a Newton polish lands the simplex stall on its basin floor
+    polished = _newton(surface, q, tally)
+    if polished is not None and polished[1] <= e:
+        q, e = polished[0], polished[1]
     return q, e
 
 
 def minimize_bo(surface: BoSurface, starts=None) -> MinimaReport:
-    """Locate the surface minima by deterministic multistart gradient descent.
+    """Locate the surface minima by deterministic multistart Newton descent.
 
-    From every start, L-BFGS-B descends on the lowest branch with the
-    eigenvector-sandwich gradient.  An endpoint counts as a minimum only when
-    the electronic gap there exceeds ``1e-7 omega`` and the finite-difference
-    Hessian is positive definite; a saddle is left along its negative
-    curvature and descended again, at most three descents in all.  At an
-    electronic crossing, or on a saddle after the last descent, the start
-    falls back to Nelder-Mead simplex descent (energy tolerance
-    ``SIMPLEX_TOL``) with a gradient polish.
+    From every start, a saddle-free Newton descent (:func:`_newton`) runs on
+    the lowest branch with the exact gradient and Hessian.  An endpoint
+    counts as a minimum only when the electronic gap there exceeds
+    ``GAP_TOL omega`` and the exact Hessian is positive definite; a saddle is
+    left ``SADDLE_STEP x0`` along its most negative curvature and descended
+    again, at most ``MAX_DESCENTS`` descents in all.  At an electronic
+    crossing, or on a saddle after the last descent, the start falls back to
+    Nelder-Mead simplex descent (energy tolerance ``SIMPLEX_TOL``) with a
+    Newton polish.
 
     Distinct basins are deduplicated at distance ``1e-4 x0``; minima are
     reported sorted by energy and the degeneracy counts those within
@@ -268,10 +267,24 @@ def minimize_bo(surface: BoSurface, starts=None) -> MinimaReport:
         raise DomainError(f"expected {surface.dim} coordinates per start, got {starts.shape[1]}")
     degeneracy_tol = DEFAULT_DEGENERACY_TOL * surface.omega
 
+    tally = dict.fromkeys(("descents", "evaluations", "saddles_left", "simplex_fallbacks"), 0)
     found = []
     for start in starts:
-        minimum = _descend(surface, start)
-        found.append(minimum if minimum is not None else _simplex(surface, start))
+        q, minimum = start, None
+        for _ in range(MAX_DESCENTS):
+            end = _newton(surface, q, tally)
+            if end is None:  # an electronic crossing
+                break
+            q, e, curvatures, directions = end
+            if curvatures[0] > 0.0:
+                minimum = (q, e)
+                break
+            tally["saddles_left"] += 1
+            q = q + SADDLE_STEP * surface.x0 * directions[:, 0]
+        if minimum is None:
+            tally["simplex_fallbacks"] += 1
+            minimum = _simplex(surface, start, tally)
+        found.append(minimum)
 
     dedup_dist = DEFAULT_DEDUP_TOL * surface.x0
     found.sort(key=lambda qe: (qe[1], tuple(qe[0])))
@@ -287,6 +300,8 @@ def minimize_bo(surface: BoSurface, starts=None) -> MinimaReport:
         degeneracy=degeneracy,
         global_energy=global_energy,
         degeneracy_tol=degeneracy_tol,
+        starts=len(starts),
+        **tally,
     )
 
 
@@ -317,19 +332,9 @@ def bo_quadratic_check(surface: BoSurface, center) -> QuadraticFit:
     dim = surface.dim
     radius = FIT_RADIUS * surface.x0
 
-    offsets = [np.zeros(dim)]
-    for m in range(dim):
-        for sign in (+1.0, -1.0):
-            v = np.zeros(dim)
-            v[m] = sign
-            offsets.append(v)
-    for m in range(dim):
-        for n in range(m + 1, dim):
-            for sm, sn in ((1, 1), (1, -1)):
-                v = np.zeros(dim)
-                v[m], v[n] = sm, sn
-                offsets.append(v)
-    offsets = np.array(offsets)
+    eye, signs = np.eye(dim), (1.0, -1.0)
+    pairs = [eye[m] + s * eye[n] for m in range(dim) for n in range(m + 1, dim) for s in signs]
+    offsets = np.array([np.zeros(dim)] + [s * e for e in eye for s in signs] + pairs)
 
     for _ in range(FIT_MAX_SHRINKS + 1):
         points = center + radius * offsets
@@ -342,28 +347,19 @@ def bo_quadratic_check(surface: BoSurface, center) -> QuadraticFit:
 
     energies = np.array([bo_energy(surface, p) for p in points])
     # Design matrix over the monomials 1, d_m, d_m d_n (m <= n).
-    cols = [np.ones(len(points))]
     deltas = points - center
-    for m in range(dim):
-        cols.append(deltas[:, m])
-    pair_index = []
-    for m in range(dim):
-        for n in range(m, dim):
-            cols.append(deltas[:, m] * deltas[:, n])
-            pair_index.append((m, n))
-    design = np.column_stack(cols)
+    rows, cols = np.triu_indices(dim)
+    design = np.column_stack([np.ones(len(points)), deltas, deltas[:, rows] * deltas[:, cols]])
     coef, *_ = np.linalg.lstsq(design, energies, rcond=None)
 
-    constant = coef[0]
-    linear = coef[1 : 1 + dim]
     quad = np.zeros((dim, dim))
-    for (m, n), c in zip(pair_index, coef[1 + dim :]):
-        if m == n:
-            quad[m, m] = c
-        else:
-            quad[m, n] = quad[n, m] = c / 2.0
+    quad[rows, cols] = coef[1 + dim :] / 2.0
     return QuadraticFit(
-        center=center, constant=float(constant), linear=linear, quadratic=quad, radius=radius
+        center=center,
+        constant=float(coef[0]),
+        linear=coef[1 : 1 + dim],
+        quadratic=quad + quad.T,
+        radius=radius,
     )
 
 

@@ -59,7 +59,7 @@ from .bopes import (
     transition_scan,
     transition_scan_csv,
 )
-from .errors import ConfigError, InstabilityError, VibronicError
+from .errors import ConfigError, DomainError, InstabilityError, VibronicError
 from .fock import converge_cutoff
 from .graphs import (
     GEOMETRY_PRESETS,
@@ -203,13 +203,17 @@ def _parse_params(cfg: dict, geometry: Geometry, potential) -> tuple:
     if x0 is None and mass is None and isinstance(potential, ExplicitCouplings):
         x0 = potential.nu * geometry.d
 
-    params = PhysicalParams(omega=omega, Omega=drive, d=geometry.d, x0=x0, mass=mass)
+    try:  # every input is checked above; only an x0 derived from the mass can fail
+        params = PhysicalParams(omega=omega, Omega=drive, d=geometry.d, x0=x0, mass=mass)
+        implied_x0 = None if mass is None else PhysicalParams(omega=omega, mass=mass).x0
+    except DomainError as exc:
+        raise ConfigError("config.params.mass", str(exc)) from exc
     # the x0 that PhysicalParams resolved must agree with every other source of it
     if isinstance(potential, ExplicitCouplings):
         given = "config.params.mass" if x0 is None else "config.params.x0"
         _same_x0(params.x0, potential.nu * geometry.d, given, "potential.nu")
     if x0 is not None and mass is not None:
-        _same_x0(x0, PhysicalParams(omega=omega, mass=mass).x0, "config.params.mass", "mass")
+        _same_x0(x0, implied_x0, "config.params.mass", "mass")
 
     delta_rule = pcfg.get("delta", "-V")
     is_number = isinstance(delta_rule, (int, float)) and not isinstance(delta_rule, bool)

@@ -50,6 +50,8 @@ class PhysicalParams:
             if self.mass is not None:
                 if self.mass <= 0:
                     raise DomainError(f"mass must be positive, got {self.mass}")
+                if self.mass * self.omega == 0.0:
+                    raise DomainError(f"mass * omega underflows to 0: {self.mass} * {self.omega}")
                 object.__setattr__(self, "x0", 1.0 / math.sqrt(self.mass * self.omega))
             else:
                 object.__setattr__(self, "x0", 1.0)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -31,7 +31,7 @@ from vibronic import (
     transition_scan,
     triangle,
 )
-from vibronic.bopes import bo_eigen_gap, transition_scan_csv
+from vibronic.bopes import _derivatives, bo_eigen_gap, transition_scan_csv
 
 SQRT2 = math.sqrt(2.0)
 
@@ -290,6 +290,59 @@ def test_descent_from_the_origin_leaves_the_saddle():
     assert_true_minima(surface, report)
     for q, _ in report.minima:
         assert np.linalg.norm(q - saddle) > 0.1 * surface.x0
+
+
+def test_minima_report_counts_the_search():
+    _, _, _, _, base = triangle_setup(kappa=CRITERION_11_KAPPA)
+    surface = base.with_omega(0.06)
+    starts = light_start_points(surface)
+    report = minimize_bo(surface, starts=starts)
+    assert report.starts == len(starts) == 4
+    assert report.simplex_fallbacks == 0
+    assert report.saddles_left >= 1
+    # every saddle left starts one more descent, and each descent evaluates
+    assert report.descents == report.starts + report.saddles_left
+    assert report.evaluations > report.descents
+    # the origin start alone is the one that meets the saddle
+    origin = minimize_bo(surface, starts=np.zeros((1, surface.dim)))
+    assert origin.saddles_left >= 1
+    assert origin.simplex_fallbacks == 0
+    again = minimize_bo(surface, starts=starts)
+    counts = ("starts", "descents", "evaluations", "saddles_left", "simplex_fallbacks")
+    assert [getattr(again, c) for c in counts] == [getattr(report, c) for c in counts]
+
+
+def test_start_on_a_crossing_falls_back_to_the_simplex():
+    # at zero drive the surface is the lowest node energy, and at the origin
+    # every node energy vanishes: the branch has no derivatives there
+    _, _, _, _, surface = triangle_setup(kappa=CRITERION_11_KAPPA)
+    origin = np.zeros(surface.dim)
+    assert bo_eigen_gap(surface, origin) == 0.0
+    report = minimize_bo(surface, starts=origin[None, :])
+    assert report.starts == 1
+    assert report.simplex_fallbacks == 1
+    assert report.saddles_left == 0
+    assert report.global_energy <= nelder_mead_energy(surface, origin)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    drive=st.floats(min_value=0.0, max_value=0.3),
+    q=st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=4, max_size=4),
+)
+def test_exact_derivatives_match_central_differences(drive, q):
+    _, _, _, _, base = triangle_setup(kappa=CRITERION_11_KAPPA)
+    surface = base.with_omega(drive)
+    q = surface.x0 * np.array(q)
+    energy, gap, grad, hess = _derivatives(surface, q)
+    assume(gap > 1e-3 * surface.omega)
+    assert energy == pytest.approx(bo_energy(surface, q), abs=1e-14)
+    h = 1e-6 * surface.x0
+    steps = h * np.eye(surface.dim)
+    fd_grad = [(bo_energy(surface, q + e) - bo_energy(surface, q - e)) / (2 * h) for e in steps]
+    fd_hess = [(bo_gradient(surface, q + e) - bo_gradient(surface, q - e)) / (2 * h) for e in steps]
+    assert np.abs(grad - fd_grad).max() <= 1e-6 * max(1.0, np.abs(grad).max())
+    assert np.abs(hess - np.array(fd_hess)).max() <= 1e-5 * max(1.0, np.abs(hess).max())
 
 
 def test_symmetric_local_minimum_is_reported():

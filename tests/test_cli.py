@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,8 +201,9 @@ def test_schema_errors_carry_the_key_path(tmp_path):
     assert exc.value.path == "config.scan.samples"
 
     # values that were misread (a bool delta as "-3V", "false" as true), crashed
-    # (integers beyond the float range), ignored (a mass next to x0), or passed
-    # as the non-finite numbers json reads from NaN and Infinity
+    # (integers beyond the float range, a mass * omega that underflows to 0),
+    # ignored (a mass next to x0), or passed as the non-finite numbers json
+    # reads from NaN and Infinity
     for key, value, path in (
         ("params", dict(GRAPH_CONFIG["params"], delta=True), "config.params.delta"),
         ("geometry", {"preset": "dumbbell", "full_3d": "false"}, "config.geometry.full_3d"),
@@ -211,6 +215,8 @@ def test_schema_errors_carry_the_key_path(tmp_path):
         ("params", dict(GRAPH_CONFIG["params"], omega=10**400), "config.params.omega"),
         ("params", dict(GRAPH_CONFIG["params"], delta=-(10**400)), "config.params.delta"),
         ("params", dict(GRAPH_CONFIG["params"], mass=4.0), "config.params.mass"),
+        ("params", {"omega": 1e-200, "mass": 1e-200, "delta": "-3V"}, "config.params.mass"),
+        ("params", dict(GRAPH_CONFIG["params"], omega=1e-200, mass=1e-200), "config.params.mass"),
     ):
         cfg = dict(GRAPH_CONFIG, **{key: value})
         with pytest.raises(ConfigError) as exc:
@@ -555,6 +561,31 @@ def test_bopes_scan_is_deterministic(tmp_path):
         assert main(["bopes-scan", "--config", path, "--out", str(out)]) == 0
     for name in ("bopes-scan.csv", "run-manifest.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_triangle_bopes_scan_leaves_scipy_optimize_unloaded(tmp_path):
+    # Newton descents find every minimum on this scan; Nelder-Mead, the only
+    # user of scipy.optimize, runs only at electronic crossings
+    import vibronic
+
+    src = str(Path(vibronic.__file__).resolve().parents[1])
+    path = write_config(tmp_path, TRIANGLE_BOPES_SCAN)
+    code = (
+        "import sys\n"
+        "from vibronic.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, 'scipy.optimize' in sys.modules)\n"
+    )
+    argv = ["bopes-scan", "--config", path, "--out", str(tmp_path / "out")]
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": src, "PATH": "", "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert out.stdout.split() == ["0", "False"]
+    assert (tmp_path / "out" / "bopes-scan.csv").is_file()
 
 
 def test_compare_honours_the_modes_flag(tmp_path, monkeypatch):

@@ -126,6 +126,8 @@ def test_parameter_validation():
         PhysicalParams(d=0.0)
     with pytest.raises(DomainError):
         PhysicalParams(mass=-2.0)
+    with pytest.raises(DomainError):  # mass * omega underflows to 0
+        PhysicalParams(omega=1e-200, mass=1e-200)
     with pytest.raises(DomainError):
         PowerLaw(1.0, 0)
     with pytest.raises(DomainError):
