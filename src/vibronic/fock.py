@@ -34,15 +34,17 @@ three per-node marginals of the state along one mode.
 
 :func:`converge_cutoff` doubles the cutoff until the ground energy settles,
 starting each stage from the lower stage's zero-padded vector, refined above
-``DENSE_CUTOVER`` states by a block-1 Jacobi-preconditioned LOBPCG with
-ARPACK as the fallback; every returned pair has a checked residual.
+``DENSE_CUTOVER`` states by a block-1 LOBPCG, preconditioned by
+1/|diag(H) - rho| on the diagonal the build records, with ARPACK as the
+fallback; every returned pair has a checked residual.
 :func:`converge_drives` runs that doubling along a list of drives and carries
 work from drive to drive: each cutoff's operator is built once and only its
-link entries are rewritten (every drive still sees its own build bitwise),
-and each sparse stage starts from the previous drives' ground vectors at its
-cutoff, extrapolated linearly, unless that start fails or ends above the
-lower stage's energy, which nested bases forbid.  Energies agree with
-independent :func:`converge_cutoff` calls to within the eigensolver tolerance.
+link entries, all off the diagonal, are rewritten (every drive still sees its
+own build bitwise), and each sparse stage starts from the last three drives'
+ground vectors at its cutoff, extrapolated quadratically, unless that start
+fails or ends above the lower stage's energy, which nested bases forbid.
+Energies agree with independent :func:`converge_cutoff` calls to within the
+eigensolver tolerance.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import ModeBasis, QuadraticVibronic, node_data
 from .errors import DomainError, EigensolverError, ResourceBudgetError
@@ -73,7 +74,8 @@ GATHER_CELLS = 2**18  # table cells compacted at once; bounds the gather's tempo
 class FockOperator:
     """Sparse symmetric molecular operator in a truncated product Fock basis."""
 
-    matrix: sp.csr_matrix
+    matrix: "scipy.sparse.csr_matrix"
+    diagonal: np.ndarray  # the matrix diagonal, which link rewrites leave alone
     n_nodes: int
     n_modes: int
     cutoff: int
@@ -285,16 +287,16 @@ def _footprint(widths, n_blocks: int, per_node: int):
     """``(bytes, index dtype)`` that :func:`_assemble` allocates for these row widths.
 
     The bytes are the CSR ``data``/``indices``/``indptr`` arrays at their
-    untrimmed size, the widest node's ``(per_node, width)`` value, column
-    and mask tables, and the link records: a position per row of each of
-    the ``n_blocks`` link blocks.
+    untrimmed size, the diagonal, the widest node's ``(per_node, width)``
+    value, column and mask tables, and the link records: a position per row
+    of each of the ``n_blocks`` link blocks.
     """
     dim = len(widths) * per_node
     upper = per_node * sum(widths)
     idx = np.int32 if max(upper, dim) <= np.iinfo(np.int32).max else np.int64
     size = np.dtype(idx).itemsize
     tables = per_node * max(widths) * (9 + size)
-    return upper * (8 + size) + (dim + 1 + per_node * n_blocks) * size + tables, idx
+    return upper * (8 + size) + (dim + 1 + per_node * n_blocks) * size + 8 * dim + tables, idx
 
 
 def _stencil(steps, cutoff: int, bands):
@@ -320,16 +322,16 @@ def _stencil(steps, cutoff: int, bands):
     return sorted(stencil, key=lambda entry: entry[0])
 
 
-def _diagonal(node, omega: float, bands, n_modes: int) -> np.ndarray:
-    """Node-block diagonal, summed as omega n + const, then Q_mm (X_m^2) by mode."""
+def _diagonal(node, omega: float, bands, out: np.ndarray) -> np.ndarray:
+    """Write the node-block diagonal into ``out``: omega n + const, then Q_mm (X_m^2) by mode."""
     const, _, q = node
-    cutoff = bands[0].size
+    cutoff, n_modes = bands[0].size, out.ndim
     occupation = sum(_along(m, np.arange(float(cutoff)), n_modes) for m in range(n_modes))
-    value = omega * occupation + const
+    np.add(omega * occupation, const, out=out)
     for m in range(n_modes):
         if q[m, m] != 0.0:
-            value = value + q[m, m] * _along(m, bands[0], n_modes)
-    return value
+            out += q[m, m] * _along(m, bands[0], n_modes)
+    return out
 
 
 def _fill_link(cols, keep, s: int, link, n_modes: int, cutoff: int):
@@ -373,10 +375,13 @@ def _assemble(coefficients, steps, links, widths, idx, omega: float, Omega: floa
     a step's rows stay zero, and node-block entries that are exactly zero are
     dropped; link entries are kept wherever their factors are nonzero.
 
-    Returns the matrix and its link records ``(A[s, t], heads, factors,
-    shape)`` per link block (see :func:`_write_links`); the link entries are
-    written through them, at drive ``Omega``, once the tables are gone.
+    Returns the matrix, its diagonal (the node diagonals) and its link
+    records ``(A[s, t], heads, factors, shape)`` per link block (see
+    :func:`_write_links`); the link entries are written through them, at
+    drive ``Omega``, once the tables are gone.
     """
+    import scipy.sparse as sp  # loaded by the first build, not by ``import vibronic``
+
     n_modes = steps[0][1].size
     per_node = cutoff**n_modes
     dim = len(coefficients) * per_node
@@ -387,6 +392,7 @@ def _assemble(coefficients, steps, links, widths, idx, omega: float, Omega: floa
     data = np.empty(upper)
     indices = np.empty(upper, dtype=idx)
     indptr = np.zeros(dim + 1, dtype=idx)
+    diagonal = np.empty(dim)
     records = []
     pos = 0
     for s, node in enumerate(coefficients):
@@ -403,13 +409,14 @@ def _assemble(coefficients, steps, links, widths, idx, omega: float, Omega: floa
             if link is None:
                 coef = _node_terms(node)
                 table = vals[:, part].reshape((cutoff,) * n_modes + (width,), copy=False)
+                first = s * per_node
                 for j, (_, term, rows, element) in enumerate(stencil):
                     if term == 0:
-                        table[..., j] = _diagonal(node, omega, bands, n_modes)
+                        own = diagonal[first : first + per_node].reshape(table.shape[:-1])
+                        table[..., j] = _diagonal(node, omega, bands, own)
                     elif coef[term] != 0.0:
                         table[rows + (j,)] = coef[term] * element
                 np.not_equal(vals[:, part], 0.0, out=keep[:, part])
-                first = s * per_node
                 row_ids = np.arange(first, first + per_node, dtype=idx)
                 np.add.outer(row_ids, offsets, out=cols[:, part])
             else:
@@ -434,7 +441,7 @@ def _assemble(coefficients, steps, links, widths, idx, omega: float, Omega: floa
     data.resize(pos, refcheck=False)
     indices.resize(pos, refcheck=False)
     _write_links(data, records, Omega)
-    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim)), tuple(records)
+    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim)), diagonal, tuple(records)
 
 
 def build_fock_matrix(
@@ -490,11 +497,12 @@ def build_fock_matrix(
             estimated_bytes=footprint,
         )
 
-    matrix, records = _assemble(
+    matrix, diagonal, records = _assemble(
         coefficients, steps, links, widths, idx, params.omega, params.Omega, cutoff
     )
     return FockOperator(
         matrix=matrix,
+        diagonal=diagonal,
         n_nodes=n_nodes,
         n_modes=n_modes,
         cutoff=cutoff,
@@ -519,33 +527,34 @@ def _checked_pair(matrix, energy: float, vec: np.ndarray, tol: float, solver: st
     return energy, vec
 
 
-def _jacobi_lobpcg(matrix, v0: np.ndarray, tol: float):
-    """Refine a unit warm start by block-1 LOBPCG preconditioned with 1/(diag(H) - rho).
+def _jacobi_lobpcg(matrix, diagonal: np.ndarray, v0: np.ndarray, tol: float):
+    """Refine a unit warm start by block-1 LOBPCG preconditioned with 1/|diag(H) - rho|.
 
-    rho is the Rayleigh quotient of ``v0``; shifts below a small floor are
-    raised to it so the preconditioner stays positive definite.  Each
-    iteration applies Rayleigh-Ritz to the span of the iterate x, its
-    preconditioned residual w and the previous direction p (Knyazev, SIAM J.
-    Sci. Comput. 23, 517 (2001)), orthonormalized through the Cholesky factor
-    of their Gram matrix; p is dropped for a step whenever that factor fails.
+    ``diagonal`` is diag(H) and rho the Rayleigh quotient of ``v0``; shifts
+    below a small floor are raised to it.  Each iteration applies
+    Rayleigh-Ritz to the span of the iterate x, its preconditioned residual w
+    and the previous direction p (Knyazev, SIAM J. Sci. Comput. 23, 517
+    (2001)), orthonormalized through the Cholesky factor of their Gram
+    matrix; p is dropped for a step whenever that factor fails.  The vectors
+    are updated in place, so a step allocates little beyond its matvec.
     Stops when ||H x - rho x|| meets the limit for ``tol`` at the starting
     rho, or after ``LOBPCG_MAXITER`` iterations; the caller checks the
     residual and hands a miss to ARPACK.
     """
     space = np.zeros((3, 2, v0.size))  # rows x, w, p, each with H times it
-    x, hx = space[0]
+    (x, hx), (w, hw), _ = space
     x[:] = v0
     hx[:] = matrix @ v0
     rho = float(x @ hx)
-    precond = 1.0 / np.maximum(matrix.diagonal() - rho, JACOBI_FLOOR * max(1.0, abs(rho)))
+    precond = 1.0 / np.maximum(np.abs(diagonal - rho), JACOBI_FLOOR * max(1.0, abs(rho)))
     limit = _residual_limit(tol, rho)
     rows = 2  # p joins after the first step
     for _ in range(LOBPCG_MAXITER):
-        residual = hx - rho * x
-        if np.linalg.norm(residual) <= limit:
+        np.multiply(x, -rho, out=w)
+        w += hx  # the residual
+        if np.linalg.norm(w) <= limit:
             break
-        w, hw = space[1]
-        np.multiply(precond, residual, out=w)
+        w *= precond
         hw[:] = matrix @ w
         products = space[:rows].reshape(2 * rows, -1) @ space[:rows, 0].T
         scale = 1.0 / np.sqrt(np.diagonal(products[::2]))  # unit rows, vectors untouched
@@ -560,13 +569,16 @@ def _jacobi_lobpcg(matrix, v0: np.ndarray, tol: float):
         inverse = np.linalg.inv(factor)
         values, vectors = np.linalg.eigh(inverse @ ritz @ inverse.T)
         step = inverse.T @ vectors[:, 0]  # the new x over the unit rows; it has unit norm
-        direction = np.concatenate(([0.0], step[1:]))  # its part outside x: the new p
-        length = np.linalg.norm(factor.T @ direction)  # its norm over the rows
+        # its part outside x, the new p, has this norm over the rows
+        length = np.linalg.norm(factor.T[:, 1:] @ step[1:])
         if not length > 0.0:
             break  # the span holds nothing below x, or it broke down: the caller checks x
-        direction /= length
-        update = (np.array([step, direction]) * scale) @ space[:rows].reshape(rows, -1)
-        space[::2] = update.reshape(2, 2, -1)
+        coefficients = step * scale  # over the raw rows x, w and, with three rows, p
+        space[1:rows] *= coefficients[1:, None, None]
+        np.add(space[1], space[2] if rows == 3 else 0.0, out=space[2])  # the new p, unscaled
+        space[0] *= coefficients[0]
+        space[0] += space[2]
+        space[2] /= length
         rho = float(values[0])
         rows = 3
     return rho, x.copy()
@@ -594,7 +606,8 @@ def ground_state(op: FockOperator, tol: float = 1e-11, v0: np.ndarray = None):
     else:
         v0 = v0 / np.linalg.norm(v0)
         try:
-            return _checked_pair(matrix, *_jacobi_lobpcg(matrix, v0, tol), tol, "LOBPCG")
+            pair = _jacobi_lobpcg(matrix, op.diagonal, v0, tol)
+            return _checked_pair(matrix, *pair, tol, "LOBPCG")
         except (EigensolverError, np.linalg.LinAlgError):
             pass  # ARPACK takes over from the same warm start
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh  # only ARPACK stages need it
@@ -643,13 +656,15 @@ def converge_cutoff(
 def _extrapolate(trail):
     """Start vector from the last drives' ground vectors at one cutoff, latest first.
 
-    Two vectors give ``2 v1 - v2`` with ``v2``'s sign aligned to ``v1``; one
-    gives itself; none gives None.
+    Three vectors give ``3 v1 - 3 v2 + v3`` and two give ``2 v1 - v2``, the
+    quadratic and linear extrapolations in the drive index, with every sign
+    aligned to ``v1``; one gives itself; none gives None.
     """
     if len(trail) < 2:
         return trail[0] if trail else None
-    v1, v2 = trail
-    return 2.0 * v1 - (v2 if v1 @ v2 >= 0.0 else -v2)
+    weights = (2.0, -1.0) if len(trail) == 2 else (3.0, -3.0, 1.0)
+    v1 = trail[0]
+    return sum(c * (v if v1 @ v >= 0.0 else -v) for c, v in zip(weights, trail))
 
 
 def _carried_operator(operators: dict, graph, forms, params, cutoff: int, frame, max_bytes):
@@ -711,7 +726,7 @@ def converge_drives(
     link entries in place, which gives the build's matrix bitwise; a drive of
     exactly 0 (no links) gets its own build.  Above ``DENSE_CUTOVER`` a stage
     starts from the previous drives' ground vectors at its cutoff,
-    extrapolated linearly in the drive index, and falls back to the
+    extrapolated quadratically in the drive index, and falls back to the
     zero-padded lower stage's vector when that start fails or ends above the
     lower stage's energy, which the nested bases forbid.  The scan holds one
     operator per reached cutoff besides the build in progress.
@@ -719,7 +734,7 @@ def converge_drives(
     if max_cutoff < 4:
         raise DomainError(f"max_cutoff must be at least 4, got {max_cutoff}")
     operators = {}  # cutoff -> operator built at a nonzero drive
-    trails = {}  # cutoff -> ground vectors of the last two drives there, latest first
+    trails = {}  # cutoff -> ground vectors of the last three drives there, latest first
     reports = []
     for drive in drives:
         run = dataclasses.replace(params, Omega=float(drive))
@@ -740,7 +755,7 @@ def converge_drives(
             trail = trails.setdefault(cutoff, []) if op.dim > DENSE_CUTOVER else []
             energy, state = _stage_pair(op, eig_tol, _extrapolate(trail), padded, energy_prev)
             if state is not None:
-                trail[:] = [state, *trail[:1]]
+                trail[:] = [state, *trail[:2]]
             history.append((cutoff, energy))
             if state is not None and energy_prev is not None and abs(energy - energy_prev) < e_tol:
                 converged = True

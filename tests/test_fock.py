@@ -1,13 +1,16 @@
 import dataclasses
 import functools
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
@@ -501,7 +504,7 @@ def test_lobpcg_miss_falls_back_to_arpack(monkeypatch):
     graph, forms, params = triangle_model()
     stalled = []
 
-    def no_progress(matrix, v0, tol):
+    def no_progress(matrix, diagonal, v0, tol):
         stalled.append(matrix.shape[0])
         return float(v0 @ (matrix @ v0)), v0
 
@@ -626,6 +629,7 @@ def test_continuation_above_the_lower_stage_is_solved_again(monkeypatch):
 
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), size=st.floats(1e-9, 0.5))
+@example(n=4, seed=2892494, size=0.375)  # stalled at 2.1e-8 when shifts below rho were floored
 def test_lobpcg_kernel_matches_dense_eigh(n, seed, size):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n))
@@ -635,10 +639,53 @@ def test_lobpcg_kernel_matches_dense_eigh(n, seed, size):
     start /= np.linalg.norm(start)
     rho = float(start @ a @ start)
     assume(rho < values[1])  # below the first excited level, so the ground state is reached
-    energy, vec = fock._jacobi_lobpcg(sp.csr_matrix(a), start, 1e-11)
+    energy, vec = fock._jacobi_lobpcg(sp.csr_matrix(a), np.diagonal(a), start, 1e-11)
     limit = fock._residual_limit(1e-11, rho)
     assert np.linalg.norm(a @ vec - energy * vec) <= limit
     assert abs(energy - values[0]) <= limit
+
+
+def test_extrapolation_is_exact_on_quadratic_trails():
+    # integer vectors keep the arithmetic exact; the large constant part keeps
+    # every pair of vectors at a positive overlap, so only the flips below flip
+    rng = np.random.default_rng(7)
+    b, c = rng.integers(-3, 4, size=(2, 6)).astype(float)
+    v0, v1, v2, v3 = (100.0 + b * k + c * k**2 for k in range(4))
+    assert np.array_equal(fock._extrapolate([v2, v1, v0]), v3)
+    assert np.array_equal(fock._extrapolate([v2, -v1, -v0]), v3)
+    assert np.array_equal(fock._extrapolate([-v2, v1, -v0]), -v3)
+    u0, u1, u2 = (100.0 + b * k for k in range(3))  # a linear trail
+    assert np.array_equal(fock._extrapolate([u1, -u0]), u2)
+    assert fock._extrapolate([v0]) is v0
+    assert fock._extrapolate([]) is None
+
+
+@pytest.mark.parametrize("frame", ["bare", "displaced"])
+def test_recorded_diagonal_survives_link_rewrites(frame):
+    graph, forms, params = triangle_model(0.1)
+    op = build_fock_matrix(graph, forms, params, cutoff=4, frame=frame)
+    assert op.links
+    for drive in (0.1, 0.25, 0.4):
+        fock._write_links(op.matrix.data, op.links, drive)
+        assert same_bits([op.diagonal], [op.matrix.diagonal()])
+    zero = build_fock_matrix(graph, forms, dataclasses.replace(params, Omega=0.0), cutoff=4, frame=frame)
+    assert same_bits([zero.diagonal], [zero.matrix.diagonal()])
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # the first Fock build imports scipy.sparse, so importing the package does not
+    import vibronic
+
+    src = str(Path(vibronic.__file__).resolve().parents[1])
+    code = "import sys, vibronic.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert out.stdout.split() == ["False"]
 
 
 def test_lobpcg_breakdown_hands_over_quietly():
