@@ -32,7 +32,6 @@ from .assembly import (
     assemble_state_hamiltonian,
     build_molecular_model,
     dumbbell_hamiltonian,
-    dump_forms_json,
     edge_mode_directions,
     expansion_coeffs,
     identity_basis,
@@ -68,7 +67,7 @@ from .fock import (
     SolveReport,
     build_fock_matrix,
     converge_cutoff,
-    converge_drives,
+    converge_scan,
     dump_matrix_coo,
     ground_state,
     mean_displacements,

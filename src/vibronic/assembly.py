@@ -17,14 +17,13 @@ oscillators that contribute nothing to normal-ordered ground energies.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .graphs import Geometry, ResonantGraph, config_to_string
+from .graphs import Geometry, ResonantGraph
 from .params import PhysicalParams, pair_potential
 
 SQRT2 = math.sqrt(2.0)
@@ -344,21 +343,3 @@ def node_data(graph, forms):
             f"adjacency has {adjacency.shape[0]} nodes but {len(forms)} forms were given"
         )
     return adjacency, list(forms)
-
-
-def dump_forms_json(forms, basis: ModeBasis = None) -> str:
-    """Debug dump of quadratic forms (constant, linear, hessian per node)."""
-    payload = []
-    for f in forms:
-        payload.append(
-            {
-                "state": config_to_string(f.state),
-                "constant": f.constant,
-                "linear": f.linear.tolist(),
-                "hessian": f.hessian.tolist(),
-            }
-        )
-    doc = {"forms": payload}
-    if basis is not None:
-        doc["mode_basis"] = basis.vectors.tolist()
-    return json.dumps(doc, indent=2) + "\n"

@@ -21,7 +21,7 @@ import numpy as np
 
 from .assembly import node_data
 from .errors import DomainError
-from .fock import converge_drives
+from .fock import converge_scan
 from .params import PhysicalParams
 
 DEFAULT_DEDUP_TOL = 1e-4  # basin deduplication distance, in units of x0
@@ -395,10 +395,11 @@ def transition_scan(graph, forms, params: PhysicalParams, omegas, **solver) -> T
     second difference, refined once on a finer local grid, whose drives
     bitwise equal to grid drives reuse those minima; its uncertainty is the
     refined grid spacing.  The exact curve is computed with the
-    cutoff-doubling solver at every grid point, carried along the grid by
-    :func:`converge_drives`, which gets the ``solver`` keywords (``e_tol``,
-    ``max_cutoff``, ``frame``, ``eig_tol``, ...) unchanged.  The grid needs
-    at least ``MIN_SCAN_SAMPLES`` strictly increasing drive values.
+    cutoff-doubling solver at every grid point, in one :func:`converge_scan`
+    over the model at each drive, so operators and vectors are carried along
+    the grid; it gets the ``solver`` keywords (``e_tol``, ``max_cutoff``,
+    ``frame``, ``eig_tol``, ...) unchanged.  The grid needs at least
+    ``MIN_SCAN_SAMPLES`` strictly increasing drive values.
     """
     omegas = np.asarray(omegas, dtype=float)
     if omegas.size < MIN_SCAN_SAMPLES:
@@ -413,7 +414,8 @@ def transition_scan(graph, forms, params: PhysicalParams, omegas, **solver) -> T
         return minimize_bo(base.with_omega(omega_drive), starts=starts).global_energy
 
     e_bo = np.array([bo_minimum(o) for o in omegas])
-    reports = converge_drives(graph, forms, params, omegas, **solver)
+    rows = [(graph, forms, dataclasses.replace(params, Omega=float(o))) for o in omegas]
+    reports = converge_scan(rows, **solver)
     e_quantum = np.array([report.energy for report in reports])
 
     d2_bo = _second_differences(e_bo)

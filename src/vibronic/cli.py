@@ -2,7 +2,7 @@
 
 Usage::
 
-    vibronic <task> --config <file> [--out DIR] [--threads N] [--modes reduced|full]
+    vibronic <task> --config <file> [--out DIR] [--modes reduced|full]
 
 Tasks: ``graph``, ``gs-scan-xi``, ``gs-scan-kappa``, ``gs-scan-omega``,
 ``wigner``, ``bopes-scan``, ``compare``.  The config file is UTF-8 JSON; every
@@ -11,8 +11,10 @@ version alongside the task artifacts.  Outputs are deterministic: identical
 configs produce byte-identical files.
 
 The three ``gs-scan-*`` tasks run through one driver, ``_task_scan``: the
-``SCANS`` table gives each its scan variable, CSV name and set-up, and every
-row is one ``converge_cutoff`` call with the configured solver options.
+``SCANS`` table gives each its scan variable, CSV name and set-up, and all
+rows go to one :func:`fock.converge_scan` call with the configured solver
+options.  A drive has no critical value, so ``gs-scan-omega`` and
+``bopes-scan`` reject ``"critical"`` scan units.
 ``gs-scan-omega``, ``bopes-scan`` and ``compare`` build the same molecular
 model, in the reduced or full mode space that ``modes`` selects.
 
@@ -32,7 +34,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +61,7 @@ from .bopes import (
     transition_scan_csv,
 )
 from .errors import ConfigError, DomainError, InstabilityError, VibronicError
-from .fock import converge_cutoff
+from .fock import converge_cutoff, converge_scan
 from .graphs import (
     GEOMETRY_PRESETS,
     Geometry,
@@ -438,18 +439,14 @@ def _task_graph(resolved, outdir: Path):
     return 0
 
 
-def _scan_values(scan: dict, critical_scale: float) -> np.ndarray:
+def _scan_values(scan: dict, critical_scale) -> np.ndarray:
+    """The scan grid; ``critical_scale`` is None for a variable with no critical value."""
     values = np.linspace(scan["start"], scan["stop"], scan["samples"])
     if scan["units"] == "critical":
+        if critical_scale is None:
+            raise ConfigError("config.scan.units", "a drive has no critical value")
         values = values * critical_scale
     return values
-
-
-def _map_rows(worker, values, threads: int):
-    if threads <= 1:
-        return [worker(v) for v in values]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, values))
 
 
 def _molecular_model(resolved):
@@ -483,9 +480,9 @@ def _pair_energy(coup, params: PhysicalParams, n_perp: int) -> float:
     return params.omega * pair_epsilon(coup.kappa, coup.xi, params.omega, coup.nu, n_perp)
 
 
-# Each scan set-up returns (critical scale, model_at, manifest results), where
-# model_at(value) gives the converge_cutoff arguments and the closed-form
-# energy (or None) of one row.
+# Each scan set-up returns (critical scale or None, model_at, manifest
+# results), where model_at(value) gives the (graph, forms, params) row of
+# converge_scan and the closed-form energy (or None) of one row.
 
 
 def _xi_scan(resolved):
@@ -540,7 +537,7 @@ def _omega_scan(resolved):
     def model_at(drive):
         return (graph, forms, dataclasses.replace(resolved["params"], Omega=drive)), None
 
-    return 1.0, model_at, {"n_modes": basis.dim}
+    return None, model_at, {"n_modes": basis.dim}
 
 
 # task -> (scan variable, CSV name, set-up)
@@ -551,16 +548,16 @@ SCANS = {
 }
 
 
-def _task_scan(resolved, outdir: Path, threads: int):
+def _task_scan(resolved, outdir: Path):
     variable, csv_name, setup = SCANS[resolved["task"]]
     critical_scale, model_at, results = setup(resolved)
-
-    def worker(value):
-        model, analytic = model_at(float(value))
-        report = converge_cutoff(*model, **resolved["solver"])
-        return (float(value), report.energy, analytic, report.cutoff, report.converged)
-
-    rows = _map_rows(worker, _scan_values(resolved["scan"], critical_scale), threads)
+    values = _scan_values(resolved["scan"], critical_scale).tolist()
+    models, analytic = zip(*(model_at(value) for value in values))
+    reports = converge_scan(models, **resolved["solver"])
+    rows = [
+        (value, report.energy, closed, report.cutoff, report.converged)
+        for value, report, closed in zip(values, reports, analytic)
+    ]
     _write_csv(outdir / csv_name, [variable, "E_numeric", "E_analytic", "cutoff", "converged"], rows)
     _write_manifest(outdir, resolved, [csv_name], results)
     return 0
@@ -605,7 +602,7 @@ def _task_wigner(resolved, outdir: Path):
 def _task_bopes_scan(resolved, outdir: Path):
     params = resolved["params"]
     graph, forms, _, coup = _molecular_model(resolved)
-    drives = _scan_values(resolved["scan"], 1.0)
+    drives = _scan_values(resolved["scan"], None)
     result = transition_scan(graph, forms, params, drives, **resolved["solver"])
     # closed-form ground energy exists at zero drive only, and with one excited
     # pair per node: the pair's energy, floored at the zero of the pair-free nodes
@@ -680,7 +677,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("task", choices=TASKS, help="what to compute")
     parser.add_argument("--config", required=True, help="path to a JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--threads", type=int, default=1, help="parallel scan rows")
+    # Accepted and ignored: perfbench/workloads.py (_run_cli) still passes
+    # --threads 1; the flag goes once the benchmark stops passing it.
+    parser.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
     parser.add_argument(
         "--modes",
         choices=("reduced", "full"),
@@ -690,13 +689,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(resolved: dict, threads: int = 1) -> int:
+def run(resolved: dict) -> int:
     """Dispatch a validated configuration to its task."""
     outdir = Path(resolved["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     task = resolved["task"]
     if task in SCANS:
-        return _task_scan(resolved, outdir, threads)
+        return _task_scan(resolved, outdir)
     if task not in _RUNNERS:
         raise ConfigError("task", f"unknown task {task!r}")
     return _RUNNERS[task](resolved, outdir)
@@ -711,7 +710,7 @@ def main(argv=None) -> int:
             resolved["out"] = args.out
         if args.modes is not None:
             resolved["modes"] = args.modes
-        return run(resolved, threads=max(1, args.threads))
+        return run(resolved)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -37,11 +37,12 @@ starting each stage from the lower stage's zero-padded vector, refined above
 ``DENSE_CUTOVER`` states by a block-1 LOBPCG, preconditioned by
 1/|diag(H) - rho| on the diagonal the build records, with ARPACK as the
 fallback; every returned pair has a checked residual.
-:func:`converge_drives` runs that doubling along a list of drives and carries
-work from drive to drive: each cutoff's operator is built once and only its
-link entries, all off the diagonal, are rewritten (every drive still sees its
-own build bitwise), and each sparse stage starts from the last three drives'
-ground vectors at its cutoff, extrapolated quadratically, unless that start
+:func:`converge_scan` runs that doubling along an ordered list of models, the
+one loop behind every scan, and carries work from row to row.  Rows of one
+model that differ only in a nonzero drive share each cutoff's operator, whose
+link entries, all off the diagonal, are rewritten (every row still sees its
+own build bitwise).  Each sparse stage starts from the last three rows'
+ground vectors of its shape, extrapolated quadratically, unless that start
 fails or ends above the lower stage's energy, which nested bases forbid.
 Energies agree with independent :func:`converge_cutoff` calls to within the
 eigensolver tolerance.
@@ -645,19 +646,19 @@ def converge_cutoff(
     records its best estimate but can never make the report converged, and
     a stage over the ``max_bytes`` budget ends the doubling unconverged; only
     an over-budget first stage raises :class:`ResourceBudgetError`.  This is
-    :func:`converge_drives` at the one drive ``params.Omega``.
+    :func:`converge_scan` over the one row ``(graph, forms, params)``.
     """
-    return converge_drives(
-        graph, forms, params, (params.Omega,),
+    return converge_scan(
+        [(graph, forms, params)],
         e_tol=e_tol, max_cutoff=max_cutoff, frame=frame, eig_tol=eig_tol, max_bytes=max_bytes,
     )[0]
 
 
 def _extrapolate(trail):
-    """Start vector from the last drives' ground vectors at one cutoff, latest first.
+    """Start vector from the last rows' ground vectors of one stage shape, latest first.
 
     Three vectors give ``3 v1 - 3 v2 + v3`` and two give ``2 v1 - v2``, the
-    quadratic and linear extrapolations in the drive index, with every sign
+    quadratic and linear extrapolations in the row index, with every sign
     aligned to ``v1``; one gives itself; none gives None.
     """
     if len(trail) < 2:
@@ -668,11 +669,11 @@ def _extrapolate(trail):
 
 
 def _carried_operator(operators: dict, graph, forms, params, cutoff: int, frame, max_bytes):
-    """The stage operator at drive ``params.Omega``.
+    """The stage operator of one row, whose model built every operator in ``operators``.
 
     A drive of 0 has no links and gets its own build.  Any other drive reuses
-    ``operators[cutoff]``, built at the first such drive, with its link
-    entries rewritten in place.
+    ``operators[cutoff]``, built at the model's first nonzero drive there,
+    with its link entries rewritten in place.
     """
     if params.Omega == 0.0:
         return build_fock_matrix(graph, forms, params, cutoff, frame=frame, max_bytes=max_bytes)
@@ -705,11 +706,8 @@ def _stage_pair(op: FockOperator, tol: float, guess, padded, bound):
         return exc.best_estimate, None
 
 
-def converge_drives(
-    graph,
-    forms,
-    params: PhysicalParams,
-    drives,
+def converge_scan(
+    models,
     *,
     e_tol: float = 1e-8,
     max_cutoff: int = 256,
@@ -717,27 +715,38 @@ def converge_drives(
     eig_tol: float = 1e-11,
     max_bytes: int = 2**31,
 ) -> tuple:
-    """Run the cutoff doubling of :func:`converge_cutoff` at every drive, in order.
+    """Run the cutoff doubling of :func:`converge_cutoff` on every row, in order.
 
-    Returns one :class:`SolveReport` per drive, each with the stages,
-    stopping rule and failure handling of a one-drive call.  Work is carried
-    from drive to drive.  Each cutoff's operator is built once, at the first
-    nonzero drive that reaches it, and later nonzero drives rewrite only its
-    link entries in place, which gives the build's matrix bitwise; a drive of
-    exactly 0 (no links) gets its own build.  Above ``DENSE_CUTOVER`` a stage
-    starts from the previous drives' ground vectors at its cutoff,
-    extrapolated quadratically in the drive index, and falls back to the
-    zero-padded lower stage's vector when that start fails or ends above the
-    lower stage's energy, which the nested bases forbid.  The scan holds one
-    operator per reached cutoff besides the build in progress.
+    ``models`` is a sequence of ``(graph, forms, params)`` rows; returns one
+    :class:`SolveReport` per row, each with the stages, stopping rule and
+    failure handling of a one-row call.  Two kinds of work are carried from
+    row to row.
+
+    *Operators.*  A row reuses the operator of a cutoff, rewriting only its
+    link entries in place (which gives the build's matrix bitwise), when its
+    ``graph`` and ``forms`` are the same objects as those of the row that
+    built that operator, its ``params`` equal that row's except for
+    ``Omega``, and its drive is nonzero.  A drive of exactly 0 has no links
+    and gets its own build.  A row of any other model drops the cached
+    operators and builds afresh, so the scan holds at most one model's
+    operators, one per reached cutoff, besides the build in progress.
+
+    *Vectors.*  Above ``DENSE_CUTOVER`` a stage starts from the last three
+    rows' ground vectors of its shape (nodes, modes, cutoff), extrapolated
+    quadratically in the row index, whatever model they came from.  It falls
+    back to the zero-padded lower stage's vector when that start fails or
+    ends above the lower stage's energy, which the nested bases forbid.
     """
     if max_cutoff < 4:
         raise DomainError(f"max_cutoff must be at least 4, got {max_cutoff}")
-    operators = {}  # cutoff -> operator built at a nonzero drive
-    trails = {}  # cutoff -> ground vectors of the last three drives there, latest first
+    operators = {}  # cutoff -> operator built at a nonzero drive of ``owner``
+    owner = None  # (graph, forms, params at drive 0) of the row that built them
+    trails = {}  # (nodes, modes, cutoff) -> ground vectors of the last three rows there
     reports = []
-    for drive in drives:
-        run = dataclasses.replace(params, Omega=float(drive))
+    for graph, forms, params in models:
+        undriven = dataclasses.replace(params, Omega=0.0)
+        if owner is None or owner[0] is not graph or owner[1] is not forms or owner[2] != undriven:
+            operators, owner = {}, (graph, forms, undriven)
         history = []
         energy_prev = None
         converged = False
@@ -746,13 +755,14 @@ def converge_drives(
         while cutoff <= max_cutoff:
             padded = None if state is None else _zero_pad(op, state, cutoff)
             try:
-                op = _carried_operator(operators, graph, forms, run, cutoff, frame, max_bytes)
+                op = _carried_operator(operators, graph, forms, params, cutoff, frame, max_bytes)
             except ResourceBudgetError:
                 if not history:
                     raise
                 break
             # dense stages ignore starts, so only sparse ones keep a trail
-            trail = trails.setdefault(cutoff, []) if op.dim > DENSE_CUTOVER else []
+            shape = (op.n_nodes, op.n_modes, cutoff)
+            trail = trails.setdefault(shape, []) if op.dim > DENSE_CUTOVER else []
             energy, state = _stage_pair(op, eig_tol, _extrapolate(trail), padded, energy_prev)
             if state is not None:
                 trail[:] = [state, *trail[:2]]

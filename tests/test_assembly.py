@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -18,7 +17,6 @@ from vibronic import (
     derive_couplings,
     dumbbell,
     dumbbell_hamiltonian,
-    dump_forms_json,
     edge_mode_directions,
     expansion_coeffs,
     identity_basis,
@@ -211,17 +209,6 @@ def test_identity_basis_covers_active_coordinates():
     basis = identity_basis(geom)
     assert basis.dim == 6
     assert basis.vectors == pytest.approx(np.eye(6))
-
-
-def test_forms_dump_roundtrip():
-    params = PhysicalParams(omega=1.0, x0=0.1)
-    coup = ExplicitCouplings(kappa=-1.0, xi=0.1, nu=0.1)
-    form = assemble_state_hamiltonian((1, 1), dumbbell(), coup, params)
-    basis, reduced = reduce_modes([form], params)
-    doc = json.loads(dump_forms_json(reduced, basis))
-    assert doc["forms"][0]["state"] == "11"
-    assert len(doc["forms"][0]["linear"]) == 1
-    assert np.asarray(doc["mode_basis"]).shape == (2, 1)
 
 
 def test_pinned_couplings_reject_off_nominal_pairs():

@@ -16,7 +16,7 @@ from vibronic import (
     perpendicular_xi_eff,
     wigner,
 )
-from vibronic.cli import _fmt, _write_csv, _write_manifest, load_config, main
+from vibronic.cli import _fmt, _write_csv, _write_manifest, load_config, main, run
 
 GRAPH_CONFIG = {
     "task": "graph",
@@ -229,6 +229,15 @@ def test_schema_errors_carry_the_key_path(tmp_path):
         load_config(write_config(tmp_path, cfg), "gs-scan-xi")
     assert exc.value.path == "config.scan.stop"
 
+    # a drive has no critical value, so "critical" units once read as "absolute"
+    for cfg in (SCAN_OMEGA_CONFIG, DUMBBELL_BOPES_SCAN):
+        cfg = dict(cfg, scan=dict(cfg["scan"], units="critical"))
+        resolved = load_config(write_config(tmp_path, cfg), cfg["task"])
+        resolved["out"] = str(tmp_path / cfg["task"])
+        with pytest.raises(ConfigError) as exc:
+            run(resolved)
+        assert exc.value.path == "config.scan.units"
+
     # json.loads refuses integer literals past Python's digit limit
     path = tmp_path / "long.json"
     path.write_text(json.dumps(GRAPH_CONFIG).replace("1.0", "1" + "0" * 5000, 1))
@@ -365,17 +374,20 @@ def test_scan_kappa_rejects_finite_drive(tmp_path, capsys):
     assert "Omega" in capsys.readouterr().err
 
 
+SCAN_OMEGA_CONFIG = {
+    "task": "gs-scan-omega",
+    "geometry": {"preset": "dumbbell", "d": 1.0},
+    "potential": {"type": "explicit", "kappa": 0.3, "xi": 0.0, "nu": 0.1, "v_d": 1.0},
+    "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
+    "solver": {"e_tol": 1e-8, "max_cutoff": 64, "frame": "bare"},
+    "scan": {"start": 0.0, "stop": 0.4, "samples": 3},
+}
+
+
 def test_scan_omega_on_the_dumbbell(tmp_path):
-    cfg = {
-        "task": "gs-scan-omega",
-        "geometry": {"preset": "dumbbell", "d": 1.0},
-        "potential": {"type": "explicit", "kappa": 0.3, "xi": 0.0, "nu": 0.1, "v_d": 1.0},
-        "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
-        "solver": {"e_tol": 1e-8, "max_cutoff": 64, "frame": "bare"},
-        "scan": {"start": 0.0, "stop": 0.4, "samples": 3},
-    }
     out = tmp_path / "out"
-    assert main(["gs-scan-omega", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    path = write_config(tmp_path, SCAN_OMEGA_CONFIG)
+    assert main(["gs-scan-omega", "--config", path, "--out", str(out)]) == 0
     lines = (out / "scan-omega.csv").read_text().strip().split("\n")
     assert lines[0] == "Omega,E_numeric,E_analytic,cutoff,converged"
     assert len(lines) == 4
@@ -517,7 +529,7 @@ def spy_on(monkeypatch, module, name):
 def test_bopes_scan_forwards_every_solver_option(tmp_path, monkeypatch):
     import vibronic.bopes
 
-    calls = spy_on(monkeypatch, vibronic.bopes, "converge_drives")
+    calls = spy_on(monkeypatch, vibronic.bopes, "converge_scan")
     cfg = {
         "task": "bopes-scan",
         "geometry": {"preset": "dumbbell", "d": 1.0},
@@ -529,7 +541,7 @@ def test_bopes_scan_forwards_every_solver_option(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["bopes-scan", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
     (args, kwargs), = calls
-    assert len(args[3]) == 32
+    assert len(args[0]) == 32
     assert kwargs == {"e_tol": 1e-6, "max_cutoff": 16, "frame": "bare", "eig_tol": 1e-9}
     manifest = json.loads((out / "run-manifest.json").read_text())
     assert manifest["parameters"]["solver"]["eig_tol"] == 1e-9
@@ -538,18 +550,42 @@ def test_bopes_scan_forwards_every_solver_option(tmp_path, monkeypatch):
 def test_bopes_scan_rows_match_independent_solves(tmp_path, monkeypatch):
     import vibronic.bopes
 
-    calls = spy_on(monkeypatch, vibronic.bopes, "converge_drives")
+    calls = spy_on(monkeypatch, vibronic.bopes, "converge_scan")
     out = tmp_path / "out"
     path = write_config(tmp_path, DUMBBELL_BOPES_SCAN)
     assert main(["bopes-scan", "--config", path, "--out", str(out)]) == 0
     (args, solver), = calls
-    graph, forms, params, drives = args
+    models, = args
     rows = (out / "bopes-scan.csv").read_text().strip().split("\n")[1:]
-    assert len(rows) == len(drives)
-    for row, drive in zip(rows, drives):
-        _, _, e_quantum, _, converged, cutoff = row.split(",")
-        alone = converge_cutoff(graph, forms, dataclasses.replace(params, Omega=drive), **solver)
+    assert len(rows) == len(models)
+    for row, model in zip(rows, models):
+        drive, _, e_quantum, _, converged, cutoff = row.split(",")
+        assert float(drive) == model[2].Omega
+        alone = converge_cutoff(*model, **solver)
         assert float(e_quantum) == pytest.approx(alone.energy, abs=1e-10)
+        assert converged == str(alone.converged).lower()
+        assert int(cutoff) == alone.cutoff
+
+
+def test_scan_omega_rows_match_independent_solves(tmp_path, monkeypatch):
+    # the six-node triangle: every stage is sparse, so each row after the
+    # first reuses the operators and starts from the rows before it
+    import vibronic.cli
+
+    calls = spy_on(monkeypatch, vibronic.cli, "converge_scan")
+    cfg = dict(TRIANGLE_BOPES_SCAN, task="gs-scan-omega")
+    cfg["scan"] = {"start": 0.05, "stop": 0.25, "samples": 4}
+    out = tmp_path / "out"
+    assert main(["gs-scan-omega", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    (args, solver), = calls
+    models, = args
+    rows = (out / "scan-omega.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == len(models) == 4
+    for row, model in zip(rows, models):
+        drive, e_numeric, _, cutoff, converged = row.split(",")
+        assert float(drive) == model[2].Omega
+        alone = converge_cutoff(*model, **solver)
+        assert float(e_numeric) == pytest.approx(alone.energy, abs=1e-10)
         assert converged == str(alone.converged).lower()
         assert int(cutoff) == alone.cutoff
 

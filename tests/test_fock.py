@@ -26,7 +26,7 @@ from vibronic import (
     build_molecular_model,
     build_resonant_manifold,
     converge_cutoff,
-    converge_drives,
+    converge_scan,
     derive_couplings,
     dumbbell,
     dumbbell_hamiltonian,
@@ -540,6 +540,18 @@ def same_bits(a, b):
     return all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
+def kappa_rows(kappabars, nu=0.25, xi=0.15):
+    """``gs-scan-kappa`` rows of the tetrahedron pair; kappa = 0 leaves only the axial mode."""
+    params = PhysicalParams(omega=1.0, x0=nu)
+    kappa_c = -1.0 / (2.0 * SQRT2 * nu)
+    rows = []
+    for kappabar in kappabars:
+        coup = ExplicitCouplings(kappa=kappabar * kappa_c, xi=xi, nu=nu)
+        form = assemble_state_hamiltonian((1, 1, 0, 0), tetrahedron(), coup, params)
+        rows.append((SINGLE, reduce_modes([form], params)[1], params))
+    return rows
+
+
 @pytest.mark.parametrize(
     "model, frame, max_cutoff",
     [
@@ -547,18 +559,27 @@ def same_bits(a, b):
         ("dumbbell", "displaced", 16),
         ("triangle", "bare", 4),
         ("triangle", "displaced", 4),
+        ("dumbbell-couplings", "displaced", 16),
     ],
 )
 def test_drive_scan_operators_match_fresh_builds(monkeypatch, model, frame, max_cutoff):
     # a scan rewrites each cutoff's link entries in place; every stage must
-    # see the build at its own drive bitwise, also after a zero drive, which
-    # has no links and so its own build, and on a grid that starts there
-    if model == "dumbbell":
+    # see the build of its own row bitwise, also after a zero drive, which
+    # has no links and so its own build, on a grid that starts there, and
+    # when the forms or the trap change at one nonzero drive, where the
+    # operators of the previous model must be dropped
+    if model == "triangle":
+        graph, forms, params = triangle_model(0.0)
+    else:
         params = PhysicalParams(omega=1.0, Omega=0.0)
         graph, forms = two_state(params, 0.3, -0.1)
-    else:
-        graph, forms, params = triangle_model(0.0)
     drives = [0.0, 0.1, 0.25, 0.0, 0.4]
+    rows = [(graph, forms, dataclasses.replace(params, Omega=d)) for d in drives]
+    if model == "dumbbell-couplings":
+        other = two_state(params, -0.2, 0.05)[1]
+        driven = dataclasses.replace(params, Omega=0.25)
+        rows = [(graph, f, driven) for f in (forms, other, forms, other)]
+        rows.append((graph, other, dataclasses.replace(driven, omega=1.25)))
     cutoffs = [c for c in (4, 8, 16) if c <= max_cutoff]
     seen = []
     solve = fock.ground_state
@@ -568,46 +589,48 @@ def test_drive_scan_operators_match_fresh_builds(monkeypatch, model, frame, max_
         return solve(op, tol=tol, v0=v0)
 
     monkeypatch.setattr(fock, "ground_state", spy)
-    reports = converge_drives(
-        graph, forms, params, drives, e_tol=0.0, max_cutoff=max_cutoff, frame=frame
-    )
-    assert [[c for c, _ in r.energy_history] for r in reports] == [cutoffs] * len(drives)
+    reports = converge_scan(rows, e_tol=0.0, max_cutoff=max_cutoff, frame=frame)
+    assert [[c for c, _ in r.energy_history] for r in reports] == [cutoffs] * len(rows)
     fresh = {
-        (i, c): csr_parts(
-            build_fock_matrix(graph, forms, dataclasses.replace(params, Omega=d), c, frame=frame).matrix
-        )
-        for i, d in enumerate(drives)
+        (i, c): csr_parts(build_fock_matrix(*row, c, frame=frame).matrix)
+        for i, row in enumerate(rows)
         for c in cutoffs
     }
-    drive, matched = 0, set()
-    for cutoff, parts in seen:  # stages run drive by drive; a re-solve repeats one
-        while not same_bits(parts, fresh[drive, cutoff]):  # KeyError: no drive's build
-            drive += 1
-        matched.add((drive, cutoff))
+    row, matched = 0, set()
+    for cutoff, parts in seen:  # stages run row by row; a re-solve repeats one
+        while not same_bits(parts, fresh[row, cutoff]):  # KeyError: no row's build
+            row += 1
+        matched.add((row, cutoff))
     assert matched == set(fresh)
 
 
 def test_drive_scan_warm_starts_match_independent_solves(monkeypatch):
+    # a triangle drive scan, then kappa rows of another shape at the same
+    # cutoffs: one mode (kappa = 0, dense stages only), then three modes,
+    # whose cutoff-8 stages must not start from the triangle's vectors
     graph, forms, params = triangle_model()
     drives = np.linspace(0.06, 0.14, 5)
+    rows = [(graph, forms, dataclasses.replace(params, Omega=d)) for d in drives]
+    rows += kappa_rows([0.0, 0.2, 0.4, 0.6])
+    assert [row[1][0].dim for row in rows[len(drives):]] == [1, 3, 3, 3]
     starts = []
     solve = fock.ground_state
 
     def spy(op, tol=1e-11, v0=None):
-        starts.append((op.cutoff, v0 is not None))
+        if op.dim > fock.DENSE_CUTOVER:
+            starts.append((op.cutoff, v0 is not None))
         return solve(op, tol=tol, v0=v0)
 
     monkeypatch.setattr(fock, "ground_state", spy)
-    reports = converge_drives(graph, forms, params, drives, e_tol=0.0, max_cutoff=8)
+    reports = converge_scan(rows, e_tol=0.0, max_cutoff=8)
     monkeypatch.undo()
-    # only the first drive's first stage starts cold
+    # only the first drive's first stage starts cold among the sparse stages
     assert starts[0] == (4, False)
     assert all(warm for _, warm in starts[1:])
-    for drive, report in zip(drives, reports):
-        alone = converge_cutoff(
-            graph, forms, dataclasses.replace(params, Omega=drive), e_tol=0.0, max_cutoff=8
-        )
+    for row, report in zip(rows, reports):
+        alone = converge_cutoff(*row, e_tol=0.0, max_cutoff=8)
         assert [c for c, _ in report.energy_history] == [4, 8]
+        assert report.converged == alone.converged
         for (_, energy), (_, energy_alone) in zip(report.energy_history, alone.energy_history):
             assert energy == pytest.approx(energy_alone, abs=1e-10)
 

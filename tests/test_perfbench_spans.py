@@ -1,4 +1,5 @@
 import importlib
+import json
 import runpy
 from pathlib import Path
 
@@ -14,3 +15,25 @@ def test_traced_functions_exist():
     for module_name, func_name in targets:
         module = importlib.import_module(f"vibronic.{module_name}")
         assert callable(getattr(module, func_name, None)), f"{module_name}.{func_name}"
+
+
+def test_benchmark_cli_argv_still_parses(tmp_path, monkeypatch):
+    # the benchmark calls the CLI with a fixed argv, "--threads 1" included;
+    # an option the parser no longer takes would fail every scan workload
+    import vibronic.cli
+
+    workloads = runpy.run_path(str(SPANS.with_name("workloads.py")))
+    monkeypatch.setattr(vibronic.cli, "run", lambda resolved: 0)
+    config = tmp_path / "scan.json"
+    config.write_text(
+        json.dumps(
+            {
+                "task": "gs-scan-xi",
+                "geometry": {"preset": "dumbbell", "d": 1.0},
+                "potential": {"type": "explicit", "kappa": 0.3, "xi": 0.0, "nu": 0.1},
+                "scan": {"start": 0.0, "stop": 0.5, "samples": 2, "units": "critical"},
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert workloads["_run_cli"]("gs-scan-xi", config, tmp_path / "out") == 0
