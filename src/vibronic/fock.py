@@ -20,13 +20,19 @@ smaller cutoffs when couplings push the minima far from the trap center.
 The operator is a sum of Kronecker products of banded single-mode factors,
 so it is assembled as a stencil: a node block has entries only at the
 occupation steps 0, +-e_m, +-2e_m and +-e_m+-e_n, whose elements are products
-of the bands of X = b + b^dag and X^2.  Each node row's width is counted
-first: its stencil steps (the occupation steps of the terms some node uses)
-plus one column block per link, cutoff^k wide for a link whose k modes have
-different frame shifts.  Those widths alone size the memory budget check and
-every array of the build.  The band products are then tabulated once, and
-each node's rows, with their links, are written in one pass into a single CSR
-matrix with sorted rows.  Every entry is summed in the order of the term list
+of the bands of X = b + b^dag and X^2.  A build has two parts.  What does not
+depend on the cutoff is prepared once per model, and the last model's is
+kept, keyed by the model's values (adjacency, form arrays, params apart
+from the drive, frame): the frame shifts, each node's ladder coefficients,
+the stencil steps (the occupation steps of the terms some node uses) and
+the links of a nonzero drive.  The rest is assembled per cutoff.  Each node
+row's width is counted first: its stencil steps plus one column block per
+link, cutoff^k wide for a link whose k modes have different frame shifts.
+Those widths alone size the memory budget check and every array of the
+build.  The stencil (each step's offset, rows and bands) is laid out once
+per step set and cutoff, and each node's rows, with their links, are
+written in one pass into a single CSR matrix with sorted rows.  Every entry
+is summed in the order of the term list
 ``omega n + const, l_m X_m, Q_mn X_m X_n (m <= n)``.  Link entries are
 written last, as ``(Omega * A_st) * overlap`` at positions the build records.
 The observables read the same bands: :func:`quadrature_moments` dots them with
@@ -134,8 +140,6 @@ def _frame_displacements(forms, params: PhysicalParams, frame: str) -> np.ndarra
     beta = np.zeros((len(forms), n_modes))
     if frame == "bare":
         return beta
-    if frame != "displaced":
-        raise DomainError(f'frame must be "bare" or "displaced", got {frame!r}')
     for s, form in enumerate(forms):
         try:
             # Only a positive-definite form has a displaced minimum worth
@@ -183,27 +187,26 @@ def _node_terms(node) -> np.ndarray:
     return np.concatenate(([0.0], l, np.diagonal(q), 2.0 * q[_mode_pairs(l.size)]))
 
 
-def _node_links(adjacency, beta, Omega):
+def _node_links(adjacency, beta):
     """Off-diagonal blocks ``(t, a, shifts)`` of each node row, by column node.
 
     The block is ``Omega * a`` with ``a = A[s, t]`` (the upper entry, for
     both blocks of a pair) times the Kronecker product of the displacement
-    matrices of ``shifts[m] = beta[max(s, t), m] - beta[min(s, t), m]``, over
-    the modes whose shifts differ, oriented rows to columns, and the identity
-    on every other mode.
+    matrices of ``shifts``, the pairs ``(m, beta[max(s, t), m] -
+    beta[min(s, t), m])`` over the modes whose shifts differ, oriented rows
+    to columns, and the identity on every other mode.  These are the blocks
+    of a nonzero drive; a drive of 0 has none.
     """
     links = [[] for _ in range(len(beta))]
-    if Omega == 0.0:
-        return links
     for s in range(len(beta)):
         for t in range(s + 1, len(beta)):
             if adjacency[s, t] == 0:
                 continue
-            shifts = {m: d for m, d in enumerate(beta[t] - beta[s]) if d != 0.0}
+            shifts = tuple((m, d) for m, d in enumerate(beta[t] - beta[s]) if d != 0.0)
             links[s].append((t, adjacency[s, t], shifts))
             # row t gets its links to lower nodes before its own, so stays sorted
             links[t].append((s, adjacency[s, t], shifts))
-    return links
+    return tuple(tuple(row) for row in links)
 
 
 def _link_pattern(factors) -> np.ndarray:
@@ -264,14 +267,14 @@ def _along(axis: int, band: np.ndarray, ndim: int) -> np.ndarray:
     return band.reshape([-1 if k == axis else 1 for k in range(ndim)])
 
 
-def _steps(coefficients):
-    """The occupation steps some node's terms reach, as ``(term, step)`` pairs.
+def _steps(terms, n_modes: int):
+    """The occupation steps some node's ``terms`` reach, as ``(term, step)`` pairs.
 
     The steps are the occupation changes 0, +-e_m, +-2e_m and +-e_m+-e_n;
-    ``term`` indexes :func:`_node_terms`, and a term no node uses adds none.
+    ``term`` indexes :func:`_node_terms`, ``step`` is a tuple of one int per
+    mode, and a term no node uses adds none.
     """
-    n_modes = coefficients[0][1].size
-    used = np.any([_node_terms(node) != 0.0 for node in coefficients], axis=0)
+    used = np.any([coef != 0.0 for coef in terms], axis=0)
     unit = np.eye(n_modes, dtype=int)
     moves = [[0 * unit[0]]]
     moves += [[unit[m], -unit[m]] for m in range(n_modes)]
@@ -281,7 +284,12 @@ def _steps(coefficients):
         for m, n in zip(*_mode_pairs(n_modes))
     ]
     used[0] = True  # the diagonal step is always kept
-    return [(term, step) for term, steps in enumerate(moves) if used[term] for step in steps]
+    return tuple(
+        (term, tuple(step.tolist()))
+        for term, steps in enumerate(moves)
+        if used[term]
+        for step in steps
+    )
 
 
 def _footprint(widths, n_blocks: int, per_node: int):
@@ -300,27 +308,27 @@ def _footprint(widths, n_blocks: int, per_node: int):
     return upper * (8 + size) + (dim + 1 + per_node * n_blocks) * size + 8 * dim + tables, idx
 
 
-def _stencil(steps, cutoff: int, bands):
+@functools.lru_cache(maxsize=16)
+def _stencil(steps, cutoff: int):
     """The node-block stencil: the ``steps`` sorted by column offset.
 
-    Each entry is ``(offset, term, rows, element)``: the step's column
+    Each entry is ``(offset, term, rows, factors)``: the step's column
     offset, its term index into :func:`_node_terms`, the block of rows whose
-    target occupation stays below the cutoff, and the element there without
-    its coefficient, broadcastable over that block (an X band, an X^2 band or
-    the product of two X bands; None for the diagonal step).
+    target occupation stays below the cutoff, and the bands whose product is
+    the element there without its coefficient, each broadcastable over that
+    block (an X band, an X^2 band or two X bands; none for the diagonal
+    step).  The factors are read-only views of :func:`_bands`, so the cache
+    holds no arrays of its own; :func:`_assemble` forms the products.
     """
-    n_modes = steps[0][1].size
-    strides = cutoff ** np.arange(n_modes - 1, -1, -1)
+    n_modes = len(steps[0][1])
+    bands = _bands(cutoff)
     stencil = []
     for term, step in steps:
         rows = tuple(slice(max(0, -d), cutoff - max(0, d)) for d in step)
-        factors = [_along(m, bands[d], n_modes) for m, d in enumerate(step) if d != 0]
-        if len(factors) == 2:
-            element = factors[0] * factors[1]
-        else:
-            element = factors[0] if factors else None
-        stencil.append((int(step @ strides), term, rows, element))
-    return sorted(stencil, key=lambda entry: entry[0])
+        factors = tuple(_along(m, bands[d], n_modes) for m, d in enumerate(step) if d != 0)
+        offset = sum(d * cutoff ** (n_modes - 1 - m) for m, d in enumerate(step))
+        stencil.append((offset, term, rows, factors))
+    return tuple(sorted(stencil, key=lambda entry: entry[0]))
 
 
 def _diagonal(node, omega: float, bands, out: np.ndarray) -> np.ndarray:
@@ -346,7 +354,7 @@ def _fill_link(cols, keep, s: int, link, n_modes: int, cutoff: int):
     :func:`_write_links` writes the values.
     """
     t, _, shifts = link
-    factors = {m: displacement_matrix(d, cutoff) for m, d in shifts.items()}
+    factors = {m: displacement_matrix(d, cutoff) for m, d in shifts}
     if t < s:
         factors = {m: f.T for m, f in factors.items()}
     moved = sorted(factors)
@@ -366,15 +374,19 @@ def _fill_link(cols, keep, s: int, link, n_modes: int, cutoff: int):
     return factors, shape
 
 
-def _assemble(coefficients, steps, links, widths, idx, omega: float, Omega: float, cutoff: int):
+def _assemble(
+    coefficients, terms, steps, links, widths, idx, omega: float, Omega: float, cutoff: int
+):
     """Write the node blocks and their links row by row into one CSR matrix.
 
-    Each node's rows are filled as a dense ``(per_node, widths[s])`` table
-    whose columns are, in column order, the links to lower nodes, the stencil
-    steps, and the links to higher nodes; the stored entries are the kept
-    cells in row-major order, with ``idx`` indices.  Node-block cells outside
-    a step's rows stay zero, and node-block entries that are exactly zero are
-    dropped; link entries are kept wherever their factors are nonzero.
+    ``coefficients`` and ``terms`` are each node's ladder and term
+    coefficients, as :func:`_prepare` gives them.  Each node's rows are filled
+    as a dense ``(per_node, widths[s])`` table whose columns are, in column
+    order, the links to lower nodes, the stencil steps, and the links to
+    higher nodes; the stored entries are the kept cells in row-major order,
+    with ``idx`` indices.  Node-block cells outside a step's rows stay zero,
+    and node-block entries that are exactly zero are dropped; link entries
+    are kept wherever their factors are nonzero.
 
     Returns the matrix, its diagonal (the node diagonals) and its link
     records ``(A[s, t], heads, factors, shape)`` per link block (see
@@ -383,12 +395,12 @@ def _assemble(coefficients, steps, links, widths, idx, omega: float, Omega: floa
     """
     import scipy.sparse as sp  # loaded by the first build, not by ``import vibronic``
 
-    n_modes = steps[0][1].size
+    n_modes = len(steps[0][1])
     per_node = cutoff**n_modes
     dim = len(coefficients) * per_node
     upper = per_node * sum(widths)  # the unwritten tail is never touched
     bands = _bands(cutoff)
-    stencil = _stencil(steps, cutoff, bands)
+    stencil = _stencil(steps, cutoff)
     offsets = np.array([offset for offset, _, _, _ in stencil], dtype=idx)
     data = np.empty(upper)
     indices = np.empty(upper, dtype=idx)
@@ -404,18 +416,19 @@ def _assemble(coefficients, steps, links, widths, idx, omega: float, Omega: floa
         lower = sum(t < s for t, _, _ in links[s])
         blocks = []  # (columns, A[s, t], factors, shape) of this row's link blocks
         k = 0
-        for link in links[s][:lower] + [None] + links[s][lower:]:
+        for link in links[s][:lower] + (None,) + links[s][lower:]:
             width = len(stencil) if link is None else cutoff ** len(link[2])
             part = slice(k, k + width)
             if link is None:
-                coef = _node_terms(node)
+                coef = terms[s]
                 table = vals[:, part].reshape((cutoff,) * n_modes + (width,), copy=False)
                 first = s * per_node
-                for j, (_, term, rows, element) in enumerate(stencil):
+                for j, (_, term, rows, factors) in enumerate(stencil):
                     if term == 0:
                         own = diagonal[first : first + per_node].reshape(table.shape[:-1])
                         table[..., j] = _diagonal(node, omega, bands, own)
                     elif coef[term] != 0.0:
+                        element = factors[0] * factors[1] if len(factors) == 2 else factors[0]
                         table[rows + (j,)] = coef[term] * element
                 np.not_equal(vals[:, part], 0.0, out=keep[:, part])
                 row_ids = np.arange(first, first + per_node, dtype=idx)
@@ -445,6 +458,49 @@ def _assemble(coefficients, steps, links, widths, idx, omega: float, Omega: floa
     return sp.csr_matrix((data, indices, indptr), shape=(dim, dim)), diagonal, tuple(records)
 
 
+_LAST = (None, None)  # (model key, what _prepare returns) of the last build
+
+
+def _prepare(adjacency, forms, params: PhysicalParams, frame: str):
+    """The cutoff-independent inputs of a build, ``(beta, coefficients, terms, steps, links)``.
+
+    The frame shifts, each node's ladder coefficients and its term
+    coefficients (:func:`_node_terms`), the stencil steps (a tuple) and the
+    link blocks of a nonzero drive; every array is read-only.
+    """
+    beta = _frame_displacements(forms, params, frame)
+    coefficients = tuple(_node_coefficients(f, b, params) for f, b in zip(forms, beta))
+    terms = tuple(_node_terms(node) for node in coefficients)
+    for array in (beta, *terms, *(a for _, l, q in coefficients for a in (l, q))):
+        array.setflags(write=False)
+    steps = _steps(terms, beta.shape[1])
+    return beta, coefficients, terms, steps, _node_links(adjacency, beta)
+
+
+def _prepared(adjacency, forms, params: PhysicalParams, frame: str):
+    """:func:`_prepare`, reused while the builds keep to one model.
+
+    The last model's preparation is kept, keyed by the model's values, not
+    its objects: the adjacency's shape and bytes, each form's constant,
+    linear and Hessian bytes, ``params`` with ``Omega`` set to 0, and
+    ``frame``.  An array edited in place thus gets a fresh preparation.
+    """
+    global _LAST
+    key = (
+        adjacency.shape,
+        adjacency.tobytes(),
+        tuple(
+            (np.float64(f.constant).tobytes(), f.linear.tobytes(), f.hessian.tobytes())
+            for f in forms
+        ),
+        dataclasses.replace(params, Omega=0.0),
+        frame,
+    )
+    if _LAST[0] != key:
+        _LAST = (key, _prepare(adjacency, forms, params, frame))
+    return _LAST[1]
+
+
 def build_fock_matrix(
     graph,
     forms,
@@ -466,27 +522,35 @@ def build_fock_matrix(
     records.  That footprint is counted from the row widths before anything
     of size ``cutoff**n_modes`` is allocated.
 
-    The matrix is written node row by node row from the stencil described
-    in the module docstring.  Links fill the identity diagonal (bare frame,
-    or equal shifts) or the Kronecker product of displacement matrices over
-    the modes whose shifts differ.  Every row's column indices are sorted
-    (int32 below 2**31 entries); node-block entries that are exactly zero
-    are not stored.  ``FockOperator.links`` records where each link block's
-    entries sit in ``matrix.data``, with the block's displacement factors,
-    so that a scan can move the operator to another nonzero drive in place.
+    The frame shifts, node coefficients, stencil steps and link list depend
+    on the model and ``frame`` only.  The last model's are kept, keyed by
+    the adjacency's and the forms' values, ``params`` apart from ``Omega``,
+    and ``frame``, so the stages of a cutoff doubling, and the rows of a
+    drive scan, prepare nothing again; a drive of 0 drops the links.  Those
+    arrays are shared and read-only, ``FockOperator.displacements`` among
+    them.  The matrix is then written node row by node row from the stencil
+    described in the module docstring.  Links fill the identity diagonal
+    (bare frame, or equal shifts) or the Kronecker product of displacement
+    matrices over the modes whose shifts differ.  Every row's column indices
+    are sorted (int32 below 2**31 entries); node-block entries that are
+    exactly zero are not stored.  ``FockOperator.links`` records where each
+    link block's entries sit in ``matrix.data``, with the block's
+    displacement factors, so that a scan can move the operator to another
+    nonzero drive in place.
     """
     if cutoff < 2:
         raise DomainError(f"cutoff must be at least 2, got {cutoff}")
+    if frame not in ("bare", "displaced"):
+        raise DomainError(f'frame must be "bare" or "displaced", got {frame!r}')
     adjacency, forms = node_data(graph, forms)
     n_nodes = len(forms)
     n_modes = forms[0].dim
     if any(f.dim != n_modes for f in forms):
         raise DomainError("all node forms must share the same mode count")
 
-    beta = _frame_displacements(forms, params, frame)
-    coefficients = [_node_coefficients(f, b, params) for f, b in zip(forms, beta)]
-    steps = _steps(coefficients)
-    links = _node_links(adjacency, beta, params.Omega)
+    beta, coefficients, terms, steps, links = _prepared(adjacency, forms, params, frame)
+    if params.Omega == 0.0:
+        links = ((),) * n_nodes
     # a row's table columns: its stencil steps, then cutoff**k per link displacing k modes
     widths = [len(steps) + sum(cutoff ** len(shifts) for _, _, shifts in row) for row in links]
     n_blocks = sum(len(row) for row in links)
@@ -499,7 +563,7 @@ def build_fock_matrix(
         )
 
     matrix, diagonal, records = _assemble(
-        coefficients, steps, links, widths, idx, params.omega, params.Omega, cutoff
+        coefficients, terms, steps, links, widths, idx, params.omega, params.Omega, cutoff
     )
     return FockOperator(
         matrix=matrix,

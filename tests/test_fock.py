@@ -238,16 +238,20 @@ def test_frames_agree_at_finite_drive():
     xibar=st.floats(min_value=-1.0, max_value=0.6),
     drive=st.floats(min_value=0.0, max_value=0.5),
 )
+# the displaced frame stops at cutoff 32, the bare one at 16, one energy step
+# from e_tol: the frames agree, but which stops first is not guaranteed
+@example(kappa=0.3203125, xibar=-0.3203125, drive=0.0)
+@example(kappa=0.1875, xibar=-0.28125, drive=0.25)
+@example(kappa=0.21875, xibar=-0.3125, drive=0.5)
 def test_frames_agree_on_random_stable_couplings(kappa, xibar, drive):
-    # one operator in two frames: both converge to one energy, the displaced
-    # frame at no larger cutoff
+    # one operator in two frames: both converge to one energy; the frame
+    # advantage is asserted on fixed inputs, in test_frames_agree_at_finite_drive
     params = PhysicalParams(omega=1.0, Omega=drive, d=1.0, x0=0.1)
     model = two_state(params, kappa, xibar * -0.25, nu=0.1)
     bare = converge_cutoff(*model, params, e_tol=1e-10, max_cutoff=128, frame="bare")
     displaced = converge_cutoff(*model, params, e_tol=1e-10, max_cutoff=128, frame="displaced")
     assert bare.converged and displaced.converged
     assert bare.energy == pytest.approx(displaced.energy, abs=1e-9)
-    assert displaced.cutoff <= bare.cutoff
 
 
 def test_displacement_matrix_against_expm_oracle():
@@ -668,6 +672,39 @@ def test_lobpcg_kernel_matches_dense_eigh(n, seed, size):
     assert abs(energy - values[0]) <= limit
 
 
+def count_preparations(monkeypatch):
+    """Calls of fock._frame_displacements from now on, with no model kept."""
+    calls = []
+    prepare = fock._frame_displacements
+
+    def spy(forms, params, frame):
+        calls.append(frame)
+        return prepare(forms, params, frame)
+
+    monkeypatch.setattr(fock, "_LAST", (None, None))
+    monkeypatch.setattr(fock, "_frame_displacements", spy)
+    return calls
+
+
+def test_scan_prepares_each_model_once(monkeypatch):
+    # every stage of a row builds the operator, but the model is prepared
+    # once: per row over distinct models, once over a drive scan of one model
+    params = PhysicalParams(omega=1.0, Omega=0.0, d=1.0, x0=0.3)
+    rows = [(*two_state(params, 0.35, xi), params) for xi in (-0.2, -0.1, 0.0, 0.05)]
+    calls = count_preparations(monkeypatch)
+    reports = converge_scan(rows, e_tol=1e-9, max_cutoff=128, frame="displaced")
+    assert sum(len(r.energy_history) for r in reports) > len(rows)
+    assert len(calls) == len(rows)
+
+    graph, forms = two_state(params, 0.3, -0.1)
+    drives = [0.0, 0.1, 0.2, 0.0, 0.3]
+    rows = [(graph, forms, dataclasses.replace(params, Omega=d)) for d in drives]
+    calls = count_preparations(monkeypatch)
+    reports = converge_scan(rows, e_tol=1e-9, max_cutoff=128, frame="displaced")
+    assert all(len(r.energy_history) > 1 for r in reports)
+    assert len(calls) == 1
+
+
 def test_extrapolation_is_exact_on_quadratic_trails():
     # integer vectors keep the arithmetic exact; the large constant part keeps
     # every pair of vectors at a positive overlap, so only the flips below flip
@@ -889,6 +926,42 @@ def test_stencil_matches_reference_single_node(cutoff):
     for frame in ("bare", "displaced"):
         op = assert_same_operator(SINGLE, reduced, pair, cutoff, frame)
         assert op.matrix.has_sorted_indices
+
+
+@pytest.mark.parametrize("frame", ["bare", "displaced"])
+def test_memo_sees_arrays_edited_in_place(frame):
+    # the kept model is keyed by values: a form's Hessian and an adjacency
+    # entry edited in place between two builds give the edited model's operator
+    graph, forms, params = triangle_model(drive=0.3)
+    adjacency = np.array(graph.adjacency, dtype=float)
+    first = build_fock_matrix(adjacency, forms, params, 3, frame=frame)
+    forms[1].hessian[0, 0] += 0.25
+    assert adjacency[0, 1] == 0.0
+    adjacency[0, 1] = adjacency[1, 0] = 0.75
+    op = assert_same_operator(adjacency, forms, params, 3, frame)
+    assert op.dim == first.dim and op.matrix.nnz > first.matrix.nnz
+
+
+def test_shared_build_arrays_are_read_only():
+    graph, forms, params = triangle_model()
+    op = build_fock_matrix(graph, forms, params, 4, frame="displaced")
+    assert np.any(op.displacements)
+    with pytest.raises(ValueError):
+        op.displacements[0, 0] = 1.0
+    steps = fock._prepared(*node_data(graph, forms), params, "displaced")[3]
+    factors = [f for _, _, _, step_factors in fock._stencil(steps, 4) for f in step_factors]
+    assert factors
+    for factor in factors:
+        with pytest.raises(ValueError):
+            factor[...] = 0.0
+
+
+def test_bad_frame_raises_after_a_valid_build():
+    graph, forms, params = triangle_model()
+    build_fock_matrix(graph, forms, params, 4, frame="displaced")
+    for frame in ("Displaced", None, ["bare"]):
+        with pytest.raises(DomainError):
+            build_fock_matrix(graph, forms, params, 4, frame=frame)
 
 
 def _coupling(scale):

@@ -37,3 +37,25 @@ def test_benchmark_cli_argv_still_parses(tmp_path, monkeypatch):
         encoding="utf-8",
     )
     assert workloads["_run_cli"]("gs-scan-xi", config, tmp_path / "out") == 0
+
+
+def test_every_scan_build_is_a_traced_span():
+    # the benchmark's build counters read the spans of fock.build_fock_matrix;
+    # a build routed around that module global would leave them at 0
+    from vibronic import ExplicitCouplings, PhysicalParams, dumbbell_hamiltonian, fock
+
+    params = PhysicalParams(omega=1.0, Omega=0.0, d=1.0, x0=0.3)
+    rows = [
+        (*dumbbell_hamiltonian(params, ExplicitCouplings(kappa=0.35, xi=xi, nu=0.3)), params)
+        for xi in (-0.2, -0.1, 0.0)
+    ]
+    tracer = runpy.run_path(str(SPANS))["Tracer"]("test")
+    tracer.install()
+    try:
+        reports = fock.converge_scan(rows, e_tol=1e-9, max_cutoff=128, frame="displaced")
+    finally:
+        tracer.uninstall()
+    builds = [span for span in tracer.spans if span[1] == "fock.build_fock_matrix"]
+    stages = sum(len(report.energy_history) for report in reports)
+    assert stages > len(rows)
+    assert len(builds) == stages
