@@ -44,7 +44,6 @@ from .bopes import (
     QuadraticFit,
     TransitionScanResult,
     bo_energy,
-    bo_gradient,
     bo_quadratic_check,
     build_bo_surface,
     default_start_points,

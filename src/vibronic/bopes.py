@@ -6,9 +6,9 @@ eigenvalue of the electronic matrix ``M(q) = Omega A + diag(E_s(q))`` where
 its minima by deterministic multistart Newton descent (exact gradient and
 Hessian of the lowest eigenvalue from one ``eigh`` of M, each endpoint
 checked to be a true minimum, Nelder-Mead simplex only as the fallback at
-electronic crossings), fits local quadratics, and scans the surface minimum
-against the drive strength to expose the symmetry-breaking transition and
-its smoothing by quantum effects.
+electronic crossings), expands it to second order about a point from the
+same ``eigh``, and scans the surface minimum against the drive strength to
+expose the symmetry-breaking transition and its smoothing by quantum effects.
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
 SADDLE_STEP = 0.1  # step off a saddle along negative curvature, units of x0
 MAX_DESCENTS = 3  # Newton descents per start before the simplex fallback
 MIN_SCAN_SAMPLES = 32  # drive samples a transition scan needs to place the kink
-FIT_RADIUS = 0.1  # initial stencil radius of the quadratic fit, units of x0
-FIT_GAP_TOL = 1e-9  # electronic gap every fit stencil point must exceed
-FIT_MAX_SHRINKS = 8  # stencil halvings before the fit gives up on a crossing
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,16 +128,6 @@ def _derivatives(surface: BoSurface, q: np.ndarray):
         hess += 2.0 * (b / (vals[0] - vals[1:])) @ b.T
     gap = float(vals[1] - vals[0]) if vals.size > 1 else math.inf
     return float(vals[0]), gap, (v * v) @ node_grads, hess
-
-
-def bo_eigen_gap(surface: BoSurface, q) -> float:
-    """Gap between the two lowest electronic eigenvalues at q."""
-    return _derivatives(surface, np.asarray(q, dtype=float))[1]
-
-
-def bo_gradient(surface: BoSurface, q) -> np.ndarray:
-    """Gradient of the lowest eigenvalue; valid away from electronic degeneracies."""
-    return _derivatives(surface, np.asarray(q, dtype=float))[2]
 
 
 def default_start_points(surface: BoSurface) -> np.ndarray:
@@ -307,13 +294,12 @@ def minimize_bo(surface: BoSurface, starts=None) -> MinimaReport:
 
 @dataclass(frozen=True, eq=False)
 class QuadraticFit:
-    """Least-squares quadratic model of the surface around a point."""
+    """Second-order expansion of the surface about a point."""
 
     center: np.ndarray
     constant: float
-    linear: np.ndarray  # gradient coefficients at the center
+    linear: np.ndarray  # gradient at the center
     quadratic: np.ndarray  # coefficient matrix C in E = const + b.d + d^T C d
-    radius: float
 
     def linear_at_origin(self) -> np.ndarray:
         """Linear coefficient of the same quadratic expanded about q = 0."""
@@ -321,46 +307,20 @@ class QuadraticFit:
 
 
 def bo_quadratic_check(surface: BoSurface, center) -> QuadraticFit:
-    """Fit the surface by a quadratic on a small stencil around ``center``.
+    """Exact local quadratic form of the surface at ``center``, from :func:`_derivatives`.
 
-    The stencil starts at radius ``FIT_RADIUS * x0``.  If any stencil point
-    approaches an electronic level crossing (gap at most ``FIT_GAP_TOL``) the
-    radius is halved and the fit retried, at most ``FIT_MAX_SHRINKS`` times,
-    so the fit always samples a single smooth eigenvalue branch.
+    ``constant`` is the lowest eigenvalue there, ``linear`` its gradient and
+    ``quadratic`` half its symmetrized Hessian.  Raises :class:`DomainError`
+    at an electronic crossing (gap at most ``GAP_TOL omega``), where the
+    branch has no derivatives; a minimum that a Newton descent of
+    :func:`minimize_bo` accepts lies off every crossing.
     """
     center = np.asarray(center, dtype=float)
-    dim = surface.dim
-    radius = FIT_RADIUS * surface.x0
-
-    eye, signs = np.eye(dim), (1.0, -1.0)
-    pairs = [eye[m] + s * eye[n] for m in range(dim) for n in range(m + 1, dim) for s in signs]
-    offsets = np.array([np.zeros(dim)] + [s * e for e in eye for s in signs] + pairs)
-
-    for _ in range(FIT_MAX_SHRINKS + 1):
-        points = center + radius * offsets
-        gaps = [bo_eigen_gap(surface, p) for p in points]
-        if min(gaps) > FIT_GAP_TOL:
-            break
-        radius *= 0.5
-    else:
-        raise DomainError("could not avoid a level crossing around the fit center")
-
-    energies = np.array([bo_energy(surface, p) for p in points])
-    # Design matrix over the monomials 1, d_m, d_m d_n (m <= n).
-    deltas = points - center
-    rows, cols = np.triu_indices(dim)
-    design = np.column_stack([np.ones(len(points)), deltas, deltas[:, rows] * deltas[:, cols]])
-    coef, *_ = np.linalg.lstsq(design, energies, rcond=None)
-
-    quad = np.zeros((dim, dim))
-    quad[rows, cols] = coef[1 + dim :] / 2.0
-    return QuadraticFit(
-        center=center,
-        constant=float(coef[0]),
-        linear=coef[1 : 1 + dim],
-        quadratic=quad + quad.T,
-        radius=radius,
-    )
+    energy, gap, grad, hess = _derivatives(surface, center)
+    if gap <= GAP_TOL * surface.omega:
+        raise DomainError(f"electronic gap {gap:.3g} at the expansion center: a level crossing")
+    quadratic = 0.25 * (hess + hess.T)
+    return QuadraticFit(center=center, constant=energy, linear=grad, quadratic=quadratic)
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,7 +358,7 @@ def transition_scan(graph, forms, params: PhysicalParams, omegas, **solver) -> T
     cutoff-doubling solver at every grid point, in one :func:`converge_scan`
     over the model at each drive, so operators and vectors are carried along
     the grid; it gets the ``solver`` keywords (``e_tol``, ``max_cutoff``,
-    ``frame``, ``eig_tol``, ...) unchanged.  The grid needs at least
+    ``frame``, ``eig_tol``) unchanged.  The grid needs at least
     ``MIN_SCAN_SAMPLES`` strictly increasing drive values.
     """
     omegas = np.asarray(omegas, dtype=float)

@@ -64,6 +64,7 @@ from .errors import ConfigError, DomainError, InstabilityError, VibronicError
 from .fock import converge_cutoff, converge_scan
 from .graphs import (
     GEOMETRY_PRESETS,
+    MAX_ATOMS,
     Geometry,
     build_resonant_manifold,
     config_from_string,
@@ -155,7 +156,12 @@ def _parse_geometry(cfg: dict) -> Geometry:
                 raise ConfigError(f"config.geometry.positions[{i}]", "expected [x, y, z]")
             arr.append([_number(c, f"config.geometry.positions[{i}][{j}]") for j, c in enumerate(p)])
         n_axes = _integer(geo.get("n_axes", 3), "config.geometry.n_axes", minimum=1)
-        return Geometry(np.array(arr), n_axes=n_axes)
+        if n_axes > 3:
+            raise ConfigError("config.geometry.n_axes", f"expected at most 3, got {n_axes}")
+        try:  # every other input is checked above; only coincident atoms can fail
+            return Geometry(np.array(arr), n_axes=n_axes)
+        except DomainError as exc:
+            raise ConfigError("config.geometry.positions", str(exc)) from exc
     raise ConfigError("config.geometry", 'expected either "preset" or "positions"')
 
 
@@ -406,6 +412,11 @@ def _default_seed(geometry: Geometry, delta_rule) -> str:
 
 def _build_graph(resolved):
     geometry = resolved["geometry"]
+    if geometry.n_atoms > MAX_ATOMS:  # only the tasks that enumerate a manifold need the bound
+        raise ConfigError(
+            "config.geometry.positions",
+            f"exhaustive enumeration supports 1 to {MAX_ATOMS} atoms, got {geometry.n_atoms}",
+        )
     seed_str = resolved["seed"] or _default_seed(geometry, resolved["delta_rule"])
     seed = config_from_string(seed_str)
     if len(seed) != geometry.n_atoms:

@@ -75,6 +75,7 @@ DENSE_CUTOVER = 256  # below this dimension a dense eigensolver is cheaper
 LOBPCG_MAXITER = 60  # good warm starts converge in under 30; past this ARPACK is cheaper
 JACOBI_FLOOR = 1e-2  # smallest preconditioner shift, relative to max(1, |rho|)
 GATHER_CELLS = 2**18  # table cells compacted at once; bounds the gather's temporaries
+MAX_BYTES = 2**31  # budget of one build's footprint, see build_fock_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,7 +509,6 @@ def build_fock_matrix(
     cutoff: int = 8,
     *,
     frame: str = "bare",
-    max_bytes: int = 2**31,
 ) -> FockOperator:
     """Assemble the molecular operator in the truncated product Fock basis.
 
@@ -517,7 +517,7 @@ def build_fock_matrix(
     the shared reduced coordinates.  The off-diagonal block between nodes s
     and t is ``params.Omega * A[s, t]`` times the phonon overlap.  Raises
     :class:`ResourceBudgetError` when the build would allocate more than
-    ``max_bytes``: the CSR arrays at their untrimmed size (every stencil step
+    ``MAX_BYTES``: the CSR arrays at their untrimmed size (every stencil step
     and link cell of every row), the widest node's dense tables and the link
     records.  That footprint is counted from the row widths before anything
     of size ``cutoff**n_modes`` is allocated.
@@ -555,9 +555,9 @@ def build_fock_matrix(
     widths = [len(steps) + sum(cutoff ** len(shifts) for _, _, shifts in row) for row in links]
     n_blocks = sum(len(row) for row in links)
     footprint, idx = _footprint(widths, n_blocks, cutoff**n_modes)
-    if footprint > max_bytes:
+    if footprint > MAX_BYTES:
         raise ResourceBudgetError(
-            f"matrix footprint {footprint/1e9:.2f} GB exceeds budget {max_bytes/1e9:.2f} GB "
+            f"matrix footprint {footprint/1e9:.2f} GB exceeds budget {MAX_BYTES/1e9:.2f} GB "
             f"(nodes={n_nodes}, modes={n_modes}, cutoff={cutoff})",
             estimated_bytes=footprint,
         )
@@ -697,7 +697,6 @@ def converge_cutoff(
     max_cutoff: int = 256,
     frame: str = "bare",
     eig_tol: float = 1e-11,
-    max_bytes: int = 2**31,
 ) -> SolveReport:
     """Double the Fock cutoff from 4 until the ground energy stabilizes.
 
@@ -708,13 +707,12 @@ def converge_cutoff(
     than raised: persistent energy descent under cutoff growth is the
     numerical signature of an instability.  A stage whose eigensolver failed
     records its best estimate but can never make the report converged, and
-    a stage over the ``max_bytes`` budget ends the doubling unconverged; only
+    a stage over the ``MAX_BYTES`` budget ends the doubling unconverged; only
     an over-budget first stage raises :class:`ResourceBudgetError`.  This is
     :func:`converge_scan` over the one row ``(graph, forms, params)``.
     """
     return converge_scan(
-        [(graph, forms, params)],
-        e_tol=e_tol, max_cutoff=max_cutoff, frame=frame, eig_tol=eig_tol, max_bytes=max_bytes,
+        [(graph, forms, params)], e_tol=e_tol, max_cutoff=max_cutoff, frame=frame, eig_tol=eig_tol
     )[0]
 
 
@@ -732,7 +730,7 @@ def _extrapolate(trail):
     return sum(c * (v if v1 @ v >= 0.0 else -v) for c, v in zip(weights, trail))
 
 
-def _carried_operator(operators: dict, graph, forms, params, cutoff: int, frame, max_bytes):
+def _carried_operator(operators: dict, graph, forms, params, cutoff: int, frame):
     """The stage operator of one row, whose model built every operator in ``operators``.
 
     A drive of 0 has no links and gets its own build.  Any other drive reuses
@@ -740,10 +738,10 @@ def _carried_operator(operators: dict, graph, forms, params, cutoff: int, frame,
     with its link entries rewritten in place.
     """
     if params.Omega == 0.0:
-        return build_fock_matrix(graph, forms, params, cutoff, frame=frame, max_bytes=max_bytes)
+        return build_fock_matrix(graph, forms, params, cutoff, frame=frame)
     op = operators.get(cutoff)
     if op is None:
-        op = build_fock_matrix(graph, forms, params, cutoff, frame=frame, max_bytes=max_bytes)
+        op = build_fock_matrix(graph, forms, params, cutoff, frame=frame)
         operators[cutoff] = op
     else:
         _write_links(op.matrix.data, op.links, params.Omega)
@@ -777,7 +775,6 @@ def converge_scan(
     max_cutoff: int = 256,
     frame: str = "bare",
     eig_tol: float = 1e-11,
-    max_bytes: int = 2**31,
 ) -> tuple:
     """Run the cutoff doubling of :func:`converge_cutoff` on every row, in order.
 
@@ -819,7 +816,7 @@ def converge_scan(
         while cutoff <= max_cutoff:
             padded = None if state is None else _zero_pad(op, state, cutoff)
             try:
-                op = _carried_operator(operators, graph, forms, params, cutoff, frame, max_bytes)
+                op = _carried_operator(operators, graph, forms, params, cutoff, frame)
             except ResourceBudgetError:
                 if not history:
                     raise

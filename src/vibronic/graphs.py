@@ -24,6 +24,7 @@ Config = tuple  # tuple[int, ...], one entry per atom
 # Diagonal energies within this fraction of max(|E_seed|, omega) of the
 # seed's count as degenerate with it.
 DEGENERACY_REL_TOL = 1e-9
+MAX_ATOMS = 16  # largest array whose 2^N configurations are enumerated
 
 
 def config_from_string(bits: str) -> Config:
@@ -173,8 +174,8 @@ def build_resonant_manifold(
     since the manifold picture assumes far-detuned driving.
     """
     n = geometry.n_atoms
-    if not 1 <= n <= 16:
-        raise DomainError(f"exhaustive enumeration supports 1 to 16 atoms, got {n}")
+    if not 1 <= n <= MAX_ATOMS:
+        raise DomainError(f"exhaustive enumeration supports 1 to {MAX_ATOMS} atoms, got {n}")
     seed = tuple(seed)
     if Omega is not None and Delta != 0.0 and abs(Omega / Delta) > 0.1:
         warnings.warn(

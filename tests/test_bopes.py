@@ -15,7 +15,6 @@ from vibronic import (
     ExplicitCouplings,
     PhysicalParams,
     bo_energy,
-    bo_gradient,
     bo_quadratic_check,
     build_bo_surface,
     build_molecular_model,
@@ -31,7 +30,7 @@ from vibronic import (
     transition_scan,
     triangle,
 )
-from vibronic.bopes import _derivatives, bo_eigen_gap, transition_scan_csv
+from vibronic.bopes import _derivatives, transition_scan_csv
 
 SQRT2 = math.sqrt(2.0)
 
@@ -130,12 +129,37 @@ def test_quadratic_fit_matches_the_local_surface_form():
     assert abs(fit.linear_at_origin() @ par) == pytest.approx(2 * abs(kappa) / x0, rel=1e-6)
 
 
+def test_quadratic_form_of_the_driven_surface_matches_second_differences():
+    # with a drive the lowest eigenvector mixes the nodes, so the form holds
+    # the excited-state sum of the Hessian; check it against energies alone
+    _, _, _, _, surface = triangle_setup(kappa=-0.35, Omega=0.15)
+    center = minimize_bo(surface).minima[0][0]
+    fit = bo_quadratic_check(surface, center)
+    assert np.linalg.norm(fit.linear) < 1e-6
+    assert fit.constant == pytest.approx(bo_energy(surface, center), abs=1e-14)
+
+    h, dim = 1e-3 * surface.x0, surface.dim
+    steps = h * np.eye(dim)
+
+    def energy(*offsets):
+        return bo_energy(surface, center + sum(offsets))
+
+    fd = np.zeros((dim, dim))
+    for i in range(dim):
+        fd[i, i] = (energy(steps[i]) - 2.0 * energy() + energy(-steps[i])) / h**2
+        for j in range(i):
+            ei, ej = steps[i], steps[j]
+            cross = energy(ei, ej) - energy(ei, -ej) - energy(-ei, ej) + energy(-ei, -ej)
+            fd[i, j] = fd[j, i] = cross / (4.0 * h**2)
+    assert np.abs(fit.quadratic - 0.5 * fd).max() <= 1e-5 * np.abs(fit.quadratic).max()
+
+
 def test_gradient_matches_finite_differences():
     _, _, _, _, surface = triangle_setup(kappa=-0.35, Omega=0.15)
     rng = np.random.default_rng(7)
     for _ in range(4):
         q = 0.3 * rng.standard_normal(4)
-        grad = bo_gradient(surface, q)
+        grad = _derivatives(surface, q)[2]
         fd = np.zeros(4)
         h = 1e-6
         for m in range(4):
@@ -239,7 +263,8 @@ def fd_hessian(surface, q, h=1e-5):
     for m in range(surface.dim):
         e = np.zeros(surface.dim)
         e[m] = h * surface.x0
-        rows.append((bo_gradient(surface, q + e) - bo_gradient(surface, q - e)) / (2 * e[m]))
+        plus, minus = _derivatives(surface, q + e)[2], _derivatives(surface, q - e)[2]
+        rows.append((plus - minus) / (2 * e[m]))
     hess = np.array(rows)
     return 0.5 * (hess + hess.T)
 
@@ -262,7 +287,7 @@ def nelder_mead_energy(surface, start):
 
 def assert_true_minima(surface, report):
     for q, _ in report.minima:
-        assert bo_eigen_gap(surface, q) > 1e-7 * surface.omega
+        assert _derivatives(surface, q)[1] > 1e-7 * surface.omega
         assert np.linalg.eigvalsh(fd_hessian(surface, q))[0] > 0
 
 
@@ -275,11 +300,11 @@ def test_descent_from_the_origin_leaves_the_saddle():
     saddle = minimize(
         lambda q: bo_energy(surface, q),
         np.zeros(surface.dim),
-        jac=lambda q: bo_gradient(surface, q),
+        jac=lambda q: _derivatives(surface, q)[2],
         method="L-BFGS-B",
         options={"ftol": 1e-18, "gtol": 1e-14, "maxiter": 500},
     ).x
-    assert bo_eigen_gap(surface, saddle) > 1e-7
+    assert _derivatives(surface, saddle)[1] > 1e-7
     curvatures = np.linalg.eigvalsh(fd_hessian(surface, saddle))
     assert curvatures[:2] == pytest.approx([-16.4, -16.4], abs=0.05)
     assert curvatures[2] > 0
@@ -317,7 +342,9 @@ def test_start_on_a_crossing_falls_back_to_the_simplex():
     # every node energy vanishes: the branch has no derivatives there
     _, _, _, _, surface = triangle_setup(kappa=CRITERION_11_KAPPA)
     origin = np.zeros(surface.dim)
-    assert bo_eigen_gap(surface, origin) == 0.0
+    assert _derivatives(surface, origin)[1] == 0.0
+    with pytest.raises(DomainError):
+        bo_quadratic_check(surface, origin)
     report = minimize_bo(surface, starts=origin[None, :])
     assert report.starts == 1
     assert report.simplex_fallbacks == 1
@@ -340,7 +367,8 @@ def test_exact_derivatives_match_central_differences(drive, q):
     h = 1e-6 * surface.x0
     steps = h * np.eye(surface.dim)
     fd_grad = [(bo_energy(surface, q + e) - bo_energy(surface, q - e)) / (2 * h) for e in steps]
-    fd_hess = [(bo_gradient(surface, q + e) - bo_gradient(surface, q - e)) / (2 * h) for e in steps]
+    grads = [(_derivatives(surface, q + e)[2], _derivatives(surface, q - e)[2]) for e in steps]
+    fd_hess = [(plus - minus) / (2 * h) for plus, minus in grads]
     assert np.abs(grad - fd_grad).max() <= 1e-6 * max(1.0, np.abs(grad).max())
     assert np.abs(hess - np.array(fd_hess)).max() <= 1e-5 * max(1.0, np.abs(hess).max())
 

@@ -202,8 +202,9 @@ def test_schema_errors_carry_the_key_path(tmp_path):
 
     # values that were misread (a bool delta as "-3V", "false" as true), crashed
     # (integers beyond the float range, a mass * omega that underflows to 0),
-    # ignored (a mass next to x0), or passed as the non-finite numbers json
-    # reads from NaN and Infinity
+    # ignored (a mass next to x0), passed as the non-finite numbers json reads
+    # from NaN and Infinity, or reported without a key path (an n_axes of 4,
+    # coincident atoms)
     for key, value, path in (
         ("params", dict(GRAPH_CONFIG["params"], delta=True), "config.params.delta"),
         ("geometry", {"preset": "dumbbell", "full_3d": "false"}, "config.geometry.full_3d"),
@@ -217,6 +218,8 @@ def test_schema_errors_carry_the_key_path(tmp_path):
         ("params", dict(GRAPH_CONFIG["params"], mass=4.0), "config.params.mass"),
         ("params", {"omega": 1e-200, "mass": 1e-200, "delta": "-3V"}, "config.params.mass"),
         ("params", dict(GRAPH_CONFIG["params"], omega=1e-200, mass=1e-200), "config.params.mass"),
+        ("geometry", {"positions": [[0, 0, 0], [1, 0, 0]], "n_axes": 4}, "config.geometry.n_axes"),
+        ("geometry", {"positions": [[0, 0, 0], [0, 0, 0]]}, "config.geometry.positions"),
     ):
         cfg = dict(GRAPH_CONFIG, **{key: value})
         with pytest.raises(ConfigError) as exc:
@@ -251,6 +254,14 @@ def test_seed_must_be_a_bitstring(tmp_path, capsys, seed):
     cfg = dict(GRAPH_CONFIG, seed=seed)
     assert main(["graph", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("config error: config.seed")
+
+
+def test_manifold_atom_limit_carries_the_key_path(tmp_path, capsys):
+    # checked where the manifold is built: gs-scan-xi and wigner accept such a geometry
+    cfg = {key: value for key, value in GRAPH_CONFIG.items() if key != "seed"}
+    cfg["geometry"] = {"positions": [[float(k), 0.0, 0.0] for k in range(17)]}
+    assert main(["graph", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("config error: config.geometry.positions")
 
 
 def test_task_mismatch_is_rejected(tmp_path):

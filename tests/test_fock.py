@@ -422,13 +422,14 @@ def test_reduction_preserves_energies():
         assert e_r == pytest.approx(e_f, abs=1e-9)
 
 
-def test_resource_budget_guard():
+def test_resource_budget_guard(monkeypatch):
     pot = ExplicitCouplings(kappa=-0.2, xi=0.0, nu=0.5, v_d=1.0)
     params = PhysicalParams(omega=1.0, Omega=0.1, x0=0.5)
     graph = build_resonant_manifold(triangle(), -1.0, pot, (0, 0, 1))
     basis, forms = build_molecular_model(graph, derive_couplings(pot, params), params)
+    monkeypatch.setattr(fock, "MAX_BYTES", 10**6)
     with pytest.raises(ResourceBudgetError) as err:
-        build_fock_matrix(graph, forms, params, cutoff=64, max_bytes=10**6)
+        build_fock_matrix(graph, forms, params, cutoff=64)
     assert err.value.estimated_bytes > 10**6
 
 
@@ -774,13 +775,15 @@ def test_ground_state_rejects_unchecked_pair(monkeypatch):
     assert err.value.best_estimate == -0.5
 
 
-def test_budget_overrun_keeps_finished_stages():
+def test_budget_overrun_keeps_finished_stages(monkeypatch):
     graph, forms, params = triangle_model()
-    report = converge_cutoff(graph, forms, params, max_cutoff=16, max_bytes=10**7)
+    monkeypatch.setattr(fock, "MAX_BYTES", 10**7)
+    report = converge_cutoff(graph, forms, params, max_cutoff=16)
     assert not report.converged
     assert report.energy_history == ((4, cold_energy(graph, forms, params, 4)),)
+    monkeypatch.setattr(fock, "MAX_BYTES", 10**5)
     with pytest.raises(ResourceBudgetError):
-        converge_cutoff(graph, forms, params, max_cutoff=16, max_bytes=10**5)
+        converge_cutoff(graph, forms, params, max_cutoff=16)
 
 
 def reference_fock_matrix(graph, forms, params, cutoff=8, frame="bare"):
@@ -1004,12 +1007,13 @@ def test_stencil_matches_reference_random_models(model):
     assert_same_operator(adjacency, forms, params, cutoff, frame)
 
 
-def test_budget_guard_fires_before_allocation():
+def test_budget_guard_fires_before_allocation(monkeypatch):
     graph, forms, params = triangle_model()
+    monkeypatch.setattr(fock, "MAX_BYTES", 10**6)
     tracemalloc.start()
     try:
         with pytest.raises(ResourceBudgetError):
-            build_fock_matrix(graph, forms, params, cutoff=64, max_bytes=10**6)
+            build_fock_matrix(graph, forms, params, cutoff=64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1017,16 +1021,19 @@ def test_budget_guard_fires_before_allocation():
 
 
 @pytest.mark.parametrize("cutoff", [4, 8, 16])
-def test_budget_counts_what_the_build_allocates(cutoff):
+def test_budget_counts_what_the_build_allocates(monkeypatch, cutoff):
     graph, forms, params = triangle_model()
+    monkeypatch.setattr(fock, "MAX_BYTES", 0)
     with pytest.raises(ResourceBudgetError) as err:
-        build_fock_matrix(graph, forms, params, cutoff, max_bytes=0)
+        build_fock_matrix(graph, forms, params, cutoff)
     footprint = err.value.estimated_bytes
+    monkeypatch.setattr(fock, "MAX_BYTES", footprint - 1)
     with pytest.raises(ResourceBudgetError):
-        build_fock_matrix(graph, forms, params, cutoff, max_bytes=footprint - 1)
+        build_fock_matrix(graph, forms, params, cutoff)
+    monkeypatch.setattr(fock, "MAX_BYTES", footprint)
     tracemalloc.start()
     try:
-        build_fock_matrix(graph, forms, params, cutoff, max_bytes=footprint)
+        build_fock_matrix(graph, forms, params, cutoff)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
