@@ -2,13 +2,12 @@
 
 The adiabatic surface at fixed collective coordinates q is the smallest
 eigenvalue of the electronic matrix ``M(q) = Omega A + diag(E_s(q))`` where
-``E_s`` is the classical (kinetic-free) energy of node s.  This module locates
-its minima by deterministic multistart Newton descent (exact gradient and
-Hessian of the lowest eigenvalue from one ``eigh`` of M, each endpoint
-checked to be a true minimum, Nelder-Mead simplex only as the fallback at
-electronic crossings), expands it to second order about a point from the
-same ``eigh``, and scans the surface minimum against the drive strength to
-expose the symmetry-breaking transition and its smoothing by quantum effects.
+``E_s`` is the classical (kinetic-free) energy of node s.  This module reads
+its minima off the node forms at zero drive and finds them by multistart
+Newton descent (exact gradient and Hessian from one ``eigh`` of M) at any
+other drive, expands it to second order about a point from the same ``eigh``,
+and scans the surface minimum against the drive strength to expose the
+symmetry-breaking transition and its smoothing by quantum effects.
 """
 
 from __future__ import annotations
@@ -20,13 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import node_data
-from .errors import DomainError
+from .errors import DomainError, InstabilityError
 from .fock import converge_scan
 from .params import PhysicalParams
 
 DEFAULT_DEDUP_TOL = 1e-4  # basin deduplication distance, in units of x0
 DEFAULT_DEGENERACY_TOL = 1e-8  # energy tolerance for degenerate minima, units of omega
-SIMPLEX_TOL = 1e-13  # energy tolerance of the simplex fallback
 GAP_TOL = 1e-7  # electronic gap below which the branch counts as crossing, units of omega
 CURVATURE_FLOOR = 1e-3  # smallest |curvature| a Newton step divides by, units of omega/x0^2
 DECREMENT_TOL = 1e-15  # Newton decrement that ends a descent, relative to max(omega, |E|)
@@ -35,7 +33,7 @@ MAX_NEWTON_STEPS = 100  # Newton steps per descent
 MAX_BACKTRACKS = 40  # step halvings per Newton step
 ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
 SADDLE_STEP = 0.1  # step off a saddle along negative curvature, units of x0
-MAX_DESCENTS = 3  # Newton descents per start before the simplex fallback
+MAX_DESCENTS = 3  # Newton descents per start before the start counts as lost
 MIN_SCAN_SAMPLES = 32  # drive samples a transition scan needs to place the kink
 
 
@@ -70,17 +68,17 @@ class BoSurface:
 
 @dataclass(frozen=True, eq=False)
 class MinimaReport:
-    """Distinct local minima of the multistart search, sorted by energy, and its work counts."""
+    """Distinct local minima sorted by energy, and the search's work counts (0 at zero drive)."""
 
     minima: tuple  # ((q, energy), ...) sorted by energy
     degeneracy: int
     global_energy: float
     degeneracy_tol: float
     starts: int
-    descents: int  # Newton descents, restarts off saddles and simplex polishes included
-    evaluations: int  # diagonalizations of the electronic matrix, simplex ones included
+    descents: int  # Newton descents, restarts off saddles included
+    evaluations: int  # diagonalizations of the electronic matrix
     saddles_left: int
-    simplex_fallbacks: int  # starts that met a crossing or ended on a saddle every time
+    starts_lost: int  # starts that met a crossing or ended on a saddle every time
 
 
 def build_bo_surface(graph, forms, params: PhysicalParams) -> BoSurface:
@@ -103,12 +101,16 @@ def _electronic_matrix(surface: BoSurface, q: np.ndarray) -> np.ndarray:
     return surface.Omega * surface.adjacency + np.diag(energies)
 
 
-def bo_energy(surface: BoSurface, q) -> float:
-    """Smallest electronic eigenvalue at clamped coordinates q."""
+def _point(surface: BoSurface, q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape != (surface.dim,):
         raise DomainError(f"expected {surface.dim} coordinates, got shape {q.shape}")
-    return float(np.linalg.eigvalsh(_electronic_matrix(surface, q))[0])
+    return q
+
+
+def bo_energy(surface: BoSurface, q) -> float:
+    """Smallest electronic eigenvalue at clamped coordinates q."""
+    return float(np.linalg.eigvalsh(_electronic_matrix(surface, _point(surface, q)))[0])
 
 
 def _derivatives(surface: BoSurface, q: np.ndarray):
@@ -210,68 +212,66 @@ def _newton(surface: BoSurface, q: np.ndarray, tally: dict):
     return None
 
 
-def _simplex(surface: BoSurface, start: np.ndarray, tally: dict):
-    """Nelder-Mead descent plus a Newton polish away from crossings."""
-    from scipy.optimize import minimize  # only the crossing fallback needs it
+def _zero_drive_minima(surface: BoSurface) -> list:
+    """Minima of the undriven surface, the lower envelope ``min_s E_s(q)``, in closed form.
 
-    options = {
-        "xatol": 1e-10 * surface.x0,
-        "fatol": SIMPLEX_TOL,
-        "maxiter": 4000 * surface.dim,
-        "maxfev": 4000 * surface.dim,
-    }
-    res = minimize(lambda q: bo_energy(surface, q), start, method="Nelder-Mead", options=options)
-    tally["evaluations"] += res.nfev
-    q, e = res.x, float(res.fun)
-    # away from crossings a Newton polish lands the simplex stall on its basin floor
-    polished = _newton(surface, q, tally)
-    if polished is not None and polished[1] <= e:
-        q, e = polished[0], polished[1]
-    return q, e
+    A node's stationary point is one when its branch is within ``GAP_TOL omega``
+    of the lowest there and every branch that close is stationary there too
+    (its own stationary point within ``DEFAULT_DEDUP_TOL x0``).
+    """
+    points = [f.stationary_point() for f in surface.forms]
+    found = []
+    for s, q in enumerate(points):
+        energies = np.diag(_electronic_matrix(surface, q))  # M is diag(E_s) at zero drive
+        near = np.flatnonzero(energies - energies.min() <= GAP_TOL * surface.omega)
+        tied = all(np.linalg.norm(points[t] - q) <= DEFAULT_DEDUP_TOL * surface.x0 for t in near)
+        if s in near and tied:
+            found.append((q, float(energies.min())))
+    return found
 
 
 def minimize_bo(surface: BoSurface, starts=None) -> MinimaReport:
-    """Locate the surface minima by deterministic multistart Newton descent.
+    """Locate the surface minima: in closed form at zero drive, else by multistart Newton descent.
 
-    From every start, a saddle-free Newton descent (:func:`_newton`) runs on
-    the lowest branch with the exact gradient and Hessian.  An endpoint
-    counts as a minimum only when the electronic gap there exceeds
-    ``GAP_TOL omega`` and the exact Hessian is positive definite; a saddle is
-    left ``SADDLE_STEP x0`` along its most negative curvature and descended
-    again, at most ``MAX_DESCENTS`` descents in all.  At an electronic
-    crossing, or on a saddle after the last descent, the start falls back to
-    Nelder-Mead simplex descent (energy tolerance ``SIMPLEX_TOL``) with a
-    Newton polish.
-
-    Distinct basins are deduplicated at distance ``1e-4 x0``; minima are
-    reported sorted by energy and the degeneracy counts those within
-    ``DEFAULT_DEGENERACY_TOL * omega`` of the global minimum.
+    A node Hessian that is not positive definite (the surface is then unbounded
+    below at every drive) raises :class:`InstabilityError`.  At zero drive
+    ``starts`` is unused.  Else a saddle-free Newton descent (:func:`_newton`)
+    runs from every start; an endpoint is a minimum only where the gap exceeds
+    ``GAP_TOL omega`` and the exact Hessian is positive definite, and a saddle
+    is left ``SADDLE_STEP x0`` along its most negative curvature, at most
+    ``MAX_DESCENTS`` descents in all.  A start still at a crossing or a saddle
+    is counted in ``starts_lost``; if every start is, :class:`DomainError` is
+    raised.  Basins within ``DEFAULT_DEDUP_TOL x0`` merge, and the degeneracy
+    counts minima within ``DEFAULT_DEGENERACY_TOL * omega`` of the lowest.
     """
-    if starts is None:
-        starts = default_start_points(surface)
-    starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    if starts.shape[1] != surface.dim:
-        raise DomainError(f"expected {surface.dim} coordinates per start, got {starts.shape[1]}")
+    if np.any(np.linalg.eigvalsh(surface.hessians)[:, 0] <= 0.0):
+        raise InstabilityError("a node Hessian is not positive definite: the surface is unbounded")
     degeneracy_tol = DEFAULT_DEGENERACY_TOL * surface.omega
-
-    tally = dict.fromkeys(("descents", "evaluations", "saddles_left", "simplex_fallbacks"), 0)
-    found = []
-    for start in starts:
-        q, minimum = start, None
-        for _ in range(MAX_DESCENTS):
-            end = _newton(surface, q, tally)
-            if end is None:  # an electronic crossing
-                break
-            q, e, curvatures, directions = end
-            if curvatures[0] > 0.0:
-                minimum = (q, e)
-                break
-            tally["saddles_left"] += 1
-            q = q + SADDLE_STEP * surface.x0 * directions[:, 0]
-        if minimum is None:
-            tally["simplex_fallbacks"] += 1
-            minimum = _simplex(surface, start, tally)
-        found.append(minimum)
+    tally = dict.fromkeys(("starts", "descents", "evaluations", "saddles_left", "starts_lost"), 0)
+    if surface.Omega == 0.0:
+        found = _zero_drive_minima(surface)
+    else:
+        if starts is None:
+            starts = default_start_points(surface)
+        starts = np.atleast_2d(np.asarray(starts, dtype=float))
+        if starts.shape[1] != surface.dim:
+            raise DomainError(f"expected {surface.dim} coordinates per start, got {starts.shape[1]}")
+        found = []
+        for q in starts:
+            for _ in range(MAX_DESCENTS):
+                end = _newton(surface, q, tally)
+                if end is None:  # an electronic crossing
+                    break
+                q, e, curvatures, directions = end
+                if curvatures[0] > 0.0:
+                    found.append((q, e))
+                    break
+                tally["saddles_left"] += 1
+                q = q + SADDLE_STEP * surface.x0 * directions[:, 0]
+        tally["starts"] = len(starts)
+        tally["starts_lost"] = len(starts) - len(found)  # each start yields at most one minimum
+    if not found:
+        raise DomainError(f"no surface minimum found at drive {surface.Omega}")
 
     dedup_dist = DEFAULT_DEDUP_TOL * surface.x0
     found.sort(key=lambda qe: (qe[1], tuple(qe[0])))
@@ -287,7 +287,6 @@ def minimize_bo(surface: BoSurface, starts=None) -> MinimaReport:
         degeneracy=degeneracy,
         global_energy=global_energy,
         degeneracy_tol=degeneracy_tol,
-        starts=len(starts),
         **tally,
     )
 
@@ -311,11 +310,11 @@ def bo_quadratic_check(surface: BoSurface, center) -> QuadraticFit:
 
     ``constant`` is the lowest eigenvalue there, ``linear`` its gradient and
     ``quadratic`` half its symmetrized Hessian.  Raises :class:`DomainError`
-    at an electronic crossing (gap at most ``GAP_TOL omega``), where the
-    branch has no derivatives; a minimum that a Newton descent of
-    :func:`minimize_bo` accepts lies off every crossing.
+    for a wrong-length point and at an electronic crossing (gap at most
+    ``GAP_TOL omega``), where the branch has no derivatives, as at a zero-drive
+    minimum where tied branches meet; driven minima lie off every crossing.
     """
-    center = np.asarray(center, dtype=float)
+    center = _point(surface, center)
     energy, gap, grad, hess = _derivatives(surface, center)
     if gap <= GAP_TOL * surface.omega:
         raise DomainError(f"electronic gap {gap:.3g} at the expansion center: a level crossing")

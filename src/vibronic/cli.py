@@ -643,9 +643,9 @@ def _task_compare(resolved, outdir: Path):
     if params.Omega != 0.0:
         raise ConfigError("config.params.Omega", "compare is a zero-drive consistency check")
     graph, forms, _, coup = _molecular_model(resolved)
+    # the surface first: an unstable model raises there before any Fock solve
+    minima = minimize_bo(build_bo_surface(graph, forms, params))
     report = converge_cutoff(graph, forms, params, **resolved["solver"])
-    surface = build_bo_surface(graph, forms, params)
-    minima = minimize_bo(surface)
     rows = [
         ("E_numeric", report.energy),
         ("numeric_converged", report.converged),

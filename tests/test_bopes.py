@@ -13,6 +13,7 @@ from scipy.optimize import minimize
 from vibronic import (
     DomainError,
     ExplicitCouplings,
+    InstabilityError,
     PhysicalParams,
     bo_energy,
     bo_quadratic_check,
@@ -75,6 +76,8 @@ def test_dimension_mismatch_is_rejected():
     _, _, _, _, surface = triangle_setup(kappa=-0.3)
     with pytest.raises(DomainError):
         bo_energy(surface, np.zeros(3))
+    with pytest.raises(DomainError, match=r"expected 4 coordinates, got shape \(3,\)"):
+        bo_quadratic_check(surface, np.zeros(3))
 
 
 def test_three_degenerate_broken_minima():
@@ -323,7 +326,7 @@ def test_minima_report_counts_the_search():
     starts = light_start_points(surface)
     report = minimize_bo(surface, starts=starts)
     assert report.starts == len(starts) == 4
-    assert report.simplex_fallbacks == 0
+    assert report.starts_lost == 0
     assert report.saddles_left >= 1
     # every saddle left starts one more descent, and each descent evaluates
     assert report.descents == report.starts + report.saddles_left
@@ -331,13 +334,13 @@ def test_minima_report_counts_the_search():
     # the origin start alone is the one that meets the saddle
     origin = minimize_bo(surface, starts=np.zeros((1, surface.dim)))
     assert origin.saddles_left >= 1
-    assert origin.simplex_fallbacks == 0
+    assert origin.starts_lost == 0
     again = minimize_bo(surface, starts=starts)
-    counts = ("starts", "descents", "evaluations", "saddles_left", "simplex_fallbacks")
+    counts = ("starts", "descents", "evaluations", "saddles_left", "starts_lost")
     assert [getattr(again, c) for c in counts] == [getattr(report, c) for c in counts]
 
 
-def test_start_on_a_crossing_falls_back_to_the_simplex():
+def test_minima_at_a_crossing_start():
     # at zero drive the surface is the lowest node energy, and at the origin
     # every node energy vanishes: the branch has no derivatives there
     _, _, _, _, surface = triangle_setup(kappa=CRITERION_11_KAPPA)
@@ -345,11 +348,71 @@ def test_start_on_a_crossing_falls_back_to_the_simplex():
     assert _derivatives(surface, origin)[1] == 0.0
     with pytest.raises(DomainError):
         bo_quadratic_check(surface, origin)
+    # at zero drive the minima are read off the node forms without a search,
+    # so the origin start is unused and all three broken basins are found
     report = minimize_bo(surface, starts=origin[None, :])
-    assert report.starts == 1
-    assert report.simplex_fallbacks == 1
-    assert report.saddles_left == 0
+    assert len(report.minima) == 3
+    assert report.degeneracy == 3
     assert report.global_energy <= nelder_mead_energy(surface, origin)
+    counts = ("starts", "descents", "evaluations", "saddles_left", "starts_lost")
+    assert [getattr(report, c) for c in counts] == [0] * len(counts)
+    # a tiny drive leaves the origin a crossing: a start there yields nothing
+    driven = surface.with_omega(1e-9)
+    with pytest.raises(DomainError):
+        minimize_bo(driven, starts=origin[None, :])
+    report = minimize_bo(driven, starts=light_start_points(driven))
+    assert report.starts_lost == 1
+    assert len(report.minima) == 3
+
+
+def test_unstable_surface_raises_at_every_drive():
+    # beyond the critical coupling a node Hessian has a negative eigenvalue,
+    # so the surface is unbounded below whatever the drive
+    _, _, _, _, surface = triangle_setup(kappa=1.1 * critical_points(1.0, 0.5)[1])
+    assert np.linalg.eigvalsh(surface.hessians)[:, 0].min() < 0.0
+    for drive in (0.0, 0.1):
+        with pytest.raises(InstabilityError):
+            minimize_bo(surface.with_omega(drive))
+
+
+# manifolds of different node counts, pairs per node and mode dimensions
+MANIFOLDS = {
+    "dumbbell": (dumbbell(), -1.0, (0, 1)),
+    "triangle": (triangle(), -1.0, (0, 0, 1)),
+    "triangle -3V": (triangle(), -3.0, (1, 1, 1)),
+    "triangle full_3d": (triangle(full_3d=True), -1.0, (0, 0, 1)),
+}
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    manifold=st.sampled_from(sorted(MANIFOLDS)),
+    kappabar=st.floats(min_value=-0.9, max_value=0.9),
+    xibar=st.floats(min_value=-0.9, max_value=0.9),
+    nu=st.floats(min_value=0.1, max_value=0.5),
+)
+def test_zero_drive_minima_are_minima_of_the_surface(manifold, kappabar, xibar, nu):
+    geometry, delta, seed = MANIFOLDS[manifold]
+    params = PhysicalParams(omega=1.0, Omega=0.0, d=1.0, x0=nu)
+    xi_c, kappa_c = critical_points(1.0, nu)
+    pot = ExplicitCouplings(kappa=kappabar * kappa_c, xi=xibar * xi_c, nu=nu, v_d=1.0)
+    graph = build_resonant_manifold(geometry, delta, pot, seed)
+    _, forms = build_molecular_model(graph, derive_couplings(pot, params), params)
+    surface = build_bo_surface(graph, forms, params)
+    if np.linalg.eigvalsh(surface.hessians)[:, 0].min() <= 0.0:
+        # several pairs on one node can add up past the one-pair bound
+        with pytest.raises(InstabilityError):
+            minimize_bo(surface)
+        return
+    report = minimize_bo(surface)
+    for start in light_start_points(surface):
+        assert report.global_energy <= nelder_mead_energy(surface, start) + 1e-12
+    steps = 1e-4 * surface.x0 * np.eye(surface.dim)
+    for q, e in report.minima:
+        assert e == pytest.approx(bo_energy(surface, q), abs=1e-14)
+        for step in steps:
+            assert bo_energy(surface, q + step) >= e - 1e-14
+            assert bo_energy(surface, q - step) >= e - 1e-14
 
 
 @settings(max_examples=40, deadline=None)
@@ -456,8 +519,8 @@ def test_transition_scan_rows_match_independent_solves():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # only the surface searches use scipy.optimize, and only ARPACK stages
-    # scipy.sparse.linalg, so each imports its own
+    # nothing in the package uses scipy.optimize, and only ARPACK stages
+    # import scipy.sparse.linalg
     import vibronic
 
     src = str(Path(vibronic.__file__).resolve().parents[1])

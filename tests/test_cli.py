@@ -524,6 +524,25 @@ def test_closed_forms_stay_empty_beyond_one_pair_per_node(tmp_path):
     assert all(row.split(",")[3] == "" for row in rows)
 
 
+def test_compare_on_an_unstable_model_is_an_error(tmp_path, capsys):
+    # beyond the critical coupling the surface is unbounded below
+    kappa_c = -1.0 / (2.0 * math.sqrt(2.0) * 0.5)
+    cfg = {
+        "task": "compare",
+        "geometry": {"preset": "triangle", "d": 1.0},
+        "potential": {"type": "explicit", "kappa": 1.1 * kappa_c, "xi": 0.0, "nu": 0.5,
+                      "v_d": 1.0},
+        "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
+        "solver": {"e_tol": 1e-3, "max_cutoff": 8, "frame": "bare"},
+    }
+    out = tmp_path / "out"
+    assert main(["compare", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "unbounded" in err
+    assert not (out / "compare.csv").exists()
+
+
 def spy_on(monkeypatch, module, name):
     """Record the arguments of every call to ``module.name`` and pass them on."""
     calls = []
@@ -611,28 +630,33 @@ def test_bopes_scan_is_deterministic(tmp_path):
 
 
 def test_triangle_bopes_scan_leaves_scipy_optimize_unloaded(tmp_path):
-    # Newton descents find every minimum on this scan; Nelder-Mead, the only
-    # user of scipy.optimize, runs only at electronic crossings
+    # the surface minima come from Newton descents and, at zero drive, from
+    # the node forms in closed form: no task loads scipy.optimize
     import vibronic
 
     src = str(Path(vibronic.__file__).resolve().parents[1])
-    path = write_config(tmp_path, TRIANGLE_BOPES_SCAN)
+    compare = {k: v for k, v in TRIANGLE_BOPES_SCAN.items() if k != "scan"}
     code = (
         "import sys\n"
         "from vibronic.cli import main\n"
         "code = main(sys.argv[1:])\n"
         "print(code, 'scipy.optimize' in sys.modules)\n"
     )
-    argv = ["bopes-scan", "--config", path, "--out", str(tmp_path / "out")]
-    out = subprocess.run(
-        [sys.executable, "-c", code, *argv],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={"PYTHONPATH": src, "PATH": "", "OPENBLAS_NUM_THREADS": "1"},
-    )
-    assert out.stdout.split() == ["0", "False"]
-    assert (tmp_path / "out" / "bopes-scan.csv").is_file()
+    for task, cfg, artifact in (
+        ("bopes-scan", TRIANGLE_BOPES_SCAN, "bopes-scan.csv"),
+        ("compare", {**compare, "task": "compare"}, "compare.csv"),
+    ):
+        path = write_config(tmp_path, cfg, name=f"{task}.json")
+        argv = [task, "--config", path, "--out", str(tmp_path / task)]
+        out = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={"PYTHONPATH": src, "PATH": "", "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert out.stdout.split() == ["0", "False"]
+        assert (tmp_path / task / artifact).is_file()
 
 
 def test_compare_honours_the_modes_flag(tmp_path, monkeypatch):
