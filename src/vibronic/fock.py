@@ -50,8 +50,12 @@ link entries, all off the diagonal, are rewritten (every row still sees its
 own build bitwise).  Each sparse stage starts from the last three rows'
 ground vectors of its shape, extrapolated quadratically, unless that start
 fails or ends above the lower stage's energy, which nested bases forbid.
-Energies agree with independent :func:`converge_cutoff` calls to within the
-eigensolver tolerance.
+
+Starting cutoffs.  A scan row starts its doubling at half the cutoff where
+the last converged row of its shape stopped, and at 4 when there is none,
+that row did not converge or the start is over the memory budget.  The
+stopping rule is unchanged, so a row may stop at a higher cutoff than an
+independent :func:`converge_cutoff` call, which always starts at 4.
 """
 
 from __future__ import annotations
@@ -161,7 +165,10 @@ def _node_coefficients(form: QuadraticVibronic, shift: np.ndarray, params: Physi
 
     The node block is ``const + omega sum_m n_m + sum_m l_m X_m +
     sum_mn Q_mn X_m X_n`` with ``X_m = b_m + b_m^dag`` and each mode's origin
-    moved by ``shift`` (oscillator units).
+    moved by ``shift`` (oscillator units), which is either zero or, as
+    :func:`_frame_displacements` gives it, the node's own stationary point.
+    There the shifted linear term ``l + omega b + 4 Q b`` vanishes, so a
+    shifted node gets an exact zero, not its rounding residue.
     """
     x0 = params.x0
     trap = params.omega / (2.0 * x0**2)
@@ -169,7 +176,7 @@ def _node_coefficients(form: QuadraticVibronic, shift: np.ndarray, params: Physi
     q = (form.hessian - trap * np.eye(form.dim)) * (x0**2 / 2.0)
     b = shift
     const = form.constant + params.omega * float(b @ b) + 2.0 * float(l @ b) + 4.0 * float(b @ q @ b)
-    return const, l + params.omega * b + 4.0 * (q @ b), q
+    return const, np.zeros_like(l) if b.any() else l, q
 
 
 @functools.lru_cache(maxsize=32)
@@ -520,7 +527,10 @@ def build_fock_matrix(
     ``MAX_BYTES``: the CSR arrays at their untrimmed size (every stencil step
     and link cell of every row), the widest node's dense tables and the link
     records.  That footprint is counted from the row widths before anything
-    of size ``cutoff**n_modes`` is allocated.
+    of size ``cutoff**n_modes`` is allocated.  It leaves out what a doubling
+    or a scan holds next to the build: the eigensolver's vectors, the
+    zero-padded warm start, up to three ground vectors per sparse stage
+    shape and the operators a scan carries (see :func:`converge_scan`).
 
     The frame shifts, node coefficients, stencil steps and link list depend
     on the model and ``frame`` only.  The last model's are kept, keyed by
@@ -779,9 +789,20 @@ def converge_scan(
     """Run the cutoff doubling of :func:`converge_cutoff` on every row, in order.
 
     ``models`` is a sequence of ``(graph, forms, params)`` rows; returns one
-    :class:`SolveReport` per row, each with the stages, stopping rule and
-    failure handling of a one-row call.  Two kinds of work are carried from
-    row to row.
+    :class:`SolveReport` per row, each with the stopping rule and failure
+    handling of a one-row call.  Three kinds of work are carried from row to
+    row.
+
+    *Starting cutoffs.*  A row of shape ``(len(forms), forms[0].dim)``
+    starts its doubling at ``max(4, c // 2)``, where ``c`` is the cutoff at
+    which the last row of that shape stopped if it converged; after an
+    unconverged row of the shape, or with none yet, it starts at 4.  Keying
+    by shape keeps a row from starting high on a shape whose stages have no
+    ground vectors to start from yet.  When the start is above 4 and its
+    build is over the ``MAX_BYTES`` budget, the row doubles from 4 instead,
+    as a one-row call does.  A row still stops only on two consecutive
+    stages closer than ``e_tol``, so it may stop at a higher cutoff than
+    :func:`converge_cutoff` on that row alone, whose first pair is (4, 8).
 
     *Operators.*  A row reuses the operator of a cutoff, rewriting only its
     link entries in place (which gives the build's matrix bitwise), when its
@@ -797,12 +818,18 @@ def converge_scan(
     quadratically in the row index, whatever model they came from.  It falls
     back to the zero-padded lower stage's vector when that start fails or
     ends above the lower stage's energy, which the nested bases forbid.
+
+    The memory budget counts one build at a time.  Besides that build, a
+    scan holds the operators of one model (one per reached cutoff), up to
+    three ground vectors per sparse stage shape and the zero-padded warm
+    start; none of these is counted.
     """
     if max_cutoff < 4:
         raise DomainError(f"max_cutoff must be at least 4, got {max_cutoff}")
     operators = {}  # cutoff -> operator built at a nonzero drive of ``owner``
     owner = None  # (graph, forms, params at drive 0) of the row that built them
     trails = {}  # (nodes, modes, cutoff) -> ground vectors of the last three rows there
+    stops = {}  # (nodes, modes) -> where the last row there stopped if it converged, else 0
     reports = []
     for graph, forms, params in models:
         undriven = dataclasses.replace(params, Omega=0.0)
@@ -812,15 +839,19 @@ def converge_scan(
         energy_prev = None
         converged = False
         op = state = None
-        cutoff = 4
+        row_shape = (len(forms), forms[0].dim)
+        cutoff = max(4, stops.get(row_shape, 0) // 2)
         while cutoff <= max_cutoff:
             padded = None if state is None else _zero_pad(op, state, cutoff)
             try:
                 op = _carried_operator(operators, graph, forms, params, cutoff, frame)
             except ResourceBudgetError:
-                if not history:
+                if history:
+                    break
+                if cutoff == 4:
                     raise
-                break
+                cutoff = 4  # a carried start over the budget: the row doubles from 4 instead
+                continue
             # dense stages ignore starts, so only sparse ones keep a trail
             shape = (op.n_nodes, op.n_modes, cutoff)
             trail = trails.setdefault(shape, []) if op.dim > DENSE_CUTOVER else []
@@ -833,6 +864,7 @@ def converge_scan(
                 break
             energy_prev = None if state is None else energy
             cutoff *= 2
+        stops[row_shape] = history[-1][0] if converged else 0
         reports.append(
             SolveReport(
                 energy=history[-1][1],

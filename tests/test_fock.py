@@ -655,6 +655,124 @@ def test_continuation_above_the_lower_stage_is_solved_again(monkeypatch):
         assert energy == pytest.approx(cold_energy(graph, forms, params, cutoff), abs=1e-10)
 
 
+def test_scan_starts_are_keyed_by_shape(monkeypatch):
+    # the one-mode kappa = 0 row stops at 32, yet the first three-mode row
+    # must start at 4: at 16 its first stage would have no vector at all and
+    # go to ARPACK cold
+    rows = kappa_rows([0.0, 0.2, 0.4, 0.6])
+    stages = []
+    stage_pair = fock._stage_pair
+
+    def spy(op, tol, guess, padded, bound):
+        if op.dim > fock.DENSE_CUTOVER:
+            stages.append((op.n_modes, op.cutoff, guess is not None, padded is not None))
+        return stage_pair(op, tol, guess, padded, bound)
+
+    def no_arpack(*args, **kwargs):
+        raise AssertionError("no stage of this scan should reach ARPACK")
+
+    monkeypatch.setattr(fock, "_stage_pair", spy)
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_arpack)
+    reports = converge_scan(rows, e_tol=1e-9, max_cutoff=32, frame="displaced")
+    # every row converges at 32; the first row of each shape starts at 4, a
+    # later one at half the cutoff where the last row of its shape stopped
+    assert all(r.converged and r.cutoff == 32 for r in reports)
+    assert [r.energy_history[0][0] for r in reports] == [4, 4, 16, 16]
+    # only the first three-mode row meets its sparse stages without a trail,
+    # and it starts each from its lower stage; every later stage extrapolates
+    assert stages[:3] == [(3, 8, False, True), (3, 16, False, True), (3, 32, False, True)]
+    assert all(guess for _, _, guess, _ in stages[3:])
+
+
+def test_carried_start_over_budget_redoes_the_doubling(monkeypatch):
+    # the criterion-11 triangle: row 0 converges at 16, so row 1 would start
+    # at 8, whose displaced build at a nonzero drive is over the budget; the
+    # row redoes the doubling from 4 and reports what a start at 4 gives
+    nu = 0.5
+    params = PhysicalParams(omega=1.0, Omega=0.0, d=1.0, x0=nu)
+    pot = ExplicitCouplings(kappa=0.5 * (-1.0 / (2.0 * SQRT2 * nu)), xi=0.0, nu=nu, v_d=1.0)
+    graph = build_resonant_manifold(triangle(), -1.0, pot, (0, 0, 1))
+    _, forms = build_molecular_model(graph, derive_couplings(pot, params), params)
+    rows = [(graph, forms, dataclasses.replace(params, Omega=d)) for d in (0.0, 0.1)]
+    solver = dict(e_tol=1e-6, frame="displaced")
+    builds = []
+    build = fock.build_fock_matrix
+
+    def spy(graph, forms, params, cutoff=8, *, frame="bare"):
+        builds.append((params.Omega, cutoff))
+        return build(graph, forms, params, cutoff, frame=frame)
+
+    monkeypatch.setattr(fock, "build_fock_matrix", spy)
+    first, second = converge_scan(rows, max_cutoff=16, **solver)
+    monkeypatch.undo()
+    assert builds == [(0.0, 4), (0.0, 8), (0.0, 16), (0.1, 8), (0.1, 4), (0.1, 8)]
+    assert first.converged and first.cutoff == 16
+    assert not second.converged and second.cutoff == 4
+    # a scan stopped at 4 carries nothing, so its row 1 starts at 4 on the same trail
+    at_four = converge_scan(rows, max_cutoff=4, **solver)[1]
+    assert second.energy_history == at_four.energy_history
+    alone = converge_cutoff(*rows[0], max_cutoff=16, **solver)
+    assert first.energy_history == alone.energy_history
+
+
+def test_excited_start_at_a_carried_stage_does_not_end_the_row(monkeypatch):
+    # row 1 starts at the carried cutoff 8, on the stage's first excited state;
+    # with no lower stage there is nothing to reject it against, but the next
+    # stage falls far below it, so the row goes on to the ground level
+    rows = kappa_rows([0.2, 0.3])
+    solver = dict(e_tol=1e-6, max_cutoff=32, frame="displaced")
+    alone = converge_cutoff(*rows[1], **solver)
+    assert alone.converged and alone.energy == pytest.approx(-0.25588444143224, abs=1e-12)
+    op = build_fock_matrix(*rows[1], 8, frame="displaced")
+    values, vectors = eigsh(op.matrix, k=2, which="SA", tol=1e-13)
+    assert values[1] - values[0] > 0.5
+    extrapolate = fock._extrapolate
+
+    def excited_start(trail):
+        # row 1's cutoff-8 stage is the first whose trail holds one cutoff-8 vector
+        if len(trail) == 1 and trail[0].size == op.dim:
+            return vectors[:, 1]
+        return extrapolate(trail)
+
+    monkeypatch.setattr(fock, "_extrapolate", excited_start)
+    first, second = converge_scan(rows, **solver)
+    assert first.cutoff == 16
+    assert second.energy_history[0] == (8, pytest.approx(values[1], abs=1e-10))
+    assert second.converged and second.cutoff == 32
+    assert second.energy == pytest.approx(alone.energy, abs=1e-12)
+
+
+@st.composite
+def stable_scans(draw):
+    """A dumbbell xi scan or a tetrahedron-pair kappa scan on stable couplings,
+    as ``(rows, solver)``; the grids are unsorted and may repeat a point."""
+    if draw(st.booleans()):
+        params = PhysicalParams(omega=1.0, Omega=0.0, d=1.0, x0=draw(st.floats(0.1, 0.5)))
+        kappa = draw(st.floats(-0.4, 0.4))
+        xibars = draw(st.lists(st.floats(-1.0, 0.9), min_size=2, max_size=8))
+        rows = [(*two_state(params, kappa, -0.25 * xb, nu=params.x0), params) for xb in xibars]
+        return rows, dict(e_tol=1e-9, max_cutoff=128, frame="displaced")
+    kappabars = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+    kappabars = draw(st.lists(kappabars, min_size=2, max_size=4))
+    xibar = draw(st.floats(-1.0, -0.3))
+    rows = kappa_rows(kappabars, nu=draw(st.floats(0.2, 0.3)), xi=-0.25 * xibar)
+    return rows, dict(e_tol=1e-9, max_cutoff=32, frame="displaced")
+
+
+@settings(max_examples=12, deadline=None)
+@given(scan=stable_scans())
+def test_scan_rows_agree_with_independent_solves(scan):
+    # a row may start above 4, so it can stop at a higher cutoff than a solve
+    # of its own, never at a lower one, and never with another verdict
+    rows, solver = scan
+    for row, report in zip(rows, converge_scan(rows, **solver)):
+        alone = converge_cutoff(*row, **solver)
+        assert report.converged == alone.converged
+        assert report.cutoff >= alone.cutoff
+        if report.converged:
+            assert abs(report.energy - alone.energy) < solver["e_tol"]
+
+
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), size=st.floats(1e-9, 0.5))
 @example(n=4, seed=2892494, size=0.375)  # stalled at 2.1e-8 when shifts below rho were floored
@@ -817,7 +935,8 @@ def reference_fock_matrix(graph, forms, params, cutoff=8, frame="bare"):
         q = (form.hessian - omega / (2.0 * x0**2) * np.eye(n_modes)) * (x0**2 / 2.0)
         b = beta[s]
         const_s = form.constant + omega * float(b @ b) + 2.0 * float(l @ b) + 4.0 * float(b @ q @ b)
-        l_s = l + omega * b + 4.0 * (q @ b)
+        # a shift is onto the node's stationary point, where l + omega b + 4 Q b is exactly 0
+        l_s = np.zeros(n_modes) if b.any() else l
         h = (omega * trap_op) + const_s * sp.identity(per_node, format="csr")
         for m in range(n_modes):
             if l_s[m] != 0.0:
@@ -929,6 +1048,51 @@ def test_stencil_matches_reference_single_node(cutoff):
     for frame in ("bare", "displaced"):
         op = assert_same_operator(SINGLE, reduced, pair, cutoff, frame)
         assert op.matrix.has_sorted_indices
+
+
+def displaced_stencil_models():
+    """``(forms, params)`` of every model the stencil and memo tests compare in
+    the displaced frame."""
+    _, triangle_forms, triangle_params = triangle_model(0.3)
+    _, edited, _ = triangle_model(0.3)
+    edited[1].hessian[0, 0] += 0.25  # as the memo test edits it
+    _, pair_forms, pair_params = pair_manifold(0.2)
+    params = PhysicalParams(omega=1.0, Omega=0.3, d=1.0, x0=0.1)
+    pot = ExplicitCouplings(kappa=0.4, xi=0.05, nu=0.1, v_d=1.0)
+    _, dumbbell_forms = dumbbell_hamiltonian(params, derive_couplings(pot, params))
+    pot = ExplicitCouplings(kappa=0.4, xi=0.08, nu=0.1, v_d=1.0)
+    graph = build_resonant_manifold(dumbbell(), -1.0, pot, (0, 1))
+    _, unreduced = build_molecular_model(graph, derive_couplings(pot, params), params, reduce=False)
+    nu = 0.5
+    pair = PhysicalParams(omega=1.0, Omega=0.0, d=1.0, x0=nu)
+    coup = ExplicitCouplings(kappa=-0.5 / (2.0 * SQRT2 * nu), xi=-0.1, nu=nu)
+    form = assemble_state_hamiltonian((1, 1, 0, 0), tetrahedron(), coup, pair)
+    _, single = reduce_modes([form], pair)
+    return [
+        (triangle_forms, triangle_params),
+        (edited, triangle_params),
+        (pair_forms, pair_params),
+        (dumbbell_forms, params),
+        (unreduced, params),
+        (single, pair),
+    ]
+
+
+def test_shifted_nodes_drop_only_rounding():
+    # a node shifted onto its stationary point has the linear term
+    # l + omega b + 4 Q b = 0 exactly; the build stores that zero, and on the
+    # compared models the arithmetic it replaces leaves at most rounding
+    for forms, params in displaced_stencil_models():
+        beta = fock._frame_displacements(forms, params, "displaced")
+        assert beta.any()  # every model shifts some node
+        x0 = params.x0
+        for form, b in zip(forms, beta):
+            if not b.any():
+                continue
+            l = form.linear * (x0 / SQRT2)
+            q = (form.hessian - params.omega / (2.0 * x0**2) * np.eye(form.dim)) * (x0**2 / 2.0)
+            assert np.abs(l + params.omega * b + 4.0 * (q @ b)).max() <= 1e-12
+            assert not fock._node_coefficients(form, b, params)[1].any()
 
 
 @pytest.mark.parametrize("frame", ["bare", "displaced"])
