@@ -51,11 +51,15 @@ own build bitwise).  Each sparse stage starts from the last three rows'
 ground vectors of its shape, extrapolated quadratically, unless that start
 fails or ends above the lower stage's energy, which nested bases forbid.
 
-Starting cutoffs.  A scan row starts its doubling at half the cutoff where
-the last converged row of its shape stopped, and at 4 when there is none,
-that row did not converge or the start is over the memory budget.  The
-stopping rule is unchanged, so a row may stop at a higher cutoff than an
-independent :func:`converge_cutoff` call, which always starts at 4.
+Starting cutoffs.  A scan row starts its doubling where the last converged
+row of its shape was decided: at the lower cutoff of that row's deciding
+pair, or at half of it when that pair was the row's first, so the start
+falls as well as rises along a grid.  It starts at 4 after an unconverged
+row or with none yet, and a start whose stage would be sparse is lowered to
+the shape's top dense stage: a first stage has no lower one to bound its
+energy, and a dense solve returns the ground level.  The stopping rule is
+unchanged, so a row may stop at a higher cutoff than an independent
+:func:`converge_cutoff` call, which always starts at 4.
 """
 
 from __future__ import annotations
@@ -794,13 +798,19 @@ def converge_scan(
     row.
 
     *Starting cutoffs.*  A row of shape ``(len(forms), forms[0].dim)``
-    starts its doubling at ``max(4, c // 2)``, where ``c`` is the cutoff at
-    which the last row of that shape stopped if it converged; after an
-    unconverged row of the shape, or with none yet, it starts at 4.  Keying
-    by shape keeps a row from starting high on a shape whose stages have no
-    ground vectors to start from yet.  When the start is above 4 and its
-    build is over the ``MAX_BYTES`` budget, the row doubles from 4 instead,
-    as a one-row call does.  A row still stops only on two consecutive
+    starts where the last converged row of that shape was decided: at the
+    lower cutoff ``c`` of its deciding pair, or at ``max(4, c // 2)`` when
+    that pair was the row's first, which lets the start fall along a grid
+    whose rows get easier.  After an unconverged row of the shape, or with
+    none yet, it starts at 4; the start of one shape says nothing about
+    another.  A start whose stage has more than ``DENSE_CUTOVER`` states is
+    halved until its stage is dense or it is 4.  A first stage has no lower
+    stage whose energy bounds it, so a sparse one could settle on an excited
+    level; a dense one returns the ground level, and every later stage is
+    bounded as in a one-row call.  The doubling from 4 passes through that
+    dense stage too; all a carried start can add is the stage above it, of
+    at most 1,024 states, far inside the ``MAX_BYTES`` budget.  A row still
+    stops only on two consecutive
     stages closer than ``e_tol``, so it may stop at a higher cutoff than
     :func:`converge_cutoff` on that row alone, whose first pair is (4, 8).
 
@@ -829,7 +839,7 @@ def converge_scan(
     operators = {}  # cutoff -> operator built at a nonzero drive of ``owner``
     owner = None  # (graph, forms, params at drive 0) of the row that built them
     trails = {}  # (nodes, modes, cutoff) -> ground vectors of the last three rows there
-    stops = {}  # (nodes, modes) -> where the last row there stopped if it converged, else 0
+    starts = {}  # (nodes, modes) -> first cutoff of the next row there
     reports = []
     for graph, forms, params in models:
         undriven = dataclasses.replace(params, Omega=0.0)
@@ -840,18 +850,18 @@ def converge_scan(
         converged = False
         op = state = None
         row_shape = (len(forms), forms[0].dim)
-        cutoff = max(4, stops.get(row_shape, 0) // 2)
+        cutoff = starts.get(row_shape, 4)
+        # a first stage has no lower one to bound its energy, so it is a dense one
+        while cutoff > 4 and len(forms) * cutoff ** forms[0].dim > DENSE_CUTOVER:
+            cutoff //= 2
         while cutoff <= max_cutoff:
             padded = None if state is None else _zero_pad(op, state, cutoff)
             try:
                 op = _carried_operator(operators, graph, forms, params, cutoff, frame)
             except ResourceBudgetError:
-                if history:
-                    break
-                if cutoff == 4:
+                if not history:
                     raise
-                cutoff = 4  # a carried start over the budget: the row doubles from 4 instead
-                continue
+                break
             # dense stages ignore starts, so only sparse ones keep a trail
             shape = (op.n_nodes, op.n_modes, cutoff)
             trail = trails.setdefault(shape, []) if op.dim > DENSE_CUTOVER else []
@@ -864,7 +874,12 @@ def converge_scan(
                 break
             energy_prev = None if state is None else energy
             cutoff *= 2
-        stops[row_shape] = history[-1][0] if converged else 0
+        if converged:
+            # a row decided by its first pair might have stopped lower: let the start fall
+            low = history[-2][0]
+            starts[row_shape] = low if len(history) > 2 else max(4, low // 2)
+        else:
+            starts.pop(row_shape, None)
         reports.append(
             SolveReport(
                 energy=history[-1][1],
