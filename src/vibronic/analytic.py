@@ -83,6 +83,15 @@ def _check_stable(name: str, reduced: float):
         raise CriticalBoundaryError(f"{name} sits at its critical value within resolution")
 
 
+def _stable_gaps(kappa: float, xi: float, omega: float, nu: float, n_perp: int):
+    """``(1 - xibar, 1 - kappabar)``, checked for stability; kappa only with ``n_perp`` modes."""
+    xi_c, kappa_c = critical_points(omega, nu)
+    _check_stable("xi/xi_c", xi / xi_c)
+    if n_perp:
+        _check_stable("kappa/kappa_c", kappa / kappa_c)
+    return 1.0 - xi / xi_c, 1.0 - kappa / kappa_c
+
+
 def pair_epsilon(kappa: float, xi: float, omega: float, nu: float, n_perp: int) -> float:
     """Dimensionless zero-drive ground energy of an excited pair.
 
@@ -94,14 +103,10 @@ def pair_epsilon(kappa: float, xi: float, omega: float, nu: float, n_perp: int) 
     ``n_perp = n_axes - 1``.  The pair's ground energy is ``omega`` times the
     result; ``nu`` enters only through the perpendicular modes.
     """
-    xi_c, kappa_c = critical_points(omega, nu)
-    xibar = xi / xi_c
-    _check_stable("xi/xi_c", xibar)
-    eps = -(2.0 * kappa**2 / omega**2) / (1.0 - xibar) + 0.5 * math.sqrt(1.0 - xibar)
+    axial, perp = _stable_gaps(kappa, xi, omega, nu, n_perp)
+    eps = -(2.0 * kappa**2 / omega**2) / axial + 0.5 * math.sqrt(axial)
     if n_perp:
-        kappabar = kappa / kappa_c
-        _check_stable("kappa/kappa_c", kappabar)
-        eps += 0.5 * n_perp * math.sqrt(1.0 - kappabar)
+        eps += 0.5 * n_perp * math.sqrt(perp)
     return eps - 0.5 * (1 + n_perp)
 
 
@@ -165,14 +170,10 @@ def zero_point_correction(
     quadratic perturbations change each mode's zero-point term from omega/2 to
     omega_tilde/2, and the clamped-coordinate minimum misses that shift.
     """
-    xi_c, kappa_c = critical_points(omega, nu)
-    xibar = xi / xi_c
-    _check_stable("xi/xi_c", xibar)
-    total = math.sqrt(1.0 - xibar) - 1.0
+    axial, perp = _stable_gaps(kappa, xi, omega, nu, n_perp)
+    total = math.sqrt(axial) - 1.0
     if n_perp:
-        kappabar = kappa / kappa_c
-        _check_stable("kappa/kappa_c", kappabar)
-        total += n_perp * (math.sqrt(1.0 - kappabar) - 1.0)
+        total += n_perp * (math.sqrt(perp) - 1.0)
     return 0.5 * omega * total
 
 

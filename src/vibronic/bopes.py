@@ -58,10 +58,6 @@ class BoSurface:
     def dim(self) -> int:
         return self.linears.shape[1]
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.forms)
-
     def with_omega(self, Omega: float) -> "BoSurface":
         return dataclasses.replace(self, Omega=float(Omega))
 

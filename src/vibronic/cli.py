@@ -18,13 +18,14 @@ options.  A drive has no critical value, so ``gs-scan-omega`` and
 ``gs-scan-omega``, ``bopes-scan`` and ``compare`` build the same molecular
 model, in the reduced or full mode space that ``modes`` selects.
 
-Every closed-form energy column comes from :func:`analytic.pair_epsilon`.
-``gs-scan-kappa`` and the zero-drive rows of ``bopes-scan`` use
-``n_perp = geometry.n_axes - 1`` perpendicular modes, the count ``compare``
-gives :func:`analytic.zero_point_correction`; ``gs-scan-xi`` solves the axial
-pair alone and uses none.  The closed forms hold for one excited pair, so
-``bopes-scan`` and ``compare`` leave their cell empty (``compare``'s manifest
-gives ``null``) when a node of the manifold holds three or more excitations.
+Every closed-form cell follows one rule, ``_closed_form``: read off the node
+``state`` of the forms the task solves, a node with no excited pair sits at 0,
+one with a pair at ``omega`` times :func:`analytic.pair_epsilon`, and the model
+is its lowest node.  ``gs-scan-xi`` (the axial pair model) uses no
+perpendicular mode, every other task ``n_perp = geometry.n_axes - 1``.
+``compare`` predicts the pair's :func:`analytic.zero_point_correction` less the
+pair's rise above the lowest node, or 0 with no pair.  A node with three or
+more excitations leaves the cell empty (``null`` in ``compare``'s manifest).
 """
 
 from __future__ import annotations
@@ -481,14 +482,21 @@ def _explicit_couplings(resolved, variable: str) -> ExplicitCouplings:
     return potential
 
 
-def _one_pair_per_node(graph) -> bool:
-    """Whether no node holds more than one excited pair, the closed forms' domain."""
-    return max(sum(config) for config in graph.configs) < 3
+def _closed_form(forms, coup, params: PhysicalParams, n_perp: int):
+    """Zero-drive ``(lowest, pair)`` node energies, read from each form's ``state``.
 
-
-def _pair_energy(coup, params: PhysicalParams, n_perp: int) -> float:
-    """Closed-form zero-drive energy of an excited pair with ``n_perp`` perpendicular modes."""
-    return params.omega * pair_epsilon(coup.kappa, coup.xi, params.omega, coup.nu, n_perp)
+    A node with no excited pair sits at 0, one with a pair at the pair energy
+    (``pair`` is None when no node holds one).  None when a node holds three
+    or more excitations; raises :class:`InstabilityError` past a critical
+    coupling.
+    """
+    excitations = [sum(form.state) for form in forms]
+    if max(excitations) > 2:
+        return None
+    pair = None
+    if 2 in excitations:
+        pair = params.omega * pair_epsilon(coup.kappa, coup.xi, params.omega, coup.nu, n_perp)
+    return min(pair if n == 2 else 0.0 for n in excitations), pair
 
 
 # Each scan set-up returns (critical scale or None, model_at, manifest
@@ -503,14 +511,15 @@ def _xi_scan(resolved):
 
     def model_at(xi):
         coup = dataclasses.replace(potential, xi=xi)
+        adjacency, forms = dumbbell_hamiltonian(params, coup)
         analytic = None
         if params.Omega == 0.0:
             # the axial pair model has no perpendicular mode, whatever the geometry
             try:
-                analytic = min(_pair_energy(coup, params, 0), 0.0)
+                analytic = _closed_form(forms, coup, params, 0)[0]
             except InstabilityError:
                 analytic = "unstable"
-        return (*dumbbell_hamiltonian(params, coup), params), analytic
+        return (adjacency, forms, params), analytic
 
     return xi_c, model_at, {"xi_c": xi_c}
 
@@ -534,7 +543,7 @@ def _kappa_scan(resolved):
         form = assemble_state_hamiltonian(target, geometry, coup, params)
         _, reduced = reduce_modes([form], params)
         try:
-            analytic = _pair_energy(coup, params, geometry.n_axes - 1)
+            analytic = _closed_form(reduced, coup, params, geometry.n_axes - 1)[0]
         except InstabilityError:
             analytic = "unstable"
         return (np.zeros((1, 1)), reduced, params), analytic
@@ -615,16 +624,13 @@ def _task_bopes_scan(resolved, outdir: Path):
     graph, forms, _, coup = _molecular_model(resolved)
     drives = _scan_values(resolved["scan"], None)
     result = transition_scan(graph, forms, params, drives, **resolved["solver"])
-    # closed-form ground energy exists at zero drive only, and with one excited
-    # pair per node: the pair's energy, floored at the zero of the pair-free nodes
-    analytic = np.full(drives.size, np.nan)
-    zero_rows = np.nonzero(drives == 0.0)[0]
-    if zero_rows.size and _one_pair_per_node(graph):
-        try:
-            n_perp = resolved["geometry"].n_axes - 1
-            analytic[zero_rows] = min(_pair_energy(coup, params, n_perp), 0.0)
-        except InstabilityError:
-            pass
+    analytic = np.full(drives.size, np.nan)  # a closed form holds at zero drive only
+    try:
+        closed = _closed_form(forms, coup, params, resolved["geometry"].n_axes - 1)
+    except InstabilityError:
+        closed = None
+    if closed is not None:
+        analytic[drives == 0.0] = closed[0]
     (outdir / "bopes-scan.csv").write_text(
         transition_scan_csv(result, analytic=analytic), encoding="utf-8"
     )
@@ -654,14 +660,17 @@ def _task_compare(resolved, outdir: Path):
         ("BO_degeneracy", minima.degeneracy),
         ("correction_measured", report.energy - minima.global_energy),
     ]
-    predicted = None  # the closed form holds for one excited pair per node
-    if _one_pair_per_node(graph):
-        try:
-            predicted = zero_point_correction(
-                coup.kappa, coup.xi, params.omega, coup.nu, n_perp=resolved["geometry"].n_axes - 1
-            )
-        except InstabilityError:
-            predicted = "unstable"
+    # the exact energy is the lowest node's, the surface minimum the pair's clamped one
+    n_perp = resolved["geometry"].n_axes - 1
+    try:
+        closed = _closed_form(forms, coup, params, n_perp)
+        predicted = None if closed is None else 0.0
+        if closed is not None and closed[1] is not None:
+            lowest, pair = closed
+            zero_point = zero_point_correction(coup.kappa, coup.xi, params.omega, coup.nu, n_perp)
+            predicted = zero_point - (pair - lowest)
+    except InstabilityError:
+        predicted = "unstable"
     rows.append(("correction_predicted", predicted))
     _write_csv(outdir / "compare.csv", ["quantity", "value"], rows)
     _write_manifest(outdir, resolved, ["compare.csv"], dict(rows))

@@ -51,15 +51,8 @@ own build bitwise).  Each sparse stage starts from the last three rows'
 ground vectors of its shape, extrapolated quadratically, unless that start
 fails or ends above the lower stage's energy, which nested bases forbid.
 
-Starting cutoffs.  A scan row starts its doubling where the last converged
-row of its shape was decided: at the lower cutoff of that row's deciding
-pair, or at half of it when that pair was the row's first, so the start
-falls as well as rises along a grid.  It starts at 4 after an unconverged
-row or with none yet, and a start whose stage would be sparse is lowered to
-the shape's top dense stage: a first stage has no lower one to bound its
-energy, and a dense solve returns the ground level.  The stopping rule is
-unchanged, so a row may stop at a higher cutoff than an independent
-:func:`converge_cutoff` call, which always starts at 4.
+A scan row starts its doubling where the last converged row of its shape
+was decided, at a dense stage; see :func:`converge_scan`.
 """
 
 from __future__ import annotations
@@ -392,7 +385,7 @@ def _assemble(
     """Write the node blocks and their links row by row into one CSR matrix.
 
     ``coefficients`` and ``terms`` are each node's ladder and term
-    coefficients, as :func:`_prepare` gives them.  Each node's rows are filled
+    coefficients, as :func:`_prepared` gives them.  Each node's rows are filled
     as a dense ``(per_node, widths[s])`` table whose columns are, in column
     order, the links to lower nodes, the stencil steps, and the links to
     higher nodes; the stored entries are the kept cells in row-major order,
@@ -470,35 +463,15 @@ def _assemble(
     return sp.csr_matrix((data, indices, indptr), shape=(dim, dim)), diagonal, tuple(records)
 
 
-_LAST = (None, None)  # (model key, what _prepare returns) of the last build
+_LAST = (None, None)  # (_model_key, what _prepared returns) of the last build
 
 
-def _prepare(adjacency, forms, params: PhysicalParams, frame: str):
-    """The cutoff-independent inputs of a build, ``(beta, coefficients, terms, steps, links)``.
-
-    The frame shifts, each node's ladder coefficients and its term
-    coefficients (:func:`_node_terms`), the stencil steps (a tuple) and the
-    link blocks of a nonzero drive; every array is read-only.
+def _model_key(adjacency, forms, params: PhysicalParams, frame: str):
+    """A model's values apart from the drive: the adjacency's shape and bytes,
+    each form's constant, linear and Hessian bytes, ``params`` with ``Omega``
+    set to 0, and ``frame``.  An array edited in place thus gives another key.
     """
-    beta = _frame_displacements(forms, params, frame)
-    coefficients = tuple(_node_coefficients(f, b, params) for f, b in zip(forms, beta))
-    terms = tuple(_node_terms(node) for node in coefficients)
-    for array in (beta, *terms, *(a for _, l, q in coefficients for a in (l, q))):
-        array.setflags(write=False)
-    steps = _steps(terms, beta.shape[1])
-    return beta, coefficients, terms, steps, _node_links(adjacency, beta)
-
-
-def _prepared(adjacency, forms, params: PhysicalParams, frame: str):
-    """:func:`_prepare`, reused while the builds keep to one model.
-
-    The last model's preparation is kept, keyed by the model's values, not
-    its objects: the adjacency's shape and bytes, each form's constant,
-    linear and Hessian bytes, ``params`` with ``Omega`` set to 0, and
-    ``frame``.  An array edited in place thus gets a fresh preparation.
-    """
-    global _LAST
-    key = (
+    return (
         adjacency.shape,
         adjacency.tobytes(),
         tuple(
@@ -508,8 +481,27 @@ def _prepared(adjacency, forms, params: PhysicalParams, frame: str):
         dataclasses.replace(params, Omega=0.0),
         frame,
     )
+
+
+def _prepared(adjacency, forms, params: PhysicalParams, frame: str):
+    """The cutoff-independent inputs of a build, ``(beta, coefficients, terms, steps, links)``.
+
+    The frame shifts, each node's ladder coefficients and its term
+    coefficients (:func:`_node_terms`), the stencil steps (a tuple) and the
+    link blocks of a nonzero drive; every array is read-only.  The last
+    model's are kept by its :func:`_model_key` and reused while the builds
+    keep to it.
+    """
+    global _LAST
+    key = _model_key(adjacency, forms, params, frame)
     if _LAST[0] != key:
-        _LAST = (key, _prepare(adjacency, forms, params, frame))
+        beta = _frame_displacements(forms, params, frame)
+        coefficients = tuple(_node_coefficients(f, b, params) for f, b in zip(forms, beta))
+        terms = tuple(_node_terms(node) for node in coefficients)
+        for array in (beta, *terms, *(a for _, l, q in coefficients for a in (l, q))):
+            array.setflags(write=False)
+        steps = _steps(terms, beta.shape[1])
+        _LAST = (key, (beta, coefficients, terms, steps, _node_links(adjacency, beta)))
     return _LAST[1]
 
 
@@ -816,12 +808,13 @@ def converge_scan(
 
     *Operators.*  A row reuses the operator of a cutoff, rewriting only its
     link entries in place (which gives the build's matrix bitwise), when its
-    ``graph`` and ``forms`` are the same objects as those of the row that
-    built that operator, its ``params`` equal that row's except for
-    ``Omega``, and its drive is nonzero.  A drive of exactly 0 has no links
-    and gets its own build.  A row of any other model drops the cached
-    operators and builds afresh, so the scan holds at most one model's
-    operators, one per reached cutoff, besides the build in progress.
+    :func:`_model_key`, the values that the build's own preparation is kept
+    by, is that of the row that built that operator, and its drive is
+    nonzero; forms edited in place since then make another model, even as
+    the same objects.  A drive of exactly 0 has no links and gets its own
+    build.  A row of any other model drops the cached operators and builds
+    afresh, so the scan holds at most one model's operators, one per reached
+    cutoff, besides the build in progress.
 
     *Vectors.*  Above ``DENSE_CUTOVER`` a stage starts from the last three
     rows' ground vectors of its shape (nodes, modes, cutoff), extrapolated
@@ -837,14 +830,14 @@ def converge_scan(
     if max_cutoff < 4:
         raise DomainError(f"max_cutoff must be at least 4, got {max_cutoff}")
     operators = {}  # cutoff -> operator built at a nonzero drive of ``owner``
-    owner = None  # (graph, forms, params at drive 0) of the row that built them
+    owner = None  # _model_key of the row that built them
     trails = {}  # (nodes, modes, cutoff) -> ground vectors of the last three rows there
     starts = {}  # (nodes, modes) -> first cutoff of the next row there
     reports = []
     for graph, forms, params in models:
-        undriven = dataclasses.replace(params, Omega=0.0)
-        if owner is None or owner[0] is not graph or owner[1] is not forms or owner[2] != undriven:
-            operators, owner = {}, (graph, forms, undriven)
+        key = _model_key(*node_data(graph, forms), params, frame)
+        if key != owner:
+            operators, owner = {}, key
         history = []
         energy_prev = None
         converged = False

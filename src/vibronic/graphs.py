@@ -231,9 +231,7 @@ def graph_classify(graph: ResonantGraph):
         raise DomainError("cannot classify an empty graph")
     degrees = graph.degree_sequence()
     label = "other"
-    if graph.n_nodes == 1:
-        label = "other"
-    elif _is_connected(graph.adjacency):
+    if _is_connected(graph.adjacency):
         counts = sorted(degrees)
         m = graph.n_nodes
         if m >= 2 and counts == [1, 1] + [2] * (m - 2):

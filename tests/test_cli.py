@@ -220,26 +220,68 @@ def test_schema_errors_carry_the_key_path(tmp_path):
         ("params", dict(GRAPH_CONFIG["params"], omega=1e-200, mass=1e-200), "config.params.mass"),
         ("geometry", {"positions": [[0, 0, 0], [1, 0, 0]], "n_axes": 4}, "config.geometry.n_axes"),
         ("geometry", {"positions": [[0, 0, 0], [0, 0, 0]]}, "config.geometry.positions"),
+        # every other schema check, one row each
+        ("params", dict(GRAPH_CONFIG["params"], omega="1"), "config.params.omega"),
+        ("solver", {"max_cutoff": 8.5}, "config.solver.max_cutoff"),
+        ("solver", {"max_cutoff": 2}, "config.solver.max_cutoff"),
+        ("geometry", "dumbbell", "config.geometry"),
+        ("geometry", {"positions": []}, "config.geometry.positions"),
+        ("geometry", {"positions": [[0, 0]]}, "config.geometry.positions[0]"),
+        ("geometry", {"d": 1.0}, "config.geometry"),
+        ("potential", "explicit", "config.potential"),
+        ("potential", {"type": "power-law", "terms": []}, "config.potential.terms"),
+        ("potential", {"type": "power-law", "terms": [6]}, "config.potential.terms[0]"),
+        ("potential", {"type": "yukawa"}, "config.potential.type"),
+        ("params", [1.0], "config.params"),
+        ("solver", 5, "config.solver"),
+        ("solver", {"frame": "rotated"}, "config.solver.frame"),
+        ("modes", "half", "config.modes"),
     ):
         cfg = dict(GRAPH_CONFIG, **{key: value})
         with pytest.raises(ConfigError) as exc:
             load_config(write_config(tmp_path, cfg), "graph")
         assert exc.value.path == path
 
-    cfg = json.loads(json.dumps(SCAN_XI_CONFIG))
-    cfg["scan"]["stop"] = math.inf
-    with pytest.raises(ConfigError) as exc:
-        load_config(write_config(tmp_path, cfg), "gs-scan-xi")
-    assert exc.value.path == "config.scan.stop"
+    for key, value, path in (
+        ("scan", dict(SCAN_XI_CONFIG["scan"], stop=math.inf), "config.scan.stop"),
+        ("scan", [0.0, 1.0], "config.scan"),
+        ("scan", dict(SCAN_XI_CONFIG["scan"], units="relative"), "config.scan.units"),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_config(tmp_path, dict(SCAN_XI_CONFIG, **{key: value})), "gs-scan-xi")
+        assert exc.value.path == path
 
-    # a drive has no critical value, so "critical" units once read as "absolute"
-    for cfg in (SCAN_OMEGA_CONFIG, DUMBBELL_BOPES_SCAN):
-        cfg = dict(cfg, scan=dict(cfg["scan"], units="critical"))
+    wigner_cfg = WIGNER_CONFIG["wigner"]
+    for value, path in ([5], "config.wigner"), (dict(wigner_cfg, mode="axial"), "config.wigner.mode"):
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_config(tmp_path, dict(WIGNER_CONFIG, wigner=value)), "wigner")
+        assert exc.value.path == path
+
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_config(tmp_path, [GRAPH_CONFIG]), "graph")
+    assert exc.value.path == "config"
+
+    # checked when the task runs: a drive has no critical value, so "critical"
+    # units once read as "absolute"; a seed must fit the geometry; the kappa
+    # scan needs a doubly excited node; compare runs at zero drive only
+    kappa_scan = {**SCAN_XI_CONFIG, "task": "gs-scan-kappa", "seed": "10",
+                  "params": {"omega": 1.0, "Omega": 0.0, "delta": "-3V"}}
+    compare = {key: value for key, value in SCAN_OMEGA_CONFIG.items() if key != "scan"}
+    for cfg, path in (
+        (dict(SCAN_OMEGA_CONFIG, scan=dict(SCAN_OMEGA_CONFIG["scan"], units="critical")),
+         "config.scan.units"),
+        (dict(DUMBBELL_BOPES_SCAN, scan=dict(DUMBBELL_BOPES_SCAN["scan"], units="critical")),
+         "config.scan.units"),
+        (dict(GRAPH_CONFIG, seed="111"), "config.seed"),
+        (kappa_scan, "config.seed"),
+        (dict(compare, task="compare", params=dict(compare["params"], Omega=0.1)),
+         "config.params.Omega"),
+    ):
         resolved = load_config(write_config(tmp_path, cfg), cfg["task"])
         resolved["out"] = str(tmp_path / cfg["task"])
         with pytest.raises(ConfigError) as exc:
             run(resolved)
-        assert exc.value.path == "config.scan.units"
+        assert exc.value.path == path
 
     # json.loads refuses integer literals past Python's digit limit
     path = tmp_path / "long.json"
@@ -522,6 +564,47 @@ def test_closed_forms_stay_empty_beyond_one_pair_per_node(tmp_path):
     rows = (out / "bopes-scan.csv").read_text().strip().split("\n")[1:]
     assert rows[0].startswith("0.0,")
     assert all(row.split(",")[3] == "" for row in rows)
+
+
+@pytest.mark.parametrize(
+    "delta, seed, kappa",
+    [
+        ("-3V", "11", 0.05),  # the pair node alone, above zero
+        ("-V", "11", 0.05),  # nodes 01, 10 and 11; the pair-free ones are the lowest
+        ("-3V", "10", 0.3),  # nodes 01 and 10, no pair
+    ],
+)
+def test_closed_forms_read_the_lowest_node(tmp_path, delta, seed, kappa):
+    # the closed form is the lowest of the model's own nodes: 0 for a node
+    # with no pair, the pair energy for a node with one
+    body = {
+        "geometry": {"preset": "dumbbell", "d": 1.0},
+        "potential": {"type": "explicit", "kappa": kappa, "xi": 0.1, "nu": 0.3, "v_d": 1.0},
+        "params": {"omega": 1.0, "Omega": 0.0, "delta": delta},
+        "seed": seed,
+        "solver": {"e_tol": 1e-9, "max_cutoff": 64, "frame": "displaced"},
+    }
+    out = tmp_path / "compare"
+    path = write_config(tmp_path, {"task": "compare", **body}, name="compare.json")
+    assert main(["compare", "--config", path, "--out", str(out)]) == 0
+    rows = dict(
+        line.split(",") for line in (out / "compare.csv").read_text().strip().split("\n")[1:]
+    )
+    assert rows["numeric_converged"] == "true"
+    predicted = float(rows["correction_predicted"])
+    assert predicted == pytest.approx(float(rows["correction_measured"]), abs=1e-7)
+    if seed == "10":
+        return  # no link between the pair-free nodes: no surface minimum at a drive
+
+    out = tmp_path / "bopes"
+    scan = {"start": 0.0, "stop": 0.31, "samples": 32}
+    path = write_config(tmp_path, {"task": "bopes-scan", **body, "scan": scan}, name="bopes.json")
+    assert main(["bopes-scan", "--config", path, "--out", str(out)]) == 0
+    drive, _, e_quantum, e_analytic, converged, _ = (
+        (out / "bopes-scan.csv").read_text().split("\n")[1].split(",")
+    )
+    assert (drive, converged) == ("0.0", "true")
+    assert float(e_analytic) == pytest.approx(float(e_quantum), abs=1e-7)
 
 
 def test_compare_on_an_unstable_model_is_an_error(tmp_path, capsys):

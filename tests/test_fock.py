@@ -609,6 +609,34 @@ def test_drive_scan_operators_match_fresh_builds(monkeypatch, model, frame, max_
     assert matched == set(fresh)
 
 
+def test_rows_edited_in_place_between_rows_are_another_model():
+    # a lazily produced row may edit a form in place after the last row was
+    # solved: same objects, other values, so the scan must not carry the last
+    # row's operator into it
+    params = PhysicalParams(omega=1.0, Omega=0.2, d=1.0, x0=0.3)
+    driven = dataclasses.replace(params, Omega=0.3)
+    solver = {"e_tol": 1e-9, "max_cutoff": 64, "frame": "bare"}
+
+    def model(edited):
+        graph, forms = two_state(params, 0.35, -0.1, nu=0.3)
+        if edited:
+            forms[1].hessian[0, 0] *= 1.5
+        return graph, forms
+
+    def rows():
+        graph, forms = model(edited=False)
+        yield graph, forms, params
+        forms[1].hessian[0, 0] *= 1.5
+        yield graph, forms, driven
+
+    reports = converge_scan(rows(), **solver)
+    alone = [converge_cutoff(*model(False), params, **solver),
+             converge_cutoff(*model(True), driven, **solver)]
+    for report, independent in zip(reports, alone):
+        assert report.converged and independent.converged
+        assert report.energy == pytest.approx(independent.energy, abs=solver["e_tol"])
+
+
 def test_drive_scan_warm_starts_match_independent_solves(monkeypatch):
     # a triangle drive scan, then kappa rows of another shape at the same
     # cutoffs: one mode (kappa = 0, dense stages only), then three modes,
@@ -825,6 +853,32 @@ def test_lobpcg_kernel_matches_dense_eigh(n, seed, size):
     limit = fock._residual_limit(1e-11, rho)
     assert np.linalg.norm(a @ vec - energy * vec) <= limit
     assert abs(energy - values[0]) <= limit
+
+
+@pytest.mark.parametrize("a", [[[1.0, 1.0], [1.0, -1.0]], [[-1.0, 1.0], [1.0, 1.0]],
+                               [[2.0, 1.0], [1.0, -1.0]], [[3.0, 1.0], [1.0, -1.0]]])
+def test_lobpcg_goes_on_without_p_once_it_falls_into_the_span(monkeypatch, a):
+    # in two dimensions x, w and p cannot be independent: with a limit at
+    # rounding level the first step's answer still misses it, the next Gram
+    # matrix has no Cholesky factor, and that step drops p
+    failed = []
+    cholesky = np.linalg.cholesky
+
+    def spy(gram):
+        try:
+            return cholesky(gram)
+        except np.linalg.LinAlgError:
+            failed.append(gram.shape)
+            raise
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    a = np.array(a)
+    matrix = sp.csr_matrix(a)
+    energy, vec = fock._jacobi_lobpcg(matrix, np.diagonal(a), np.array([0.0, 1.0]), 1e-16)
+    monkeypatch.undo()
+    assert failed and set(failed) == {(3, 3)}
+    assert fock._checked_pair(matrix, energy, vec, 1e-16, "LOBPCG")[0] == energy
+    assert energy == pytest.approx(np.linalg.eigvalsh(a)[0], abs=1e-15)
 
 
 def count_preparations(monkeypatch):
