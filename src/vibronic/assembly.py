@@ -334,12 +334,13 @@ def node_data(graph, forms):
 
     ``graph`` may be a :class:`ResonantGraph` or a plain adjacency matrix.
     Returns ``(adjacency, forms)`` with a float adjacency whose entries
-    multiply the drive ``Omega``.
+    multiply the drive ``Omega``; it must be symmetric with a zero diagonal,
+    one row per form, as the Fock and surface solvers read different halves.
     """
     adjacency = graph.adjacency if isinstance(graph, ResonantGraph) else graph
     adjacency = np.asarray(adjacency, dtype=float)
-    if adjacency.shape[0] != len(forms):
-        raise DomainError(
-            f"adjacency has {adjacency.shape[0]} nodes but {len(forms)} forms were given"
-        )
+    if adjacency.shape != (len(forms), len(forms)):
+        raise DomainError(f"adjacency of shape {adjacency.shape} for {len(forms)} forms")
+    if adjacency.diagonal().any() or (adjacency != adjacency.T).any():
+        raise DomainError("adjacency must be symmetric with a zero diagonal")
     return adjacency, list(forms)

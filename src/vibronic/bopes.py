@@ -3,11 +3,11 @@
 The adiabatic surface at fixed collective coordinates q is the smallest
 eigenvalue of the electronic matrix ``M(q) = Omega A + diag(E_s(q))`` where
 ``E_s`` is the classical (kinetic-free) energy of node s.  This module reads
-its minima off the node forms at zero drive and finds them by multistart
-Newton descent (exact gradient and Hessian from one ``eigh`` of M) at any
-other drive, expands it to second order about a point from the same ``eigh``,
-and scans the surface minimum against the drive strength to expose the
-symmetry-breaking transition and its smoothing by quantum effects.
+its minima off the node forms at zero drive or with no links, and finds them
+by multistart Newton descent (exact gradient and Hessian from one ``eigh`` of
+M) at any other drive, expands it to second order about a point from the
+same ``eigh``, and scans the surface minimum against the drive strength to
+expose the symmetry-breaking transition and its smoothing by quantum effects.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class BoSurface:
 
 @dataclass(frozen=True, eq=False)
 class MinimaReport:
-    """Distinct local minima sorted by energy, and the search's work counts (0 at zero drive)."""
+    """Distinct local minima sorted by energy, and the search's work counts (0 in closed form)."""
 
     minima: tuple  # ((q, energy), ...) sorted by energy
     degeneracy: int
@@ -209,42 +209,45 @@ def _newton(surface: BoSurface, q: np.ndarray, tally: dict):
 
 
 def _zero_drive_minima(surface: BoSurface) -> list:
-    """Minima of the undriven surface, the lower envelope ``min_s E_s(q)``, in closed form.
+    """Minima of a surface with ``Omega A = 0``, the envelope ``min_s E_s(q)``, in closed form.
 
     A node's stationary point is one when its branch is within ``GAP_TOL omega``
     of the lowest there and every branch that close is stationary there too
-    (its own stationary point within ``DEFAULT_DEDUP_TOL x0``).
+    (its own stationary point within ``DEFAULT_DEDUP_TOL x0``), or when its
+    value is the lowest of them all: the envelope's global minimum.
     """
     points = [f.stationary_point() for f in surface.forms]
+    branches = [np.diag(_electronic_matrix(surface, q)) for q in points]  # M = diag(E_s) here
+    floor = min(energies[s] for s, energies in enumerate(branches))
     found = []
-    for s, q in enumerate(points):
-        energies = np.diag(_electronic_matrix(surface, q))  # M is diag(E_s) at zero drive
+    for s, (q, energies) in enumerate(zip(points, branches)):
         near = np.flatnonzero(energies - energies.min() <= GAP_TOL * surface.omega)
         tied = all(np.linalg.norm(points[t] - q) <= DEFAULT_DEDUP_TOL * surface.x0 for t in near)
-        if s in near and tied:
+        if s in near and (tied or energies[s] == floor):
             found.append((q, float(energies.min())))
     return found
 
 
 def minimize_bo(surface: BoSurface, starts=None) -> MinimaReport:
-    """Locate the surface minima: in closed form at zero drive, else by multistart Newton descent.
+    """Locate the surface minima: in closed form where ``Omega A = 0``, else by multistart Newton.
 
     A node Hessian that is not positive definite (the surface is then unbounded
-    below at every drive) raises :class:`InstabilityError`.  At zero drive
-    ``starts`` is unused.  Else a saddle-free Newton descent (:func:`_newton`)
-    runs from every start; an endpoint is a minimum only where the gap exceeds
-    ``GAP_TOL omega`` and the exact Hessian is positive definite, and a saddle
-    is left ``SADDLE_STEP x0`` along its most negative curvature, at most
-    ``MAX_DESCENTS`` descents in all.  A start still at a crossing or a saddle
-    is counted in ``starts_lost``; if every start is, :class:`DomainError` is
-    raised.  Basins within ``DEFAULT_DEDUP_TOL x0`` merge, and the degeneracy
-    counts minima within ``DEFAULT_DEGENERACY_TOL * omega`` of the lowest.
+    below at every drive) raises :class:`InstabilityError`.  Where
+    ``Omega A = 0`` ``starts`` is unused.  Else a saddle-free Newton descent
+    (:func:`_newton`) runs from every start; an endpoint is a minimum only
+    where the gap exceeds ``GAP_TOL omega`` and the exact Hessian is positive
+    definite, and a saddle is left ``SADDLE_STEP x0`` along its most negative
+    curvature, at most ``MAX_DESCENTS`` descents in all.  A start still at a
+    crossing or a saddle is counted in ``starts_lost``; if every start is,
+    :class:`DomainError` is raised.  Basins within ``DEFAULT_DEDUP_TOL x0``
+    merge, and the degeneracy counts minima within
+    ``DEFAULT_DEGENERACY_TOL * omega`` of the lowest.
     """
     if np.any(np.linalg.eigvalsh(surface.hessians)[:, 0] <= 0.0):
         raise InstabilityError("a node Hessian is not positive definite: the surface is unbounded")
     degeneracy_tol = DEFAULT_DEGENERACY_TOL * surface.omega
     tally = dict.fromkeys(("starts", "descents", "evaluations", "saddles_left", "starts_lost"), 0)
-    if surface.Omega == 0.0:
+    if surface.Omega == 0.0 or not surface.adjacency.any():
         found = _zero_drive_minima(surface)
     else:
         if starts is None:

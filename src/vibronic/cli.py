@@ -5,9 +5,10 @@ Usage::
     vibronic <task> --config <file> [--out DIR] [--modes reduced|full]
 
 Tasks: ``graph``, ``gs-scan-xi``, ``gs-scan-kappa``, ``gs-scan-omega``,
-``wigner``, ``bopes-scan``, ``compare``.  The config file is UTF-8 JSON; every
-run writes a ``run-manifest.json`` recording the resolved parameters and tool
-version alongside the task artifacts.  Outputs are deterministic: identical
+``wigner``, ``bopes-scan``, ``compare``, each with its runner and, for a scan,
+its fewest samples in the ``TASKS`` table.  The config file is UTF-8 JSON;
+every run writes a ``run-manifest.json`` recording the resolved parameters and
+tool version alongside the task artifacts.  Outputs are deterministic: identical
 configs produce byte-identical files.
 
 The three ``gs-scan-*`` tasks run through one driver, ``_task_scan``: the
@@ -26,6 +27,8 @@ perpendicular mode, every other task ``n_perp = geometry.n_axes - 1``.
 ``compare`` predicts the pair's :func:`analytic.zero_point_correction` less the
 pair's rise above the lowest node, or 0 with no pair.  A node with three or
 more excitations leaves the cell empty (``null`` in ``compare``'s manifest).
+A coupling past its critical value reads ``unstable``, except in ``bopes-scan``,
+whose cell stays empty.
 """
 
 from __future__ import annotations
@@ -81,17 +84,6 @@ from .params import (
     derive_couplings,
     pair_potential,
 )
-
-TASKS = (
-    "graph",
-    "gs-scan-xi",
-    "gs-scan-kappa",
-    "gs-scan-omega",
-    "wigner",
-    "bopes-scan",
-    "compare",
-)
-
 
 # ----------------------------------------------------------------------------
 # Config parsing and validation
@@ -258,7 +250,7 @@ def _parse_solver(cfg: dict) -> dict:
     }
 
 
-def _parse_scan(cfg: dict, samples_min: int = 1) -> dict:
+def _parse_scan(cfg: dict, samples_min: int) -> dict:
     scan = cfg.get("scan", {})
     if not isinstance(scan, dict):
         raise ConfigError("config.scan", "expected an object")
@@ -277,6 +269,8 @@ def _parse_scan(cfg: dict, samples_min: int = 1) -> dict:
 
 def load_config(path: str, task: str) -> dict:
     """Parse and validate a run configuration for the given task."""
+    if task not in TASKS:
+        raise ConfigError("task", f"unknown task {task!r}")
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -316,9 +310,9 @@ def load_config(path: str, task: str) -> dict:
         raise ConfigError("config.modes", 'expected "reduced" or "full"')
     if not isinstance(resolved["out"], str):
         raise ConfigError("config.out", f"expected a directory path, got {resolved['out']!r}")
-    if task in SCANS or task == "bopes-scan":
-        samples_min = MIN_SCAN_SAMPLES if task == "bopes-scan" else 2
-        resolved["scan"] = _parse_scan(cfg, samples_min=samples_min)
+    samples_min = TASKS[task][1]
+    if samples_min is not None:
+        resolved["scan"] = _parse_scan(cfg, samples_min)
     if task == "wigner":
         wcfg = cfg.get("wigner", {})
         if not isinstance(wcfg, dict):
@@ -487,21 +481,23 @@ def _closed_form(forms, coup, params: PhysicalParams, n_perp: int):
 
     A node with no excited pair sits at 0, one with a pair at the pair energy
     (``pair`` is None when no node holds one).  None when a node holds three
-    or more excitations; raises :class:`InstabilityError` past a critical
-    coupling.
+    or more excitations, ``"unstable"`` past a critical coupling.
     """
     excitations = [sum(form.state) for form in forms]
     if max(excitations) > 2:
         return None
     pair = None
     if 2 in excitations:
-        pair = params.omega * pair_epsilon(coup.kappa, coup.xi, params.omega, coup.nu, n_perp)
+        try:
+            pair = params.omega * pair_epsilon(coup.kappa, coup.xi, params.omega, coup.nu, n_perp)
+        except InstabilityError:
+            return "unstable"
     return min(pair if n == 2 else 0.0 for n in excitations), pair
 
 
 # Each scan set-up returns (critical scale or None, model_at, manifest
 # results), where model_at(value) gives the (graph, forms, params) row of
-# converge_scan and the closed-form energy (or None) of one row.
+# converge_scan and the _closed_form (or None) of one row.
 
 
 def _xi_scan(resolved):
@@ -512,14 +508,9 @@ def _xi_scan(resolved):
     def model_at(xi):
         coup = dataclasses.replace(potential, xi=xi)
         adjacency, forms = dumbbell_hamiltonian(params, coup)
-        analytic = None
-        if params.Omega == 0.0:
-            # the axial pair model has no perpendicular mode, whatever the geometry
-            try:
-                analytic = _closed_form(forms, coup, params, 0)[0]
-            except InstabilityError:
-                analytic = "unstable"
-        return (adjacency, forms, params), analytic
+        # the axial pair model has no perpendicular mode, whatever the geometry
+        closed = _closed_form(forms, coup, params, 0) if params.Omega == 0.0 else None
+        return (adjacency, forms, params), closed
 
     return xi_c, model_at, {"xi_c": xi_c}
 
@@ -542,11 +533,8 @@ def _kappa_scan(resolved):
         coup = dataclasses.replace(potential, kappa=kappa)
         form = assemble_state_hamiltonian(target, geometry, coup, params)
         _, reduced = reduce_modes([form], params)
-        try:
-            analytic = _closed_form(reduced, coup, params, geometry.n_axes - 1)[0]
-        except InstabilityError:
-            analytic = "unstable"
-        return (np.zeros((1, 1)), reduced, params), analytic
+        closed = _closed_form(reduced, coup, params, geometry.n_axes - 1)
+        return (np.zeros((1, 1)), reduced, params), closed
 
     return kappa_c, model_at, {"kappa_c": kappa_c}
 
@@ -572,12 +560,12 @@ def _task_scan(resolved, outdir: Path):
     variable, csv_name, setup = SCANS[resolved["task"]]
     critical_scale, model_at, results = setup(resolved)
     values = _scan_values(resolved["scan"], critical_scale).tolist()
-    models, analytic = zip(*(model_at(value) for value in values))
+    models, closed_forms = zip(*(model_at(value) for value in values))
     reports = converge_scan(models, **resolved["solver"])
-    rows = [
-        (value, report.energy, closed, report.cutoff, report.converged)
-        for value, report, closed in zip(values, reports, analytic)
-    ]
+    rows = []
+    for value, report, closed in zip(values, reports, closed_forms):
+        lowest = closed[0] if isinstance(closed, tuple) else closed
+        rows.append((value, report.energy, lowest, report.cutoff, report.converged))
     _write_csv(outdir / csv_name, [variable, "E_numeric", "E_analytic", "cutoff", "converged"], rows)
     _write_manifest(outdir, resolved, [csv_name], results)
     return 0
@@ -625,11 +613,8 @@ def _task_bopes_scan(resolved, outdir: Path):
     drives = _scan_values(resolved["scan"], None)
     result = transition_scan(graph, forms, params, drives, **resolved["solver"])
     analytic = np.full(drives.size, np.nan)  # a closed form holds at zero drive only
-    try:
-        closed = _closed_form(forms, coup, params, resolved["geometry"].n_axes - 1)
-    except InstabilityError:
-        closed = None
-    if closed is not None:
+    closed = _closed_form(forms, coup, params, resolved["geometry"].n_axes - 1)
+    if isinstance(closed, tuple):
         analytic[drives == 0.0] = closed[0]
     (outdir / "bopes-scan.csv").write_text(
         transition_scan_csv(result, analytic=analytic), encoding="utf-8"
@@ -662,26 +647,26 @@ def _task_compare(resolved, outdir: Path):
     ]
     # the exact energy is the lowest node's, the surface minimum the pair's clamped one
     n_perp = resolved["geometry"].n_axes - 1
-    try:
-        closed = _closed_form(forms, coup, params, n_perp)
-        predicted = None if closed is None else 0.0
-        if closed is not None and closed[1] is not None:
-            lowest, pair = closed
-            zero_point = zero_point_correction(coup.kappa, coup.xi, params.omega, coup.nu, n_perp)
-            predicted = zero_point - (pair - lowest)
-    except InstabilityError:
-        predicted = "unstable"
+    predicted = closed = _closed_form(forms, coup, params, n_perp)  # None or "unstable"
+    if isinstance(closed, tuple):
+        lowest, pair = closed
+        zero_point = zero_point_correction(coup.kappa, coup.xi, params.omega, coup.nu, n_perp)
+        predicted = 0.0 if pair is None else zero_point - (pair - lowest)
     rows.append(("correction_predicted", predicted))
     _write_csv(outdir / "compare.csv", ["quantity", "value"], rows)
     _write_manifest(outdir, resolved, ["compare.csv"], dict(rows))
     return 0
 
 
-_RUNNERS = {
-    "graph": _task_graph,
-    "wigner": _task_wigner,
-    "bopes-scan": _task_bopes_scan,
-    "compare": _task_compare,
+# task -> (runner, fewest scan samples, or None for a task with no scan)
+TASKS = {
+    "graph": (_task_graph, None),
+    "gs-scan-xi": (_task_scan, 2),
+    "gs-scan-kappa": (_task_scan, 2),
+    "gs-scan-omega": (_task_scan, 2),
+    "wigner": (_task_wigner, None),
+    "bopes-scan": (_task_bopes_scan, MIN_SCAN_SAMPLES),
+    "compare": (_task_compare, None),
 }
 
 
@@ -713,12 +698,7 @@ def run(resolved: dict) -> int:
     """Dispatch a validated configuration to its task."""
     outdir = Path(resolved["out"])
     outdir.mkdir(parents=True, exist_ok=True)
-    task = resolved["task"]
-    if task in SCANS:
-        return _task_scan(resolved, outdir)
-    if task not in _RUNNERS:
-        raise ConfigError("task", f"unknown task {task!r}")
-    return _RUNNERS[task](resolved, outdir)
+    return TASKS[resolved["task"]][0](resolved, outdir)
 
 
 def main(argv=None) -> int:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vibronic import (
+    DomainError,
     ExplicitCouplings,
     Geometry,
     PhysicalParams,
@@ -12,6 +13,8 @@ from vibronic import (
     UnsupportedVariantError,
     assemble_graph_hamiltonians,
     assemble_state_hamiltonian,
+    build_bo_surface,
+    build_fock_matrix,
     build_molecular_model,
     build_resonant_manifold,
     derive_couplings,
@@ -221,3 +224,22 @@ def test_pinned_couplings_reject_off_nominal_pairs():
     assert edge.linear[:3] == pytest.approx([-SQRT2, 0.0, 0.0])
     with pytest.raises(UnsupportedVariantError, match="nominal distance"):
         assemble_state_hamiltonian((1, 0, 1, 0), square, model, params)
+
+
+@pytest.mark.parametrize(
+    "adjacency",
+    [
+        [[0.0, SQRT2], [0.0, 0.0]],  # upper triangle only: the Fock build would read it
+        [[0.0, 0.0], [SQRT2, 0.0]],  # lower triangle only: the surface's eigh would read it
+        [[0.0, SQRT2], [SQRT2 + 1e-3, 0.0]],
+        [[0.5, SQRT2], [SQRT2, 0.0]],  # a drive on the diagonal
+        [[0.0, SQRT2, 0.0], [SQRT2, 0.0, 0.0]],
+    ],
+)
+def test_every_solver_rejects_an_adjacency_it_would_read_differently(adjacency):
+    params = PhysicalParams(omega=1.0, Omega=0.2, x0=0.3)
+    _, forms = dumbbell_hamiltonian(params, ExplicitCouplings(kappa=0.2, xi=0.0, nu=0.3))
+    with pytest.raises(DomainError, match="adjacency"):
+        build_fock_matrix(np.array(adjacency), forms, params, cutoff=4)
+    with pytest.raises(DomainError, match="adjacency"):
+        build_bo_surface(np.array(adjacency), forms, params)

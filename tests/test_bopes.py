@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -391,6 +391,9 @@ MANIFOLDS = {
     xibar=st.floats(min_value=-0.9, max_value=0.9),
     nu=st.floats(min_value=0.1, max_value=0.5),
 )
+# all three branches lie within 3e-8 omega at the pair node's stationary
+# point, which sits 1.7e-4 x0 from the others': no node is tied there
+@example(manifold="dumbbell", kappabar=6.103515625e-05, xibar=0.0, nu=0.25)
 def test_zero_drive_minima_are_minima_of_the_surface(manifold, kappabar, xibar, nu):
     geometry, delta, seed = MANIFOLDS[manifold]
     params = PhysicalParams(omega=1.0, Omega=0.0, d=1.0, x0=nu)

@@ -156,6 +156,15 @@ def test_wigner_task_matches_scalar_loop_bytewise(tmp_path, grid):
         assert (out / name).read_bytes() == (ref / name).read_bytes()
 
 
+def test_wigner_past_its_instability_is_an_error(tmp_path, capsys):
+    # xi_eff = nu kappa / sqrt(2) lies below -omega / 4: no bounded ground state
+    cfg = dict(WIGNER_CONFIG, potential=dict(WIGNER_CONFIG["potential"], kappa=-5.0))
+    out = tmp_path / "out"
+    assert main(["wigner", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: no bounded ground state")
+    assert not (out / "wigner.csv").exists()
+
+
 def test_missing_task_exits_with_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -166,6 +175,13 @@ def test_unknown_task_exits_with_usage():
     with pytest.raises(SystemExit) as exc:
         main(["explode", "--config", "x.json"])
     assert exc.value.code == 2
+
+
+def test_load_config_rejects_an_unknown_task(tmp_path):
+    # argparse stops a made-up task in main; a library caller meets load_config first
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_config(tmp_path, GRAPH_CONFIG), "explode")
+    assert exc.value.path == "task"
 
 
 def test_unreadable_config_is_an_error(tmp_path, capsys):
@@ -291,6 +307,16 @@ def test_schema_errors_carry_the_key_path(tmp_path):
     assert exc.value.path == "config"
 
 
+def test_numeric_delta_is_the_detuning_itself(tmp_path):
+    # V(d) = 1 here, so delta = -3.0 is the "-3V" rule of GRAPH_CONFIG
+    cfg = dict(GRAPH_CONFIG, params=dict(GRAPH_CONFIG["params"], delta=-3.0))
+    out = tmp_path / "out"
+    assert main(["graph", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "run-manifest.json").read_text())
+    assert manifest["parameters"]["delta_rule"] == manifest["parameters"]["delta"] == -3.0
+    assert manifest["results"]["topology"] == "star"
+
+
 @pytest.mark.parametrize("seed", [1, "0x1"])
 def test_seed_must_be_a_bitstring(tmp_path, capsys, seed):
     cfg = dict(GRAPH_CONFIG, seed=seed)
@@ -353,6 +379,23 @@ def test_scan_kappa_block_oracle(tmp_path):
     for line in lines[1:]:
         fields = line.split(",")
         assert float(fields[1]) == pytest.approx(float(fields[2]), abs=1e-7)
+
+
+def test_scan_kappa_past_critical_reads_unstable(tmp_path):
+    cfg = {
+        "task": "gs-scan-kappa",
+        "geometry": {"preset": "tetrahedron", "d": 1.0},
+        "potential": {"type": "explicit", "kappa": 0.0, "xi": 0.05, "nu": 0.25, "v_d": 1.0},
+        "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
+        "solver": {"e_tol": 1e-6, "max_cutoff": 16, "frame": "displaced"},
+        "scan": {"start": 0.5, "stop": 1.1, "samples": 3, "units": "critical"},
+    }
+    out = tmp_path / "out"
+    assert main(["gs-scan-kappa", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "scan-kappa.csv").read_text().split("\n")[1:-1]]
+    assert len(rows) == 3
+    assert [row[2] == "unstable" for row in rows] == [False, False, True]
+    assert rows[2][4] == "false"
 
 
 def test_scan_kappa_planar_pair_oracle(tmp_path):
@@ -593,8 +636,6 @@ def test_closed_forms_read_the_lowest_node(tmp_path, delta, seed, kappa):
     assert rows["numeric_converged"] == "true"
     predicted = float(rows["correction_predicted"])
     assert predicted == pytest.approx(float(rows["correction_measured"]), abs=1e-7)
-    if seed == "10":
-        return  # no link between the pair-free nodes: no surface minimum at a drive
 
     out = tmp_path / "bopes"
     scan = {"start": 0.0, "stop": 0.31, "samples": 32}
@@ -605,6 +646,26 @@ def test_closed_forms_read_the_lowest_node(tmp_path, delta, seed, kappa):
     )
     assert (drive, converged) == ("0.0", "true")
     assert float(e_analytic) == pytest.approx(float(e_quantum), abs=1e-7)
+
+
+def test_bopes_scan_on_a_manifold_with_no_links(tmp_path):
+    # nodes 01 and 10 share no link, so the drive never enters: both curves
+    # stay flat at the pair-free nodes' 0 over the whole grid
+    cfg = {
+        "task": "bopes-scan",
+        "geometry": {"preset": "dumbbell", "d": 1.0},
+        "potential": {"type": "explicit", "kappa": 0.3, "xi": 0.1, "nu": 0.3, "v_d": 1.0},
+        "params": {"omega": 1.0, "Omega": 0.0, "delta": "-3V"},
+        "seed": "10",
+        "solver": {"e_tol": 1e-9, "max_cutoff": 64, "frame": "displaced"},
+        "scan": {"start": 0.0, "stop": 0.3, "samples": 32},
+    }
+    out = tmp_path / "out"
+    assert main(["bopes-scan", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "bopes-scan.csv").read_text().split("\n")[1:-1]]
+    assert len(rows) == 32
+    assert all(row[1:3] == ["0.0", "0.0"] and row[4] == "true" for row in rows)
+    assert json.loads((out / "run-manifest.json").read_text())["results"]["bo_second_diff_max"] == 0.0
 
 
 def test_compare_on_an_unstable_model_is_an_error(tmp_path, capsys):
