@@ -67,7 +67,6 @@ from .fock import (
     build_fock_matrix,
     converge_cutoff,
     converge_scan,
-    dump_matrix_coo,
     ground_state,
     mean_displacements,
     quadrature_moments,

@@ -335,7 +335,8 @@ def node_data(graph, forms):
     ``graph`` may be a :class:`ResonantGraph` or a plain adjacency matrix.
     Returns ``(adjacency, forms)`` with a float adjacency whose entries
     multiply the drive ``Omega``; it must be symmetric with a zero diagonal,
-    one row per form, as the Fock and surface solvers read different halves.
+    one row per form, as the Fock and surface solvers read different halves,
+    and every form must have the same mode count.
     """
     adjacency = graph.adjacency if isinstance(graph, ResonantGraph) else graph
     adjacency = np.asarray(adjacency, dtype=float)
@@ -343,4 +344,6 @@ def node_data(graph, forms):
         raise DomainError(f"adjacency of shape {adjacency.shape} for {len(forms)} forms")
     if adjacency.diagonal().any() or (adjacency != adjacency.T).any():
         raise DomainError("adjacency must be symmetric with a zero diagonal")
+    if len({f.dim for f in forms}) > 1:
+        raise DomainError("all node forms must share the same mode count")
     return adjacency, list(forms)

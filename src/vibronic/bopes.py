@@ -299,10 +299,6 @@ class QuadraticFit:
     linear: np.ndarray  # gradient at the center
     quadratic: np.ndarray  # coefficient matrix C in E = const + b.d + d^T C d
 
-    def linear_at_origin(self) -> np.ndarray:
-        """Linear coefficient of the same quadratic expanded about q = 0."""
-        return self.linear - 2.0 * self.quadratic @ self.center
-
 
 def bo_quadratic_check(surface: BoSurface, center) -> QuadraticFit:
     """Exact local quadratic form of the surface at ``center``, from :func:`_derivatives`.
@@ -356,8 +352,9 @@ def transition_scan(graph, forms, params: PhysicalParams, omegas, **solver) -> T
     cutoff-doubling solver at every grid point, in one :func:`converge_scan`
     over the model at each drive, so operators and vectors are carried along
     the grid; it gets the ``solver`` keywords (``e_tol``, ``max_cutoff``,
-    ``frame``, ``eig_tol``) unchanged.  The grid needs at least
-    ``MIN_SCAN_SAMPLES`` strictly increasing drive values.
+    ``frame``) unchanged, so each stage is solved to the residual target
+    ``fock.stage_tol(e_tol)``.  The grid needs at least ``MIN_SCAN_SAMPLES``
+    strictly increasing drive values.
     """
     omegas = np.asarray(omegas, dtype=float)
     if omegas.size < MIN_SCAN_SAMPLES:

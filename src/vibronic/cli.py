@@ -65,7 +65,7 @@ from .bopes import (
     transition_scan_csv,
 )
 from .errors import ConfigError, DomainError, InstabilityError, VibronicError
-from .fock import converge_cutoff, converge_scan
+from .fock import converge_cutoff, converge_scan, stage_tol
 from .graphs import (
     GEOMETRY_PRESETS,
     MAX_ATOMS,
@@ -239,6 +239,9 @@ def _parse_solver(cfg: dict) -> dict:
     scfg = cfg.get("solver", {})
     if not isinstance(scfg, dict):
         raise ConfigError("config.solver", "expected an object")
+    unknown = sorted(set(scfg) - {"e_tol", "max_cutoff", "frame"})
+    if unknown:
+        raise ConfigError(f"config.solver.{unknown[0]}", "expected e_tol, max_cutoff or frame")
     frame = scfg.get("frame", "bare")
     if frame not in ("bare", "displaced"):
         raise ConfigError("config.solver.frame", f'expected "bare" or "displaced", got {frame!r}')
@@ -246,7 +249,6 @@ def _parse_solver(cfg: dict) -> dict:
         "e_tol": _number(scfg.get("e_tol", 1e-8), "config.solver.e_tol", positive=True),
         "max_cutoff": _integer(scfg.get("max_cutoff", 256), "config.solver.max_cutoff", minimum=4),
         "frame": frame,
-        "eig_tol": _number(scfg.get("eig_tol", 1e-11), "config.solver.eig_tol", positive=True),
     }
 
 
@@ -387,7 +389,7 @@ def _write_manifest(outdir: Path, resolved: dict, outputs, results=None):
             "nu": resolved["params"].nu,
             "delta_rule": resolved["delta_rule"],
             "delta": resolved["delta"],
-            "solver": resolved["solver"],
+            "solver": {**resolved["solver"], "eig_tol": stage_tol(resolved["solver"]["e_tol"])},
             "modes": resolved["modes"],
         },
         "outputs": sorted(outputs),

@@ -42,7 +42,8 @@ three per-node marginals of the state along one mode.
 starting each stage from the lower stage's zero-padded vector, refined above
 ``DENSE_CUTOVER`` states by a block-1 LOBPCG, preconditioned by
 1/|diag(H) - rho| on the diagonal the build records, with ARPACK as the
-fallback; every returned pair has a checked residual.
+fallback; every returned pair has a checked residual, against a target that
+:func:`stage_tol` derives from the stopping tolerance ``e_tol``.
 :func:`converge_scan` runs that doubling along an ordered list of models, the
 one loop behind every scan, and carries work from row to row.  Rows of one
 model that differ only in a nonzero drive share each cutoff's operator, whose
@@ -77,6 +78,7 @@ LOBPCG_MAXITER = 60  # good warm starts converge in under 30; past this ARPACK i
 JACOBI_FLOOR = 1e-2  # smallest preconditioner shift, relative to max(1, |rho|)
 GATHER_CELLS = 2**18  # table cells compacted at once; bounds the gather's temporaries
 MAX_BYTES = 2**31  # budget of one build's footprint, see build_fock_matrix
+EIG_TOL = 1e-11  # residual target of ground_state, and of every stage at e_tol <= 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -551,8 +553,6 @@ def build_fock_matrix(
     adjacency, forms = node_data(graph, forms)
     n_nodes = len(forms)
     n_modes = forms[0].dim
-    if any(f.dim != n_modes for f in forms):
-        raise DomainError("all node forms must share the same mode count")
 
     beta, coefficients, terms, steps, links = _prepared(adjacency, forms, params, frame)
     if params.Omega == 0.0:
@@ -655,7 +655,7 @@ def _jacobi_lobpcg(matrix, diagonal: np.ndarray, v0: np.ndarray, tol: float):
     return rho, x.copy()
 
 
-def ground_state(op: FockOperator, tol: float = 1e-11, v0: np.ndarray = None):
+def ground_state(op: FockOperator, tol: float = EIG_TOL, v0: np.ndarray = None):
     """Lowest eigenpair of the operator, with a checked residual.
 
     Small problems use a dense solver.  Above ``DENSE_CUTOVER`` a warm start
@@ -663,7 +663,9 @@ def ground_state(op: FockOperator, tol: float = 1e-11, v0: np.ndarray = None):
     that misses the tolerance, or no warm start is given, a Krylov iteration
     runs from ``v0`` or from a deterministic all-ones vector with a fixed
     iteration cap.  Every returned pair satisfies
-    ``||H v - E v|| <= tol * max(1, |E|)`` for the unit vector ``v``.
+    ``||H v - E v|| <= tol * max(1, |E|)`` for the unit vector ``v``, so E
+    lies within that bound of an eigenvalue (see :func:`stage_tol`), while
+    the error of ``v`` itself scales as that bound over the spectral gap.
     Raises :class:`EigensolverError` carrying the best estimate when no
     solver meets that bound.
     """
@@ -694,32 +696,34 @@ def ground_state(op: FockOperator, tol: float = 1e-11, v0: np.ndarray = None):
     return _checked_pair(matrix, float(vals[0]), vecs[:, 0], tol, "ARPACK")
 
 
-def converge_cutoff(
-    graph,
-    forms,
-    params: PhysicalParams,
-    *,
-    e_tol: float = 1e-8,
-    max_cutoff: int = 256,
-    frame: str = "bare",
-    eig_tol: float = 1e-11,
-) -> SolveReport:
+def stage_tol(e_tol: float) -> float:
+    """Residual target of every stage of a doubling that stops at ``e_tol``:
+    ``EIG_TOL`` up to 1e-8, ``e_tol * 1e-3`` above.  By Weinstein's bound
+    (Parlett, *The Symmetric Eigenvalue Problem*, 10.2), every stage energy
+    then lies within that target times max(1, |E|) of an eigenvalue."""
+    return EIG_TOL if e_tol <= 1e-8 else e_tol * 1e-3
+
+
+def converge_cutoff(graph, forms, params: PhysicalParams, **solver) -> SolveReport:
     """Double the Fock cutoff from 4 until the ground energy stabilizes.
 
-    Stops when consecutive energies differ by less than ``e_tol`` or the
-    cutoff would exceed ``max_cutoff``.  Each stage after the first starts
-    its eigensolver from the previous stage's ground vector, zero-padded into
-    the doubled basis.  Non-convergence is reported in the result rather
-    than raised: persistent energy descent under cutoff growth is the
-    numerical signature of an instability.  A stage whose eigensolver failed
-    records its best estimate but can never make the report converged, and
-    a stage over the ``MAX_BYTES`` budget ends the doubling unconverged; only
-    an over-budget first stage raises :class:`ResourceBudgetError`.  This is
-    :func:`converge_scan` over the one row ``(graph, forms, params)``.
+    This is :func:`converge_scan` over the one row ``(graph, forms, params)``,
+    with its ``solver`` keywords ``e_tol``, ``max_cutoff`` and ``frame``.
+    Stops when consecutive energies differ by less than
+    ``e_tol`` or the cutoff would exceed ``max_cutoff``.  Each stage is solved
+    to the residual target ``stage_tol(e_tol)``, so a stop can differ from the
+    one exact stage energies would give only when a stage pair's difference
+    lies within twice that bound of ``e_tol``.  Each stage after the first
+    starts its eigensolver from the previous stage's ground vector,
+    zero-padded into the doubled basis.  Non-convergence is reported in the
+    result rather than raised: persistent energy descent under cutoff growth
+    is the numerical signature of an instability.  A stage whose eigensolver
+    failed records its best estimate but can never make the report
+    converged, and a stage over the ``MAX_BYTES`` budget ends the doubling
+    unconverged; only an over-budget first stage raises
+    :class:`ResourceBudgetError`.
     """
-    return converge_scan(
-        [(graph, forms, params)], e_tol=e_tol, max_cutoff=max_cutoff, frame=frame, eig_tol=eig_tol
-    )[0]
+    return converge_scan([(graph, forms, params)], **solver)[0]
 
 
 def _extrapolate(trail):
@@ -780,14 +784,13 @@ def converge_scan(
     e_tol: float = 1e-8,
     max_cutoff: int = 256,
     frame: str = "bare",
-    eig_tol: float = 1e-11,
 ) -> tuple:
     """Run the cutoff doubling of :func:`converge_cutoff` on every row, in order.
 
     ``models`` is a sequence of ``(graph, forms, params)`` rows; returns one
-    :class:`SolveReport` per row, each with the stopping rule and failure
-    handling of a one-row call.  Three kinds of work are carried from row to
-    row.
+    :class:`SolveReport` per row, each with the stopping rule, the stage
+    residual target ``stage_tol(e_tol)`` and the failure handling of a
+    one-row call.  Three kinds of work are carried from row to row.
 
     *Starting cutoffs.*  A row of shape ``(len(forms), forms[0].dim)``
     starts where the last converged row of that shape was decided: at the
@@ -829,6 +832,7 @@ def converge_scan(
     """
     if max_cutoff < 4:
         raise DomainError(f"max_cutoff must be at least 4, got {max_cutoff}")
+    tol = stage_tol(e_tol)
     operators = {}  # cutoff -> operator built at a nonzero drive of ``owner``
     owner = None  # _model_key of the row that built them
     trails = {}  # (nodes, modes, cutoff) -> ground vectors of the last three rows there
@@ -858,7 +862,7 @@ def converge_scan(
             # dense stages ignore starts, so only sparse ones keep a trail
             shape = (op.n_nodes, op.n_modes, cutoff)
             trail = trails.setdefault(shape, []) if op.dim > DENSE_CUTOVER else []
-            energy, state = _stage_pair(op, eig_tol, _extrapolate(trail), padded, energy_prev)
+            energy, state = _stage_pair(op, tol, _extrapolate(trail), padded, energy_prev)
             if state is not None:
                 trail[:] = [state, *trail[:2]]
             history.append((cutoff, energy))
@@ -950,10 +954,3 @@ def mean_displacements(op: FockOperator, state: np.ndarray, basis: ModeBasis) ->
         raise DomainError(f"mode basis has {basis.dim} modes, the operator {op.n_modes}")
     q_mean = np.array([quadrature_moments(op, state, m)[0] for m in range(op.n_modes)])
     return basis.to_full(q_mean).reshape(basis.n_atoms, basis.n_axes)
-
-
-def dump_matrix_coo(op: FockOperator) -> str:
-    """Coordinate-format text dump ``row col value`` for cross-validation."""
-    coo = op.matrix.tocoo()
-    lines = [f"{i} {j} {float(v)!r}" for i, j, v in zip(coo.row, coo.col, coo.data)]
-    return "\n".join(lines) + ("\n" if lines else "")

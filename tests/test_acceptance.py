@@ -235,7 +235,7 @@ def test_criterion_09_surface_quadratic_form_and_triple_minimum():
     want_linear = 2 * kappa / x0
     got_par = float(par @ fit.quadratic @ par)
     got_perp = float(perps[0] @ fit.quadratic @ perps[0])
-    got_linear = float(fit.linear_at_origin() @ par)
+    got_linear = float((fit.linear - 2.0 * fit.quadratic @ fit.center) @ par)
     assert abs(got_par - want_par) < 1e-4 * abs(want_par)
     assert abs(got_perp - want_perp) < 1e-4 * abs(want_perp)
     assert abs(abs(got_linear) - abs(want_linear)) < 1e-4 * abs(want_linear)

@@ -10,6 +10,7 @@ from vibronic import (
     PhysicalParams,
     PowerLaw,
     PowerLawSum,
+    QuadraticVibronic,
     UnsupportedVariantError,
     assemble_graph_hamiltonians,
     assemble_state_hamiltonian,
@@ -243,3 +244,14 @@ def test_every_solver_rejects_an_adjacency_it_would_read_differently(adjacency):
         build_fock_matrix(np.array(adjacency), forms, params, cutoff=4)
     with pytest.raises(DomainError, match="adjacency"):
         build_bo_surface(np.array(adjacency), forms, params)
+
+
+def test_every_solver_rejects_forms_of_different_mode_counts():
+    # the surface once stacked such forms into numpy's inhomogeneous-shape ValueError
+    params = PhysicalParams(omega=1.0, Omega=0.2, x0=0.3)
+    forms = [QuadraticVibronic((0,), 0.0, np.zeros(n), np.eye(n)) for n in (1, 2)]
+    adjacency = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(DomainError, match="mode count"):
+        build_fock_matrix(adjacency, forms, params, cutoff=4)
+    with pytest.raises(DomainError, match="mode count"):
+        build_bo_surface(adjacency, forms, params)

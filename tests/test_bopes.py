@@ -18,13 +18,16 @@ from vibronic import (
     bo_energy,
     bo_quadratic_check,
     build_bo_surface,
+    build_fock_matrix,
     build_molecular_model,
     build_resonant_manifold,
     converge_cutoff,
+    converge_scan,
     critical_points,
     derive_couplings,
     dumbbell,
     edge_mode_directions,
+    ground_state,
     light_start_points,
     minimize_bo,
     quantum_correction,
@@ -32,6 +35,7 @@ from vibronic import (
     triangle,
 )
 from vibronic.bopes import _derivatives, transition_scan_csv
+from vibronic.fock import stage_tol
 
 SQRT2 = math.sqrt(2.0)
 
@@ -129,7 +133,8 @@ def test_quadratic_fit_matches_the_local_surface_form():
     )
     # stationarity at the minimum, and the bare linear coupling at the origin
     assert np.linalg.norm(fit.linear) < 1e-6
-    assert abs(fit.linear_at_origin() @ par) == pytest.approx(2 * abs(kappa) / x0, rel=1e-6)
+    linear_at_origin = fit.linear - 2.0 * fit.quadratic @ fit.center
+    assert abs(linear_at_origin @ par) == pytest.approx(2 * abs(kappa) / x0, rel=1e-6)
 
 
 def test_quadratic_form_of_the_driven_surface_matches_second_differences():
@@ -519,6 +524,20 @@ def test_transition_scan_rows_match_independent_solves():
         assert result.quantum_cutoffs[i] == row.cutoff
         assert result.quantum_converged[i] == row.converged
         assert result.e_quantum[i] == pytest.approx(row.energy, abs=1e-10)
+
+
+def test_scan_energies_keep_the_stage_residual_bound():
+    # at e_tol 1e-3 each stage is solved only to stage_tol(1e-3); by Weinstein's
+    # bound its energy still lies within that residual of the strict ground energy
+    params, graph, _, forms, _ = triangle_setup(kappa=0.5 * critical_points(1.0, 0.5)[1])
+    drives = np.linspace(0.06, 0.30, 121)[::40]
+    rows = [(graph, forms, dataclasses.replace(params, Omega=drive)) for drive in drives]
+    target = stage_tol(SCAN_SOLVER["e_tol"])
+    assert target == 1e-6
+    for row, report in zip(rows, converge_scan(rows, **SCAN_SOLVER)):
+        assert report.converged
+        strict, _ = ground_state(build_fock_matrix(*row, report.cutoff), tol=1e-11)
+        assert abs(report.energy - strict) <= target * max(1.0, abs(strict))
 
 
 def test_import_leaves_scipy_optimize_unloaded():

@@ -332,6 +332,17 @@ def test_manifold_atom_limit_carries_the_key_path(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: config.geometry.positions")
 
 
+@pytest.mark.parametrize(
+    "solver, key",
+    [({"e_tol": 1e-6, "eig_tol": 1e-9}, "eig_tol"), ({"etol": 1e-3, "maxcutoff": 8}, "etol")],
+)
+def test_solver_block_rejects_unknown_keys(tmp_path, capsys, solver, key):
+    # misspelt keys once ran silently at the defaults; eig_tol is derived from e_tol
+    cfg = dict(GRAPH_CONFIG, solver=solver)
+    assert main(["graph", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: config.solver.{key}")
+
+
 def test_task_mismatch_is_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, GRAPH_CONFIG), "wigner")
@@ -709,16 +720,16 @@ def test_bopes_scan_forwards_every_solver_option(tmp_path, monkeypatch):
         "geometry": {"preset": "dumbbell", "d": 1.0},
         "potential": {"type": "explicit", "kappa": 0.25, "xi": 0.0, "nu": 0.1, "v_d": 1.0},
         "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
-        "solver": {"e_tol": 1e-6, "max_cutoff": 16, "frame": "bare", "eig_tol": 1e-9},
+        "solver": {"e_tol": 1e-6, "max_cutoff": 16, "frame": "bare"},
         "scan": {"start": 0.0, "stop": 0.4, "samples": 32},
     }
     out = tmp_path / "out"
     assert main(["bopes-scan", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
     (args, kwargs), = calls
     assert len(args[0]) == 32
-    assert kwargs == {"e_tol": 1e-6, "max_cutoff": 16, "frame": "bare", "eig_tol": 1e-9}
+    assert kwargs == {"e_tol": 1e-6, "max_cutoff": 16, "frame": "bare"}
     manifest = json.loads((out / "run-manifest.json").read_text())
-    assert manifest["parameters"]["solver"]["eig_tol"] == 1e-9
+    assert manifest["parameters"]["solver"]["eig_tol"] == 1e-9  # stage_tol(1e-6)
 
 
 def test_bopes_scan_rows_match_independent_solves(tmp_path, monkeypatch):

@@ -30,7 +30,6 @@ from vibronic import (
     derive_couplings,
     dumbbell,
     dumbbell_hamiltonian,
-    dump_matrix_coo,
     epsilon2,
     ground_state,
     mean_displacements,
@@ -441,19 +440,10 @@ def test_cutoff_validation():
         converge_cutoff(SINGLE, excited_block(params, 0.0, 0.0), params, max_cutoff=2)
 
 
-def test_matrix_dump_roundtrip():
-    params = PhysicalParams(omega=1.0, Omega=0.2)
-    op = build_fock_matrix(*two_state(params, 0.3, 0.0), params, cutoff=4)
-    text = dump_matrix_coo(op)
-    rows = [line.split() for line in text.strip().split("\n")]
-    rebuilt = sp.coo_matrix(
-        (
-            [float(v) for _, _, v in rows],
-            ([int(i) for i, _, _ in rows], [int(j) for _, j, _ in rows]),
-        ),
-        shape=op.matrix.shape,
-    ).tocsr()
-    assert np.abs(rebuilt - op.matrix).max() < 1e-15
+def test_stage_tol_moves_only_above_1e_8():
+    # compared on e_tol: max(1e-11, e_tol / 1000) would read 1.0000000000000001e-11 at 1e-8
+    assert [fock.stage_tol(e_tol) for e_tol in (0.0, 1e-9, 1e-8)] == [fock.EIG_TOL] * 3
+    assert [fock.stage_tol(e_tol) for e_tol in (1e-7, 1e-6, 1e-3)] == [1e-10, 1e-9, 1e-6]
 
 
 def test_zero_pad_keeps_every_basis_state():
@@ -816,7 +806,8 @@ def near_e_tol(report, e_tol, eig_tol=1e-11):
     """Whether two consecutive stages of ``report`` lie within eigensolver
     noise of ``e_tol``: each energy is within ``eig_tol * max(1, |E|)`` of an
     eigenvalue, so a pair's gap can move by four times that between solves
-    from different starts."""
+    from different starts.  ``eig_tol`` is ``fock.stage_tol(e_tol)`` for the
+    ``e_tol`` of 1e-8 and below that the callers use."""
     pairs = zip(report.energy_history, report.energy_history[1:])
     return any(abs(abs(b - a) - e_tol) <= 4 * eig_tol * max(1.0, abs(b)) for (_, a), (_, b) in pairs)
 
@@ -1071,7 +1062,6 @@ def assert_same_operator(graph, forms, params, cutoff, frame="bare"):
         assert ours.dtype == theirs.dtype == np.int32
         assert np.array_equal(ours, theirs), name
     assert op.matrix.data.tobytes() == ref.data.tobytes()
-    assert dump_matrix_coo(op) == dump_matrix_coo(dataclasses.replace(op, matrix=ref))
     return op
 
 
