@@ -9,7 +9,8 @@ Tasks: ``graph``, ``gs-scan-xi``, ``gs-scan-kappa``, ``gs-scan-omega``,
 its fewest samples in the ``TASKS`` table.  The config file is UTF-8 JSON;
 every run writes a ``run-manifest.json`` recording the resolved parameters and
 tool version alongside the task artifacts.  Outputs are deterministic: identical
-configs produce byte-identical files.
+configs produce byte-identical files.  Every config object is read through
+``_object``, so a key that its block does not know is a config error.
 
 The three ``gs-scan-*`` tasks run through one driver, ``_task_scan``: the
 ``SCANS`` table gives each its scan variable, CSV name and set-up, and all
@@ -121,17 +122,27 @@ def _integer(value, path: str, minimum=None) -> int:
     return value
 
 
+def _object(value, path: str, keys=None) -> dict:
+    """``value`` as a config object; with ``keys``, the first other key (sorted) is an error."""
+    if not isinstance(value, dict):
+        raise ConfigError(path, "expected an object")
+    unknown = sorted(set(value) - set(value if keys is None else keys))
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}", f"unknown key; expected one of {list(keys)}")
+    return value
+
+
+def _choice(value, path: str, options) -> str:
+    if not isinstance(value, str) or value not in options:
+        raise ConfigError(path, f"expected one of {list(options)}, got {value!r}")
+    return value
+
+
 def _parse_geometry(cfg: dict) -> Geometry:
-    geo = _require(cfg, "geometry", "config")
-    if not isinstance(geo, dict):
-        raise ConfigError("config.geometry", "expected an object")
+    geo = _object(_require(cfg, "geometry", "config"), "config.geometry")
     if "preset" in geo:
-        name = geo["preset"]
-        if not isinstance(name, str) or name not in GEOMETRY_PRESETS:
-            raise ConfigError(
-                "config.geometry.preset",
-                f"unknown preset {name!r}; choose from {sorted(GEOMETRY_PRESETS)}",
-            )
+        name = _choice(geo["preset"], "config.geometry.preset", GEOMETRY_PRESETS)
+        _object(geo, "config.geometry", ("preset", "d", "full_3d"))
         d = _number(geo.get("d", 1.0), "config.geometry.d", positive=True)
         full_3d = geo.get("full_3d", False)
         if not isinstance(full_3d, bool):
@@ -140,6 +151,7 @@ def _parse_geometry(cfg: dict) -> Geometry:
             return GEOMETRY_PRESETS[name](d)
         return GEOMETRY_PRESETS[name](d, full_3d=full_3d)
     if "positions" in geo:
+        _object(geo, "config.geometry", ("positions", "n_axes"))
         pos = geo["positions"]
         if not isinstance(pos, list) or not pos:
             raise ConfigError("config.geometry.positions", "expected a nonempty list of [x,y,z]")
@@ -158,24 +170,14 @@ def _parse_geometry(cfg: dict) -> Geometry:
     raise ConfigError("config.geometry", 'expected either "preset" or "positions"')
 
 
+# potential type -> its keys
+POTENTIALS = {"power-law": ("type", "terms"), "explicit": ("type", "kappa", "xi", "nu", "v_d")}
+
+
 def _parse_potential(cfg: dict):
-    pot = _require(cfg, "potential", "config")
-    if not isinstance(pot, dict):
-        raise ConfigError("config.potential", "expected an object")
-    kind = _require(pot, "type", "config.potential")
-    if kind == "power-law":
-        terms_cfg = _require(pot, "terms", "config.potential")
-        if not isinstance(terms_cfg, list) or not terms_cfg:
-            raise ConfigError("config.potential.terms", "expected a nonempty list")
-        terms = []
-        for i, t in enumerate(terms_cfg):
-            path = f"config.potential.terms[{i}]"
-            if not isinstance(t, dict):
-                raise ConfigError(path, "expected an object with c and p")
-            c = _number(_require(t, "c", path), f"{path}.c")
-            p = _integer(_require(t, "p", path), f"{path}.p", minimum=1)
-            terms.append(PowerLaw(c, p))
-        return terms[0] if len(terms) == 1 else PowerLawSum(tuple(terms))
+    pot = _object(_require(cfg, "potential", "config"), "config.potential")
+    kind = _choice(_require(pot, "type", "config.potential"), "config.potential.type", POTENTIALS)
+    _object(pot, "config.potential", POTENTIALS[kind])
     if kind == "explicit":
         return ExplicitCouplings(
             kappa=_number(_require(pot, "kappa", "config.potential"), "config.potential.kappa"),
@@ -183,14 +185,22 @@ def _parse_potential(cfg: dict):
             nu=_number(_require(pot, "nu", "config.potential"), "config.potential.nu", positive=True),
             v_d=_number(pot.get("v_d", 0.0), "config.potential.v_d"),
         )
-    raise ConfigError("config.potential.type", f'expected "power-law" or "explicit", got {kind!r}')
+    terms_cfg = _require(pot, "terms", "config.potential")
+    if not isinstance(terms_cfg, list) or not terms_cfg:
+        raise ConfigError("config.potential.terms", "expected a nonempty list")
+    terms = []
+    for i, t in enumerate(terms_cfg):
+        path = f"config.potential.terms[{i}]"
+        t = _object(t, path, ("c", "p"))
+        c = _number(_require(t, "c", path), f"{path}.c")
+        p = _integer(_require(t, "p", path), f"{path}.p", minimum=1)
+        terms.append(PowerLaw(c, p))
+    return terms[0] if len(terms) == 1 else PowerLawSum(tuple(terms))
 
 
 def _parse_params(cfg: dict, geometry: Geometry, potential) -> tuple:
     """Returns (PhysicalParams, delta_rule) with x0 resolved."""
-    pcfg = cfg.get("params", {})
-    if not isinstance(pcfg, dict):
-        raise ConfigError("config.params", "expected an object")
+    pcfg = _object(cfg.get("params", {}), "config.params", ("omega", "Omega", "x0", "mass", "delta"))
     omega = _number(pcfg.get("omega", 1.0), "config.params.omega", positive=True)
     drive = _number(pcfg.get("Omega", 0.0), "config.params.Omega")
 
@@ -236,15 +246,8 @@ def _resolve_delta(delta_rule, potential, geometry: Geometry) -> float:
 
 
 def _parse_solver(cfg: dict) -> dict:
-    scfg = cfg.get("solver", {})
-    if not isinstance(scfg, dict):
-        raise ConfigError("config.solver", "expected an object")
-    unknown = sorted(set(scfg) - {"e_tol", "max_cutoff", "frame"})
-    if unknown:
-        raise ConfigError(f"config.solver.{unknown[0]}", "expected e_tol, max_cutoff or frame")
-    frame = scfg.get("frame", "bare")
-    if frame not in ("bare", "displaced"):
-        raise ConfigError("config.solver.frame", f'expected "bare" or "displaced", got {frame!r}')
+    scfg = _object(cfg.get("solver", {}), "config.solver", ("e_tol", "max_cutoff", "frame"))
+    frame = _choice(scfg.get("frame", "bare"), "config.solver.frame", ("bare", "displaced"))
     return {
         "e_tol": _number(scfg.get("e_tol", 1e-8), "config.solver.e_tol", positive=True),
         "max_cutoff": _integer(scfg.get("max_cutoff", 256), "config.solver.max_cutoff", minimum=4),
@@ -253,20 +256,15 @@ def _parse_solver(cfg: dict) -> dict:
 
 
 def _parse_scan(cfg: dict, samples_min: int) -> dict:
-    scan = cfg.get("scan", {})
-    if not isinstance(scan, dict):
-        raise ConfigError("config.scan", "expected an object")
-    out = {
+    scan = _object(cfg.get("scan", {}), "config.scan", ("start", "stop", "samples", "units"))
+    return {
         "start": _number(_require(scan, "start", "config.scan"), "config.scan.start"),
         "stop": _number(_require(scan, "stop", "config.scan"), "config.scan.stop"),
         "samples": _integer(
             _require(scan, "samples", "config.scan"), "config.scan.samples", minimum=samples_min
         ),
-        "units": scan.get("units", "absolute"),
+        "units": _choice(scan.get("units", "absolute"), "config.scan.units", ("absolute", "critical")),
     }
-    if out["units"] not in ("absolute", "critical"):
-        raise ConfigError("config.scan.units", 'expected "absolute" or "critical"')
-    return out
 
 
 def load_config(path: str, task: str) -> dict:
@@ -285,8 +283,9 @@ def load_config(path: str, task: str) -> dict:
         ) from exc
     except ValueError as exc:  # an integer literal past Python's digit limit
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config", "top level must be an object")
+    _object(cfg, "config", (  # the same keys for every task; each reads only its own blocks
+        "task", "geometry", "potential", "params", "seed", "solver", "modes", "out", "scan", "wigner"
+    ))
     if "task" in cfg and cfg["task"] != task:
         raise ConfigError("config.task", f"config says {cfg['task']!r} but {task!r} was requested")
 
@@ -305,29 +304,25 @@ def load_config(path: str, task: str) -> dict:
         "delta": _resolve_delta(delta_rule, potential, geometry),
         "solver": _parse_solver(cfg),
         "seed": seed,
-        "modes": cfg.get("modes", "reduced"),
+        "modes": _choice(cfg.get("modes", "reduced"), "config.modes", ("reduced", "full")),
         "out": cfg.get("out", "."),
     }
-    if resolved["modes"] not in ("reduced", "full"):
-        raise ConfigError("config.modes", 'expected "reduced" or "full"')
     if not isinstance(resolved["out"], str):
         raise ConfigError("config.out", f"expected a directory path, got {resolved['out']!r}")
     samples_min = TASKS[task][1]
     if samples_min is not None:
         resolved["scan"] = _parse_scan(cfg, samples_min)
     if task == "wigner":
-        wcfg = cfg.get("wigner", {})
-        if not isinstance(wcfg, dict):
-            raise ConfigError("config.wigner", "expected an object")
+        wcfg = _object(cfg.get("wigner", {}), "config.wigner", ("grid_half_width", "resolution", "mode"))
         resolved["wigner"] = {
             "grid_half_width": _number(
                 wcfg.get("grid_half_width", 3.0), "config.wigner.grid_half_width", positive=True
             ),
             "resolution": _integer(wcfg.get("resolution", 101), "config.wigner.resolution", minimum=3),
-            "mode": wcfg.get("mode", "perpendicular"),
+            "mode": _choice(
+                wcfg.get("mode", "perpendicular"), "config.wigner.mode", ("perpendicular", "parallel")
+            ),
         }
-        if resolved["wigner"]["mode"] not in ("perpendicular", "parallel"):
-            raise ConfigError("config.wigner.mode", 'expected "perpendicular" or "parallel"')
     return resolved
 
 

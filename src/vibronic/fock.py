@@ -76,6 +76,7 @@ SQRT2 = math.sqrt(2.0)
 DENSE_CUTOVER = 256  # below this dimension a dense eigensolver is cheaper
 LOBPCG_MAXITER = 60  # good warm starts converge in under 30; past this ARPACK is cheaper
 JACOBI_FLOOR = 1e-2  # smallest preconditioner shift, relative to max(1, |rho|)
+GRAM_FLOOR = 1e-6  # smallest pivot of a LOBPCG Gram factor before p is dropped
 GATHER_CELLS = 2**18  # table cells compacted at once; bounds the gather's temporaries
 MAX_BYTES = 2**31  # budget of one build's footprint, see build_fock_matrix
 EIG_TOL = 1e-11  # residual target of ground_state, and of every stage at e_tol <= 1e-8
@@ -633,6 +634,8 @@ def _jacobi_lobpcg(matrix, diagonal: np.ndarray, v0: np.ndarray, tol: float):
         ritz = products[1::2] * np.outer(scale, scale)
         try:
             factor = np.linalg.cholesky(gram)
+            if np.diagonal(factor).min() < GRAM_FLOOR:
+                raise np.linalg.LinAlgError("numerically singular Gram matrix")
         except np.linalg.LinAlgError:
             rows = 2  # p has fallen into the span of x and w
             gram, ritz, scale = gram[:2, :2], ritz[:2, :2], scale[:2]

@@ -343,6 +343,46 @@ def test_solver_block_rejects_unknown_keys(tmp_path, capsys, solver, key):
     assert capsys.readouterr().err.startswith(f"config error: config.solver.{key}")
 
 
+POSITIONS = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "cfg, path",
+    [
+        (dict(GRAPH_CONFIG, sead="1110"), "config.sead"),
+        (dict(GRAPH_CONFIG, geometry={"preset": "tetrahedron", "D": 1.0}), "config.geometry.D"),
+        (dict(GRAPH_CONFIG, geometry={"positions": POSITIONS, "d": 1.0}), "config.geometry.d"),
+        (dict(GRAPH_CONFIG, potential={"type": "power-law", "term": [{"c": 1.0, "p": 6}]}),
+         "config.potential.term"),
+        (dict(GRAPH_CONFIG, potential={"type": "power-law", "terms": [{"c": 1.0, "P": 6}]}),
+         "config.potential.terms[0].P"),
+        (dict(SCAN_XI_CONFIG, potential=dict(SCAN_XI_CONFIG["potential"], Xi=0.1)),
+         "config.potential.Xi"),
+        (dict(GRAPH_CONFIG, params=dict(GRAPH_CONFIG["params"], Omgea=0.1)), "config.params.Omgea"),
+        (dict(SCAN_XI_CONFIG, scan=dict(SCAN_XI_CONFIG["scan"], unit="critical")), "config.scan.unit"),
+        (dict(WIGNER_CONFIG, wigner=dict(WIGNER_CONFIG["wigner"], modes="parallel")),
+         "config.wigner.modes"),
+    ],
+)
+def test_every_config_object_rejects_unknown_keys(tmp_path, cfg, path):
+    # each of these once loaded at the defaults, with the misspelt key dropped
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_config(tmp_path, cfg), cfg["task"])
+    assert exc.value.path == path
+
+
+def test_a_misspelt_v_d_is_a_config_error(tmp_path, capsys):
+    # "vd" once left v_d at 0, so delta "-V" read -0.0 and the triangle's
+    # graph had 8 nodes ("other") instead of the 6-node ring
+    potential = {key: value for key, value in TRIANGLE_BOPES_SCAN["potential"].items() if key != "v_d"}
+    cfg = {"task": "graph", "geometry": {"preset": "triangle", "d": 1.0},
+           "potential": dict(potential, vd=1.0), "params": {"omega": 1.0, "delta": "-V"}}
+    out = tmp_path / "out"
+    assert main(["graph", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: config.potential.vd")
+    assert not out.exists()
+
+
 def test_task_mismatch_is_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, GRAPH_CONFIG), "wigner")

@@ -872,6 +872,15 @@ def test_lobpcg_goes_on_without_p_once_it_falls_into_the_span(monkeypatch, a):
     assert energy == pytest.approx(np.linalg.eigvalsh(a)[0], abs=1e-15)
 
 
+def test_lobpcg_drops_p_from_a_numerically_singular_gram_matrix():
+    # the unit-row Gram factor's last pivot falls to 1.5e-8 here, and with p
+    # kept the step coefficients blew up to rho = -1.2e128
+    a = np.array([[1.0, 0.3], [0.3, 2.0]])
+    start = np.array([1.0, 2.0]) / math.sqrt(5.0)
+    energy, _ = fock._jacobi_lobpcg(sp.csr_matrix(a), np.diagonal(a), start, 1e-15)
+    assert abs(energy - np.linalg.eigvalsh(a)[0]) <= 1e-12
+
+
 def count_preparations(monkeypatch):
     """Calls of fock._frame_displacements from now on, with no model kept."""
     calls = []
