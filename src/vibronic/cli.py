@@ -148,6 +148,8 @@ def _parse_geometry(cfg: dict) -> Geometry:
         if not isinstance(full_3d, bool):
             raise ConfigError("config.geometry.full_3d", f"expected true or false, got {full_3d!r}")
         if name == "tetrahedron":
+            if geo.get("full_3d") is False:  # the preset always moves in 3D
+                raise ConfigError("config.geometry.full_3d", "the tetrahedron moves in 3D only")
             return GEOMETRY_PRESETS[name](d)
         return GEOMETRY_PRESETS[name](d, full_3d=full_3d)
     if "positions" in geo:

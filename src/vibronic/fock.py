@@ -25,18 +25,24 @@ depend on the cutoff is prepared once per model, and the last model's is
 kept, keyed by the model's values (adjacency, form arrays, params apart
 from the drive, frame): the frame shifts, each node's ladder coefficients,
 the stencil steps (the occupation steps of the terms some node uses) and
-the links of a nonzero drive.  The rest is assembled per cutoff.  Each node
-row's width is counted first: its stencil steps plus one column block per
-link, cutoff^k wide for a link whose k modes have different frame shifts.
-Those widths alone size the memory budget check and every array of the
-build.  The stencil (each step's offset, rows and bands) is laid out once
-per step set and cutoff, and each node's rows, with their links, are
-written in one pass into a single CSR matrix with sorted rows.  Every entry
-is summed in the order of the term list
+the links of a nonzero drive.  The rest is assembled per cutoff.
+
+The operator H is symmetric and stored once: its strict upper triangle U in
+one CSR matrix with sorted rows, its diagonal in an array of its own.  Each
+node row's width is counted first: its stencil steps right of the diagonal
+plus one column block per link to a higher node, cutoff^k wide for a link
+whose k modes have different frame shifts.  Those widths alone size the
+memory budget check and every array of the build.  The stencil (each step's
+offset, rows and bands) is laid out once per step set and cutoff, and each
+node's rows, with their links, are written in one pass.  Every entry is
+summed in the order of the term list
 ``omega n + const, l_m X_m, Q_mn X_m X_n (m <= n)``.  Link entries are
 written last, as ``(Omega * A_st) * overlap`` at positions the build records.
-The observables read the same bands: :func:`quadrature_moments` dots them with
-three per-node marginals of the state along one mode.
+:meth:`FockOperator.apply` forms H x in one buffer as U^T x, then diag * x,
+then U x, each accumulated in place: for every row the adds of the full
+matrix's sorted CSR row, in that order, so the product is bitwise the full
+matrix's.  The observables read the same bands: :func:`quadrature_moments`
+dots them with three per-node marginals of the state along one mode.
 
 :func:`converge_cutoff` doubles the cutoff until the ground energy settles,
 starting each stage from the lower stage's zero-padded vector, refined above
@@ -78,16 +84,22 @@ LOBPCG_MAXITER = 60  # good warm starts converge in under 30; past this ARPACK i
 JACOBI_FLOOR = 1e-2  # smallest preconditioner shift, relative to max(1, |rho|)
 GRAM_FLOOR = 1e-6  # smallest pivot of a LOBPCG Gram factor before p is dropped
 GATHER_CELLS = 2**18  # table cells compacted at once; bounds the gather's temporaries
-MAX_BYTES = 2**31  # budget of one build's footprint, see build_fock_matrix
+MAX_BYTES = 2**30  # budget of one build's footprint, see build_fock_matrix
 EIG_TOL = 1e-11  # residual target of ground_state, and of every stage at e_tol <= 1e-8
 
 
 @dataclass(frozen=True, eq=False)
 class FockOperator:
-    """Sparse symmetric molecular operator in a truncated product Fock basis."""
+    """Sparse symmetric molecular operator H in a truncated product Fock basis.
 
-    matrix: "scipy.sparse.csr_matrix"
-    diagonal: np.ndarray  # the matrix diagonal, which link rewrites leave alone
+    H is stored once: ``matrix`` holds its strict upper triangle U in CSR,
+    with sorted rows, and ``diagonal`` its diagonal, so H = U + U^T +
+    diag.  ``op @ x`` and :meth:`apply` give H x bitwise as the full CSR
+    matrix would, and :meth:`toarray` gives H dense.
+    """
+
+    matrix: "scipy.sparse.csr_matrix"  # the strict upper triangle of H
+    diagonal: np.ndarray  # the diagonal of H, which link rewrites leave alone
     n_nodes: int
     n_modes: int
     cutoff: int
@@ -100,6 +112,44 @@ class FockOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    def apply(self, x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """H x, written into ``out`` (a new array if None) and returned.
+
+        ``out`` is zeroed, then takes U^T x (the CSR arrays read as the CSC
+        arrays of U^T), diag * x (one diagonal in DIA form) and U x, each
+        accumulated in place by scipy's kernels, with no temporary.  Row i
+        thus sums its entries left of the diagonal, its diagonal and its
+        entries right of it, in column order from 0: the adds of the full
+        matrix's sorted CSR row, so the product is that matrix's bitwise.
+        ``out`` must not overlap ``x``.
+        """
+        from scipy.sparse._sparsetools import csc_matvec, csr_matvec, dia_matvec
+
+        upper, dim = self.matrix, self.dim
+        # the kernels read and write dim entries unchecked
+        if np.shape(x) != (dim,) or (out is not None and out.shape != (dim,)):
+            raise ValueError(f"expected vectors of length {dim}")
+        if out is None:
+            out = np.zeros(dim)
+        else:
+            out.fill(0.0)
+        arrays = (upper.indptr, upper.indices, upper.data, x, out)
+        csc_matvec(dim, dim, *arrays)
+        offsets = np.zeros(1, dtype=upper.indices.dtype)
+        dia_matvec(dim, dim, 1, dim, offsets, self.diagonal[None, :], x, out)
+        csr_matvec(dim, dim, *arrays)
+        return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.apply(x)
+
+    def toarray(self) -> np.ndarray:
+        """H as a dense array: every cell a copy of its one stored value."""
+        dense = self.matrix.toarray()
+        np.copyto(dense, dense.T, where=np.tri(self.dim, k=-1, dtype=bool))
+        np.fill_diagonal(dense, self.diagonal)
+        return dense
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,25 +246,23 @@ def _node_terms(node) -> np.ndarray:
 
 
 def _node_links(adjacency, beta):
-    """Off-diagonal blocks ``(t, a, shifts)`` of each node row, by column node.
+    """Off-diagonal blocks ``(t, a, shifts)`` of each node row s, by column node t > s.
 
-    The block is ``Omega * a`` with ``a = A[s, t]`` (the upper entry, for
-    both blocks of a pair) times the Kronecker product of the displacement
-    matrices of ``shifts``, the pairs ``(m, beta[max(s, t), m] -
-    beta[min(s, t), m])`` over the modes whose shifts differ, oriented rows
-    to columns, and the identity on every other mode.  These are the blocks
-    of a nonzero drive; a drive of 0 has none.
+    The block is ``Omega * a`` with ``a = A[s, t]`` times the Kronecker
+    product of the displacement matrices of ``shifts``, the pairs ``(m,
+    beta[t, m] - beta[s, m])`` over the modes whose shifts differ, and the
+    identity on every other mode.  The block of row t, column s is its
+    transpose, which the upper triangle leaves out.  These are the blocks of
+    a nonzero drive; a drive of 0 has none.
     """
-    links = [[] for _ in range(len(beta))]
-    for s in range(len(beta)):
-        for t in range(s + 1, len(beta)):
-            if adjacency[s, t] == 0:
-                continue
-            shifts = tuple((m, d) for m, d in enumerate(beta[t] - beta[s]) if d != 0.0)
-            links[s].append((t, adjacency[s, t], shifts))
-            # row t gets its links to lower nodes before its own, so stays sorted
-            links[t].append((s, adjacency[s, t], shifts))
-    return tuple(tuple(row) for row in links)
+    return tuple(
+        tuple(
+            (t, adjacency[s, t], tuple((m, d) for m, d in enumerate(beta[t] - beta[s]) if d != 0.0))
+            for t in range(s + 1, len(beta))
+            if adjacency[s, t] != 0
+        )
+        for s in range(len(beta))
+    )
 
 
 def _link_pattern(factors) -> np.ndarray:
@@ -276,22 +324,22 @@ def _along(axis: int, band: np.ndarray, ndim: int) -> np.ndarray:
 
 
 def _steps(terms, n_modes: int):
-    """The occupation steps some node's ``terms`` reach, as ``(term, step)`` pairs.
+    """The occupation steps right of the diagonal that some node's ``terms``
+    reach, as ``(term, step)`` pairs.
 
-    The steps are the occupation changes 0, +-e_m, +-2e_m and +-e_m+-e_n;
-    ``term`` indexes :func:`_node_terms`, ``step`` is a tuple of one int per
-    mode, and a term no node uses adds none.
+    The steps are the occupation changes e_m, 2e_m and e_m +- e_n (m < n),
+    whose first nonzero change is positive, so their column offset is too;
+    their negatives lie left of the diagonal, and the diagonal itself is
+    written by :func:`_diagonal`.  ``term`` indexes :func:`_node_terms`,
+    ``step`` is a tuple of one int per mode, and a term no node uses adds
+    none.
     """
     used = np.any([coef != 0.0 for coef in terms], axis=0)
     unit = np.eye(n_modes, dtype=int)
-    moves = [[0 * unit[0]]]
-    moves += [[unit[m], -unit[m]] for m in range(n_modes)]
-    moves += [[2 * unit[m], -2 * unit[m]] for m in range(n_modes)]
-    moves += [
-        [a * unit[m] + b * unit[n] for a in (1, -1) for b in (1, -1)]
-        for m, n in zip(*_mode_pairs(n_modes))
-    ]
-    used[0] = True  # the diagonal step is always kept
+    moves = [[]]  # the diagonal term: _diagonal writes it
+    moves += [[unit[m]] for m in range(n_modes)]
+    moves += [[2 * unit[m]] for m in range(n_modes)]
+    moves += [[unit[m] + unit[n], unit[m] - unit[n]] for m, n in zip(*_mode_pairs(n_modes))]
     return tuple(
         (term, tuple(step.tolist()))
         for term, steps in enumerate(moves)
@@ -303,35 +351,35 @@ def _steps(terms, n_modes: int):
 def _footprint(widths, n_blocks: int, per_node: int):
     """``(bytes, index dtype)`` that :func:`_assemble` allocates for these row widths.
 
-    The bytes are the CSR ``data``/``indices``/``indptr`` arrays at their
-    untrimmed size, the diagonal, the widest node's ``(per_node, width)``
-    value, column and mask tables, and the link records: a position per row
-    of each of the ``n_blocks`` link blocks.
+    The bytes are the strict upper triangle's CSR ``data``/``indices``/
+    ``indptr`` arrays at their untrimmed size, the diagonal, the widest
+    node's ``(per_node, width)`` value, column and mask tables, and the link
+    records: a position per row of each of the ``n_blocks`` link blocks.
     """
     dim = len(widths) * per_node
-    upper = per_node * sum(widths)
-    idx = np.int32 if max(upper, dim) <= np.iinfo(np.int32).max else np.int64
+    cells = per_node * sum(widths)
+    idx = np.int32 if max(cells, dim) <= np.iinfo(np.int32).max else np.int64
     size = np.dtype(idx).itemsize
     tables = per_node * max(widths) * (9 + size)
-    return upper * (8 + size) + (dim + 1 + per_node * n_blocks) * size + 8 * dim + tables, idx
+    return cells * (8 + size) + (dim + 1 + per_node * n_blocks) * size + 8 * dim + tables, idx
 
 
 @functools.lru_cache(maxsize=16)
 def _stencil(steps, cutoff: int):
-    """The node-block stencil: the ``steps`` sorted by column offset.
+    """The node-block stencil right of the diagonal: the ``steps`` sorted by column offset.
 
     Each entry is ``(offset, term, rows, factors)``: the step's column
     offset, its term index into :func:`_node_terms`, the block of rows whose
     target occupation stays below the cutoff, and the bands whose product is
     the element there without its coefficient, each broadcastable over that
-    block (an X band, an X^2 band or two X bands; none for the diagonal
-    step).  The factors are read-only views of :func:`_bands`, so the cache
-    holds no arrays of its own; :func:`_assemble` forms the products.
+    block (an X band, an X^2 band or two X bands).  The factors are
+    read-only views of :func:`_bands`, so the cache holds no arrays of its
+    own; :func:`_assemble` forms the products.
     """
-    n_modes = len(steps[0][1])
     bands = _bands(cutoff)
     stencil = []
     for term, step in steps:
+        n_modes = len(step)
         rows = tuple(slice(max(0, -d), cutoff - max(0, d)) for d in step)
         factors = tuple(_along(m, bands[d], n_modes) for m, d in enumerate(step) if d != 0)
         offset = sum(d * cutoff ** (n_modes - 1 - m) for m, d in enumerate(step))
@@ -351,31 +399,29 @@ def _diagonal(node, omega: float, bands, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fill_link(cols, keep, s: int, link, n_modes: int, cutoff: int):
-    """Write node s's block row of one link into ``(per_node, width)`` slices.
+def _fill_link(cols, keep, link, n_modes: int, cutoff: int):
+    """Write one link's block row into ``(per_node, width)`` slices.
 
     The table's axes are the row occupations of every mode followed by the
     column occupations of the modes the link displaces.  Returns the block's
-    factors, the displacement matrices of those modes (transposed in the row
-    of the higher node) shaped to broadcast over the table, in mode order,
-    and the table's shape.  A cell is kept where every factor is nonzero;
-    :func:`_write_links` writes the values.
+    factors, the displacement matrices of those modes shaped to broadcast
+    over the table, in mode order, and the table's shape.  A cell is kept
+    where every factor is nonzero; :func:`_write_links` writes the values.
     """
     t, _, shifts = link
-    factors = {m: displacement_matrix(d, cutoff) for m, d in shifts}
-    if t < s:
-        factors = {m: f.T for m, f in factors.items()}
-    moved = sorted(factors)
+    moved = [m for m, _ in shifts]
     ndim = n_modes + len(moved)
     shape = (cutoff,) * ndim
     occupations = np.arange(cutoff, dtype=cols.dtype)
     column = t * cutoff**n_modes
     for m in range(n_modes):
-        axis = n_modes + moved.index(m) if m in factors else m
+        axis = n_modes + moved.index(m) if m in moved else m
         column = column + _along(axis, occupations * cutoff ** (n_modes - 1 - m), ndim)
     factors = tuple(
-        factors[m].reshape([cutoff if k in (m, n_modes + i) else 1 for k in range(ndim)])
-        for i, m in enumerate(moved)
+        displacement_matrix(d, cutoff).reshape(
+            [cutoff if k in (m, n_modes + i) else 1 for k in range(ndim)]
+        )
+        for i, (m, d) in enumerate(shifts)
     )
     cols.reshape(shape, copy=False)[...] = column
     keep.reshape(shape, copy=False)[...] = _link_pattern(factors) if factors else True
@@ -385,70 +431,66 @@ def _fill_link(cols, keep, s: int, link, n_modes: int, cutoff: int):
 def _assemble(
     coefficients, terms, steps, links, widths, idx, omega: float, Omega: float, cutoff: int
 ):
-    """Write the node blocks and their links row by row into one CSR matrix.
+    """Write the strict upper triangle row by row into one CSR matrix, and the diagonal.
 
     ``coefficients`` and ``terms`` are each node's ladder and term
-    coefficients, as :func:`_prepared` gives them.  Each node's rows are filled
-    as a dense ``(per_node, widths[s])`` table whose columns are, in column
-    order, the links to lower nodes, the stencil steps, and the links to
-    higher nodes; the stored entries are the kept cells in row-major order,
-    with ``idx`` indices.  Node-block cells outside a step's rows stay zero,
-    and node-block entries that are exactly zero are dropped; link entries
-    are kept wherever their factors are nonzero.
+    coefficients, as :func:`_prepared` gives them.  Each node's diagonal is
+    written by :func:`_diagonal`.  Its rows are filled as a dense
+    ``(per_node, widths[s])`` table whose columns are, in column order, the
+    stencil steps right of the diagonal and the links to higher nodes; the
+    stored entries are the kept cells in row-major order, with ``idx``
+    indices.  Node-block cells outside a step's rows stay zero, and
+    node-block entries that are exactly zero are dropped; link entries are
+    kept wherever their factors are nonzero.
 
-    Returns the matrix, its diagonal (the node diagonals) and its link
-    records ``(A[s, t], heads, factors, shape)`` per link block (see
-    :func:`_write_links`); the link entries are written through them, at
-    drive ``Omega``, once the tables are gone.
+    Returns the matrix, the diagonal and the link records ``(A[s, t], heads,
+    factors, shape)`` per link block (see :func:`_write_links`); the link
+    entries are written through them, at drive ``Omega``, once the tables
+    are gone.
     """
     import scipy.sparse as sp  # loaded by the first build, not by ``import vibronic``
 
-    n_modes = len(steps[0][1])
+    n_modes = coefficients[0][1].size
     per_node = cutoff**n_modes
     dim = len(coefficients) * per_node
-    upper = per_node * sum(widths)  # the unwritten tail is never touched
+    cells = per_node * sum(widths)  # the unwritten tail is never touched
     bands = _bands(cutoff)
     stencil = _stencil(steps, cutoff)
+    width = len(stencil)
     offsets = np.array([offset for offset, _, _, _ in stencil], dtype=idx)
-    data = np.empty(upper)
-    indices = np.empty(upper, dtype=idx)
+    data = np.empty(cells)
+    indices = np.empty(cells, dtype=idx)
     indptr = np.zeros(dim + 1, dtype=idx)
     diagonal = np.empty(dim)
     records = []
     pos = 0
     for s, node in enumerate(coefficients):
+        first = s * per_node
+        _diagonal(node, omega, bands, diagonal[first : first + per_node].reshape((cutoff,) * n_modes))
         vals = cols = keep = table = slab = None  # drop the last node's tables before the next
         vals = np.zeros((per_node, widths[s]))
         cols = np.empty((per_node, widths[s]), dtype=idx)
         keep = np.empty((per_node, widths[s]), dtype=bool)
-        lower = sum(t < s for t, _, _ in links[s])
-        blocks = []  # (columns, A[s, t], factors, shape) of this row's link blocks
-        k = 0
-        for link in links[s][:lower] + (None,) + links[s][lower:]:
-            width = len(stencil) if link is None else cutoff ** len(link[2])
-            part = slice(k, k + width)
-            if link is None:
-                coef = terms[s]
-                table = vals[:, part].reshape((cutoff,) * n_modes + (width,), copy=False)
-                first = s * per_node
-                for j, (_, term, rows, factors) in enumerate(stencil):
-                    if term == 0:
-                        own = diagonal[first : first + per_node].reshape(table.shape[:-1])
-                        table[..., j] = _diagonal(node, omega, bands, own)
-                    elif coef[term] != 0.0:
-                        element = factors[0] * factors[1] if len(factors) == 2 else factors[0]
-                        table[rows + (j,)] = coef[term] * element
-                np.not_equal(vals[:, part], 0.0, out=keep[:, part])
-                row_ids = np.arange(first, first + per_node, dtype=idx)
-                np.add.outer(row_ids, offsets, out=cols[:, part])
-            else:
-                factors, shape = _fill_link(cols[:, part], keep[:, part], s, link, n_modes, cutoff)
-                blocks.append((part, link[1], factors, shape))
-            k += width
+        coef = terms[s]
+        table = vals[:, :width].reshape((cutoff,) * n_modes + (width,), copy=False)
+        for j, (_, term, rows, factors) in enumerate(stencil):
+            if coef[term] != 0.0:
+                element = factors[0] * factors[1] if len(factors) == 2 else factors[0]
+                table[rows + (j,)] = coef[term] * element
+        np.not_equal(vals[:, :width], 0.0, out=keep[:, :width])
+        row_ids = np.arange(first, first + per_node, dtype=idx)
+        np.add.outer(row_ids, offsets, out=cols[:, :width])
+        blocks = []  # (first table column, A[s, t], factors, shape) of this row's link blocks
+        k = width
+        for link in links[s]:
+            part = slice(k, k + cutoff ** len(link[2]))
+            factors, shape = _fill_link(cols[:, part], keep[:, part], link, n_modes, cutoff)
+            blocks.append((k, link[1], factors, shape))
+            k = part.stop
         counts = keep.sum(axis=1, dtype=idx)
         counts[0] += pos
-        np.cumsum(counts, out=indptr[s * per_node + 1 : (s + 1) * per_node + 1])
-        height = max(1, GATHER_CELLS // widths[s])
+        np.cumsum(counts, out=indptr[first + 1 : first + per_node + 1])
+        height = max(1, GATHER_CELLS // max(1, widths[s]))  # a row may store nothing
         for lo in range(0, per_node, height):
             slab = keep[lo : lo + height]
             end = pos + np.count_nonzero(slab)
@@ -456,9 +498,9 @@ def _assemble(
             indices[pos:end] = cols[lo : lo + height][slab]
             pos = end
         # a block's first entry in a row follows the row's kept cells left of it
-        starts = indptr[s * per_node : (s + 1) * per_node]
-        for part, a, factors, shape in blocks:
-            heads = starts + keep[:, : part.start].sum(axis=1, dtype=idx)
+        starts = indptr[first : first + per_node]
+        for k, a, factors, shape in blocks:
+            heads = starts + keep[:, :k].sum(axis=1, dtype=idx)
             records.append((a, heads, factors, shape))
     data.resize(pos, refcheck=False)
     indices.resize(pos, refcheck=False)
@@ -521,15 +563,23 @@ def build_fock_matrix(
     ``graph`` may be a :class:`ResonantGraph` or a plain adjacency matrix
     (see :func:`node_data`).  ``forms`` are the per-node quadratic forms over
     the shared reduced coordinates.  The off-diagonal block between nodes s
-    and t is ``params.Omega * A[s, t]`` times the phonon overlap.  Raises
-    :class:`ResourceBudgetError` when the build would allocate more than
-    ``MAX_BYTES``: the CSR arrays at their untrimmed size (every stencil step
-    and link cell of every row), the widest node's dense tables and the link
-    records.  That footprint is counted from the row widths before anything
-    of size ``cutoff**n_modes`` is allocated.  It leaves out what a doubling
-    or a scan holds next to the build: the eigensolver's vectors, the
-    zero-padded warm start, up to three ground vectors per sparse stage
-    shape and the operators a scan carries (see :func:`converge_scan`).
+    and t is ``params.Omega * A[s, t]`` times the phonon overlap; only the
+    strict upper triangle and the diagonal are stored (see
+    :class:`FockOperator`).  Raises :class:`ResourceBudgetError` when the
+    build would allocate more than ``MAX_BYTES`` (1 GiB): the upper
+    triangle's CSR arrays at their untrimmed size (every stencil step right
+    of the diagonal and every link cell to a higher node, in every row), the
+    diagonal, the widest node's dense tables and the link records.  That
+    footprint is counted from the row widths before anything of size
+    ``cutoff**n_modes`` is allocated.  It is one build's, not the process's:
+    it leaves out the eigensolver's vectors, the zero-padded warm start, up
+    to three ground vectors per sparse stage shape, the operators a scan
+    carries (see :func:`converge_scan`) and the interpreter and libraries.
+    On the benchmark's ``fock-large`` doubling (the triangle, 6 nodes and 4
+    modes, bare frame, cutoffs 4, 8 and 16) the cutoff-16 build's footprint
+    is 124 MB, of which the trimmed CSR arrays keep 76 MB, in a process
+    whose peak resident set reads 189 MB (``perfbench`` ``peak_rss_mb``;
+    Linux x86-64, Python 3.11, NumPy 2.4, SciPy 1.17).
 
     The frame shifts, node coefficients, stencil steps and link list depend
     on the model and ``frame`` only.  The last model's are kept, keyed by
@@ -569,11 +619,11 @@ def build_fock_matrix(
             estimated_bytes=footprint,
         )
 
-    matrix, diagonal, records = _assemble(
+    upper, diagonal, records = _assemble(
         coefficients, terms, steps, links, widths, idx, params.omega, params.Omega, cutoff
     )
     return FockOperator(
-        matrix=matrix,
+        matrix=upper,
         diagonal=diagonal,
         n_nodes=n_nodes,
         n_modes=n_modes,
@@ -589,8 +639,8 @@ def _residual_limit(tol: float, energy: float) -> float:
     return tol * max(1.0, abs(energy))
 
 
-def _checked_pair(matrix, energy: float, vec: np.ndarray, tol: float, solver: str):
-    residual = float(np.linalg.norm(matrix @ vec - energy * vec))
+def _checked_pair(op, energy: float, vec: np.ndarray, tol: float, solver: str):
+    residual = float(np.linalg.norm(op @ vec - energy * vec))
     limit = _residual_limit(tol, energy)
     if not residual <= limit:  # a NaN residual fails too
         raise EigensolverError(
@@ -599,16 +649,18 @@ def _checked_pair(matrix, energy: float, vec: np.ndarray, tol: float, solver: st
     return energy, vec
 
 
-def _jacobi_lobpcg(matrix, diagonal: np.ndarray, v0: np.ndarray, tol: float):
+def _jacobi_lobpcg(apply, diagonal: np.ndarray, v0: np.ndarray, tol: float):
     """Refine a unit warm start by block-1 LOBPCG preconditioned with 1/|diag(H) - rho|.
 
-    ``diagonal`` is diag(H) and rho the Rayleigh quotient of ``v0``; shifts
+    ``apply(v, out)`` writes H v into ``out``, as :meth:`FockOperator.apply`
+    does, ``diagonal`` is diag(H) and rho the Rayleigh quotient of ``v0``; shifts
     below a small floor are raised to it.  Each iteration applies
     Rayleigh-Ritz to the span of the iterate x, its preconditioned residual w
     and the previous direction p (Knyazev, SIAM J. Sci. Comput. 23, 517
     (2001)), orthonormalized through the Cholesky factor of their Gram
     matrix; p is dropped for a step whenever that factor fails.  The vectors
-    are updated in place, so a step allocates little beyond its matvec.
+    are updated in place, and each product is written into its row, so a
+    step allocates little beyond its matvec.
     Stops when ||H x - rho x|| meets the limit for ``tol`` at the starting
     rho, or after ``LOBPCG_MAXITER`` iterations; the caller checks the
     residual and hands a miss to ARPACK.
@@ -616,7 +668,7 @@ def _jacobi_lobpcg(matrix, diagonal: np.ndarray, v0: np.ndarray, tol: float):
     space = np.zeros((3, 2, v0.size))  # rows x, w, p, each with H times it
     (x, hx), (w, hw), _ = space
     x[:] = v0
-    hx[:] = matrix @ v0
+    apply(x, hx)
     rho = float(x @ hx)
     precond = 1.0 / np.maximum(np.abs(diagonal - rho), JACOBI_FLOOR * max(1.0, abs(rho)))
     limit = _residual_limit(tol, rho)
@@ -627,7 +679,7 @@ def _jacobi_lobpcg(matrix, diagonal: np.ndarray, v0: np.ndarray, tol: float):
         if np.linalg.norm(w) <= limit:
             break
         w *= precond
-        hw[:] = matrix @ w
+        apply(w, hw)
         products = space[:rows].reshape(2 * rows, -1) @ space[:rows, 0].T
         scale = 1.0 / np.sqrt(np.diagonal(products[::2]))  # unit rows, vectors untouched
         gram = products[::2] * np.outer(scale, scale)
@@ -672,31 +724,32 @@ def ground_state(op: FockOperator, tol: float = EIG_TOL, v0: np.ndarray = None):
     Raises :class:`EigensolverError` carrying the best estimate when no
     solver meets that bound.
     """
-    matrix = op.matrix
-    dim = matrix.shape[0]
+    dim = op.dim
     if dim <= DENSE_CUTOVER:
-        vals, vecs = np.linalg.eigh(matrix.toarray())
-        return _checked_pair(matrix, float(vals[0]), vecs[:, 0], tol, "dense eigensolver")
+        vals, vecs = np.linalg.eigh(op.toarray())
+        return _checked_pair(op, float(vals[0]), vecs[:, 0], tol, "dense eigensolver")
     if v0 is None:
         v0 = np.ones(dim) / math.sqrt(dim)
     else:
         v0 = v0 / np.linalg.norm(v0)
         try:
-            pair = _jacobi_lobpcg(matrix, op.diagonal, v0, tol)
-            return _checked_pair(matrix, *pair, tol, "LOBPCG")
+            pair = _jacobi_lobpcg(op.apply, op.diagonal, v0, tol)
+            return _checked_pair(op, *pair, tol, "LOBPCG")
         except (EigensolverError, np.linalg.LinAlgError):
             pass  # ARPACK takes over from the same warm start
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh  # only ARPACK stages need it
+    # only ARPACK stages need it
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     maxiter = int(10 * math.sqrt(dim)) + 500
+    matvec = LinearOperator((dim, dim), matvec=op.apply, dtype=np.float64)
     try:
-        vals, vecs = eigsh(matrix, k=1, which="SA", v0=v0, maxiter=maxiter, tol=tol)
+        vals, vecs = eigsh(matvec, k=1, which="SA", v0=v0, maxiter=maxiter, tol=tol)
     except ArpackNoConvergence as exc:
         best = float(exc.eigenvalues[0]) if len(exc.eigenvalues) else None
         raise EigensolverError(
             f"eigensolver did not converge within {maxiter} iterations", best_estimate=best
         ) from exc
-    return _checked_pair(matrix, float(vals[0]), vecs[:, 0], tol, "ARPACK")
+    return _checked_pair(op, float(vals[0]), vecs[:, 0], tol, "ARPACK")
 
 
 def stage_tol(e_tol: float) -> float:

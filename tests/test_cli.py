@@ -383,6 +383,19 @@ def test_a_misspelt_v_d_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_tetrahedron_rejects_restricted_motion(tmp_path):
+    # the tetrahedron always moves in 3D: "full_3d": false once loaded with
+    # three axes; absent (as in the oracle-scan configs) or true still loads
+    tetrahedron = {"preset": "tetrahedron", "d": 1.0}
+    restricted = dict(GRAPH_CONFIG, geometry=dict(tetrahedron, full_3d=False))
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_config(tmp_path, restricted), "graph")
+    assert exc.value.path == "config.geometry.full_3d"
+    for geometry in (tetrahedron, dict(tetrahedron, full_3d=True)):
+        cfg = load_config(write_config(tmp_path, dict(GRAPH_CONFIG, geometry=geometry)), "graph")
+        assert cfg["geometry"].n_axes == 3
+
+
 def test_task_mismatch_is_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, GRAPH_CONFIG), "wigner")

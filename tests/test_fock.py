@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from vibronic import (
     DomainError,
@@ -69,6 +69,21 @@ def cold_energy(graph, forms, params, cutoff, frame="bare"):
     return ground_state(build_fock_matrix(graph, forms, params, cutoff, frame=frame))[0]
 
 
+def linear_operator(op):
+    """``op`` as a scipy ``LinearOperator``, for ARPACK calls of the tests' own."""
+    return LinearOperator((op.dim, op.dim), matvec=op.apply, dtype=np.float64)
+
+
+def applying(matrix):
+    """``matrix``'s product written into a caller's buffer, as ``FockOperator.apply`` writes it."""
+
+    def apply(x, out):
+        out[:] = matrix @ x
+        return out
+
+    return apply
+
+
 def test_displaced_oscillator_closed_form():
     params = PhysicalParams(omega=1.0, Omega=0.0)
     op = build_fock_matrix(*two_state(params, 0.5, 0.0), params, cutoff=64)
@@ -107,21 +122,21 @@ def test_dimension_counting():
     assert op.dim == 6 * 3**4
 
 
-def test_hermiticity_residual():
+@pytest.mark.parametrize("frame", ["bare", "displaced"])
+def test_build_stores_the_reference_upper_triangle_and_diagonal(frame):
+    # the operator is stored once, so it is symmetric by construction: what
+    # is left to check is that the half it stores is the reference's
     pot = ExplicitCouplings(kappa=-0.4, xi=0.06, nu=0.5, v_d=1.0)
     params = PhysicalParams(omega=1.0, Omega=0.25, x0=0.5)
     graph = build_resonant_manifold(triangle(), -1.0, pot, (0, 0, 1))
     basis, forms = build_molecular_model(graph, derive_couplings(pot, params), params)
-    for frame in ("bare", "displaced"):
-        op = build_fock_matrix(graph, forms, params, cutoff=4, frame=frame)
-        residual = np.abs((op.matrix - op.matrix.T)).max()
-        assert residual < 1e-12
+    assert assert_same_operator(graph, forms, params, 4, frame).links
 
 
 def test_zero_drive_is_block_diagonal():
     params = PhysicalParams(omega=1.0, Omega=0.0)
     op = build_fock_matrix(*two_state(params, 0.5, 0.1), params, cutoff=8)
-    dense = op.matrix.toarray()
+    dense = op.toarray()
     assert np.abs(dense[:8, 8:]).max() == 0.0
     assert np.abs(dense[8:, :8]).max() == 0.0
 
@@ -499,9 +514,9 @@ def test_lobpcg_miss_falls_back_to_arpack(monkeypatch):
     graph, forms, params = triangle_model()
     stalled = []
 
-    def no_progress(matrix, diagonal, v0, tol):
-        stalled.append(matrix.shape[0])
-        return float(v0 @ (matrix @ v0)), v0
+    def no_progress(apply, diagonal, v0, tol):
+        stalled.append(v0.size)
+        return float(v0 @ apply(v0, np.empty_like(v0))), v0
 
     monkeypatch.setattr(fock, "_jacobi_lobpcg", no_progress)
     report = converge_cutoff(graph, forms, params, e_tol=0.0, max_cutoff=8)
@@ -664,7 +679,7 @@ def test_continuation_above_the_lower_stage_is_solved_again(monkeypatch):
     # from the padded cutoff-4 vector
     graph, forms, params = triangle_model()
     op = build_fock_matrix(graph, forms, params, cutoff=8)
-    values, vectors = eigsh(op.matrix, k=2, which="SA", tol=1e-13)
+    values, vectors = eigsh(linear_operator(op), k=2, which="SA", tol=1e-13)
     assert values[1] - values[0] > 1e-3
     starts = iter([None, vectors[:, 1]])  # cutoff 4 starts cold, cutoff 8 on the excited state
     monkeypatch.setattr(fock, "_extrapolate", lambda trail: next(starts))
@@ -762,7 +777,7 @@ def test_excited_starts_at_carried_stages_do_not_end_the_row(monkeypatch):
     excited = {}
     for cutoff in (8, 16, 32):
         op = build_fock_matrix(*rows[1], cutoff, frame="displaced")
-        values, vectors = eigsh(op.matrix, k=2, which="SA", tol=1e-13)
+        values, vectors = eigsh(linear_operator(op), k=2, which="SA", tol=1e-13)
         assert values[1] - values[0] > 0.8
         excited[op.dim] = values[1], vectors[:, 1]
     assert abs(excited[4096][0] - excited[32768][0]) < 1e-9
@@ -840,7 +855,7 @@ def test_lobpcg_kernel_matches_dense_eigh(n, seed, size):
     start /= np.linalg.norm(start)
     rho = float(start @ a @ start)
     assume(rho < values[1])  # below the first excited level, so the ground state is reached
-    energy, vec = fock._jacobi_lobpcg(sp.csr_matrix(a), np.diagonal(a), start, 1e-11)
+    energy, vec = fock._jacobi_lobpcg(applying(sp.csr_matrix(a)), np.diagonal(a), start, 1e-11)
     limit = fock._residual_limit(1e-11, rho)
     assert np.linalg.norm(a @ vec - energy * vec) <= limit
     assert abs(energy - values[0]) <= limit
@@ -865,7 +880,7 @@ def test_lobpcg_goes_on_without_p_once_it_falls_into_the_span(monkeypatch, a):
     monkeypatch.setattr(np.linalg, "cholesky", spy)
     a = np.array(a)
     matrix = sp.csr_matrix(a)
-    energy, vec = fock._jacobi_lobpcg(matrix, np.diagonal(a), np.array([0.0, 1.0]), 1e-16)
+    energy, vec = fock._jacobi_lobpcg(applying(matrix), np.diagonal(a), np.array([0.0, 1.0]), 1e-16)
     monkeypatch.undo()
     assert failed and set(failed) == {(3, 3)}
     assert fock._checked_pair(matrix, energy, vec, 1e-16, "LOBPCG")[0] == energy
@@ -877,7 +892,7 @@ def test_lobpcg_drops_p_from_a_numerically_singular_gram_matrix():
     # kept the step coefficients blew up to rho = -1.2e128
     a = np.array([[1.0, 0.3], [0.3, 2.0]])
     start = np.array([1.0, 2.0]) / math.sqrt(5.0)
-    energy, _ = fock._jacobi_lobpcg(sp.csr_matrix(a), np.diagonal(a), start, 1e-15)
+    energy, _ = fock._jacobi_lobpcg(applying(sp.csr_matrix(a)), np.diagonal(a), start, 1e-15)
     assert abs(energy - np.linalg.eigvalsh(a)[0]) <= 1e-12
 
 
@@ -931,14 +946,19 @@ def test_extrapolation_is_exact_on_quadratic_trails():
 
 @pytest.mark.parametrize("frame", ["bare", "displaced"])
 def test_recorded_diagonal_survives_link_rewrites(frame):
+    # the diagonal is stored apart from the upper triangle, whose link
+    # entries a rewrite moves; it stays the reference's at every drive
     graph, forms, params = triangle_model(0.1)
     op = build_fock_matrix(graph, forms, params, cutoff=4, frame=frame)
     assert op.links
-    for drive in (0.1, 0.25, 0.4):
+    for drive in (0.1, 0.25, 0.4, 0.0):
         fock._write_links(op.matrix.data, op.links, drive)
-        assert same_bits([op.diagonal], [op.matrix.diagonal()])
+        driven = dataclasses.replace(params, Omega=drive)
+        ref = reference_fock_matrix(graph, forms, driven, 4, frame)
+        assert same_bits([op.diagonal], [ref.diagonal()])
+        assert not op.matrix.diagonal().any()
     zero = build_fock_matrix(graph, forms, dataclasses.replace(params, Omega=0.0), cutoff=4, frame=frame)
-    assert same_bits([zero.diagonal], [zero.matrix.diagonal()])
+    assert same_bits([zero.diagonal], [op.diagonal])
 
 
 def test_import_leaves_scipy_sparse_unloaded():
@@ -985,7 +1005,7 @@ def test_ground_state_rejects_unchecked_pair(monkeypatch):
 
 def test_budget_overrun_keeps_finished_stages(monkeypatch):
     graph, forms, params = triangle_model()
-    monkeypatch.setattr(fock, "MAX_BYTES", 10**7)
+    monkeypatch.setattr(fock, "MAX_BYTES", 5 * 10**6)  # the cutoff-8 build needs 7.8 MB
     report = converge_cutoff(graph, forms, params, max_cutoff=16)
     assert not report.converged
     assert report.energy_history == ((4, cold_energy(graph, forms, params, 4)),)
@@ -1064,13 +1084,17 @@ def reference_fock_matrix(graph, forms, params, cutoff=8, frame="bare"):
 
 
 def assert_same_operator(graph, forms, params, cutoff, frame="bare"):
+    """The build stores the reference's strict upper triangle and diagonal bitwise."""
     op = build_fock_matrix(graph, forms, params, cutoff, frame=frame)
     ref = reference_fock_matrix(graph, forms, params, cutoff, frame)
+    upper = sp.triu(ref, 1, format="csr")
+    upper.sort_indices()
     for name in ("indptr", "indices"):
-        ours, theirs = getattr(op.matrix, name), getattr(ref, name)
+        ours, theirs = getattr(op.matrix, name), getattr(upper, name)
         assert ours.dtype == theirs.dtype == np.int32
         assert np.array_equal(ours, theirs), name
-    assert op.matrix.data.tobytes() == ref.data.tobytes()
+    assert op.matrix.data.tobytes() == upper.data.tobytes()
+    assert op.diagonal.tobytes() == ref.diagonal().tobytes()
     return op
 
 
@@ -1260,6 +1284,26 @@ def test_stencil_matches_reference_random_models(model):
     assert_same_operator(adjacency, forms, params, cutoff, frame)
 
 
+@settings(max_examples=100, deadline=None)
+@given(model=small_models(), seed=st.integers(0, 2**32 - 1))
+def test_apply_and_dense_form_match_the_full_matrix_bitwise(model, seed):
+    # the split product sums each row in the full CSR row's order; a scipy
+    # whose kernels summed in another order would fail here
+    adjacency, forms, params, cutoff, frame = model
+    op = build_fock_matrix(adjacency, forms, params, cutoff, frame=frame)
+    ref = reference_fock_matrix(adjacency, forms, params, cutoff, frame)
+    x = np.random.default_rng(seed).normal(size=op.dim)
+    assert (op @ x).tobytes() == (ref @ x).tobytes()
+    out = np.full(op.dim, np.nan)
+    assert op.apply(x, out) is out and out.tobytes() == (ref @ x).tobytes()
+    assert op.toarray().tobytes() == ref.toarray().tobytes()
+    # the kernels would read or write past the end of a short vector
+    with pytest.raises(ValueError):
+        op @ x[1:]
+    with pytest.raises(ValueError):
+        op.apply(x, out[1:])
+
+
 def test_budget_guard_fires_before_allocation(monkeypatch):
     graph, forms, params = triangle_model()
     monkeypatch.setattr(fock, "MAX_BYTES", 10**6)
@@ -1273,20 +1317,30 @@ def test_budget_guard_fires_before_allocation(monkeypatch):
     assert peak < 10**6
 
 
-@pytest.mark.parametrize("cutoff", [4, 8, 16])
-def test_budget_counts_what_the_build_allocates(monkeypatch, cutoff):
+@pytest.mark.parametrize(
+    "frame, cutoff",
+    [
+        pytest.param("bare", 4, id="4"),
+        pytest.param("bare", 8, id="8"),
+        pytest.param("bare", 16, id="16"),
+        # every link of the driven triangle displaces modes, so wide link tables dominate
+        pytest.param("displaced", 4, id="displaced-4"),
+        pytest.param("displaced", 5, id="displaced-5"),
+    ],
+)
+def test_budget_counts_what_the_build_allocates(monkeypatch, frame, cutoff):
     graph, forms, params = triangle_model()
     monkeypatch.setattr(fock, "MAX_BYTES", 0)
     with pytest.raises(ResourceBudgetError) as err:
-        build_fock_matrix(graph, forms, params, cutoff)
+        build_fock_matrix(graph, forms, params, cutoff, frame=frame)
     footprint = err.value.estimated_bytes
     monkeypatch.setattr(fock, "MAX_BYTES", footprint - 1)
     with pytest.raises(ResourceBudgetError):
-        build_fock_matrix(graph, forms, params, cutoff)
+        build_fock_matrix(graph, forms, params, cutoff, frame=frame)
     monkeypatch.setattr(fock, "MAX_BYTES", footprint)
     tracemalloc.start()
     try:
-        build_fock_matrix(graph, forms, params, cutoff)
+        build_fock_matrix(graph, forms, params, cutoff, frame=frame)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
