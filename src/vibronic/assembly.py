@@ -257,13 +257,15 @@ def identity_basis(geometry: Geometry) -> ModeBasis:
     return ModeBasis(vectors=np.eye(n_coords), n_atoms=geometry.n_atoms, n_axes=geometry.n_axes)
 
 
-def build_molecular_model(graph: ResonantGraph, couplings, params: PhysicalParams, reduce: bool = True):
-    """Assemble per-node forms and (optionally) reduce to the coupled modes."""
-    forms = assemble_graph_hamiltonians(graph, couplings, params)
-    if reduce:
-        return reduce_modes(forms, params)
-    basis = identity_basis(graph.geometry)
-    return basis, forms
+def build_molecular_model(graph: ResonantGraph, couplings, params: PhysicalParams):
+    """Assemble per-node forms and reduce them to the coupled modes.
+
+    Returns ``(ModeBasis, reduced_forms)`` as :func:`reduce_modes` does.  The
+    discarded directions are free spectator modes, so the ground energies are
+    those of the unreduced model, which is ``identity_basis(graph.geometry)``
+    with ``assemble_graph_hamiltonians(graph, couplings, params)``.
+    """
+    return reduce_modes(assemble_graph_hamiltonians(graph, couplings, params), params)
 
 
 def edge_mode_directions(geometry: Geometry, pair, basis: ModeBasis):

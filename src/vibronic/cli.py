@@ -2,7 +2,7 @@
 
 Usage::
 
-    vibronic <task> --config <file> [--out DIR] [--modes reduced|full]
+    vibronic <task> --config <file> [--out DIR]
 
 Tasks: ``graph``, ``gs-scan-xi``, ``gs-scan-kappa``, ``gs-scan-omega``,
 ``wigner``, ``bopes-scan``, ``compare``, each with its runner and, for a scan,
@@ -18,7 +18,9 @@ rows go to one :func:`fock.converge_scan` call with the configured solver
 options.  A drive has no critical value, so ``gs-scan-omega`` and
 ``bopes-scan`` reject ``"critical"`` scan units.
 ``gs-scan-omega``, ``bopes-scan`` and ``compare`` build the same molecular
-model, in the reduced or full mode space that ``modes`` selects.
+model, reduced to the collective modes its excited pairs move
+(:func:`assembly.build_molecular_model`).  Only ``graph`` and ``gs-scan-xi``
+read the base drive ``params.Omega``; every other task rejects a nonzero one.
 
 Every closed-form cell follows one rule, ``_closed_form``: read off the node
 ``state`` of the forms the task solves, a node with no excited pair sits at 0,
@@ -202,30 +204,25 @@ def _parse_potential(cfg: dict):
 
 def _parse_params(cfg: dict, geometry: Geometry, potential) -> tuple:
     """Returns (PhysicalParams, delta_rule) with x0 resolved."""
-    pcfg = _object(cfg.get("params", {}), "config.params", ("omega", "Omega", "x0", "mass", "delta"))
+    pcfg = _object(cfg.get("params", {}), "config.params", ("omega", "Omega", "x0", "delta"))
     omega = _number(pcfg.get("omega", 1.0), "config.params.omega", positive=True)
     drive = _number(pcfg.get("Omega", 0.0), "config.params.Omega")
 
-    x0 = pcfg.get("x0")
-    mass = pcfg.get("mass")
-    if x0 is not None:
-        x0 = _number(x0, "config.params.x0", positive=True)
-    if mass is not None:
-        mass = _number(mass, "config.params.mass", positive=True)
-    if x0 is None and mass is None and isinstance(potential, ExplicitCouplings):
-        x0 = potential.nu * geometry.d
-
-    try:  # every input is checked above; only an x0 derived from the mass can fail
-        params = PhysicalParams(omega=omega, Omega=drive, d=geometry.d, x0=x0, mass=mass)
-        implied_x0 = None if mass is None else PhysicalParams(omega=omega, mass=mass).x0
+    # explicit couplings fix x0 = nu * d; a given x0 is kept and must agree with it
+    explicit = isinstance(potential, ExplicitCouplings)
+    x0 = potential.nu * geometry.d if explicit else 1.0
+    if pcfg.get("x0") is not None:
+        given = _number(pcfg["x0"], "config.params.x0", positive=True)
+        if explicit and abs(given - x0) > 1e-9 * x0:
+            raise ConfigError(
+                "config.params.x0",
+                f"inconsistent with potential.nu: x0={given} but potential.nu gives {x0}",
+            )
+        x0 = given
+    try:  # every input is checked above; only nu * d can underflow to 0
+        params = PhysicalParams(omega=omega, Omega=drive, d=geometry.d, x0=x0)
     except DomainError as exc:
-        raise ConfigError("config.params.mass", str(exc)) from exc
-    # the x0 that PhysicalParams resolved must agree with every other source of it
-    if isinstance(potential, ExplicitCouplings):
-        given = "config.params.mass" if x0 is None else "config.params.x0"
-        _same_x0(params.x0, potential.nu * geometry.d, given, "potential.nu")
-    if x0 is not None and mass is not None:
-        _same_x0(x0, implied_x0, "config.params.mass", "mass")
+        raise ConfigError("config.potential.nu", str(exc)) from exc
 
     delta_rule = pcfg.get("delta", "-V")
     is_number = isinstance(delta_rule, (int, float)) and not isinstance(delta_rule, bool)
@@ -233,11 +230,6 @@ def _parse_params(cfg: dict, geometry: Geometry, potential) -> tuple:
         raise ConfigError("config.params.delta", 'expected "-V", "-3V", or a finite number')
 
     return params, delta_rule
-
-
-def _same_x0(x0: float, implied: float, path: str, source: str):
-    if abs(x0 - implied) > 1e-9 * implied:
-        raise ConfigError(path, f"inconsistent with {source}: x0={x0} but {source} gives {implied}")
 
 
 def _resolve_delta(delta_rule, potential, geometry: Geometry) -> float:
@@ -286,7 +278,7 @@ def load_config(path: str, task: str) -> dict:
     except ValueError as exc:  # an integer literal past Python's digit limit
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
     _object(cfg, "config", (  # the same keys for every task; each reads only its own blocks
-        "task", "geometry", "potential", "params", "seed", "solver", "modes", "out", "scan", "wigner"
+        "task", "geometry", "potential", "params", "seed", "solver", "out", "scan", "wigner"
     ))
     if "task" in cfg and cfg["task"] != task:
         raise ConfigError("config.task", f"config says {cfg['task']!r} but {task!r} was requested")
@@ -306,7 +298,6 @@ def load_config(path: str, task: str) -> dict:
         "delta": _resolve_delta(delta_rule, potential, geometry),
         "solver": _parse_solver(cfg),
         "seed": seed,
-        "modes": _choice(cfg.get("modes", "reduced"), "config.modes", ("reduced", "full")),
         "out": cfg.get("out", "."),
     }
     if not isinstance(resolved["out"], str):
@@ -387,7 +378,6 @@ def _write_manifest(outdir: Path, resolved: dict, outputs, results=None):
             "delta_rule": resolved["delta_rule"],
             "delta": resolved["delta"],
             "solver": {**resolved["solver"], "eig_tol": stage_tol(resolved["solver"]["e_tol"])},
-            "modes": resolved["modes"],
         },
         "outputs": sorted(outputs),
         "results": _jsonable(results or {}),
@@ -455,14 +445,17 @@ def _scan_values(scan: dict, critical_scale) -> np.ndarray:
 
 
 def _molecular_model(resolved):
-    """``(graph, forms, basis, couplings)`` of the configured manifold and modes."""
+    """``(graph, forms, basis, couplings)`` of the configured manifold."""
     params = resolved["params"]
     graph = _build_graph(resolved)
     coup = derive_couplings(resolved["potential"], params)
-    basis, forms = build_molecular_model(
-        graph, coup, params, reduce=resolved["modes"] == "reduced"
-    )
+    basis, forms = build_molecular_model(graph, coup, params)
     return graph, forms, basis, coup
+
+
+def _zero_base_drive(resolved, reason: str):
+    if resolved["params"].Omega != 0.0:
+        raise ConfigError("config.params.Omega", f"{resolved['task']} {reason}")
 
 
 def _explicit_couplings(resolved, variable: str) -> ExplicitCouplings:
@@ -517,10 +510,7 @@ def _xi_scan(resolved):
 def _kappa_scan(resolved):
     params = resolved["params"]
     potential = _explicit_couplings(resolved, "kappa")
-    if params.Omega != 0.0:
-        raise ConfigError(
-            "config.params.Omega", "gs-scan-kappa solves one doubly excited block; set Omega = 0"
-        )
+    _zero_base_drive(resolved, "solves one doubly excited block; set Omega = 0")
     _, kappa_c = critical_points(params.omega, potential.nu)
     geometry = resolved["geometry"]
     graph = _build_graph(resolved)
@@ -539,10 +529,15 @@ def _kappa_scan(resolved):
 
 
 def _omega_scan(resolved):
-    graph, forms, basis, _ = _molecular_model(resolved)
+    _zero_base_drive(resolved, "takes its drives from the scan; set Omega = 0")
+    params = resolved["params"]
+    graph, forms, basis, coup = _molecular_model(resolved)
+    # a closed form holds at zero drive only
+    closed = _closed_form(forms, coup, params, resolved["geometry"].n_axes - 1)
 
     def model_at(drive):
-        return (graph, forms, dataclasses.replace(resolved["params"], Omega=drive)), None
+        row = (graph, forms, dataclasses.replace(params, Omega=drive))
+        return row, closed if drive == 0.0 else None
 
     return None, model_at, {"n_modes": basis.dim}
 
@@ -571,6 +566,7 @@ def _task_scan(resolved, outdir: Path):
 
 
 def _task_wigner(resolved, outdir: Path):
+    _zero_base_drive(resolved, "reads the zero-drive mode; set Omega = 0")
     params = resolved["params"]
     potential = resolved["potential"]
     coup = derive_couplings(potential, params)
@@ -607,6 +603,7 @@ def _task_wigner(resolved, outdir: Path):
 
 
 def _task_bopes_scan(resolved, outdir: Path):
+    _zero_base_drive(resolved, "takes its drives from the scan; set Omega = 0")
     params = resolved["params"]
     graph, forms, _, coup = _molecular_model(resolved)
     drives = _scan_values(resolved["scan"], None)
@@ -629,9 +626,8 @@ def _task_bopes_scan(resolved, outdir: Path):
 
 
 def _task_compare(resolved, outdir: Path):
+    _zero_base_drive(resolved, "is a zero-drive consistency check")
     params = resolved["params"]
-    if params.Omega != 0.0:
-        raise ConfigError("config.params.Omega", "compare is a zero-drive consistency check")
     graph, forms, _, coup = _molecular_model(resolved)
     # the surface first: an unstable model raises there before any Fock solve
     minima = minimize_bo(build_bo_surface(graph, forms, params))
@@ -684,12 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
     # Accepted and ignored: perfbench/workloads.py (_run_cli) still passes
     # --threads 1; the flag goes once the benchmark stops passing it.
     parser.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
-    parser.add_argument(
-        "--modes",
-        choices=("reduced", "full"),
-        default=None,
-        help="collective-mode treatment (overrides config)",
-    )
     return parser
 
 
@@ -707,8 +697,6 @@ def main(argv=None) -> int:
         resolved = load_config(args.config, args.task)
         if args.out is not None:
             resolved["out"] = args.out
-        if args.modes is not None:
-            resolved["modes"] = args.modes
         return run(resolved)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

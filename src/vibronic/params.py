@@ -28,33 +28,21 @@ class PhysicalParams:
         Laser coupling strength between electronic configurations.
     d : float
         Equilibrium nearest-neighbor distance.
-    x0 : float, optional
-        Harmonic oscillator length.  If omitted it is derived from ``mass``
-        via ``x0 = 1/sqrt(mass * omega)``; if both are omitted, ``x0 = 1``.
-    mass : float, optional
-        Atomic mass; only used to derive ``x0``.
+    x0 : float
+        Harmonic oscillator length, ``1/sqrt(mass * omega)`` in these units;
+        it is the only way to state the atomic mass.
     """
 
     omega: float = 1.0
     Omega: float = 0.0
     d: float = 1.0
-    x0: float = None
-    mass: float = None
+    x0: float = 1.0
 
     def __post_init__(self):
         if self.omega <= 0:
             raise DomainError(f"trap frequency must be positive, got {self.omega}")
         if self.d <= 0:
             raise DomainError(f"equilibrium distance must be positive, got {self.d}")
-        if self.x0 is None:
-            if self.mass is not None:
-                if self.mass <= 0:
-                    raise DomainError(f"mass must be positive, got {self.mass}")
-                if self.mass * self.omega == 0.0:
-                    raise DomainError(f"mass * omega underflows to 0: {self.mass} * {self.omega}")
-                object.__setattr__(self, "x0", 1.0 / math.sqrt(self.mass * self.omega))
-            else:
-                object.__setattr__(self, "x0", 1.0)
         if self.x0 <= 0:
             raise DomainError(f"oscillator length must be positive, got {self.x0}")
 

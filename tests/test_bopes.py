@@ -15,6 +15,7 @@ from vibronic import (
     ExplicitCouplings,
     InstabilityError,
     PhysicalParams,
+    assemble_graph_hamiltonians,
     bo_energy,
     bo_quadratic_check,
     build_bo_surface,
@@ -421,6 +422,36 @@ def test_zero_drive_minima_are_minima_of_the_surface(manifold, kappabar, xibar, 
         for step in steps:
             assert bo_energy(surface, q + step) >= e - 1e-14
             assert bo_energy(surface, q - step) >= e - 1e-14
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    manifold=st.sampled_from(["dumbbell", "triangle"]),
+    kappabar=st.floats(min_value=-0.6, max_value=0.6),
+    xibar=st.floats(min_value=-0.6, max_value=0.6),
+    nu=st.floats(min_value=0.1, max_value=0.5),
+    drive=st.sampled_from([0.0, 0.2]),
+)
+def test_reduction_preserves_minima_and_ground_energies(manifold, kappabar, xibar, nu, drive):
+    # the directions reduce_modes drops are free spectator modes: the unreduced
+    # forms give the same surface minimum and, on the dumbbell, the same
+    # converged ground energy (couplings within 0.6 of critical, where the
+    # default max_cutoff converges both)
+    geometry, delta, seed = MANIFOLDS[manifold]
+    params = PhysicalParams(omega=1.0, Omega=drive, d=1.0, x0=nu)
+    xi_c, kappa_c = critical_points(1.0, nu)
+    pot = ExplicitCouplings(kappa=kappabar * kappa_c, xi=xibar * xi_c, nu=nu, v_d=1.0)
+    graph = build_resonant_manifold(geometry, delta, pot, seed)
+    coup = derive_couplings(pot, params)
+    _, reduced = build_molecular_model(graph, coup, params)
+    unreduced = assemble_graph_hamiltonians(graph, coup, params)
+    minima = [minimize_bo(build_bo_surface(graph, f, params)) for f in (reduced, unreduced)]
+    assert minima[0].global_energy == pytest.approx(minima[1].global_energy, abs=1e-12)
+    if manifold == "dumbbell":
+        e_tol = 1e-8
+        reports = [converge_cutoff(graph, f, params, e_tol=e_tol) for f in (reduced, unreduced)]
+        assert all(report.converged for report in reports)
+        assert reports[0].energy == pytest.approx(reports[1].energy, abs=e_tol)
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,6 +16,7 @@ from vibronic import (
     perpendicular_xi_eff,
     wigner,
 )
+from vibronic.bopes import MIN_SCAN_SAMPLES
 from vibronic.cli import _fmt, _write_csv, _write_manifest, load_config, main, run
 
 GRAPH_CONFIG = {
@@ -217,10 +218,10 @@ def test_schema_errors_carry_the_key_path(tmp_path):
     assert exc.value.path == "config.scan.samples"
 
     # values that were misread (a bool delta as "-3V", "false" as true), crashed
-    # (integers beyond the float range, a mass * omega that underflows to 0),
-    # ignored (a mass next to x0), passed as the non-finite numbers json reads
-    # from NaN and Infinity, or reported without a key path (an n_axes of 4,
-    # coincident atoms)
+    # (integers beyond the float range), passed as the non-finite numbers json
+    # reads from NaN and Infinity, or reported without a key path (an n_axes
+    # of 4, coincident atoms); mass and modes are no longer inputs, so their
+    # rows are unknown keys
     for key, value, path in (
         ("params", dict(GRAPH_CONFIG["params"], delta=True), "config.params.delta"),
         ("geometry", {"preset": "dumbbell", "full_3d": "false"}, "config.geometry.full_3d"),
@@ -402,20 +403,41 @@ def test_task_mismatch_is_rejected(tmp_path):
 
 
 def test_inconsistent_oscillator_length_is_rejected(tmp_path):
-    # potential nu implies x0 = 0.1, as does mass 100 at omega 1; mass 4 gives 0.5
-    for given, path in (
-        ({"x0": 0.7}, "config.params.x0"),
-        ({"mass": 4.0}, "config.params.mass"),
-        ({"x0": 0.1, "mass": 4.0}, "config.params.mass"),
-    ):
-        cfg = json.loads(json.dumps(SCAN_XI_CONFIG))
-        cfg["params"].update(given)
-        with pytest.raises(ConfigError) as exc:
-            load_config(write_config(tmp_path, cfg), "gs-scan-xi")
-        assert exc.value.path == path
+    # potential nu implies x0 = 0.1; a given x0 must agree with it, and is kept
     cfg = json.loads(json.dumps(SCAN_XI_CONFIG))
-    cfg["params"].update(x0=0.1, mass=100.0)
-    assert load_config(write_config(tmp_path, cfg), "gs-scan-xi")["params"].x0 == 0.1
+    cfg["params"]["x0"] = 0.7
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_config(tmp_path, cfg), "gs-scan-xi")
+    assert exc.value.path == "config.params.x0"
+    cfg["params"]["x0"] = 0.1 * (1 + 1e-12)
+    assert load_config(write_config(tmp_path, cfg), "gs-scan-xi")["params"].x0 == 0.1 * (1 + 1e-12)
+
+
+def test_an_oscillator_length_that_underflows_is_a_config_error(tmp_path):
+    # both factors of x0 = nu * d are positive and finite, their product is 0
+    cfg = dict(
+        SCAN_XI_CONFIG,
+        geometry={"preset": "dumbbell", "d": 1e-3},
+        potential=dict(SCAN_XI_CONFIG["potential"], nu=1e-321),
+    )
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_config(tmp_path, cfg), "gs-scan-xi")
+    assert exc.value.path == "config.potential.nu"
+
+
+def test_mode_space_and_mass_are_not_inputs(tmp_path, capsys):
+    # the reduced model is exact for ground energies, and x0 states the mass
+    for cfg, path in (
+        (dict(SCAN_OMEGA_CONFIG, modes="full"), "config.modes"),
+        (dict(SCAN_OMEGA_CONFIG, params={"omega": 1.0, "mass": 100.0}), "config.params.mass"),
+    ):
+        assert main(["gs-scan-omega", "--config", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {path}:")
+    path = write_config(tmp_path, SCAN_OMEGA_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        main(["gs-scan-omega", "--config", path, "--modes", "full"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --modes full" in capsys.readouterr().err
 
 
 def test_wrong_potential_kind_for_xi_scan(tmp_path, capsys):
@@ -555,26 +577,37 @@ def test_scan_omega_on_the_dumbbell(tmp_path):
     assert energies[0] > energies[1] > energies[2]  # drive lowers the ground energy
 
 
-def test_full_modes_flag_matches_reduced(tmp_path):
-    cfg = {
-        "task": "gs-scan-omega",
-        "geometry": {"preset": "dumbbell", "d": 1.0},
-        "potential": {"type": "explicit", "kappa": 0.3, "xi": 0.0, "nu": 0.1, "v_d": 1.0},
-        "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
-        "solver": {"e_tol": 1e-8, "max_cutoff": 32, "frame": "bare"},
-        "scan": {"start": 0.1, "stop": 0.3, "samples": 2},
-    }
-    path = write_config(tmp_path, cfg)
-    out_r, out_f = tmp_path / "reduced", tmp_path / "full"
-    assert main(["gs-scan-omega", "--config", path, "--out", str(out_r)]) == 0
-    assert main(["gs-scan-omega", "--config", path, "--out", str(out_f), "--modes", "full"]) == 0
-    rows_r = (out_r / "scan-omega.csv").read_text().strip().split("\n")[1:]
-    rows_f = (out_f / "scan-omega.csv").read_text().strip().split("\n")[1:]
-    for r, f in zip(rows_r, rows_f):
-        assert float(r.split(",")[1]) == pytest.approx(float(f.split(",")[1]), abs=1e-7)
-    manifest_f = json.loads((out_f / "run-manifest.json").read_text())
-    assert manifest_f["results"]["n_modes"] == 2
-    assert manifest_f["parameters"]["modes"] == "full"
+@pytest.mark.parametrize("task", ["gs-scan-omega", "bopes-scan", "wigner"])
+def test_tasks_that_never_read_the_base_drive_reject_one(tmp_path, capsys, task):
+    base = {
+        "gs-scan-omega": SCAN_OMEGA_CONFIG,
+        "bopes-scan": DUMBBELL_BOPES_SCAN,
+        "wigner": WIGNER_CONFIG,
+    }[task]
+    cfg = dict(base, params=dict(base["params"], Omega=0.3))
+    out = tmp_path / "out"
+    assert main([task, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: config.params.Omega:")
+    assert not (out / "run-manifest.json").exists()
+
+
+def test_zero_drive_closed_form_is_one_cell_in_both_drive_scans(tmp_path):
+    # gs-scan-omega and bopes-scan solve the same model: their drive-0 rows
+    # carry the same closed form, next to the same exact energy
+    cells = {}
+    for task, csv_name, samples, column in (
+        ("gs-scan-omega", "scan-omega.csv", 3, 2),
+        ("bopes-scan", "bopes-scan.csv", MIN_SCAN_SAMPLES, 3),
+    ):
+        scan = dict(SCAN_OMEGA_CONFIG["scan"], samples=samples)
+        cfg = dict(SCAN_OMEGA_CONFIG, task=task, scan=scan)
+        out = tmp_path / task
+        assert main([task, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        first = (out / csv_name).read_text().split("\n")[1].split(",")
+        assert float(first[0]) == 0.0
+        cells[task] = first[column]
+    assert cells["gs-scan-omega"] == cells["bopes-scan"] != ""
+    assert float(cells["gs-scan-omega"]) == pytest.approx(-0.18, abs=1e-12)
 
 
 DUMBBELL_BOPES_SCAN = {
@@ -865,25 +898,3 @@ def test_triangle_bopes_scan_leaves_scipy_optimize_unloaded(tmp_path):
         )
         assert out.stdout.split() == ["0", "False"]
         assert (tmp_path / task / artifact).is_file()
-
-
-def test_compare_honours_the_modes_flag(tmp_path, monkeypatch):
-    import vibronic.cli
-
-    calls = spy_on(monkeypatch, vibronic.cli, "converge_cutoff")
-    cfg = {
-        "task": "compare",
-        "geometry": {"preset": "dumbbell", "d": 1.0},
-        "potential": {"type": "explicit", "kappa": 0.4, "xi": 0.05, "nu": 0.2, "v_d": 1.0},
-        "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
-        "solver": {"e_tol": 1e-9, "max_cutoff": 64, "frame": "displaced"},
-    }
-    path = write_config(tmp_path, cfg)
-    for modes, n_modes in (("reduced", 1), ("full", 2)):
-        out = tmp_path / modes
-        calls.clear()
-        assert main(["compare", "--config", path, "--out", str(out), "--modes", modes]) == 0
-        (args, _), = calls
-        assert {form.dim for form in args[1]} == {n_modes}
-        manifest = json.loads((out / "run-manifest.json").read_text())
-        assert manifest["parameters"]["modes"] == modes

@@ -22,6 +22,7 @@ from vibronic import (
     PhysicalParams,
     QuadraticVibronic,
     ResourceBudgetError,
+    assemble_graph_hamiltonians,
     build_fock_matrix,
     build_molecular_model,
     build_resonant_manifold,
@@ -32,6 +33,7 @@ from vibronic import (
     dumbbell_hamiltonian,
     epsilon2,
     ground_state,
+    identity_basis,
     mean_displacements,
     node_data,
     pair_epsilon,
@@ -428,8 +430,9 @@ def test_reduction_preserves_energies():
         params = PhysicalParams(omega=1.0, Omega=drive, d=1.0, x0=0.1)
         graph = build_resonant_manifold(dumbbell(), -1.0, pot, (0, 1))
         coup = derive_couplings(pot, params)
-        basis_r, forms_r = build_molecular_model(graph, coup, params, reduce=True)
-        basis_f, forms_f = build_molecular_model(graph, coup, params, reduce=False)
+        basis_r, forms_r = build_molecular_model(graph, coup, params)
+        basis_f = identity_basis(graph.geometry)
+        forms_f = assemble_graph_hamiltonians(graph, coup, params)
         assert basis_r.dim == 1 and basis_f.dim == 2
         e_r, _ = ground_state(build_fock_matrix(graph, forms_r, params, cutoff=48))
         e_f, _ = ground_state(build_fock_matrix(graph, forms_f, params, cutoff=48))
@@ -1145,7 +1148,7 @@ def test_stencil_matches_reference_unreduced_forms():
     pot = ExplicitCouplings(kappa=0.4, xi=0.08, nu=0.1, v_d=1.0)
     params = PhysicalParams(omega=1.0, Omega=0.25, d=1.0, x0=0.1)
     graph = build_resonant_manifold(dumbbell(), -1.0, pot, (0, 1))
-    _, forms = build_molecular_model(graph, derive_couplings(pot, params), params, reduce=False)
+    forms = assemble_graph_hamiltonians(graph, derive_couplings(pot, params), params)
     assert forms[0].dim == 2
     for frame in ("bare", "displaced"):
         assert_same_operator(graph, forms, params, 8, frame)
@@ -1175,7 +1178,7 @@ def displaced_stencil_models():
     _, dumbbell_forms = dumbbell_hamiltonian(params, derive_couplings(pot, params))
     pot = ExplicitCouplings(kappa=0.4, xi=0.08, nu=0.1, v_d=1.0)
     graph = build_resonant_manifold(dumbbell(), -1.0, pot, (0, 1))
-    _, unreduced = build_molecular_model(graph, derive_couplings(pot, params), params, reduce=False)
+    unreduced = assemble_graph_hamiltonians(graph, derive_couplings(pot, params), params)
     nu = 0.5
     pair = PhysicalParams(omega=1.0, Omega=0.0, d=1.0, x0=nu)
     coup = ExplicitCouplings(kappa=-0.5 / (2.0 * SQRT2 * nu), xi=-0.1, nu=nu)

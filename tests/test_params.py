@@ -113,9 +113,6 @@ def test_stationary_point_gives_zero_kappa():
 
 def test_nu_holds_for_every_constructor_path():
     assert PhysicalParams(omega=1.0, d=2.0, x0=0.5).nu == 0.25
-    p = PhysicalParams(omega=4.0, d=2.0, mass=1.0)  # x0 = 1/sqrt(4) = 0.5
-    assert p.x0 == pytest.approx(0.5, rel=1e-15)
-    assert p.nu == pytest.approx(0.25, rel=1e-15)
     assert PhysicalParams(d=4.0).nu == 0.25  # default x0 = 1
 
 
@@ -124,10 +121,6 @@ def test_parameter_validation():
         PhysicalParams(omega=-1.0)
     with pytest.raises(DomainError):
         PhysicalParams(d=0.0)
-    with pytest.raises(DomainError):
-        PhysicalParams(mass=-2.0)
-    with pytest.raises(DomainError):  # mass * omega underflows to 0
-        PhysicalParams(omega=1e-200, mass=1e-200)
     with pytest.raises(DomainError):
         PowerLaw(1.0, 0)
     with pytest.raises(DomainError):
