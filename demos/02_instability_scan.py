@@ -26,9 +26,7 @@ def scan(drive, xibars):
     for xibar in xibars:
         xi = xibar * XI_CRITICAL
         adjacency, forms = vb.dumbbell_hamiltonian(params, vb.ExplicitCouplings(KAPPA, xi, NU))
-        report = vb.converge_cutoff(
-            adjacency, forms, params, e_tol=1e-8, max_cutoff=256, frame="displaced"
-        )
+        report = vb.converge_cutoff(adjacency, forms, params, e_tol=1e-8, max_cutoff=256)
         analytic = None
         if drive == 0.0:
             try:

@@ -36,7 +36,6 @@ def main():
         np.linspace(0.0, 0.32, 65),
         e_tol=1e-3,
         max_cutoff=8,
-        frame="bare",
     )
     from vibronic.bopes import transition_scan_csv
 

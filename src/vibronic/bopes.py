@@ -351,10 +351,11 @@ def transition_scan(graph, forms, params: PhysicalParams, omegas, **solver) -> T
     refined grid spacing.  The exact curve is computed with the
     cutoff-doubling solver at every grid point, in one :func:`converge_scan`
     over the model at each drive, so operators and vectors are carried along
-    the grid; it gets the ``solver`` keywords (``e_tol``, ``max_cutoff``,
-    ``frame``) unchanged, so each stage is solved to the residual target
-    ``fock.stage_tol(e_tol)``.  The grid needs at least ``MIN_SCAN_SAMPLES``
-    strictly increasing drive values.
+    the grid; it gets the ``solver`` keywords (``e_tol``, ``max_cutoff``)
+    unchanged, so each stage is solved to the residual target
+    ``fock.stage_tol(e_tol)``, in the phonon frame each drive's model
+    implies (see :func:`vibronic.fock.build_fock_matrix`).  The grid needs at
+    least ``MIN_SCAN_SAMPLES`` strictly increasing drive values.
     """
     omegas = np.asarray(omegas, dtype=float)
     if omegas.size < MIN_SCAN_SAMPLES:

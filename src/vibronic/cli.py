@@ -241,11 +241,11 @@ def _resolve_delta(delta_rule, potential, geometry: Geometry) -> float:
 
 def _parse_solver(cfg: dict) -> dict:
     scfg = _object(cfg.get("solver", {}), "config.solver", ("e_tol", "max_cutoff", "frame"))
-    frame = _choice(scfg.get("frame", "bare"), "config.solver.frame", ("bare", "displaced"))
+    # perfbench's configs still set "frame"; it is checked and selects nothing
+    _choice(scfg.get("frame", "bare"), "config.solver.frame", ("bare", "displaced"))
     return {
         "e_tol": _number(scfg.get("e_tol", 1e-8), "config.solver.e_tol", positive=True),
         "max_cutoff": _integer(scfg.get("max_cutoff", 256), "config.solver.max_cutoff", minimum=4),
-        "frame": frame,
     }
 
 

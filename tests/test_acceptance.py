@@ -74,9 +74,7 @@ def test_criterion_03_dumbbell_energy_oracle():
         for xibar in np.linspace(-2.0, 0.9, 5):
             xi = xibar * (-0.25)
             _, forms = vb.dumbbell_hamiltonian(params, vb.ExplicitCouplings(kappa, xi, 0.1))
-            report = vb.converge_cutoff(
-                SINGLE, [forms[1]], params, e_tol=1e-9, max_cutoff=256, frame="displaced"
-            )
+            report = vb.converge_cutoff(SINGLE, [forms[1]], params, e_tol=1e-9, max_cutoff=256)
             assert report.converged
             assert report.cutoff <= 256
             target = vb.epsilon2(float(kappa), xi, 1.0)
@@ -100,9 +98,7 @@ def test_criterion_04_tetrahedron_energy_oracle():
             # with no linear coupling the perpendicular terms vanish and only
             # the axis mode stays coupled; the free modes contribute nothing
             assert basis.dim == (3 if kappa != 0.0 else 1)
-            report = vb.converge_cutoff(
-                SINGLE, reduced, params, e_tol=1e-9, max_cutoff=64, frame="displaced"
-            )
+            report = vb.converge_cutoff(SINGLE, reduced, params, e_tol=1e-9, max_cutoff=64)
             assert report.converged
             target = vb.epsilon4(kappa, xi, 1.0, nu)
             worst = max(worst, abs(report.energy - target))
@@ -136,18 +132,14 @@ def test_criterion_05_instability_detection():
     _, kappa_c = vb.critical_points(1.0, nu)
     geom = vb.tetrahedron()
     _, red_unstable = _excited_pair_form(geom, 1.2 * kappa_c, 0.0, nu, run)
-    rep_unstable = vb.converge_cutoff(
-        SINGLE, red_unstable, run, e_tol=1e-8, max_cutoff=32, frame="displaced"
-    )
+    rep_unstable = vb.converge_cutoff(SINGLE, red_unstable, run, e_tol=1e-8, max_cutoff=32)
     assert not rep_unstable.converged
     drops = [
         e1 - e2 for (_, e1), (_, e2) in zip(rep_unstable.energy_history, rep_unstable.energy_history[1:])
     ]
     assert drops[-1] > 1e-3
     _, red_stable = _excited_pair_form(geom, 0.8 * kappa_c, 0.0, nu, run)
-    rep_stable = vb.converge_cutoff(
-        SINGLE, red_stable, run, e_tol=1e-8, max_cutoff=64, frame="displaced"
-    )
+    rep_stable = vb.converge_cutoff(SINGLE, red_stable, run, e_tol=1e-8, max_cutoff=64)
     assert rep_stable.converged
     assert abs(rep_stable.energy - vb.epsilon4(0.8 * kappa_c, 0.0, 1.0, nu)) < 1e-6
     _report("criterion 5 (instability detection)", time.time() - start)
@@ -190,7 +182,7 @@ def test_criterion_08_displacement_bound_near_instability():
     _, kappa_c = vb.critical_points(1.0, nu)
     kappa = 0.99 * kappa_c
     basis, reduced = _excited_pair_form(vb.tetrahedron(), kappa, 0.0, nu, params)
-    op = vb.build_fock_matrix(SINGLE, reduced, params, cutoff=64, frame="displaced")
+    op = vb.build_fock_matrix(SINGLE, reduced, params, cutoff=64)
     energy, state = vb.ground_state(op)
     # sanity on the solved problem; the strongly squeezed perpendicular
     # zero-point energy converges slowly in cutoff, the displacement does not
@@ -253,9 +245,7 @@ def test_criterion_10_zero_point_correction():
         pot = vb.ExplicitCouplings(kappa=kappa, xi=xi, nu=nu, v_d=1.0)
         graph = vb.build_resonant_manifold(vb.triangle(), -1.0, pot, (0, 0, 1))
         basis, forms = vb.build_molecular_model(graph, vb.derive_couplings(pot, params), params)
-        quantum = vb.converge_cutoff(
-            graph, forms, params, e_tol=1e-7, max_cutoff=16, frame="displaced"
-        )
+        quantum = vb.converge_cutoff(graph, forms, params, e_tol=1e-7, max_cutoff=16)
         assert quantum.converged
         surface = vb.build_bo_surface(graph, forms, params)
         minima = vb.minimize_bo(surface)
@@ -286,7 +276,6 @@ def test_criterion_11_structural_transition_shape():
         np.linspace(0.06, 0.30, 121),
         e_tol=1e-3,
         max_cutoff=8,
-        frame="bare",
     )
     ratio = result.bo_second_diff_max / result.quantum_second_diff_max
     assert ratio >= 5.0
@@ -296,9 +285,7 @@ def test_criterion_11_structural_transition_shape():
     # near zero drive the exact energy sits below the adiabatic minimum by the
     # (negative) zero-point correction
     e_bo_0 = vb.minimize_bo(surface, starts=vb.light_start_points(surface)).global_energy
-    e_q_0 = vb.converge_cutoff(
-        graph, forms, params, e_tol=1e-3, max_cutoff=8, frame="bare"
-    ).energy
+    e_q_0 = vb.converge_cutoff(graph, forms, params, e_tol=1e-3, max_cutoff=8).energy
     gap0 = e_q_0 - e_bo_0
     predicted = vb.quantum_correction(kappa, 0.0, 1.0, nu)
     assert predicted < 0
@@ -320,7 +307,7 @@ def test_criterion_12_deterministic_artifacts(tmp_path):
         "geometry": {"preset": "dumbbell", "d": 1.0},
         "potential": {"type": "explicit", "kappa": 0.3, "xi": 0.0, "nu": 0.1, "v_d": 1.0},
         "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
-        "solver": {"e_tol": 1e-9, "max_cutoff": 128, "frame": "displaced"},
+        "solver": {"e_tol": 1e-9, "max_cutoff": 128},
         "scan": {"start": 0.0, "stop": 0.95, "samples": 9, "units": "critical"},
     }
     path = tmp_path / "config.json"

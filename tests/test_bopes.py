@@ -195,7 +195,7 @@ def test_quantum_floor_sits_above_surface_floor_by_zero_point_shift():
     kappa, nu = -0.3536, 0.5
     params, graph, basis, forms, surface = triangle_setup(kappa=kappa, nu=nu)
     report = minimize_bo(surface)
-    quantum = converge_cutoff(graph, forms, params, e_tol=1e-7, max_cutoff=16, frame="displaced")
+    quantum = converge_cutoff(graph, forms, params, e_tol=1e-7, max_cutoff=16)
     assert quantum.converged
     measured = quantum.energy - report.global_energy
     predicted = quantum_correction(kappa, 0.0, 1.0, nu)
@@ -203,7 +203,7 @@ def test_quantum_floor_sits_above_surface_floor_by_zero_point_shift():
 
 
 # the criterion-11 solver settings
-SCAN_SOLVER = {"e_tol": 1e-3, "max_cutoff": 8, "frame": "bare"}
+SCAN_SOLVER = {"e_tol": 1e-3, "max_cutoff": 8}
 
 
 def test_transition_scan_bo_only():

@@ -32,7 +32,7 @@ SCAN_XI_CONFIG = {
     "geometry": {"preset": "dumbbell", "d": 1.0},
     "potential": {"type": "explicit", "kappa": 0.3, "xi": 0.0, "nu": 0.1, "v_d": 1.0},
     "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
-    "solver": {"e_tol": 1e-9, "max_cutoff": 128, "frame": "displaced"},
+    "solver": {"e_tol": 1e-9, "max_cutoff": 128},
     "scan": {"start": 0.0, "stop": 1.2, "samples": 5, "units": "critical"},
 }
 
@@ -455,7 +455,7 @@ def test_scan_kappa_block_oracle(tmp_path):
         "geometry": {"preset": "tetrahedron", "d": 1.0},
         "potential": {"type": "explicit", "kappa": -0.1, "xi": 0.0, "nu": 0.5, "v_d": 1.0},
         "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
-        "solver": {"e_tol": 1e-8, "max_cutoff": 32, "frame": "displaced"},
+        "solver": {"e_tol": 1e-8, "max_cutoff": 32},
         "scan": {"start": 0.0, "stop": 0.6, "samples": 4, "units": "critical"},
     }
     out = tmp_path / "out"
@@ -473,7 +473,7 @@ def test_scan_kappa_past_critical_reads_unstable(tmp_path):
         "geometry": {"preset": "tetrahedron", "d": 1.0},
         "potential": {"type": "explicit", "kappa": 0.0, "xi": 0.05, "nu": 0.25, "v_d": 1.0},
         "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
-        "solver": {"e_tol": 1e-6, "max_cutoff": 16, "frame": "displaced"},
+        "solver": {"e_tol": 1e-6, "max_cutoff": 16},
         "scan": {"start": 0.5, "stop": 1.1, "samples": 3, "units": "critical"},
     }
     out = tmp_path / "out"
@@ -493,7 +493,7 @@ def test_scan_kappa_planar_pair_oracle(tmp_path):
         "potential": {"type": "explicit", "kappa": 0.0, "xi": -0.1, "nu": 0.25, "v_d": 1.0},
         "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
         "seed": "110",
-        "solver": {"e_tol": 1e-9, "max_cutoff": 32, "frame": "displaced"},
+        "solver": {"e_tol": 1e-9, "max_cutoff": 32},
         "scan": {"start": 0.0, "stop": 0.6, "samples": 4, "units": "critical"},
     }
     out = tmp_path / "out"
@@ -516,7 +516,7 @@ def test_sparse_scan_is_deterministic_across_threads(tmp_path):
             "geometry": {"preset": "tetrahedron", "d": 1.0},
             "potential": {"type": "explicit", "kappa": -0.1, "xi": -0.1, "nu": 0.5, "v_d": 1.0},
             "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
-            "solver": {"e_tol": 1e-8, "max_cutoff": 16, "frame": "displaced"},
+            "solver": {"e_tol": 1e-8, "max_cutoff": 16},
             "scan": {"start": 0.2, "stop": 0.6, "samples": 3, "units": "critical"},
         }),
         "gs-scan-omega": ("scan-omega.csv", {
@@ -525,7 +525,7 @@ def test_sparse_scan_is_deterministic_across_threads(tmp_path):
                           "v_d": 1.0},
             "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
             "seed": "001",
-            "solver": {"e_tol": 1e-8, "max_cutoff": 8, "frame": "bare"},
+            "solver": {"e_tol": 1e-8, "max_cutoff": 8},
             "scan": {"start": 0.05, "stop": 0.25, "samples": 3},
         }),
     }
@@ -561,7 +561,7 @@ SCAN_OMEGA_CONFIG = {
     "geometry": {"preset": "dumbbell", "d": 1.0},
     "potential": {"type": "explicit", "kappa": 0.3, "xi": 0.0, "nu": 0.1, "v_d": 1.0},
     "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
-    "solver": {"e_tol": 1e-8, "max_cutoff": 64, "frame": "bare"},
+    "solver": {"e_tol": 1e-8, "max_cutoff": 64},
     "scan": {"start": 0.0, "stop": 0.4, "samples": 3},
 }
 
@@ -615,7 +615,7 @@ DUMBBELL_BOPES_SCAN = {
     "geometry": {"preset": "dumbbell", "d": 1.0},
     "potential": {"type": "explicit", "kappa": 0.25, "xi": 0.0, "nu": 0.1, "v_d": 1.0},
     "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
-    "solver": {"e_tol": 1e-6, "max_cutoff": 16, "frame": "bare"},
+    "solver": {"e_tol": 1e-6, "max_cutoff": 16},
     "scan": {"start": 0.0, "stop": 0.4, "samples": 33},
 }
 
@@ -632,7 +632,7 @@ TRIANGLE_BOPES_SCAN = {
         "v_d": 1.0,
     },
     "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
-    "solver": {"e_tol": 1e-3, "max_cutoff": 8, "frame": "bare"},
+    "solver": {"e_tol": 1e-3, "max_cutoff": 8},
     "scan": {"start": 0.06, "stop": 0.30, "samples": 32},
 }
 
@@ -662,7 +662,7 @@ def test_compare_task_on_the_dumbbell(tmp_path):
         "geometry": {"preset": "dumbbell", "d": 1.0},
         "potential": {"type": "explicit", "kappa": 0.4, "xi": 0.05, "nu": 0.2, "v_d": 1.0},
         "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
-        "solver": {"e_tol": 1e-9, "max_cutoff": 64, "frame": "displaced"},
+        "solver": {"e_tol": 1e-9, "max_cutoff": 64},
     }
     out = tmp_path / "out"
     assert main(["compare", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
@@ -684,7 +684,7 @@ def test_closed_forms_stay_empty_beyond_one_pair_per_node(tmp_path):
         "potential": {"type": "explicit", "kappa": 0.3 * kappa_c, "xi": 0.0, "nu": 0.5,
                       "v_d": 1.0},
         "params": {"omega": 1.0, "Omega": 0.0, "delta": "-3V"},
-        "solver": {"e_tol": 1e-3, "max_cutoff": 8, "frame": "displaced"},
+        "solver": {"e_tol": 1e-3, "max_cutoff": 8},
     }
     out = tmp_path / "compare"
     path = write_config(tmp_path, {"task": "compare", **body}, name="compare.json")
@@ -722,7 +722,7 @@ def test_closed_forms_read_the_lowest_node(tmp_path, delta, seed, kappa):
         "potential": {"type": "explicit", "kappa": kappa, "xi": 0.1, "nu": 0.3, "v_d": 1.0},
         "params": {"omega": 1.0, "Omega": 0.0, "delta": delta},
         "seed": seed,
-        "solver": {"e_tol": 1e-9, "max_cutoff": 64, "frame": "displaced"},
+        "solver": {"e_tol": 1e-9, "max_cutoff": 64},
     }
     out = tmp_path / "compare"
     path = write_config(tmp_path, {"task": "compare", **body}, name="compare.json")
@@ -754,7 +754,7 @@ def test_bopes_scan_on_a_manifold_with_no_links(tmp_path):
         "potential": {"type": "explicit", "kappa": 0.3, "xi": 0.1, "nu": 0.3, "v_d": 1.0},
         "params": {"omega": 1.0, "Omega": 0.0, "delta": "-3V"},
         "seed": "10",
-        "solver": {"e_tol": 1e-9, "max_cutoff": 64, "frame": "displaced"},
+        "solver": {"e_tol": 1e-9, "max_cutoff": 64},
         "scan": {"start": 0.0, "stop": 0.3, "samples": 32},
     }
     out = tmp_path / "out"
@@ -774,7 +774,7 @@ def test_compare_on_an_unstable_model_is_an_error(tmp_path, capsys):
         "potential": {"type": "explicit", "kappa": 1.1 * kappa_c, "xi": 0.0, "nu": 0.5,
                       "v_d": 1.0},
         "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
-        "solver": {"e_tol": 1e-3, "max_cutoff": 8, "frame": "bare"},
+        "solver": {"e_tol": 1e-3, "max_cutoff": 8},
     }
     out = tmp_path / "out"
     assert main(["compare", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
@@ -806,14 +806,14 @@ def test_bopes_scan_forwards_every_solver_option(tmp_path, monkeypatch):
         "geometry": {"preset": "dumbbell", "d": 1.0},
         "potential": {"type": "explicit", "kappa": 0.25, "xi": 0.0, "nu": 0.1, "v_d": 1.0},
         "params": {"omega": 1.0, "Omega": 0.0, "delta": "-V"},
-        "solver": {"e_tol": 1e-6, "max_cutoff": 16, "frame": "bare"},
+        "solver": {"e_tol": 1e-6, "max_cutoff": 16},
         "scan": {"start": 0.0, "stop": 0.4, "samples": 32},
     }
     out = tmp_path / "out"
     assert main(["bopes-scan", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
     (args, kwargs), = calls
     assert len(args[0]) == 32
-    assert kwargs == {"e_tol": 1e-6, "max_cutoff": 16, "frame": "bare"}
+    assert kwargs == {"e_tol": 1e-6, "max_cutoff": 16}
     manifest = json.loads((out / "run-manifest.json").read_text())
     assert manifest["parameters"]["solver"]["eig_tol"] == 1e-9  # stage_tol(1e-6)
 

@@ -18,9 +18,12 @@ def test_traced_functions_exist():
 
 
 def test_benchmark_cli_argv_still_parses(tmp_path, monkeypatch):
-    # the benchmark calls the CLI with a fixed argv, "--threads 1" included;
-    # an option the parser no longer takes would fail every scan workload
+    # the benchmark calls the CLI with a fixed argv, "--threads 1" included,
+    # on configs that set solver.frame, and fock-large passes frame="bare" to
+    # converge_cutoff; a spelling the program no longer takes would fail
+    # every workload
     import vibronic.cli
+    from vibronic import fock
 
     workloads = runpy.run_path(str(SPANS.with_name("workloads.py")))
     monkeypatch.setattr(vibronic.cli, "run", lambda resolved: 0)
@@ -38,6 +41,14 @@ def test_benchmark_cli_argv_still_parses(tmp_path, monkeypatch):
     )
     assert workloads["_run_cli"]("gs-scan-xi", config, tmp_path / "out") == 0
 
+    transition = workloads["TransitionScan"](5, tmp_path / "transition")
+    oracle = workloads["OracleScan"](5, tmp_path / "oracle")
+    configs = {"bopes-scan": transition.config_path, **oracle.paths}
+    for task, path in configs.items():
+        assert "frame" not in vibronic.cli.load_config(str(path), task)["solver"]
+    monkeypatch.setattr(fock, "converge_scan", lambda models, **solver: (solver,))
+    assert workloads["FockLarge"](5, tmp_path).solve(0.1) == {"e_tol": 1e-7, "max_cutoff": 16}
+
 
 def test_every_scan_build_is_a_traced_span():
     # the benchmark's build counters read the spans of fock.build_fock_matrix;
@@ -52,7 +63,7 @@ def test_every_scan_build_is_a_traced_span():
     tracer = runpy.run_path(str(SPANS))["Tracer"]("test")
     tracer.install()
     try:
-        reports = fock.converge_scan(rows, e_tol=1e-9, max_cutoff=128, frame="displaced")
+        reports = fock.converge_scan(rows, e_tol=1e-9, max_cutoff=128)
     finally:
         tracer.uninstall()
     builds = [span for span in tracer.spans if span[1] == "fock.build_fock_matrix"]
