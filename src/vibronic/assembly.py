@@ -193,15 +193,26 @@ def reduce_modes(forms, params: PhysicalParams):
     Generators are collected deterministically: every state's linear vector
     (in node order), then every state's non-trap hessian eigenvectors ordered
     by descending eigenvalue magnitude.  Gram-Schmidt with a fixed drop
-    threshold yields a reproducible orthonormal basis.  Returns
-    ``(ModeBasis, reduced_forms)`` where the reduced forms use the same
-    quadratic convention over the reduced coordinates.
+    threshold yields a reproducible orthonormal basis.  The uniform
+    translations (one per axis) are projected out of what is left of every
+    generator before the drop test: pair interactions do not act on the
+    center of mass, so no coupling lives there, but an eigenvector whose
+    eigenvalue barely clears ``EIG_KEEP_TOL`` is mixed with them (``eigh``
+    cannot separate it from the free directions), and the rounding of the
+    orthogonalization leaves a trace of them in a short remainder.
+    Returns ``(ModeBasis, reduced_forms)`` where the reduced forms use the
+    same quadratic convention over the reduced coordinates.  Only the
+    non-trap part of each hessian is rotated: the trap is isotropic, so its
+    image in the orthonormal basis is exactly the trap times the identity,
+    and a trap-only state's reduced form is that with a zero linear term.
     """
     if not forms:
         raise DomainError("reduce_modes needs at least one quadratic form")
     n_coords = forms[0].dim
     if any(f.dim != n_coords for f in forms):
         raise DomainError("all forms must share one coordinate space")
+    n_atoms = len(forms[0].state)
+    n_axes = n_coords // n_atoms
 
     generators = []
     scale = max(1.0, max(np.abs(f.hessian).max() for f in forms))
@@ -209,8 +220,8 @@ def reduce_modes(forms, params: PhysicalParams):
         if np.linalg.norm(f.linear) > EIG_KEEP_TOL * scale:
             generators.append(f.linear.copy())
     trap = params.omega / (2.0 * params.x0**2)
-    for f in forms:
-        nontrap = f.hessian - trap * np.eye(n_coords)
+    nontraps = [f.hessian - trap * np.eye(n_coords) for f in forms]
+    for nontrap in nontraps:
         if np.abs(nontrap).max() <= EIG_KEEP_TOL * scale:
             continue
         vals, vecs = np.linalg.eigh(nontrap)
@@ -219,12 +230,15 @@ def reduce_modes(forms, params: PhysicalParams):
             if abs(vals[idx]) > EIG_KEEP_TOL * scale:
                 generators.append(_fix_sign(vecs[:, idx].copy()))
 
+    # orthonormal columns: one uniform translation per axis
+    translations = np.kron(np.ones((n_atoms, 1)), np.eye(n_axes)) / math.sqrt(n_atoms)
     basis_vectors = []
     for gen in generators:
         v = gen / np.linalg.norm(gen)
         for _ in range(2):  # double orthogonalization for tight orthonormality
             for b in basis_vectors:
                 v = v - (b @ v) * b
+        v = v - translations @ (translations.T @ v)
         r = np.linalg.norm(v)
         if r < GS_DROP_TOL:
             continue
@@ -236,17 +250,16 @@ def reduce_modes(forms, params: PhysicalParams):
         basis_vectors = [np.eye(n_coords)[:, 0]]
 
     w = np.column_stack(basis_vectors)
-    n_atoms = len(forms[0].state)
-    basis = ModeBasis(vectors=w, n_atoms=n_atoms, n_axes=n_coords // n_atoms)
+    basis = ModeBasis(vectors=w, n_atoms=n_atoms, n_axes=n_axes)
 
     reduced = [
         QuadraticVibronic(
             state=f.state,
             constant=f.constant,
             linear=w.T @ f.linear,
-            hessian=w.T @ f.hessian @ w,
+            hessian=trap * np.eye(w.shape[1]) + w.T @ nontrap @ w,
         )
-        for f in forms
+        for f, nontrap in zip(forms, nontraps)
     ]
     return basis, reduced
 

@@ -158,15 +158,15 @@ def light_start_points(surface: BoSurface) -> np.ndarray:
 
     Covers the symmetric basin and each configuration's own displaced basin,
     which is where surface minima live for the preset geometries.  Exact
-    duplicates (every node whose stationary point is the origin) are kept
-    once, at their first occurrence; a bitwise repeat of a start can only
-    repeat its descent.
+    duplicates (every node whose stationary point is the origin, -0.0
+    included) are kept once, at their first occurrence; an equal start can
+    only repeat its descent.
     """
     half_width = 3.0 * surface.x0
     starts = [np.zeros(surface.dim)]
     for f in surface.forms:
         start = np.clip(f.stationary_point(), -half_width, half_width)
-        if all(start.tobytes() != s.tobytes() for s in starts):
+        if not any(np.array_equal(start, s) for s in starts):
             starts.append(start)
     return np.array(starts)
 

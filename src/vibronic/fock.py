@@ -364,8 +364,10 @@ def _assemble(
     stencil steps right of the diagonal and the links to higher nodes; the
     stored entries are the kept cells in row-major order, with ``idx``
     indices.  Node-block cells outside a step's rows stay zero, and
-    node-block entries that are exactly zero are dropped; each link keeps
-    its one entry per row.
+    node-block entries that are exactly zero are dropped, so a trap-only
+    node (its reduced form is exactly the trap, see
+    :func:`vibronic.assembly.reduce_modes`) stores nothing but its links;
+    each link keeps its one entry per row.
 
     Returns the matrix, the diagonal and the link records ``(A[s, t],
     heads)`` per link block (see :func:`_write_links`); the link entries are
@@ -489,9 +491,10 @@ def build_fock_matrix(graph, forms, params: PhysicalParams, cutoff: int = 8) -> 
     carries (see :func:`converge_scan`) and the interpreter and libraries.
     On the benchmark's ``fock-large`` doubling (the triangle, 6 nodes and 4
     modes, trap frame, cutoffs 4, 8 and 16) the cutoff-16 build's footprint
-    is 124 MB, of which the trimmed CSR arrays keep 76 MB, in a process
-    whose peak resident set reads 189 MB (``perfbench`` ``peak_rss_mb``;
-    Linux x86-64, Python 3.11, NumPy 2.4, SciPy 1.17).
+    is 124 MB, of which the trimmed CSR arrays keep 46 MB (its three
+    trap-only nodes store only their links), in a process whose peak
+    resident set reads 158 MB (``perfbench`` ``peak_rss_mb``; Linux x86-64,
+    Python 3.11, NumPy 2.4, SciPy 1.17).
 
     The phonon frame is read off the model: where ``Omega A = 0`` each
     positive-definite node is centred on its own stationary point, elsewhere

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vibronic import (
     DomainError,
@@ -18,6 +20,7 @@ from vibronic import (
     build_fock_matrix,
     build_molecular_model,
     build_resonant_manifold,
+    critical_points,
     derive_couplings,
     dumbbell,
     dumbbell_hamiltonian,
@@ -42,6 +45,11 @@ def mode_form_coefficients(form, params):
     l = form.linear * params.x0 / SQRT2
     q = (form.hessian - trap * np.eye(form.dim)) * params.x0**2 / 2
     return l, q
+
+
+def uniform_translations(geom):
+    """Orthonormal columns, one uniform translation of every atom per axis."""
+    return np.kron(np.ones((geom.n_atoms, 1)), np.eye(geom.n_axes)) / math.sqrt(geom.n_atoms)
 
 
 def test_expansion_coeffs_axis_pair():
@@ -162,6 +170,58 @@ def test_center_of_mass_never_enters_the_basis():
             translation[axis :: geom.n_axes] = 1.0
             translation /= np.linalg.norm(translation)
             assert np.linalg.norm(basis.vectors.T @ translation) < 1e-10
+
+
+@pytest.mark.parametrize("ratio", [0.0, 1e-13, 1e-11, 1e-9, 1e-6])
+def test_translations_stay_out_near_zero_curvature(ratio):
+    # a non-trap eigenvalue just above EIG_KEEP_TOL has an eigenvector that
+    # eigh cannot separate from the exactly-free translations; they are
+    # projected out, so the planar triangle keeps its 4 coupled modes
+    xi_c, kappa_c = critical_points(1.0, 0.5)
+    pot = ExplicitCouplings(kappa=0.5 * kappa_c, xi=ratio * xi_c, nu=0.5, v_d=1.0)
+    params = PhysicalParams(omega=1.0, x0=0.5)
+    geom = triangle()
+    graph = build_resonant_manifold(geom, -1.0, pot, (0, 0, 1))
+    basis, _ = build_molecular_model(graph, derive_couplings(pot, params), params)
+    assert basis.dim == 4
+    assert np.abs(uniform_translations(geom).T @ basis.vectors).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    manifold=st.sampled_from(["triangle", "tetrahedron"]),
+    kappabar=st.floats(min_value=-0.9, max_value=0.9).filter(lambda k: abs(k) > 1e-6),
+    nu=st.floats(min_value=0.1, max_value=0.5),
+    exponent=st.floats(min_value=6.0, max_value=13.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+# a generator whose remainder after Gram-Schmidt is 1.6e-10 of its norm: the
+# rounding along the translations is then a large part of it, and a
+# translation must not become a tenth mode
+@example(
+    manifold="tetrahedron",
+    kappabar=-4.891741448664888e-05,
+    nu=0.12890610621195073,
+    exponent=11.208682354978539,
+    sign=1.0,
+)
+def test_curvature_near_zero_adds_no_mode(manifold, kappabar, nu, exponent, sign):
+    # a curvature within 1e-13..1e-6 of zero moves no coupling out of the
+    # span it has at zero, so the mode count stays and no translation enters
+    geom, seed = {
+        "triangle": (triangle(), (0, 0, 1)),
+        "tetrahedron": (tetrahedron(), (1, 0, 0, 0)),
+    }[manifold]
+    xi_c, kappa_c = critical_points(1.0, nu)
+    params = PhysicalParams(omega=1.0, x0=nu)
+    dims = []
+    for xibar in (0.0, sign * 10.0**-exponent):
+        pot = ExplicitCouplings(kappa=kappabar * kappa_c, xi=xibar * xi_c, nu=nu, v_d=1.0)
+        graph = build_resonant_manifold(geom, -1.0, pot, seed)
+        basis, _ = build_molecular_model(graph, derive_couplings(pot, params), params)
+        assert np.abs(uniform_translations(geom).T @ basis.vectors).max() <= 1e-12
+        dims.append(basis.dim)
+    assert dims[0] == dims[1]
 
 
 def test_reduced_dimension_is_relabeling_invariant():

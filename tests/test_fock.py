@@ -147,6 +147,39 @@ def test_build_stores_the_reference_upper_triangle_and_diagonal(frame):
     assert op.links and not op.displacements.any()
 
 
+def test_trap_only_nodes_store_only_their_links():
+    # on the criterion-11 triangle three nodes hold no excited pair: their
+    # reduced form is exactly the trap, so their rows keep no stencil entry
+    kappa = 0.5 * critical_points(1.0, 0.5)[1]
+    pot = ExplicitCouplings(kappa=kappa, xi=0.0, nu=0.5, v_d=1.0)
+    params = PhysicalParams(omega=1.0, Omega=0.1, x0=0.5)
+    graph = build_resonant_manifold(triangle(), -1.0, pot, (0, 0, 1))
+    coup = derive_couplings(pot, params)
+    _, forms = build_molecular_model(graph, coup, params)
+    full = assemble_graph_hamiltonians(graph, coup, params)
+    trap = params.omega / (2.0 * params.x0**2)
+    trap_only = [
+        s
+        for s, f in enumerate(full)
+        if np.array_equal(f.hessian, trap * np.eye(f.dim)) and not f.linear.any()
+    ]
+    assert len(trap_only) == 3
+    op = build_fock_matrix(graph, forms, params, cutoff=4)
+    per_node = op.cutoff**op.n_modes
+    occupation = np.indices((op.cutoff,) * op.n_modes).sum(axis=0).ravel()
+    for s in trap_only:
+        assert np.array_equal(forms[s].hessian, trap * np.eye(forms[s].dim))
+        assert not forms[s].linear.any()
+        block = slice(s * per_node, (s + 1) * per_node)
+        rows = op.matrix[block]
+        higher = [t for t in range(s + 1, op.n_nodes) if graph.adjacency[s, t]]
+        assert np.array_equal(np.diff(rows.indptr), np.full(per_node, len(higher)))
+        assert set(rows.indices // per_node) <= set(higher)
+        assert np.isin(rows.data, params.Omega * graph.adjacency[s, higher]).all()
+        assert np.array_equal(op.diagonal[block], params.omega * occupation)
+    assert build_fock_matrix(graph, forms, params, cutoff=8).matrix.nnz == 207_104
+
+
 def test_zero_drive_is_block_diagonal():
     params = PhysicalParams(omega=1.0, Omega=0.0)
     op = build_fock_matrix(*two_state(params, 0.5, 0.1), params, cutoff=8)
