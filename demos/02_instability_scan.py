@@ -25,8 +25,8 @@ def scan(drive, xibars):
     rows = []
     for xibar in xibars:
         xi = xibar * XI_CRITICAL
-        adjacency, forms = vb.dumbbell_hamiltonian(params, vb.ExplicitCouplings(KAPPA, xi, NU))
-        report = vb.converge_cutoff(adjacency, forms, params, e_tol=1e-8, max_cutoff=256)
+        model = vb.dumbbell_hamiltonian(params, vb.ExplicitCouplings(KAPPA, xi, NU))
+        (report,) = vb.converge_scan([model], e_tol=1e-8, max_cutoff=256)
         analytic = None
         if drive == 0.0:
             try:

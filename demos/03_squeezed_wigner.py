@@ -39,7 +39,7 @@ def main():
     coup = vb.ExplicitCouplings(kappa=0.99 * kc_big, xi=0.0, nu=nu_big)
     form = vb.assemble_state_hamiltonian((1, 1, 0, 0), vb.tetrahedron(), coup, params)
     basis, reduced = vb.reduce_modes([form], params)
-    op = vb.build_fock_matrix(SINGLE, reduced, params, cutoff=64)
+    op = vb.build_fock_matrix(vb.Model.build(SINGLE, reduced, params), cutoff=64)
     _, state = vb.ground_state(op)
     moves = np.linalg.norm(vb.mean_displacements(op, state, basis), axis=1)
     print(f"\nper-atom mean displacement at kappa = 0.99 kappa_c (nu={nu_big}):")

@@ -22,21 +22,14 @@ def main():
     pot = vb.ExplicitCouplings(kappa=kappa, xi=0.0, nu=NU, v_d=1.0)
     graph = vb.build_resonant_manifold(vb.triangle(), -1.0, pot, (0, 0, 1))
     _, forms = vb.build_molecular_model(graph, vb.derive_couplings(pot, params), params)
-    surface = vb.build_bo_surface(graph, forms, params)
+    model = vb.Model.build(graph, forms, params)
 
-    report = vb.minimize_bo(surface)
+    report = vb.minimize_bo(model)
     print(f"zero drive: {report.degeneracy} degenerate distorted shapes at E = "
           f"{report.global_energy:.6f}")
     print(f"predicted zero-point shift: {vb.quantum_correction(kappa, 0.0, omega, NU):+.6f}")
 
-    result = vb.transition_scan(
-        graph,
-        forms,
-        params,
-        np.linspace(0.0, 0.32, 65),
-        e_tol=1e-3,
-        max_cutoff=8,
-    )
+    result = vb.transition_scan(model, np.linspace(0.0, 0.32, 65), e_tol=1e-3, max_cutoff=8)
     from vibronic.bopes import transition_scan_csv
 
     with open("transition.csv", "w") as handle:

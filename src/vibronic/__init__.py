@@ -4,7 +4,7 @@ Library layout:
 
 - :mod:`vibronic.params` - physical parameters, potentials, coupling constants
 - :mod:`vibronic.graphs` - degenerate-configuration graphs and their topology
-- :mod:`vibronic.assembly` - per-configuration quadratic forms and mode reduction
+- :mod:`vibronic.assembly` - per-configuration quadratic forms, mode reduction, the model
 - :mod:`vibronic.fock` - truncated Fock-space assembly and ground-state solvers
 - :mod:`vibronic.analytic` - closed-form energies, squeezing, phase-space widths
 - :mod:`vibronic.bopes` - clamped-coordinate surfaces, minima, transition scans
@@ -26,6 +26,7 @@ from .analytic import (
 )
 from .assembly import (
     ExpansionCoefficients,
+    Model,
     ModeBasis,
     QuadraticVibronic,
     assemble_graph_hamiltonians,
@@ -35,17 +36,14 @@ from .assembly import (
     edge_mode_directions,
     expansion_coeffs,
     identity_basis,
-    node_data,
     reduce_modes,
 )
 from .bopes import (
-    BoSurface,
     MinimaReport,
     QuadraticFit,
     TransitionScanResult,
     bo_energy,
     bo_quadratic_check,
-    build_bo_surface,
     default_start_points,
     light_start_points,
     minimize_bo,

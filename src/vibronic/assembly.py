@@ -13,10 +13,13 @@ the trap kept exactly as ``omega b^dag b`` (normal-ordered, no zero-point
 constant).  ``reduce_modes`` compresses the full coordinate space to the span
 actually coupled by the electronic states; discarded directions are free
 oscillators that contribute nothing to normal-ordered ground energies.
+:class:`Model` joins the forms, the weighted adjacency and the parameters
+into the one frozen model that every solver reads.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -319,16 +322,15 @@ def edge_mode_directions(geometry: Geometry, pair, basis: ModeBasis):
     return basis.to_reduced(parallel), [basis.to_reduced(p) for p in perps]
 
 
-def dumbbell_hamiltonian(params: PhysicalParams, couplings):
+def dumbbell_hamiltonian(params: PhysicalParams, couplings) -> Model:
     """Two-state model of the driven pair over its axial relative mode.
 
     The symmetric single-excitation combination couples to the doubly excited
     state with strength ``sqrt(2) Omega``, so the adjacency carries the weight
     ``sqrt(2)``; the antisymmetric combination decouples entirely.  Returns
-    ``(adjacency, forms)``, the model input every solver reads, with the two
-    quadratic forms (trap-only, coupled) over the single relative coordinate:
-    diagonal blocks ``omega b'b`` and
-    ``omega b'b + sqrt(2) kappa (b+b') + xi (b+b')^2``.
+    the :class:`Model` at ``params`` over the single relative coordinate,
+    with the two quadratic forms (trap-only, coupled) whose diagonal blocks
+    are ``omega b'b`` and ``omega b'b + sqrt(2) kappa (b+b') + xi (b+b')^2``.
     """
     omega, x0 = params.omega, params.x0
     trap = omega / (2.0 * x0**2)
@@ -341,24 +343,83 @@ def dumbbell_hamiltonian(params: PhysicalParams, couplings):
         linear=np.array([2.0 * couplings.kappa / x0]),
         hessian=np.array([[trap + 2.0 * couplings.xi / x0**2]]),
     )
-    return np.array([[0.0, SQRT2], [SQRT2, 0.0]]), [plus, excited]
+    return Model.build(np.array([[0.0, SQRT2], [SQRT2, 0.0]]), [plus, excited], params)
 
 
-def node_data(graph, forms):
-    """Weighted adjacency and per-node forms of a model input.
+@dataclass(frozen=True, eq=False)
+class Model:
+    """The model every solver reads: a weighted adjacency, one form per node, and ``params``.
 
-    ``graph`` may be a :class:`ResonantGraph` or a plain adjacency matrix.
-    Returns ``(adjacency, forms)`` with a float adjacency whose entries
-    multiply the drive ``Omega``; it must be symmetric with a zero diagonal,
-    one row per form, as the Fock and surface solvers read different halves,
-    and every form must have the same mode count.
+    Made by :meth:`build`, which checks the input and copies it: the
+    adjacency (its entries multiply the drive ``params.Omega``) and the
+    stacked form ``constants``, ``linears`` and ``hessians`` are read-only
+    arrays of the model's own, and ``forms`` are the node forms over views of
+    them, so no edit made to the input afterwards reaches the model.
+    :meth:`with_drive` gives a sibling at another drive that shares all of
+    them; the Fock solver reuses work between siblings by the identity of
+    their ``forms`` and ``adjacency``.  Only models made by these two are
+    supported: any other skips the checks and copies that identity relies on.
     """
-    adjacency = graph.adjacency if isinstance(graph, ResonantGraph) else graph
-    adjacency = np.asarray(adjacency, dtype=float)
-    if adjacency.shape != (len(forms), len(forms)):
-        raise DomainError(f"adjacency of shape {adjacency.shape} for {len(forms)} forms")
-    if adjacency.diagonal().any() or (adjacency != adjacency.T).any():
-        raise DomainError("adjacency must be symmetric with a zero diagonal")
-    if len({f.dim for f in forms}) > 1:
-        raise DomainError("all node forms must share the same mode count")
-    return adjacency, list(forms)
+
+    adjacency: np.ndarray  # (n, n)
+    forms: tuple  # per-node QuadraticVibronic over the shared coordinates
+    constants: np.ndarray  # (n,)
+    linears: np.ndarray  # (n, dim)
+    hessians: np.ndarray  # (n, dim, dim)
+    params: PhysicalParams
+
+    @classmethod
+    def build(cls, graph, forms, params: PhysicalParams) -> Model:
+        """The model of ``graph`` (a :class:`ResonantGraph` or an adjacency matrix) and ``forms``.
+
+        Raises :class:`DomainError` for no form, for an adjacency that is not
+        square with one row per form, symmetric and zero on its diagonal (the
+        Fock build reads only its upper triangle and the surface's ``eigh``
+        only its lower one, so any other matrix would be two models), for
+        forms of different mode counts, and for any entry that is not finite.
+        """
+        adjacency = graph.adjacency if isinstance(graph, ResonantGraph) else graph
+        adjacency = np.array(adjacency, dtype=float)
+        forms = tuple(forms)
+        if not forms:
+            raise DomainError("a model needs at least one node form")
+        if adjacency.shape != (len(forms), len(forms)):
+            raise DomainError(f"adjacency of shape {adjacency.shape} for {len(forms)} forms")
+        if not np.isfinite(adjacency).all():
+            raise DomainError("adjacency entries must be finite")
+        if adjacency.diagonal().any() or (adjacency != adjacency.T).any():
+            raise DomainError("adjacency must be symmetric with a zero diagonal")
+        if len({f.dim for f in forms}) > 1:
+            raise DomainError("all node forms must share the same mode count")
+        constants = np.array([f.constant for f in forms], dtype=float)
+        linears = np.array([f.linear for f in forms])
+        hessians = np.array([f.hessian for f in forms])
+        for name, stack in zip(("constant", "linear", "hessian"), (constants, linears, hessians)):
+            finite = np.isfinite(stack.reshape(len(forms), -1)).all(axis=1)
+            if not finite.all():
+                raise DomainError(f"node {int(np.argmin(finite))} has a non-finite {name}")
+        for array in (adjacency, constants, linears, hessians):
+            array.setflags(write=False)
+        views = tuple(
+            QuadraticVibronic(f.state, float(c), g, h)
+            for f, c, g, h in zip(forms, constants, linears, hessians)
+        )
+        return cls(adjacency, views, constants, linears, hessians, params)
+
+    @property
+    def dim(self) -> int:
+        return self.linears.shape[1]
+
+    @property
+    def decoupled(self) -> bool:
+        """Whether ``Omega A = 0``: a drive of 0, or no link.
+
+        Then every node is on its own: the surface is the lower envelope of
+        the node energies, and the Fock operator is block diagonal.
+        """
+        return self.params.Omega == 0.0 or not self.adjacency.any()
+
+    def with_drive(self, Omega: float) -> Model:
+        """The sibling at drive ``Omega``, sharing every array of this model."""
+        params = dataclasses.replace(self.params, Omega=float(Omega))
+        return dataclasses.replace(self, params=params)

@@ -12,16 +12,14 @@ expose the symmetry-breaking transition and its smoothing by quantum effects.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import node_data
+from .assembly import Model
 from .errors import DomainError, InstabilityError
 from .fock import converge_scan
-from .params import PhysicalParams
 
 DEFAULT_DEDUP_TOL = 1e-4  # basin deduplication distance, in units of x0
 DEFAULT_DEGENERACY_TOL = 1e-8  # energy tolerance for degenerate minima, units of omega
@@ -35,31 +33,6 @@ ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
 SADDLE_STEP = 0.1  # step off a saddle along negative curvature, units of x0
 MAX_DESCENTS = 3  # Newton descents per start before the start counts as lost
 MIN_SCAN_SAMPLES = 32  # drive samples a transition scan needs to place the kink
-
-
-@dataclass(frozen=True, eq=False)
-class BoSurface:
-    """Electronic matrix data for clamped-coordinate energies.
-
-    The node forms are also held stacked, so node energies, gradients and
-    Hessians at q take a few array operations.
-    """
-
-    adjacency: np.ndarray
-    forms: tuple  # per-node QuadraticVibronic over reduced coordinates
-    constants: np.ndarray  # (n,) stacked form constants
-    linears: np.ndarray  # (n, dim) stacked linear terms
-    hessians: np.ndarray  # (n, dim, dim) stacked Hessians
-    Omega: float
-    omega: float
-    x0: float
-
-    @property
-    def dim(self) -> int:
-        return self.linears.shape[1]
-
-    def with_omega(self, Omega: float) -> "BoSurface":
-        return dataclasses.replace(self, Omega=float(Omega))
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,39 +50,27 @@ class MinimaReport:
     starts_lost: int  # starts that met a crossing or ended on a saddle every time
 
 
-def build_bo_surface(graph, forms, params: PhysicalParams) -> BoSurface:
-    """Bundle a model (any input :func:`node_data` accepts) into a surface at ``params.Omega``."""
-    adjacency, forms = node_data(graph, forms)
-    return BoSurface(
-        adjacency=adjacency,
-        forms=tuple(forms),
-        constants=np.array([f.constant for f in forms]),
-        linears=np.array([f.linear for f in forms]),
-        hessians=np.array([f.hessian for f in forms]),
-        Omega=params.Omega,
-        omega=params.omega,
-        x0=params.x0,
-    )
+build_bo_surface = Model.build  # the name perfbench's tracer wraps (ROADMAP item 8)
 
 
-def _electronic_matrix(surface: BoSurface, q: np.ndarray) -> np.ndarray:
-    energies = surface.constants + surface.linears @ q + (surface.hessians @ q) @ q
-    return surface.Omega * surface.adjacency + np.diag(energies)
+def _electronic_matrix(model: Model, q: np.ndarray) -> np.ndarray:
+    energies = model.constants + model.linears @ q + (model.hessians @ q) @ q
+    return model.params.Omega * model.adjacency + np.diag(energies)
 
 
-def _point(surface: BoSurface, q) -> np.ndarray:
+def _point(model: Model, q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    if q.shape != (surface.dim,):
-        raise DomainError(f"expected {surface.dim} coordinates, got shape {q.shape}")
+    if q.shape != (model.dim,):
+        raise DomainError(f"expected {model.dim} coordinates, got shape {q.shape}")
     return q
 
 
-def bo_energy(surface: BoSurface, q) -> float:
+def bo_energy(model: Model, q) -> float:
     """Smallest electronic eigenvalue at clamped coordinates q."""
-    return float(np.linalg.eigvalsh(_electronic_matrix(surface, _point(surface, q)))[0])
+    return float(np.linalg.eigvalsh(_electronic_matrix(model, _point(model, q)))[0])
 
 
-def _derivatives(surface: BoSurface, q: np.ndarray):
+def _derivatives(model: Model, q: np.ndarray):
     """Lowest eigenvalue, electronic gap, exact gradient and Hessian from one ``eigh``.
 
     With eigenpairs ``(E_k, u_k)`` of M, ``v = u_0`` and node gradients
@@ -117,25 +78,25 @@ def _derivatives(surface: BoSurface, q: np.ndarray):
     ``sum_s v_s^2 2 H_s + 2 sum_{k>0} b_k b_k^T / (E_0 - E_k)`` with
     ``b_k = G^T (v * u_k)``.  Valid away from electronic degeneracies.
     """
-    vals, vecs = np.linalg.eigh(_electronic_matrix(surface, q))
+    vals, vecs = np.linalg.eigh(_electronic_matrix(model, q))
     v = vecs[:, 0]
-    node_grads = surface.linears + 2.0 * surface.hessians @ q
+    node_grads = model.linears + 2.0 * model.hessians @ q
     b = node_grads.T @ (v[:, None] * vecs[:, 1:])
-    hess = 2.0 * np.einsum("s,sij->ij", v * v, surface.hessians)
+    hess = 2.0 * np.einsum("s,sij->ij", v * v, model.hessians)
     with np.errstate(all="ignore"):  # no Hessian at a crossing, where callers stop
         hess += 2.0 * (b / (vals[0] - vals[1:])) @ b.T
     gap = float(vals[1] - vals[0]) if vals.size > 1 else math.inf
     return float(vals[0]), gap, (v * v) @ node_grads, hess
 
 
-def default_start_points(surface: BoSurface) -> np.ndarray:
+def default_start_points(model: Model) -> np.ndarray:
     """Deterministic multistart seeds inside a box of half-width 3 x0.
 
     Includes the origin, single-coordinate offsets in both signs, every
     node's own stationary point (clipped to the box), and the sign-sector
     corners when the dimension keeps their count reasonable.
     """
-    dim, x0 = surface.dim, surface.x0
+    dim, x0 = model.dim, model.params.x0
     half_width = 3.0 * x0
     step = 1.5 * x0
     starts = [np.zeros(dim)]
@@ -144,7 +105,7 @@ def default_start_points(surface: BoSurface) -> np.ndarray:
             v = np.zeros(dim)
             v[m] = sign * step
             starts.append(v)
-    for f in surface.forms:
+    for f in model.forms:
         starts.append(np.clip(f.stationary_point(), -half_width, half_width))
     if dim <= 5:
         for code in range(2**dim):
@@ -153,7 +114,7 @@ def default_start_points(surface: BoSurface) -> np.ndarray:
     return np.array(starts)
 
 
-def light_start_points(surface: BoSurface) -> np.ndarray:
+def light_start_points(model: Model) -> np.ndarray:
     """Reduced seed set for scans: the origin plus every node's stationary point.
 
     Covers the symmetric basin and each configuration's own displaced basin,
@@ -162,16 +123,16 @@ def light_start_points(surface: BoSurface) -> np.ndarray:
     included) are kept once, at their first occurrence; an equal start can
     only repeat its descent.
     """
-    half_width = 3.0 * surface.x0
-    starts = [np.zeros(surface.dim)]
-    for f in surface.forms:
+    half_width = 3.0 * model.params.x0
+    starts = [np.zeros(model.dim)]
+    for f in model.forms:
         start = np.clip(f.stationary_point(), -half_width, half_width)
         if not any(np.array_equal(start, s) for s in starts):
             starts.append(start)
     return np.array(starts)
 
 
-def _newton(surface: BoSurface, q: np.ndarray, tally: dict):
+def _newton(model: Model, q: np.ndarray, tally: dict):
     """Saddle-free Newton descent on the lowest branch, with Armijo backtracking.
 
     Each step divides the gradient by the absolute Hessian eigenvalues, each
@@ -182,23 +143,23 @@ def _newton(surface: BoSurface, q: np.ndarray, tally: dict):
     None at an electronic crossing (gap at most ``GAP_TOL omega``) or when
     it does not converge.
     """
-    floor = CURVATURE_FLOOR * surface.omega / surface.x0**2
+    floor = CURVATURE_FLOOR * model.params.omega / model.params.x0**2
     tally["descents"] += 1
     tally["evaluations"] += 1
-    e, gap, grad, hess = _derivatives(surface, q)
+    e, gap, grad, hess = _derivatives(model, q)
     for _ in range(MAX_NEWTON_STEPS):
-        if gap <= GAP_TOL * surface.omega:
+        if gap <= GAP_TOL * model.params.omega:
             return None
         curvatures, directions = np.linalg.eigh(hess)
         step = -directions @ ((directions.T @ grad) / np.maximum(np.abs(curvatures), floor))
         decrement = -float(grad @ step)
-        small_step = np.linalg.norm(step) <= STEP_TOL * surface.x0
-        if decrement <= DECREMENT_TOL * max(surface.omega, abs(e)) or small_step:
+        small_step = np.linalg.norm(step) <= STEP_TOL * model.params.x0
+        if decrement <= DECREMENT_TOL * max(model.params.omega, abs(e)) or small_step:
             return q, e, curvatures, directions
         for halvings in range(MAX_BACKTRACKS):
             alpha = 0.5**halvings
             tally["evaluations"] += 1
-            trial = _derivatives(surface, q + alpha * step)
+            trial = _derivatives(model, q + alpha * step)
             if trial[0] <= e - ARMIJO * alpha * decrement:
                 break
         else:
@@ -208,27 +169,28 @@ def _newton(surface: BoSurface, q: np.ndarray, tally: dict):
     return None
 
 
-def _zero_drive_minima(surface: BoSurface) -> list:
-    """Minima of a surface with ``Omega A = 0``, the envelope ``min_s E_s(q)``, in closed form.
+def _zero_drive_minima(model: Model) -> list:
+    """Minima of a decoupled model's surface, the envelope ``min_s E_s(q)``, in closed form.
 
     A node's stationary point is one when its branch is within ``GAP_TOL omega``
     of the lowest there and every branch that close is stationary there too
     (its own stationary point within ``DEFAULT_DEDUP_TOL x0``), or when its
     value is the lowest of them all: the envelope's global minimum.
     """
-    points = [f.stationary_point() for f in surface.forms]
-    branches = [np.diag(_electronic_matrix(surface, q)) for q in points]  # M = diag(E_s) here
+    dedup_dist = DEFAULT_DEDUP_TOL * model.params.x0
+    points = [f.stationary_point() for f in model.forms]
+    branches = [np.diag(_electronic_matrix(model, q)) for q in points]  # M = diag(E_s) here
     floor = min(energies[s] for s, energies in enumerate(branches))
     found = []
     for s, (q, energies) in enumerate(zip(points, branches)):
-        near = np.flatnonzero(energies - energies.min() <= GAP_TOL * surface.omega)
-        tied = all(np.linalg.norm(points[t] - q) <= DEFAULT_DEDUP_TOL * surface.x0 for t in near)
+        near = np.flatnonzero(energies - energies.min() <= GAP_TOL * model.params.omega)
+        tied = all(np.linalg.norm(points[t] - q) <= dedup_dist for t in near)
         if s in near and (tied or energies[s] == floor):
             found.append((q, float(energies.min())))
     return found
 
 
-def minimize_bo(surface: BoSurface, starts=None) -> MinimaReport:
+def minimize_bo(model: Model, starts=None) -> MinimaReport:
     """Locate the surface minima: in closed form where ``Omega A = 0``, else by multistart Newton.
 
     A node Hessian that is not positive definite (the surface is then unbounded
@@ -243,22 +205,22 @@ def minimize_bo(surface: BoSurface, starts=None) -> MinimaReport:
     merge, and the degeneracy counts minima within
     ``DEFAULT_DEGENERACY_TOL * omega`` of the lowest.
     """
-    if np.any(np.linalg.eigvalsh(surface.hessians)[:, 0] <= 0.0):
+    if np.any(np.linalg.eigvalsh(model.hessians)[:, 0] <= 0.0):
         raise InstabilityError("a node Hessian is not positive definite: the surface is unbounded")
-    degeneracy_tol = DEFAULT_DEGENERACY_TOL * surface.omega
+    degeneracy_tol = DEFAULT_DEGENERACY_TOL * model.params.omega
     tally = dict.fromkeys(("starts", "descents", "evaluations", "saddles_left", "starts_lost"), 0)
-    if surface.Omega == 0.0 or not surface.adjacency.any():
-        found = _zero_drive_minima(surface)
+    if model.decoupled:
+        found = _zero_drive_minima(model)
     else:
         if starts is None:
-            starts = default_start_points(surface)
+            starts = default_start_points(model)
         starts = np.atleast_2d(np.asarray(starts, dtype=float))
-        if starts.shape[1] != surface.dim:
-            raise DomainError(f"expected {surface.dim} coordinates per start, got {starts.shape[1]}")
+        if starts.shape[1] != model.dim:
+            raise DomainError(f"expected {model.dim} coordinates per start, got {starts.shape[1]}")
         found = []
         for q in starts:
             for _ in range(MAX_DESCENTS):
-                end = _newton(surface, q, tally)
+                end = _newton(model, q, tally)
                 if end is None:  # an electronic crossing
                     break
                 q, e, curvatures, directions = end
@@ -266,13 +228,13 @@ def minimize_bo(surface: BoSurface, starts=None) -> MinimaReport:
                     found.append((q, e))
                     break
                 tally["saddles_left"] += 1
-                q = q + SADDLE_STEP * surface.x0 * directions[:, 0]
+                q = q + SADDLE_STEP * model.params.x0 * directions[:, 0]
         tally["starts"] = len(starts)
         tally["starts_lost"] = len(starts) - len(found)  # each start yields at most one minimum
     if not found:
-        raise DomainError(f"no surface minimum found at drive {surface.Omega}")
+        raise DomainError(f"no surface minimum found at drive {model.params.Omega}")
 
-    dedup_dist = DEFAULT_DEDUP_TOL * surface.x0
+    dedup_dist = DEFAULT_DEDUP_TOL * model.params.x0
     found.sort(key=lambda qe: (qe[1], tuple(qe[0])))
     unique = []
     for q, e in found:
@@ -300,7 +262,7 @@ class QuadraticFit:
     quadratic: np.ndarray  # coefficient matrix C in E = const + b.d + d^T C d
 
 
-def bo_quadratic_check(surface: BoSurface, center) -> QuadraticFit:
+def bo_quadratic_check(model: Model, center) -> QuadraticFit:
     """Exact local quadratic form of the surface at ``center``, from :func:`_derivatives`.
 
     ``constant`` is the lowest eigenvalue there, ``linear`` its gradient and
@@ -309,9 +271,9 @@ def bo_quadratic_check(surface: BoSurface, center) -> QuadraticFit:
     ``GAP_TOL omega``), where the branch has no derivatives, as at a zero-drive
     minimum where tied branches meet; driven minima lie off every crossing.
     """
-    center = _point(surface, center)
-    energy, gap, grad, hess = _derivatives(surface, center)
-    if gap <= GAP_TOL * surface.omega:
+    center = _point(model, center)
+    energy, gap, grad, hess = _derivatives(model, center)
+    if gap <= GAP_TOL * model.params.omega:
         raise DomainError(f"electronic gap {gap:.3g} at the expansion center: a level crossing")
     quadratic = 0.25 * (hess + hess.T)
     return QuadraticFit(center=center, constant=energy, linear=grad, quadratic=quadratic)
@@ -340,22 +302,23 @@ def _second_differences(values: np.ndarray) -> np.ndarray:
     return values[2:] - 2.0 * values[1:-1] + values[:-2]
 
 
-def transition_scan(graph, forms, params: PhysicalParams, omegas, **solver) -> TransitionScanResult:
-    """Scan the surface minimum and the exact ground energy against the drive.
+def transition_scan(model: Model, omegas, **solver) -> TransitionScanResult:
+    """Scan the surface minimum and the exact ground energy of ``model`` against the drive.
 
     Every drive's surface minimum comes from :func:`minimize_bo`, seeded with
-    the :func:`light_start_points` of the zero-drive surface.  The kink of
+    the :func:`light_start_points` of the zero-drive model.  The kink of
     the clamped-coordinate curve is located as the maximizer of the discrete
     second difference, refined once on a finer local grid, whose drives
     bitwise equal to grid drives reuse those minima; its uncertainty is the
     refined grid spacing.  The exact curve is computed with the
     cutoff-doubling solver at every grid point, in one :func:`converge_scan`
-    over the model at each drive, so operators and vectors are carried along
-    the grid; it gets the ``solver`` keywords (``e_tol``, ``max_cutoff``)
-    unchanged, so each stage is solved to the residual target
-    ``fock.stage_tol(e_tol)``, in the phonon frame each drive's model
-    implies (see :func:`vibronic.fock.build_fock_matrix`).  The grid needs at
-    least ``MIN_SCAN_SAMPLES`` strictly increasing drive values.
+    over the model's sibling at each drive (:meth:`Model.with_drive`), so
+    operators and vectors are carried along the grid; it gets the ``solver``
+    keywords (``e_tol``, ``max_cutoff``) unchanged, so each stage is solved
+    to the residual target ``fock.stage_tol(e_tol)``, in the phonon frame
+    each drive's model implies (see :func:`vibronic.fock.build_fock_matrix`).
+    The grid needs at least ``MIN_SCAN_SAMPLES`` strictly increasing drive
+    values.
     """
     omegas = np.asarray(omegas, dtype=float)
     if omegas.size < MIN_SCAN_SAMPLES:
@@ -363,15 +326,14 @@ def transition_scan(graph, forms, params: PhysicalParams, omegas, **solver) -> T
     if np.any(np.diff(omegas) <= 0):
         raise DomainError("drive grid must be strictly increasing")
 
-    base = build_bo_surface(graph, forms, params).with_omega(0.0)
+    base = model.with_drive(0.0)
     starts = light_start_points(base)
 
     def bo_minimum(omega_drive: float) -> float:
-        return minimize_bo(base.with_omega(omega_drive), starts=starts).global_energy
+        return minimize_bo(base.with_drive(omega_drive), starts=starts).global_energy
 
     e_bo = np.array([bo_minimum(o) for o in omegas])
-    rows = [(graph, forms, dataclasses.replace(params, Omega=float(o))) for o in omegas]
-    reports = converge_scan(rows, **solver)
+    reports = converge_scan([model.with_drive(o) for o in omegas], **solver)
     e_quantum = np.array([report.energy for report in reports])
 
     d2_bo = _second_differences(e_bo)

@@ -55,20 +55,15 @@ from .analytic import (
     zero_point_correction,
 )
 from .assembly import (
+    Model,
     assemble_state_hamiltonian,
     build_molecular_model,
     dumbbell_hamiltonian,
     reduce_modes,
 )
-from .bopes import (
-    MIN_SCAN_SAMPLES,
-    build_bo_surface,
-    minimize_bo,
-    transition_scan,
-    transition_scan_csv,
-)
+from .bopes import MIN_SCAN_SAMPLES, minimize_bo, transition_scan, transition_scan_csv
 from .errors import ConfigError, DomainError, InstabilityError, VibronicError
-from .fock import converge_cutoff, converge_scan, stage_tol
+from .fock import converge_scan, stage_tol
 from .graphs import (
     GEOMETRY_PRESETS,
     MAX_ATOMS,
@@ -445,12 +440,12 @@ def _scan_values(scan: dict, critical_scale) -> np.ndarray:
 
 
 def _molecular_model(resolved):
-    """``(graph, forms, basis, couplings)`` of the configured manifold."""
+    """``(model, basis, couplings)`` of the configured manifold."""
     params = resolved["params"]
     graph = _build_graph(resolved)
     coup = derive_couplings(resolved["potential"], params)
     basis, forms = build_molecular_model(graph, coup, params)
-    return graph, forms, basis, coup
+    return Model.build(graph, forms, params), basis, coup
 
 
 def _zero_base_drive(resolved, reason: str):
@@ -488,8 +483,8 @@ def _closed_form(forms, coup, params: PhysicalParams, n_perp: int):
 
 
 # Each scan set-up returns (critical scale or None, model_at, manifest
-# results), where model_at(value) gives the (graph, forms, params) row of
-# converge_scan and the _closed_form (or None) of one row.
+# results), where model_at(value) gives the Model row of converge_scan and
+# the _closed_form (or None) of one row.
 
 
 def _xi_scan(resolved):
@@ -499,10 +494,10 @@ def _xi_scan(resolved):
 
     def model_at(xi):
         coup = dataclasses.replace(potential, xi=xi)
-        adjacency, forms = dumbbell_hamiltonian(params, coup)
+        model = dumbbell_hamiltonian(params, coup)
         # the axial pair model has no perpendicular mode, whatever the geometry
-        closed = _closed_form(forms, coup, params, 0) if params.Omega == 0.0 else None
-        return (adjacency, forms, params), closed
+        closed = _closed_form(model.forms, coup, params, 0) if params.Omega == 0.0 else None
+        return model, closed
 
     return xi_c, model_at, {"xi_c": xi_c}
 
@@ -523,21 +518,19 @@ def _kappa_scan(resolved):
         form = assemble_state_hamiltonian(target, geometry, coup, params)
         _, reduced = reduce_modes([form], params)
         closed = _closed_form(reduced, coup, params, geometry.n_axes - 1)
-        return (np.zeros((1, 1)), reduced, params), closed
+        return Model.build(np.zeros((1, 1)), reduced, params), closed
 
     return kappa_c, model_at, {"kappa_c": kappa_c}
 
 
 def _omega_scan(resolved):
     _zero_base_drive(resolved, "takes its drives from the scan; set Omega = 0")
-    params = resolved["params"]
-    graph, forms, basis, coup = _molecular_model(resolved)
+    model, basis, coup = _molecular_model(resolved)
     # a closed form holds at zero drive only
-    closed = _closed_form(forms, coup, params, resolved["geometry"].n_axes - 1)
+    closed = _closed_form(model.forms, coup, model.params, resolved["geometry"].n_axes - 1)
 
     def model_at(drive):
-        row = (graph, forms, dataclasses.replace(params, Omega=drive))
-        return row, closed if drive == 0.0 else None
+        return model.with_drive(drive), closed if drive == 0.0 else None
 
     return None, model_at, {"n_modes": basis.dim}
 
@@ -604,12 +597,11 @@ def _task_wigner(resolved, outdir: Path):
 
 def _task_bopes_scan(resolved, outdir: Path):
     _zero_base_drive(resolved, "takes its drives from the scan; set Omega = 0")
-    params = resolved["params"]
-    graph, forms, _, coup = _molecular_model(resolved)
+    model, _, coup = _molecular_model(resolved)
     drives = _scan_values(resolved["scan"], None)
-    result = transition_scan(graph, forms, params, drives, **resolved["solver"])
+    result = transition_scan(model, drives, **resolved["solver"])
     analytic = np.full(drives.size, np.nan)  # a closed form holds at zero drive only
-    closed = _closed_form(forms, coup, params, resolved["geometry"].n_axes - 1)
+    closed = _closed_form(model.forms, coup, model.params, resolved["geometry"].n_axes - 1)
     if isinstance(closed, tuple):
         analytic[drives == 0.0] = closed[0]
     (outdir / "bopes-scan.csv").write_text(
@@ -628,10 +620,10 @@ def _task_bopes_scan(resolved, outdir: Path):
 def _task_compare(resolved, outdir: Path):
     _zero_base_drive(resolved, "is a zero-drive consistency check")
     params = resolved["params"]
-    graph, forms, _, coup = _molecular_model(resolved)
+    model, _, coup = _molecular_model(resolved)
     # the surface first: an unstable model raises there before any Fock solve
-    minima = minimize_bo(build_bo_surface(graph, forms, params))
-    report = converge_cutoff(graph, forms, params, **resolved["solver"])
+    minima = minimize_bo(model)
+    report = converge_scan([model], **resolved["solver"])[0]
     rows = [
         ("E_numeric", report.energy),
         ("numeric_converged", report.converged),
@@ -642,7 +634,7 @@ def _task_compare(resolved, outdir: Path):
     ]
     # the exact energy is the lowest node's, the surface minimum the pair's clamped one
     n_perp = resolved["geometry"].n_axes - 1
-    predicted = closed = _closed_form(forms, coup, params, n_perp)  # None or "unstable"
+    predicted = closed = _closed_form(model.forms, coup, params, n_perp)  # None or "unstable"
     if isinstance(closed, tuple):
         lowest, pair = closed
         zero_point = zero_point_correction(coup.kappa, coup.xi, params.omega, coup.nu, n_perp)

@@ -2,31 +2,30 @@
 
 The molecular operator couples electronic nodes through the weighted
 adjacency matrix A (times the drive Omega) while each node carries its own
-quadratic phonon Hamiltonian over the shared collective modes; every model
-input is read by :func:`vibronic.assembly.node_data`.  The product basis is
+quadratic phonon Hamiltonian over the shared collective modes; every solver
+reads a :class:`vibronic.assembly.Model`.  The product basis is
 (node index) x (occupation tuple), with a uniform per-mode cutoff: occupation
 numbers run over 0..cutoff-1.  Position-quadratic terms are mapped through
 x = x0 (b + b^dag)/sqrt(2) per mode; the trap enters exactly as
 omega b^dag b, so the vacuum of a free mode sits at zero energy.
 
 The phonon frame is read off the model.  Where no node couples to another
-(``Omega == 0`` or no link), each positive-definite node's phonon origin is
-moved to the stationary point of its own quadratic form, which changes
-nothing but the basis and converges at far smaller cutoffs when couplings
-push the minima far from the trap center.  Everywhere else every node keeps
-the trap frame, so the block between nodes s and t is Omega * A_st times the
-phonon identity.
+(``Omega A = 0``, :attr:`Model.decoupled`), each positive-definite node's
+phonon origin is moved to the stationary point of its own quadratic form,
+which changes nothing but the basis and converges at far smaller cutoffs
+when couplings push the minima far from the trap center.  Everywhere else
+every node keeps the trap frame, so the block between nodes s and t is
+Omega * A_st times the phonon identity.
 
 The operator is a sum of Kronecker products of banded single-mode factors,
 so it is assembled as a stencil: a node block has entries only at the
 occupation steps 0, +-e_m, +-2e_m and +-e_m+-e_n, whose elements are products
 of the bands of X = b + b^dag and X^2.  A build has two parts.  What does not
 depend on the cutoff is prepared once per model, and the last model's is
-kept, keyed by the model's values (adjacency, form arrays, params apart
-from the drive, and whether Omega A = 0): the frame shifts, each node's
-ladder coefficients, the stencil steps (the occupation steps of the terms
-some node uses) and the links of a nonzero drive.  The rest is assembled per
-cutoff.
+kept for that model object, whose arrays are read-only copies that no edit
+can reach: the frame shifts, each node's ladder coefficients, the stencil
+steps (the occupation steps of the terms some node uses) and the links of a
+coupled model.  The rest is assembled per cutoff.
 
 The operator H is symmetric and stored once: its strict upper triangle U in
 one CSR matrix with sorted rows, its diagonal in an array of its own.  Each
@@ -51,12 +50,13 @@ starting each stage from the lower stage's zero-padded vector, refined above
 fallback; every returned pair has a checked residual, against a target that
 :func:`stage_tol` derives from the stopping tolerance ``e_tol``.
 :func:`converge_scan` runs that doubling along an ordered list of models, the
-one loop behind every scan, and carries work from row to row.  Rows of one
-model that differ only in a nonzero drive share each cutoff's operator, whose
-link entries, all off the diagonal, are rewritten (every row still sees its
-own build bitwise).  Each sparse stage starts from the last three rows'
-ground vectors of its shape, extrapolated quadratically, unless that start
-fails or ends above the lower stage's energy, which nested bases forbid.
+one loop behind every scan, and carries work from row to row.  Rows that
+are nonzero-drive siblings of one model (:meth:`Model.with_drive`) share
+each cutoff's operator, whose link entries, all off the diagonal, are
+rewritten (every row still sees its own build bitwise).  Each sparse stage
+starts from the last three rows' ground vectors of its shape, extrapolated
+quadratically, unless that start fails or ends above the lower stage's
+energy, which nested bases forbid.
 
 A scan row starts its doubling where the last converged row of its shape
 was decided, at a dense stage; see :func:`converge_scan`.
@@ -73,7 +73,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .assembly import ModeBasis, QuadraticVibronic, node_data
+from .assembly import Model, ModeBasis, QuadraticVibronic
 from .errors import DomainError, EigensolverError, ResourceBudgetError
 from .params import PhysicalParams
 
@@ -166,19 +166,19 @@ class SolveReport:
 MAX_FRAME_SHIFT = 1e6
 
 
-def _frame_displacements(adjacency, forms, params: PhysicalParams) -> np.ndarray:
+def _frame_displacements(model: Model) -> np.ndarray:
     """Each node's phonon-frame shift in oscillator units, ``(n_nodes, n_modes)``.
 
-    Where ``Omega A = 0`` (a drive of 0, or no link: the test by which
+    Where the model is decoupled (``Omega A = 0``: the test by which
     :func:`vibronic.bopes.minimize_bo` reads its minima in closed form) the
     operator is block diagonal, and each positive-definite node is centred
     on its own stationary point.  Elsewhere no node moves, so every link is
     the phonon identity.
     """
-    beta = np.zeros((len(forms), forms[0].dim))
-    if params.Omega != 0.0 and adjacency.any():
+    beta = np.zeros((len(model.forms), model.dim))
+    if not model.decoupled:
         return beta
-    for s, form in enumerate(forms):
+    for s, form in enumerate(model.forms):
         try:
             # Only a positive-definite form has a displaced minimum worth
             # centering on; shifting onto a saddle would hide an instability
@@ -187,7 +187,7 @@ def _frame_displacements(adjacency, forms, params: PhysicalParams) -> np.ndarray
         except np.linalg.LinAlgError:
             continue
         qstar = form.stationary_point()
-        shift = qstar / (SQRT2 * params.x0)
+        shift = qstar / (SQRT2 * model.params.x0)
         if np.all(np.isfinite(shift)) and np.abs(shift).max() < MAX_FRAME_SHIFT:
             beta[s] = shift
     return beta
@@ -233,7 +233,7 @@ def _node_links(adjacency):
 
     The block is ``Omega * A[s, t]`` times the phonon identity; the block of
     row t, column s is its transpose, which the upper triangle leaves out.
-    These are the blocks of a nonzero drive; a drive of 0 has none.
+    These are the blocks of a coupled model; a decoupled one has none.
     """
     n_nodes = len(adjacency)
     return tuple(
@@ -427,57 +427,30 @@ def _assemble(
     return sp.csr_matrix((data, indices, indptr), shape=(dim, dim)), diagonal, tuple(records)
 
 
-_LAST = (None, None)  # (_model_key, what _prepared returns) of the last build
-
-
-def _model_key(adjacency, forms, params: PhysicalParams):
-    """A model's values apart from the drive: the adjacency's shape and bytes,
-    each form's constant, linear and Hessian bytes, ``params`` with ``Omega``
-    set to 0, and whether ``Omega A = 0``, which decides the frame (see
-    :func:`_frame_displacements`).  An array edited in place thus gives
-    another key.
-    """
-    return (
-        adjacency.shape,
-        adjacency.tobytes(),
-        tuple(
-            (np.float64(f.constant).tobytes(), f.linear.tobytes(), f.hessian.tobytes())
-            for f in forms
-        ),
-        dataclasses.replace(params, Omega=0.0),
-        params.Omega == 0.0 or not adjacency.any(),
-    )
-
-
-def _prepared(adjacency, forms, params: PhysicalParams):
+@functools.lru_cache(maxsize=1)
+def _prepared(model: Model):
     """The cutoff-independent inputs of a build, ``(beta, coefficients, terms, steps, links)``.
 
     The frame shifts, each node's ladder coefficients and its term
     coefficients (:func:`_node_terms`), the stencil steps (a tuple) and the
-    link blocks of a nonzero drive; every array is read-only.  The last
-    model's are kept by its :func:`_model_key` and reused while the builds
-    keep to it.
+    link blocks, none where the model is decoupled; every array is
+    read-only.  The last model's are kept for that model object.
     """
-    global _LAST
-    key = _model_key(adjacency, forms, params)
-    if _LAST[0] != key:
-        beta = _frame_displacements(adjacency, forms, params)
-        coefficients = tuple(_node_coefficients(f, b, params) for f, b in zip(forms, beta))
-        terms = tuple(_node_terms(node) for node in coefficients)
-        for array in (beta, *terms, *(a for _, l, q in coefficients for a in (l, q))):
-            array.setflags(write=False)
-        steps = _steps(terms, beta.shape[1])
-        _LAST = (key, (beta, coefficients, terms, steps, _node_links(adjacency)))
-    return _LAST[1]
+    beta = _frame_displacements(model)
+    params = model.params
+    coefficients = tuple(_node_coefficients(f, b, params) for f, b in zip(model.forms, beta))
+    terms = tuple(_node_terms(node) for node in coefficients)
+    for array in (beta, *terms, *(a for _, l, q in coefficients for a in (l, q))):
+        array.setflags(write=False)
+    links = ((),) * len(model.forms) if model.decoupled else _node_links(model.adjacency)
+    return beta, coefficients, terms, _steps(terms, model.dim), links
 
 
-def build_fock_matrix(graph, forms, params: PhysicalParams, cutoff: int = 8) -> FockOperator:
-    """Assemble the molecular operator in the truncated product Fock basis.
+def build_fock_matrix(model: Model, cutoff: int = 8) -> FockOperator:
+    """Assemble the molecular operator of ``model`` in the truncated product Fock basis.
 
-    ``graph`` may be a :class:`ResonantGraph` or a plain adjacency matrix
-    (see :func:`node_data`).  ``forms`` are the per-node quadratic forms over
-    the shared reduced coordinates.  The off-diagonal block between nodes s
-    and t is ``params.Omega * A[s, t]`` times the phonon identity; only the
+    The off-diagonal block between nodes s and t is
+    ``model.params.Omega * A[s, t]`` times the phonon identity; only the
     strict upper triangle and the diagonal are stored (see
     :class:`FockOperator`).  Raises :class:`ResourceBudgetError` when the
     build would allocate more than ``MAX_BYTES`` (1 GiB): the upper
@@ -500,13 +473,12 @@ def build_fock_matrix(graph, forms, params: PhysicalParams, cutoff: int = 8) -> 
     positive-definite node is centred on its own stationary point, elsewhere
     no node moves (see :func:`_frame_displacements`).  The frame shifts,
     node coefficients, stencil steps and link list depend on the model only.
-    The last model's are kept, keyed by the adjacency's and the forms'
-    values, ``params`` apart from ``Omega``, and whether ``Omega A = 0``, so
-    the stages of a cutoff doubling, and the rows of a drive scan, prepare
-    nothing again; a drive of 0 drops the links.  Those arrays are shared
-    and read-only, ``FockOperator.displacements`` among them.  The matrix is
-    then written node row by node row from the stencil described in the
-    module docstring, each link as one entry per row.  Every row's column
+    The last model's are kept for that model object, so the stages of a
+    cutoff doubling prepare nothing again; a decoupled model has no links.
+    Those arrays are shared and read-only, ``FockOperator.displacements``
+    among them.  The matrix is then written node row by node row from the
+    stencil described in the module docstring, each link as one entry per
+    row.  Every row's column
     indices are sorted (int32 below 2**31 entries); node-block entries that
     are exactly zero are not stored.  ``FockOperator.links`` records where
     each link block's entries sit in ``matrix.data``, so that a scan can
@@ -514,13 +486,9 @@ def build_fock_matrix(graph, forms, params: PhysicalParams, cutoff: int = 8) -> 
     """
     if cutoff < 2:
         raise DomainError(f"cutoff must be at least 2, got {cutoff}")
-    adjacency, forms = node_data(graph, forms)
-    n_nodes = len(forms)
-    n_modes = forms[0].dim
-
-    beta, coefficients, terms, steps, links = _prepared(adjacency, forms, params)
-    if params.Omega == 0.0:
-        links = ((),) * n_nodes
+    params = model.params
+    n_nodes, n_modes = len(model.forms), model.dim
+    beta, coefficients, terms, steps, links = _prepared(model)
     # a row's table columns: its stencil steps, then one per link
     widths = [len(steps) + len(row) for row in links]
     n_blocks = sum(len(row) for row in links)
@@ -676,10 +644,12 @@ def stage_tol(e_tol: float) -> float:
 def converge_cutoff(graph, forms, params: PhysicalParams, *, frame="bare", **solver) -> SolveReport:
     """Double the Fock cutoff from 4 until the ground energy stabilizes.
 
-    This is :func:`converge_scan` over the one row ``(graph, forms, params)``,
-    with its ``solver`` keywords ``e_tol`` and ``max_cutoff``; ``frame``
-    must be ``"bare"`` or ``"displaced"`` and selects nothing, as the model
-    decides the frame (see :func:`build_fock_matrix`).
+    This is :func:`converge_scan` over the one row
+    ``Model.build(graph, forms, params)``, with its ``solver`` keywords
+    ``e_tol`` and ``max_cutoff``; ``frame`` must be ``"bare"`` or
+    ``"displaced"`` and selects nothing, as the model decides the frame (see
+    :func:`build_fock_matrix`).  The triple and ``frame`` are the spellings
+    that perfbench's ``fock-large`` workload passes (ROADMAP item 8).
     Stops when consecutive energies differ by less than
     ``e_tol`` or the cutoff would exceed ``max_cutoff``.  Each stage is solved
     to the residual target ``stage_tol(e_tol)``, so a stop can differ from the
@@ -694,10 +664,9 @@ def converge_cutoff(graph, forms, params: PhysicalParams, *, frame="bare", **sol
     unconverged; only an over-budget first stage raises
     :class:`ResourceBudgetError`.
     """
-    # perfbench's fock-large workload passes frame="bare"; it selects nothing
     if frame not in ("bare", "displaced"):
         raise DomainError(f'frame must be "bare" or "displaced", got {frame!r}')
-    return converge_scan([(graph, forms, params)], **solver)[0]
+    return converge_scan([Model.build(graph, forms, params)], **solver)[0]
 
 
 def _extrapolate(trail):
@@ -714,21 +683,31 @@ def _extrapolate(trail):
     return sum(c * (v if v1 @ v >= 0.0 else -v) for c, v in zip(weights, trail))
 
 
-def _carried_operator(operators: dict, graph, forms, params, cutoff: int):
-    """The stage operator of one row, whose model built every operator in ``operators``.
+def _siblings(model: Model, other) -> bool:
+    """Whether ``model`` and ``other`` are :meth:`Model.with_drive` siblings:
+    the same forms and adjacency objects, and equal params but the drive."""
+    return (
+        other is not None
+        and model.forms is other.forms
+        and model.adjacency is other.adjacency
+        and model.params == dataclasses.replace(other.params, Omega=model.params.Omega)
+    )
 
-    A drive of 0 has no links and gets its own build.  Any other drive reuses
-    ``operators[cutoff]``, built at the model's first nonzero drive there,
-    with its link entries rewritten in place.
+
+def _carried_operator(operators: dict, owner: Model, model: Model, cutoff: int):
+    """The stage operator of one row: ``owner`` or a nonzero-drive sibling of it.
+
+    A drive of 0 gets its own build.  Any other drive takes
+    ``operators[cutoff]``, which ``owner`` builds on first use, so its
+    preparation is reused; every row rewrites the link entries in place at
+    its own drive, since the last row to write them may have had another.
     """
-    if params.Omega == 0.0:
-        return build_fock_matrix(graph, forms, params, cutoff)
-    op = operators.get(cutoff)
-    if op is None:
-        op = build_fock_matrix(graph, forms, params, cutoff)
-        operators[cutoff] = op
-    else:
-        _write_links(op.matrix.data, op.links, params.Omega)
+    if model.params.Omega == 0.0:
+        return build_fock_matrix(model, cutoff)
+    if cutoff not in operators:
+        operators[cutoff] = build_fock_matrix(owner, cutoff)
+    op = operators[cutoff]
+    _write_links(op.matrix.data, op.links, model.params.Omega)
     return op
 
 
@@ -755,14 +734,14 @@ def _stage_pair(op: FockOperator, tol: float, guess, padded, bound):
 def converge_scan(models, *, e_tol: float = 1e-8, max_cutoff: int = 256) -> tuple:
     """Run the cutoff doubling of :func:`converge_cutoff` on every row, in order.
 
-    ``models`` is a sequence of ``(graph, forms, params)`` rows; returns one
+    ``models`` is a sequence of :class:`Model` rows; returns one
     :class:`SolveReport` per row, each with the stopping rule, the stage
     residual target ``stage_tol(e_tol)`` and the failure handling of a
     one-row call.  Each row's phonon frame is read off its own model, as
     :func:`build_fock_matrix` states.  Three kinds of work are carried from
     row to row.
 
-    *Starting cutoffs.*  A row of shape ``(len(forms), forms[0].dim)``
+    *Starting cutoffs.*  A row of shape ``(len(model.forms), model.dim)``
     starts where the last converged row of that shape was decided: at the
     lower cutoff ``c`` of its deciding pair, or at ``max(4, c // 2)`` when
     that pair was the row's first, which lets the start fall along a grid
@@ -775,24 +754,27 @@ def converge_scan(models, *, e_tol: float = 1e-8, max_cutoff: int = 256) -> tupl
     bounded as in a one-row call.  The doubling from 4 passes through that
     dense stage too; all a carried start can add is the stage above it, of
     at most 1,024 states, far inside the ``MAX_BYTES`` budget.  A row still
-    stops only on two consecutive
-    stages closer than ``e_tol``, so it may stop at a higher cutoff than
-    :func:`converge_cutoff` on that row alone, whose first pair is (4, 8).
+    stops only on two consecutive stages closer than ``e_tol``, so it may
+    stop at a higher cutoff than :func:`converge_cutoff` on that row alone,
+    whose first pair is (4, 8).
 
-    *Operators.*  A row reuses the operator of a cutoff, rewriting only its
-    link entries in place (which gives the build's matrix bitwise), when its
-    :func:`_model_key`, the values that the build's own preparation is kept
-    by, is that of the row that built that operator, and its drive is
-    nonzero; forms edited in place since then make another model, even as
-    the same objects.  A drive of exactly 0 has no links and gets its own
-    build; on a model with links it is in the shifted frame, so its key
-    differs from the driven rows'.  A row of any other key drops the cached
-    operators and builds afresh, so the scan holds at most one model's
-    operators, one per reached cutoff, besides the build in progress.
+    *Operators.*  A run of rows with nonzero drives that are
+    :meth:`Model.with_drive` siblings, which is decided by identity (they
+    share their forms and adjacency objects, see :func:`_siblings`), shares
+    one operator per cutoff.  The run's first row builds each of them on
+    first use, so its preparation serves the whole run, and every row
+    rewrites only the link entries in place at its own drive, which gives
+    its own build's matrix bitwise.  A
+    model built again from the same input is another model, and since
+    :meth:`Model.build` copies the input, no edit can change a model between
+    rows.  A drive of exactly 0 gets its own build (on a model with links it
+    is in the shifted frame), and like a row of another model it ends the
+    run, so the scan holds at most one run's operators, one per reached
+    cutoff, besides the build in progress.
 
     *Vectors.*  Above ``DENSE_CUTOVER`` a stage starts from the last three
     rows' ground vectors of its shape (nodes, modes, cutoff) and frame
-    (whether ``Omega A = 0``), extrapolated quadratically in the row index,
+    (:attr:`Model.decoupled`), extrapolated quadratically in the row index,
     whatever model they came from.  It falls back to the zero-padded lower
     stage's vector when that start fails or ends above the lower stage's
     energy, which the nested bases forbid.
@@ -805,34 +787,35 @@ def converge_scan(models, *, e_tol: float = 1e-8, max_cutoff: int = 256) -> tupl
     if max_cutoff < 4:
         raise DomainError(f"max_cutoff must be at least 4, got {max_cutoff}")
     tol = stage_tol(e_tol)
-    operators = {}  # cutoff -> operator built at a nonzero drive of ``owner``
-    owner = None  # _model_key of the row that built them
-    trails = {}  # (nodes, modes, cutoff, Omega A = 0) -> ground vectors of the last three rows
+    operators = {}  # cutoff -> operator built by ``owner``
+    owner = None  # the first of a run of nonzero-drive siblings
+    trails = {}  # (nodes, modes, cutoff, decoupled) -> ground vectors of the last three rows
     starts = {}  # (nodes, modes) -> first cutoff of the next row there
     reports = []
-    for graph, forms, params in models:
-        key = _model_key(*node_data(graph, forms), params)
-        if key != owner:
-            operators, owner = {}, key
+    for model in models:
+        if model.params.Omega == 0.0:
+            operators, owner = {}, None
+        elif not _siblings(model, owner):
+            operators, owner = {}, model
         history = []
         energy_prev = None
         converged = False
         op = state = None
-        row_shape = (len(forms), forms[0].dim)
+        row_shape = (len(model.forms), model.dim)
         cutoff = starts.get(row_shape, 4)
         # a first stage has no lower one to bound its energy, so it is a dense one
-        while cutoff > 4 and len(forms) * cutoff ** forms[0].dim > DENSE_CUTOVER:
+        while cutoff > 4 and row_shape[0] * cutoff ** row_shape[1] > DENSE_CUTOVER:
             cutoff //= 2
         while cutoff <= max_cutoff:
             padded = None if state is None else _zero_pad(op, state, cutoff)
             try:
-                op = _carried_operator(operators, graph, forms, params, cutoff)
+                op = _carried_operator(operators, owner, model, cutoff)
             except ResourceBudgetError:
                 if not history:
                     raise
                 break
             # dense stages ignore starts, so only sparse ones keep a trail
-            shape = (op.n_nodes, op.n_modes, cutoff, key[-1])
+            shape = (op.n_nodes, op.n_modes, cutoff, model.decoupled)
             trail = trails.setdefault(shape, []) if op.dim > DENSE_CUTOVER else []
             energy, state = _stage_pair(op, tol, _extrapolate(trail), padded, energy_prev)
             if state is not None:

@@ -18,7 +18,7 @@ SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Drive, trap, and geometry scales of the tweezer array.
+    """Drive, trap, and geometry scales of the tweezer array, each a finite number.
 
     Parameters
     ----------
@@ -39,6 +39,9 @@ class PhysicalParams:
     x0: float = 1.0
 
     def __post_init__(self):
+        for name in ("omega", "Omega", "d", "x0"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.omega <= 0:
             raise DomainError(f"trap frequency must be positive, got {self.omega}")
         if self.d <= 0:

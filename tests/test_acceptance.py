@@ -73,7 +73,7 @@ def test_criterion_03_dumbbell_energy_oracle():
     for kappa in np.linspace(0.0, 1.0, 5):
         for xibar in np.linspace(-2.0, 0.9, 5):
             xi = xibar * (-0.25)
-            _, forms = vb.dumbbell_hamiltonian(params, vb.ExplicitCouplings(kappa, xi, 0.1))
+            forms = vb.dumbbell_hamiltonian(params, vb.ExplicitCouplings(kappa, xi, 0.1)).forms
             report = vb.converge_cutoff(SINGLE, [forms[1]], params, e_tol=1e-9, max_cutoff=256)
             assert report.converged
             assert report.cutoff <= 256
@@ -111,8 +111,7 @@ def test_criterion_05_instability_detection():
     params = vb.PhysicalParams(omega=1.0, Omega=0.0)
 
     def excited_block(kappa, xi):
-        _, forms = vb.dumbbell_hamiltonian(params, vb.ExplicitCouplings(kappa, xi, 0.1))
-        return [forms[1]]
+        return [vb.dumbbell_hamiltonian(params, vb.ExplicitCouplings(kappa, xi, 0.1)).forms[1]]
 
     # curvature instability on the pair mode
     unstable = vb.converge_cutoff(
@@ -150,7 +149,7 @@ def test_criterion_06_instability_persists_at_finite_drive():
     params = vb.PhysicalParams(omega=1.0, Omega=0.5)
     for kappa in (0.0, 0.2):
         model = vb.dumbbell_hamiltonian(params, vb.ExplicitCouplings(kappa, 1.1 * (-0.25), 0.1))
-        report = vb.converge_cutoff(*model, params, e_tol=1e-8, max_cutoff=256)
+        report = vb.converge_scan([model], e_tol=1e-8, max_cutoff=256)[0]
         assert not report.converged
         history = [e for _, e in report.energy_history]
         assert all(e2 < e1 for e1, e2 in zip(history, history[1:]))
@@ -182,7 +181,7 @@ def test_criterion_08_displacement_bound_near_instability():
     _, kappa_c = vb.critical_points(1.0, nu)
     kappa = 0.99 * kappa_c
     basis, reduced = _excited_pair_form(vb.tetrahedron(), kappa, 0.0, nu, params)
-    op = vb.build_fock_matrix(SINGLE, reduced, params, cutoff=64)
+    op = vb.build_fock_matrix(vb.Model.build(SINGLE, reduced, params), cutoff=64)
     energy, state = vb.ground_state(op)
     # sanity on the solved problem; the strongly squeezed perpendicular
     # zero-point energy converges slowly in cutoff, the displacement does not
@@ -206,7 +205,7 @@ def test_criterion_09_surface_quadratic_form_and_triple_minimum():
     pot = vb.ExplicitCouplings(kappa=kappa, xi=xi, nu=nu, v_d=1.0)
     graph = vb.build_resonant_manifold(vb.triangle(), -1.0, pot, (0, 0, 1))
     basis, forms = vb.build_molecular_model(graph, vb.derive_couplings(pot, params), params)
-    surface = vb.build_bo_surface(graph, forms, params)
+    surface = vb.Model.build(graph, forms, params)
 
     report = vb.minimize_bo(surface)
     assert report.degeneracy == 3
@@ -247,7 +246,7 @@ def test_criterion_10_zero_point_correction():
         basis, forms = vb.build_molecular_model(graph, vb.derive_couplings(pot, params), params)
         quantum = vb.converge_cutoff(graph, forms, params, e_tol=1e-7, max_cutoff=16)
         assert quantum.converged
-        surface = vb.build_bo_surface(graph, forms, params)
+        surface = vb.Model.build(graph, forms, params)
         minima = vb.minimize_bo(surface)
         measured = quantum.energy - minima.global_energy
         predicted = vb.quantum_correction(kappa, xi, 1.0, nu)
@@ -264,15 +263,13 @@ def test_criterion_11_structural_transition_shape():
     pot = vb.ExplicitCouplings(kappa=kappa, xi=0.0, nu=nu, v_d=1.0)
     graph = vb.build_resonant_manifold(vb.triangle(), -1.0, pot, (0, 0, 1))
     basis, forms = vb.build_molecular_model(graph, vb.derive_couplings(pot, params), params)
-    surface = vb.build_bo_surface(graph, forms, params)
+    surface = vb.Model.build(graph, forms, params)
 
     # the scan window brackets the kink; the well-hybridization bend right at
     # zero drive is genuine curvature of the exact curve unrelated to the
     # kink-vs-smooth contrast, so the grid starts just above it
     result = vb.transition_scan(
-        graph,
-        forms,
-        params,
+        surface,
         np.linspace(0.06, 0.30, 121),
         e_tol=1e-3,
         max_cutoff=8,

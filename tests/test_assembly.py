@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from vibronic import (
     DomainError,
     ExplicitCouplings,
     Geometry,
+    Model,
     PhysicalParams,
     PowerLaw,
     PowerLawSum,
@@ -16,10 +18,9 @@ from vibronic import (
     UnsupportedVariantError,
     assemble_graph_hamiltonians,
     assemble_state_hamiltonian,
-    build_bo_surface,
-    build_fock_matrix,
     build_molecular_model,
     build_resonant_manifold,
+    converge_cutoff,
     critical_points,
     derive_couplings,
     dumbbell,
@@ -257,7 +258,8 @@ def test_full_3d_override_enlarges_the_mode_space():
 def test_two_state_model_matches_spec_form():
     params = PhysicalParams(omega=1.0, Omega=0.4, x0=0.2)
     coup = ExplicitCouplings(kappa=-0.7, xi=0.12, nu=0.2)
-    adjacency, forms = dumbbell_hamiltonian(params, coup)
+    model = dumbbell_hamiltonian(params, coup)
+    adjacency, forms = model.adjacency, model.forms
     # the off-diagonal weight sqrt(2) multiplies the drive Omega
     assert params.Omega * adjacency[0, 1] == pytest.approx(SQRT2 * 0.4, rel=1e-15)
     assert adjacency[0, 1] == adjacency[1, 0] == SQRT2
@@ -299,11 +301,11 @@ def test_pinned_couplings_reject_off_nominal_pairs():
 )
 def test_every_solver_rejects_an_adjacency_it_would_read_differently(adjacency):
     params = PhysicalParams(omega=1.0, Omega=0.2, x0=0.3)
-    _, forms = dumbbell_hamiltonian(params, ExplicitCouplings(kappa=0.2, xi=0.0, nu=0.3))
+    forms = dumbbell_hamiltonian(params, ExplicitCouplings(kappa=0.2, xi=0.0, nu=0.3)).forms
     with pytest.raises(DomainError, match="adjacency"):
-        build_fock_matrix(np.array(adjacency), forms, params, cutoff=4)
+        Model.build(np.array(adjacency), forms, params)
     with pytest.raises(DomainError, match="adjacency"):
-        build_bo_surface(np.array(adjacency), forms, params)
+        converge_cutoff(np.array(adjacency), forms, params)
 
 
 def test_every_solver_rejects_forms_of_different_mode_counts():
@@ -312,6 +314,33 @@ def test_every_solver_rejects_forms_of_different_mode_counts():
     forms = [QuadraticVibronic((0,), 0.0, np.zeros(n), np.eye(n)) for n in (1, 2)]
     adjacency = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(DomainError, match="mode count"):
-        build_fock_matrix(adjacency, forms, params, cutoff=4)
+        Model.build(adjacency, forms, params)
     with pytest.raises(DomainError, match="mode count"):
-        build_bo_surface(adjacency, forms, params)
+        converge_cutoff(adjacency, forms, params)
+
+
+def test_a_model_needs_a_node():
+    with pytest.raises(DomainError, match="at least one node"):
+        Model.build(np.zeros((0, 0)), [], PhysicalParams())
+
+
+def test_a_model_rejects_a_non_finite_adjacency():
+    # NaN != NaN, so the symmetry check alone would misname it
+    params = PhysicalParams(omega=1.0, Omega=0.2, x0=0.3)
+    forms = dumbbell_hamiltonian(params, ExplicitCouplings(kappa=0.2, xi=0.0, nu=0.3)).forms
+    adjacency = np.array([[0.0, math.nan], [math.nan, 0.0]])
+    with pytest.raises(DomainError, match="adjacency entries must be finite"):
+        Model.build(adjacency, forms, params)
+
+
+@pytest.mark.parametrize("entry", ["constant", "linear", "hessian"])
+def test_a_model_rejects_a_non_finite_form_entry(entry):
+    # a NaN linear term once reached the Fock solver as a raw LinAlgError
+    params = PhysicalParams(omega=1.0, Omega=0.2, x0=0.3)
+    model = dumbbell_hamiltonian(params, ExplicitCouplings(kappa=0.2, xi=0.0, nu=0.3))
+    bad = {"constant": math.nan, "linear": np.array([math.inf]), "hessian": np.array([[math.nan]])}
+    forms = [model.forms[0], dataclasses.replace(model.forms[1], **{entry: bad[entry]})]
+    with pytest.raises(DomainError, match=f"node 1 has a non-finite {entry}"):
+        Model.build(model.adjacency, forms, params)
+    with pytest.raises(DomainError, match=f"node 1 has a non-finite {entry}"):
+        converge_cutoff(model.adjacency, forms, params)

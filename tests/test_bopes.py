@@ -14,11 +14,11 @@ from vibronic import (
     DomainError,
     ExplicitCouplings,
     InstabilityError,
+    Model,
     PhysicalParams,
     assemble_graph_hamiltonians,
     bo_energy,
     bo_quadratic_check,
-    build_bo_surface,
     build_fock_matrix,
     build_molecular_model,
     build_resonant_manifold,
@@ -47,7 +47,7 @@ def triangle_setup(kappa, xi=0.0, nu=0.5, omega=1.0, Omega=0.0):
     graph = build_resonant_manifold(triangle(), -1.0, pot, (0, 0, 1))
     coup = derive_couplings(pot, params)
     basis, forms = build_molecular_model(graph, coup, params)
-    surface = build_bo_surface(graph, forms, params)
+    surface = Model.build(graph, forms, params)
     return params, graph, basis, forms, surface
 
 
@@ -73,7 +73,7 @@ def test_dumbbell_drive_only_surface():
     pot = ExplicitCouplings(kappa=0.0, xi=0.0, nu=0.1, v_d=1.0)
     graph = build_resonant_manifold(dumbbell(), -1.0, pot, (0, 1))
     basis, forms = build_molecular_model(graph, derive_couplings(pot, params), params)
-    surface = build_bo_surface(graph, forms, params)
+    surface = Model.build(graph, forms, params)
     assert bo_energy(surface, np.zeros(1)) == pytest.approx(-SQRT2 * 0.25, rel=1e-12)
 
 
@@ -147,7 +147,7 @@ def test_quadratic_form_of_the_driven_surface_matches_second_differences():
     assert np.linalg.norm(fit.linear) < 1e-6
     assert fit.constant == pytest.approx(bo_energy(surface, center), abs=1e-14)
 
-    h, dim = 1e-3 * surface.x0, surface.dim
+    h, dim = 1e-3 * surface.params.x0, surface.dim
     steps = h * np.eye(dim)
 
     def energy(*offsets):
@@ -186,8 +186,8 @@ def test_drive_derivative_is_bounded_by_the_graph_spectrum():
     h = 1e-6
     for _ in range(4):
         q = 0.4 * rng.standard_normal(4)
-        e_plus = bo_energy(surface.with_omega(0.2 + h), q)
-        e_minus = bo_energy(surface.with_omega(0.2 - h), q)
+        e_plus = bo_energy(surface.with_drive(0.2 + h), q)
+        e_minus = bo_energy(surface.with_drive(0.2 - h), q)
         assert abs(e_plus - e_minus) / (2 * h) <= lam_max + 1e-6
 
 
@@ -209,7 +209,7 @@ SCAN_SOLVER = {"e_tol": 1e-3, "max_cutoff": 8}
 def test_transition_scan_bo_only():
     params, graph, basis, forms, surface = triangle_setup(kappa=-0.3536)
     omegas = np.linspace(0.0, 0.3, 33)
-    result = transition_scan(graph, forms, params, omegas, **SCAN_SOLVER)
+    result = transition_scan(Model.build(graph, forms, params), omegas, **SCAN_SOLVER)
     assert 0.05 < result.kink_omega < 0.28
     assert result.kink_uncertainty < omegas[1] - omegas[0]
     assert result.bo_second_diff_max > 0
@@ -225,7 +225,7 @@ def test_transition_scan_minimizes_each_drive_once(monkeypatch):
     original = vibronic.bopes.minimize_bo
 
     def spy(surface, starts=None):
-        drives.append(surface.Omega)
+        drives.append(surface.params.Omega)
         return original(surface, starts=starts)
 
     monkeypatch.setattr(vibronic.bopes, "minimize_bo", spy)
@@ -234,7 +234,7 @@ def test_transition_scan_minimizes_each_drive_once(monkeypatch):
     graph = build_resonant_manifold(dumbbell(), -1.0, pot, (0, 1))
     _, forms = build_molecular_model(graph, derive_couplings(pot, params), params)
     omegas = np.linspace(0.0, 0.4, 33)
-    result = transition_scan(graph, forms, params, omegas, e_tol=1e-6, max_cutoff=16)
+    result = transition_scan(Model.build(graph, forms, params), omegas, e_tol=1e-6, max_cutoff=16)
     d2 = result.e_bo[2:] - 2.0 * result.e_bo[1:-1] + result.e_bo[:-2]
     kink_idx = int(np.argmax(np.abs(d2))) + 1
     fine = np.linspace(omegas[kink_idx - 1], omegas[kink_idx + 1], 9)
@@ -246,15 +246,15 @@ def test_transition_scan_minimizes_each_drive_once(monkeypatch):
 def test_transition_scan_validates_grid():
     params, graph, basis, forms, _ = triangle_setup(kappa=-0.3536)
     with pytest.raises(DomainError):
-        transition_scan(graph, forms, params, np.linspace(0, 0.3, 8))
+        transition_scan(Model.build(graph, forms, params), np.linspace(0, 0.3, 8))
     with pytest.raises(DomainError):
-        transition_scan(graph, forms, params, np.zeros(40))
+        transition_scan(Model.build(graph, forms, params), np.zeros(40))
 
 
 def test_csv_writers():
     params, graph, basis, forms, surface = triangle_setup(kappa=-0.3536)
     omegas = np.linspace(0.0, 0.3, 33)
-    result = transition_scan(graph, forms, params, omegas, **SCAN_SOLVER)
+    result = transition_scan(Model.build(graph, forms, params), omegas, **SCAN_SOLVER)
     scan_text = transition_scan_csv(result)
     scan_lines = scan_text.strip().split("\n")
     assert scan_lines[0] == "Omega,E_BO,E_quantum,E_analytic,converged,cutoff"
@@ -271,7 +271,7 @@ def fd_hessian(surface, q, h=1e-5):
     rows = []
     for m in range(surface.dim):
         e = np.zeros(surface.dim)
-        e[m] = h * surface.x0
+        e[m] = h * surface.params.x0
         plus, minus = _derivatives(surface, q + e)[2], _derivatives(surface, q - e)[2]
         rows.append((plus - minus) / (2 * e[m]))
     hess = np.array(rows)
@@ -285,7 +285,7 @@ def nelder_mead_energy(surface, start):
         start,
         method="Nelder-Mead",
         options={
-            "xatol": 1e-10 * surface.x0,
+            "xatol": 1e-10 * surface.params.x0,
             "fatol": 1e-13,
             "maxiter": 4000 * surface.dim,
             "maxfev": 4000 * surface.dim,
@@ -296,13 +296,13 @@ def nelder_mead_energy(surface, start):
 
 def assert_true_minima(surface, report):
     for q, _ in report.minima:
-        assert _derivatives(surface, q)[1] > 1e-7 * surface.omega
+        assert _derivatives(surface, q)[1] > 1e-7 * surface.params.omega
         assert np.linalg.eigvalsh(fd_hessian(surface, q))[0] > 0
 
 
 def test_descent_from_the_origin_leaves_the_saddle():
     _, _, _, _, base = triangle_setup(kappa=CRITERION_11_KAPPA)
-    surface = base.with_omega(0.06)
+    surface = base.with_drive(0.06)
     # plain gradient descent from the origin stays in the symmetric subspace
     # and stops on a saddle of the lowest branch: a doubly degenerate
     # negative curvature across the symmetry-breaking directions
@@ -323,12 +323,12 @@ def test_descent_from_the_origin_leaves_the_saddle():
     assert report.degeneracy == 3
     assert_true_minima(surface, report)
     for q, _ in report.minima:
-        assert np.linalg.norm(q - saddle) > 0.1 * surface.x0
+        assert np.linalg.norm(q - saddle) > 0.1 * surface.params.x0
 
 
 def test_minima_report_counts_the_search():
     _, _, _, _, base = triangle_setup(kappa=CRITERION_11_KAPPA)
-    surface = base.with_omega(0.06)
+    surface = base.with_drive(0.06)
     starts = light_start_points(surface)
     report = minimize_bo(surface, starts=starts)
     assert report.starts == len(starts) == 4
@@ -361,14 +361,14 @@ def test_minima_at_a_crossing_start():
     assert report.degeneracy == 3
     # the closed form is exact to a few ulp; the simplex's float evaluation
     # may read an ulp below it, so both compare within 4 eps |E|
-    exact = -2 * CRITERION_11_KAPPA**2 / surface.omega**2
+    exact = -2 * CRITERION_11_KAPPA**2 / surface.params.omega**2
     slack = 4 * np.finfo(float).eps * abs(exact)
     assert report.global_energy == pytest.approx(exact, rel=0, abs=slack)
     assert report.global_energy <= nelder_mead_energy(surface, origin) + slack
     counts = ("starts", "descents", "evaluations", "saddles_left", "starts_lost")
     assert [getattr(report, c) for c in counts] == [0] * len(counts)
     # a tiny drive leaves the origin a crossing: a start there yields nothing
-    driven = surface.with_omega(1e-9)
+    driven = surface.with_drive(1e-9)
     with pytest.raises(DomainError):
         minimize_bo(driven, starts=origin[None, :])
     report = minimize_bo(driven, starts=light_start_points(driven))
@@ -383,7 +383,7 @@ def test_unstable_surface_raises_at_every_drive():
     assert np.linalg.eigvalsh(surface.hessians)[:, 0].min() < 0.0
     for drive in (0.0, 0.1):
         with pytest.raises(InstabilityError):
-            minimize_bo(surface.with_omega(drive))
+            minimize_bo(surface.with_drive(drive))
 
 
 # manifolds of different node counts, pairs per node and mode dimensions
@@ -412,7 +412,7 @@ def test_zero_drive_minima_are_minima_of_the_surface(manifold, kappabar, xibar, 
     pot = ExplicitCouplings(kappa=kappabar * kappa_c, xi=xibar * xi_c, nu=nu, v_d=1.0)
     graph = build_resonant_manifold(geometry, delta, pot, seed)
     _, forms = build_molecular_model(graph, derive_couplings(pot, params), params)
-    surface = build_bo_surface(graph, forms, params)
+    surface = Model.build(graph, forms, params)
     if np.linalg.eigvalsh(surface.hessians)[:, 0].min() <= 0.0:
         # several pairs on one node can add up past the one-pair bound
         with pytest.raises(InstabilityError):
@@ -421,7 +421,7 @@ def test_zero_drive_minima_are_minima_of_the_surface(manifold, kappabar, xibar, 
     report = minimize_bo(surface)
     for start in light_start_points(surface):
         assert report.global_energy <= nelder_mead_energy(surface, start) + 1e-12
-    steps = 1e-4 * surface.x0 * np.eye(surface.dim)
+    steps = 1e-4 * surface.params.x0 * np.eye(surface.dim)
     for q, e in report.minima:
         assert e == pytest.approx(bo_energy(surface, q), abs=1e-14)
         for step in steps:
@@ -450,7 +450,7 @@ def test_reduction_preserves_minima_and_ground_energies(manifold, kappabar, xiba
     coup = derive_couplings(pot, params)
     _, reduced = build_molecular_model(graph, coup, params)
     unreduced = assemble_graph_hamiltonians(graph, coup, params)
-    minima = [minimize_bo(build_bo_surface(graph, f, params)) for f in (reduced, unreduced)]
+    minima = [minimize_bo(Model.build(graph, f, params)) for f in (reduced, unreduced)]
     assert minima[0].global_energy == pytest.approx(minima[1].global_energy, abs=1e-12)
     if manifold == "dumbbell":
         e_tol = 1e-8
@@ -466,12 +466,12 @@ def test_reduction_preserves_minima_and_ground_energies(manifold, kappabar, xiba
 )
 def test_exact_derivatives_match_central_differences(drive, q):
     _, _, _, _, base = triangle_setup(kappa=CRITERION_11_KAPPA)
-    surface = base.with_omega(drive)
-    q = surface.x0 * np.array(q)
+    surface = base.with_drive(drive)
+    q = surface.params.x0 * np.array(q)
     energy, gap, grad, hess = _derivatives(surface, q)
-    assume(gap > 1e-3 * surface.omega)
+    assume(gap > 1e-3 * surface.params.omega)
     assert energy == pytest.approx(bo_energy(surface, q), abs=1e-14)
-    h = 1e-6 * surface.x0
+    h = 1e-6 * surface.params.x0
     steps = h * np.eye(surface.dim)
     fd_grad = [(bo_energy(surface, q + e) - bo_energy(surface, q - e)) / (2 * h) for e in steps]
     grads = [(_derivatives(surface, q + e)[2], _derivatives(surface, q - e)[2]) for e in steps]
@@ -482,7 +482,7 @@ def test_exact_derivatives_match_central_differences(drive, q):
 
 def test_symmetric_local_minimum_is_reported():
     _, _, basis, _, base = triangle_setup(kappa=CRITERION_11_KAPPA)
-    surface = base.with_omega(0.06 + 12 * 0.24 / 31)  # criterion-11 scan row near 0.153
+    surface = base.with_drive(0.06 + 12 * 0.24 / 31)  # criterion-11 scan row near 0.153
     starts = light_start_points(surface)
     report = minimize_bo(surface, starts=starts)
     assert_true_minima(surface, report)
@@ -505,7 +505,7 @@ def test_symmetric_local_minimum_is_reported():
 @given(drive=st.floats(min_value=0.0, max_value=0.3))
 def test_minima_are_checked_and_below_the_simplex(drive):
     _, _, _, _, base = triangle_setup(kappa=CRITERION_11_KAPPA)
-    surface = base.with_omega(drive)
+    surface = base.with_drive(drive)
     starts = light_start_points(surface)
     report = minimize_bo(surface, starts=starts)
     assert_true_minima(surface, report)
@@ -522,7 +522,7 @@ def test_minima_are_checked_and_below_the_simplex(drive):
 
 def test_light_starts_drop_exact_duplicates():
     _, _, _, _, base = triangle_setup(kappa=CRITERION_11_KAPPA)
-    half_width = 3.0 * base.x0
+    half_width = 3.0 * base.params.x0
     # the seed list before deduplication: three of the six node forms have
     # their stationary point at the origin
     repeated = np.array(
@@ -537,7 +537,7 @@ def test_light_starts_drop_exact_duplicates():
     first = [next(i for i, s in enumerate(repeated) if s.tobytes() == t.tobytes()) for t in starts]
     assert first == [0, 3, 5, 6]
     for drive in (0.06, 0.06 + 12 * 0.24 / 31, 0.3):
-        surface = base.with_omega(drive)
+        surface = base.with_drive(drive)
         a = minimize_bo(surface, starts=starts)
         b = minimize_bo(surface, starts=repeated)
         assert (a.degeneracy, a.global_energy, a.degeneracy_tol) == (
@@ -554,7 +554,7 @@ def test_transition_scan_rows_match_independent_solves():
     # changes no cutoff or converged flag, and energies only in the last digits
     params, graph, _, forms, surface = triangle_setup(kappa=0.5 * critical_points(1.0, 0.5)[1])
     drives = np.linspace(0.06, 0.30, 121)
-    result = transition_scan(graph, forms, params, drives, **SCAN_SOLVER)
+    result = transition_scan(Model.build(graph, forms, params), drives, **SCAN_SOLVER)
     for i, drive in enumerate(drives):
         row = converge_cutoff(graph, forms, dataclasses.replace(params, Omega=drive), **SCAN_SOLVER)
         assert result.quantum_cutoffs[i] == row.cutoff
@@ -567,12 +567,12 @@ def test_scan_energies_keep_the_stage_residual_bound():
     # bound its energy still lies within that residual of the strict ground energy
     params, graph, _, forms, _ = triangle_setup(kappa=0.5 * critical_points(1.0, 0.5)[1])
     drives = np.linspace(0.06, 0.30, 121)[::40]
-    rows = [(graph, forms, dataclasses.replace(params, Omega=drive)) for drive in drives]
+    rows = [Model.build(graph, forms, params).with_drive(drive) for drive in drives]
     target = stage_tol(SCAN_SOLVER["e_tol"])
     assert target == 1e-6
     for row, report in zip(rows, converge_scan(rows, **SCAN_SOLVER)):
         assert report.converged
-        strict, _ = ground_state(build_fock_matrix(*row, report.cutoff), tol=1e-11)
+        strict, _ = ground_state(build_fock_matrix(row, report.cutoff), tol=1e-11)
         assert abs(report.energy - strict) <= target * max(1.0, abs(strict))
 
 

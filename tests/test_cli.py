@@ -11,7 +11,7 @@ import pytest
 from vibronic import (
     ConfigError,
     bogoliubov_w,
-    converge_cutoff,
+    converge_scan,
     derive_couplings,
     perpendicular_xi_eff,
     wigner,
@@ -831,8 +831,8 @@ def test_bopes_scan_rows_match_independent_solves(tmp_path, monkeypatch):
     assert len(rows) == len(models)
     for row, model in zip(rows, models):
         drive, _, e_quantum, _, converged, cutoff = row.split(",")
-        assert float(drive) == model[2].Omega
-        alone = converge_cutoff(*model, **solver)
+        assert float(drive) == model.params.Omega
+        alone = converge_scan([model], **solver)[0]
         assert float(e_quantum) == pytest.approx(alone.energy, abs=1e-10)
         assert converged == str(alone.converged).lower()
         assert int(cutoff) == alone.cutoff
@@ -854,8 +854,8 @@ def test_scan_omega_rows_match_independent_solves(tmp_path, monkeypatch):
     assert len(rows) == len(models) == 4
     for row, model in zip(rows, models):
         drive, e_numeric, _, cutoff, converged = row.split(",")
-        assert float(drive) == model[2].Omega
-        alone = converge_cutoff(*model, **solver)
+        assert float(drive) == model.params.Omega
+        alone = converge_scan([model], **solver)[0]
         assert float(e_numeric) == pytest.approx(alone.energy, abs=1e-10)
         assert converged == str(alone.converged).lower()
         assert int(cutoff) == alone.cutoff

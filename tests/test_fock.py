@@ -18,13 +18,14 @@ from vibronic import (
     DomainError,
     EigensolverError,
     ExplicitCouplings,
+    Model,
     PhysicalParams,
     QuadraticVibronic,
     ResourceBudgetError,
     assemble_graph_hamiltonians,
+    bogoliubov_w,
     build_fock_matrix,
     build_molecular_model,
-    build_bo_surface,
     build_resonant_manifold,
     converge_cutoff,
     converge_scan,
@@ -32,18 +33,20 @@ from vibronic import (
     derive_couplings,
     dumbbell,
     dumbbell_hamiltonian,
+    edge_mode_directions,
     epsilon2,
     ground_state,
     identity_basis,
     mean_displacements,
     minimize_bo,
-    node_data,
     pair_epsilon,
+    perpendicular_xi_eff,
     quadrature_moments,
     reduce_modes,
     assemble_state_hamiltonian,
     tetrahedron,
     triangle,
+    wigner_widths,
 )
 from vibronic import fock
 from vibronic.fock import _zero_pad
@@ -58,8 +61,7 @@ def two_state(params, kappa, xi, nu=0.1):
 
 
 def excited_block(params, kappa, xi, nu=0.1):
-    _, forms = two_state(params, kappa, xi, nu)
-    return [forms[1]]
+    return [two_state(params, kappa, xi, nu).forms[1]]
 
 
 def triangle_model(drive=0.1):
@@ -71,14 +73,13 @@ def triangle_model(drive=0.1):
 
 
 def cold_energy(graph, forms, params, cutoff):
-    return ground_state(build_fock_matrix(graph, forms, params, cutoff))[0]
+    return ground_state(build_fock_matrix(Model.build(graph, forms, params), cutoff))[0]
 
 
 def refuse_shifts(monkeypatch):
     """Hold every node in the trap frame from now on: each stationary point
     reads as out of range, as a numerically singular form's does."""
     monkeypatch.setattr(fock, "MAX_FRAME_SHIFT", 0.0)
-    monkeypatch.setattr(fock, "_LAST", (None, None))
 
 
 def linear_operator(op):
@@ -98,14 +99,14 @@ def applying(matrix):
 
 def test_displaced_oscillator_closed_form():
     params = PhysicalParams(omega=1.0, Omega=0.0)
-    op = build_fock_matrix(*two_state(params, 0.5, 0.0), params, cutoff=64)
+    op = build_fock_matrix(two_state(params, 0.5, 0.0), cutoff=64)
     energy, _ = ground_state(op)
     assert energy == pytest.approx(-0.5, abs=1e-10)
 
 
 def test_free_trap_ground_energy_is_zero():
     params = PhysicalParams(omega=1.0, Omega=0.0)
-    op = build_fock_matrix(*two_state(params, 0.0, 0.0), params, cutoff=8)
+    op = build_fock_matrix(two_state(params, 0.0, 0.0), cutoff=8)
     energy, _ = ground_state(op)
     assert energy == pytest.approx(0.0, abs=1e-12)
 
@@ -113,14 +114,14 @@ def test_free_trap_ground_energy_is_zero():
 def test_pure_electronic_coupling():
     for drive in (0.3, -0.3, 1.0):
         params = PhysicalParams(omega=1.0, Omega=drive)
-        op = build_fock_matrix(*two_state(params, 0.0, 0.0), params, cutoff=8)
+        op = build_fock_matrix(two_state(params, 0.0, 0.0), cutoff=8)
         energy, _ = ground_state(op)
         assert energy == pytest.approx(-SQRT2 * abs(drive), abs=1e-12)
 
 
 def test_dimension_counting():
     params = PhysicalParams(omega=1.0, Omega=0.1)
-    op = build_fock_matrix(*two_state(params, 0.2, 0.0), params, cutoff=16)
+    op = build_fock_matrix(two_state(params, 0.2, 0.0), cutoff=16)
     assert op.dim == 2 * 16
     shape = (op.n_nodes,) + (op.cutoff,) * op.n_modes
     assert np.unravel_index(0, shape) == (0, 0)
@@ -130,7 +131,7 @@ def test_dimension_counting():
     pp = PhysicalParams(omega=1.0, Omega=0.1, x0=0.5)
     graph = build_resonant_manifold(triangle(), -1.0, pot, (0, 0, 1))
     basis, forms = build_molecular_model(graph, derive_couplings(pot, pp), pp)
-    op = build_fock_matrix(graph, forms, pp, cutoff=3)
+    op = build_fock_matrix(Model.build(graph, forms, pp), cutoff=3)
     assert op.dim == 6 * 3**4
 
 
@@ -164,7 +165,7 @@ def test_trap_only_nodes_store_only_their_links():
         if np.array_equal(f.hessian, trap * np.eye(f.dim)) and not f.linear.any()
     ]
     assert len(trap_only) == 3
-    op = build_fock_matrix(graph, forms, params, cutoff=4)
+    op = build_fock_matrix(Model.build(graph, forms, params), cutoff=4)
     per_node = op.cutoff**op.n_modes
     occupation = np.indices((op.cutoff,) * op.n_modes).sum(axis=0).ravel()
     for s in trap_only:
@@ -177,12 +178,12 @@ def test_trap_only_nodes_store_only_their_links():
         assert set(rows.indices // per_node) <= set(higher)
         assert np.isin(rows.data, params.Omega * graph.adjacency[s, higher]).all()
         assert np.array_equal(op.diagonal[block], params.omega * occupation)
-    assert build_fock_matrix(graph, forms, params, cutoff=8).matrix.nnz == 207_104
+    assert build_fock_matrix(Model.build(graph, forms, params), cutoff=8).matrix.nnz == 207_104
 
 
 def test_zero_drive_is_block_diagonal():
     params = PhysicalParams(omega=1.0, Omega=0.0)
-    op = build_fock_matrix(*two_state(params, 0.5, 0.1), params, cutoff=8)
+    op = build_fock_matrix(two_state(params, 0.5, 0.1), cutoff=8)
     dense = op.toarray()
     assert np.abs(dense[:8, 8:]).max() == 0.0
     assert np.abs(dense[8:, :8]).max() == 0.0
@@ -196,7 +197,7 @@ def test_block_symmetry_at_zero_drive():
         (0.1, 0.5),  # xibar = -2, eps2 > 0: the free block wins
     ]
     for kappa, xi in cases:
-        op = build_fock_matrix(*two_state(params, kappa, xi), params, cutoff=128)
+        op = build_fock_matrix(two_state(params, kappa, xi), cutoff=128)
         energy, _ = ground_state(op)
         expected = min(epsilon2(kappa, xi, 1.0), 0.0)
         assert energy == pytest.approx(expected, abs=1e-8)
@@ -207,10 +208,9 @@ def test_path_and_two_state_models_agree():
     params = PhysicalParams(omega=1.0, Omega=0.3, d=1.0, x0=0.1)
     graph = build_resonant_manifold(dumbbell(), -1.0, pot, (0, 1))
     basis, forms = build_molecular_model(graph, derive_couplings(pot, params), params)
-    e_path, _ = ground_state(build_fock_matrix(graph, forms, params, cutoff=32))
+    e_path, _ = ground_state(build_fock_matrix(Model.build(graph, forms, params), cutoff=32))
     e_two, _ = ground_state(
-        build_fock_matrix(*dumbbell_hamiltonian(params, derive_couplings(pot, params)),
-                          params, cutoff=32)
+        build_fock_matrix(dumbbell_hamiltonian(params, derive_couplings(pot, params)), cutoff=32)
     )
     assert e_path == pytest.approx(e_two, abs=1e-10)
 
@@ -219,7 +219,7 @@ def test_variational_monotonicity_in_cutoff():
     params = PhysicalParams(omega=1.0, Omega=0.2)
     energies = []
     for cutoff in (4, 8, 16, 32):
-        op = build_fock_matrix(*two_state(params, 0.6, -0.15), params, cutoff=cutoff)
+        op = build_fock_matrix(two_state(params, 0.6, -0.15), cutoff=cutoff)
         energies.append(ground_state(op)[0])
     assert all(e2 <= e1 + 1e-12 for e1, e2 in zip(energies, energies[1:]))
 
@@ -299,10 +299,9 @@ def test_stage_energies_stay_above_the_adiabatic_bound(kappabar, xibar, nu, driv
     xi_c, kappa_c = critical_points(1.0, nu)
     kappa, xi = kappabar * kappa_c, xibar * xi_c
     params = PhysicalParams(omega=1.0, Omega=drive)
-    graph, forms = two_state(params, kappa, xi, nu=nu)
-    surface = build_bo_surface(graph, forms, params)
-    bound = minimize_bo(surface).global_energy - forms[0].dim * params.omega / 2.0
-    report = converge_cutoff(graph, forms, params, e_tol=1e-10, max_cutoff=128)
+    model = two_state(params, kappa, xi, nu=nu)
+    bound = minimize_bo(model).global_energy - model.dim * params.omega / 2.0
+    (report,) = converge_scan([model], e_tol=1e-10, max_cutoff=128)
     assert all(energy >= bound for _, energy in report.energy_history)
     if drive == 0.0:
         assert report.converged
@@ -311,9 +310,7 @@ def test_stage_energies_stay_above_the_adiabatic_bound(kappabar, xibar, nu, driv
 
 def test_quadrature_moments_vacuum():
     params = PhysicalParams(omega=1.0, Omega=0.0, x0=0.7)
-    op = build_fock_matrix(
-        SINGLE, excited_block(params, 0.0, 0.0), params, cutoff=16
-    )
+    op = build_fock_matrix(Model.build(SINGLE, excited_block(params, 0.0, 0.0), params), cutoff=16)
     state = np.zeros(op.dim)
     state[0] = 1.0
     mean_x, var_x, var_p = quadrature_moments(op, state, 0)
@@ -326,7 +323,7 @@ def test_quadrature_moments_displaced_ground_state():
     # mean displacement of the coupled mode: x0 <X>/sqrt(2) with <X> = -2 sqrt(2) kappa/omega
     params = PhysicalParams(omega=1.0, Omega=0.0, x0=1.0)
     kappa = 0.5
-    op = build_fock_matrix(SINGLE, excited_block(params, kappa, 0.0), params, cutoff=64)
+    op = build_fock_matrix(Model.build(SINGLE, excited_block(params, kappa, 0.0), params), 64)
     assert op.displacements.any()  # a single node is centred on its minimum
     energy, state = ground_state(op)
     mean_x, var_x, var_p = quadrature_moments(op, state, 0)
@@ -338,9 +335,7 @@ def test_quadrature_moments_displaced_ground_state():
 
 def test_quadrature_moments_squeezed_uncertainty_product():
     params = PhysicalParams(omega=1.0, Omega=0.0)
-    op = build_fock_matrix(
-        SINGLE, excited_block(params, 0.0, -0.2), params, cutoff=128
-    )
+    op = build_fock_matrix(Model.build(SINGLE, excited_block(params, 0.0, -0.2), params), 128)
     _, state = ground_state(op)
     mean_x, var_x, var_p = quadrature_moments(op, state, 0)
     assert var_x * var_p == pytest.approx(0.25, rel=1e-8)
@@ -349,7 +344,7 @@ def test_quadrature_moments_squeezed_uncertainty_product():
 
 def test_quadrature_moments_validation():
     params = PhysicalParams(omega=1.0, Omega=0.0)
-    op = build_fock_matrix(SINGLE, excited_block(params, 0.0, 0.0), params, cutoff=8)
+    op = build_fock_matrix(Model.build(SINGLE, excited_block(params, 0.0, 0.0), params), cutoff=8)
     good = np.zeros(op.dim)
     good[0] = 1.0
     with pytest.raises(DomainError):
@@ -365,12 +360,38 @@ def test_mean_displacements_of_excited_pair():
     coup = ExplicitCouplings(kappa=kappa, xi=0.0, nu=0.3)
     form = assemble_state_hamiltonian((1, 1), dumbbell(), coup, params)
     basis, reduced = reduce_modes([form], params)
-    op = build_fock_matrix(SINGLE, reduced, params, cutoff=64)
+    op = build_fock_matrix(Model.build(SINGLE, reduced, params), cutoff=64)
     _, state = ground_state(op)
     disp = mean_displacements(op, state, basis)
     expected = params.x0 * SQRT2 * kappa / 1.0  # x0 |beta*|, beta* = -sqrt(2) kappa/omega
     assert np.abs(disp).flatten() == pytest.approx([expected, expected], rel=1e-8)
     assert disp.sum() == pytest.approx(0.0, abs=1e-10)  # no center-of-mass motion
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_exact_squeezing_matches_the_closed_form(seed):
+    # the tetrahedron pair block as gs-scan-kappa builds it, at xi = 0: each
+    # perpendicular mode is squeezed by xi_eff = nu kappa / sqrt(2), so its
+    # 2 var_x / x0^2 is 2 / w_plus of the closed form; the axial mode is not
+    rng = np.random.default_rng(seed)
+    nu, kappabar = rng.uniform(0.1, 0.5), rng.uniform(0.2, 0.8)
+    kappa = kappabar * critical_points(1.0, nu)[1]
+    params = PhysicalParams(omega=1.0, Omega=0.0, d=1.0, x0=nu)
+    coup = ExplicitCouplings(kappa=kappa, xi=0.0, nu=nu)
+    form = assemble_state_hamiltonian((1, 1, 0, 0), tetrahedron(), coup, params)
+    basis, reduced = reduce_modes([form], params)
+    model = Model.build(SINGLE, reduced, params)
+    (report,) = converge_scan([model], e_tol=1e-10)
+    assert report.converged and model.dim == 3
+    op = build_fock_matrix(model, report.cutoff)
+    _, state = ground_state(op, tol=fock.EIG_TOL)
+    parallel, _ = edge_mode_directions(tetrahedron(), (0, 1), basis)
+    axial = int(np.argmax(np.abs(parallel)))
+    assert abs(parallel[axial]) == pytest.approx(1.0, abs=1e-12)
+    w_plus, _ = wigner_widths(bogoliubov_w(1.0, perpendicular_xi_eff(kappa, nu)).w)
+    for mode in range(model.dim):
+        ratio = 2.0 * quadrature_moments(op, state, mode)[1] / params.x0**2
+        assert ratio == pytest.approx(1.0 if mode == axial else 2.0 / w_plus, abs=1e-12)
 
 
 @functools.lru_cache(maxsize=None)
@@ -380,7 +401,7 @@ def triangle_operator(frame, cutoff):
     params = PhysicalParams(omega=1.0, Omega=0.0 if frame == "displaced" else 0.1, x0=0.5)
     graph = build_resonant_manifold(triangle(), -1.0, pot, (0, 0, 1))
     basis, forms = build_molecular_model(graph, derive_couplings(pot, params), params)
-    return basis, build_fock_matrix(graph, forms, params, cutoff)
+    return basis, build_fock_matrix(Model.build(graph, forms, params), cutoff)
 
 
 def dense_moments(op, state, mode):
@@ -454,8 +475,8 @@ def test_reduction_preserves_energies():
         basis_f = identity_basis(graph.geometry)
         forms_f = assemble_graph_hamiltonians(graph, coup, params)
         assert basis_r.dim == 1 and basis_f.dim == 2
-        e_r, _ = ground_state(build_fock_matrix(graph, forms_r, params, cutoff=48))
-        e_f, _ = ground_state(build_fock_matrix(graph, forms_f, params, cutoff=48))
+        e_r, _ = ground_state(build_fock_matrix(Model.build(graph, forms_r, params), cutoff=48))
+        e_f, _ = ground_state(build_fock_matrix(Model.build(graph, forms_f, params), cutoff=48))
         assert e_r == pytest.approx(e_f, abs=1e-9)
 
 
@@ -466,14 +487,14 @@ def test_resource_budget_guard(monkeypatch):
     basis, forms = build_molecular_model(graph, derive_couplings(pot, params), params)
     monkeypatch.setattr(fock, "MAX_BYTES", 10**6)
     with pytest.raises(ResourceBudgetError) as err:
-        build_fock_matrix(graph, forms, params, cutoff=64)
+        build_fock_matrix(Model.build(graph, forms, params), cutoff=64)
     assert err.value.estimated_bytes > 10**6
 
 
 def test_cutoff_validation():
     params = PhysicalParams(omega=1.0, Omega=0.0)
     with pytest.raises(DomainError):
-        build_fock_matrix(SINGLE, excited_block(params, 0.0, 0.0), params, cutoff=1)
+        build_fock_matrix(Model.build(SINGLE, excited_block(params, 0.0, 0.0), params), cutoff=1)
     with pytest.raises(DomainError):
         converge_cutoff(SINGLE, excited_block(params, 0.0, 0.0), params, max_cutoff=2)
 
@@ -486,8 +507,8 @@ def test_stage_tol_moves_only_above_1e_8():
 
 def test_zero_pad_keeps_every_basis_state():
     graph, forms, params = triangle_model()
-    small = build_fock_matrix(graph, forms, params, cutoff=2)
-    big = build_fock_matrix(graph, forms, params, cutoff=4)
+    small = build_fock_matrix(Model.build(graph, forms, params), cutoff=2)
+    big = build_fock_matrix(Model.build(graph, forms, params), cutoff=4)
     state = np.arange(1.0, small.dim + 1.0)
     padded = _zero_pad(small, state, big.cutoff)
     assert padded.shape == (big.dim,)
@@ -524,12 +545,12 @@ def test_warm_path_keeps_instability_unconverged():
     # beyond xi_c the energy keeps falling; the last stage (dim 512) is warm
     params = PhysicalParams(omega=1.0, Omega=0.2)
     model = two_state(params, 0.0, 1.2 * (-0.25))
-    report = converge_cutoff(*model, params, e_tol=1e-8, max_cutoff=256)
+    report = converge_scan([model], e_tol=1e-8, max_cutoff=256)[0]
     assert not report.converged
     assert report.cutoff == 256
     history = [e for _, e in report.energy_history]
     assert all(e2 < e1 for e1, e2 in zip(history, history[1:]))
-    cold = ground_state(build_fock_matrix(*model, params, cutoff=256))[0]
+    cold = ground_state(build_fock_matrix(model, cutoff=256))[0]
     assert history[-1] == pytest.approx(cold, abs=1e-10)
 
 
@@ -581,7 +602,7 @@ def kappa_rows(kappabars, nu=0.25, xi=0.15):
     for kappabar in kappabars:
         coup = ExplicitCouplings(kappa=kappabar * kappa_c, xi=xi, nu=nu)
         form = assemble_state_hamiltonian((1, 1, 0, 0), tetrahedron(), coup, params)
-        rows.append((SINGLE, reduce_modes([form], params)[1], params))
+        rows.append(Model.build(SINGLE, reduce_modes([form], params)[1], params))
     return rows
 
 
@@ -607,16 +628,18 @@ def test_drive_scan_operators_match_fresh_builds(monkeypatch, model, frame, max_
         graph, forms, params = triangle_model(0.0)
     else:
         params = PhysicalParams(omega=1.0, Omega=0.0)
-        graph, forms = two_state(params, 0.3, -0.1)
+        pair_model = two_state(params, 0.3, -0.1)
+        graph, forms = pair_model.adjacency, pair_model.forms
     if frame == "displaced":
         graph = np.zeros((len(forms), len(forms)))
     drives = [0.0, 0.1, 0.25, 0.0, 0.4]
-    rows = [(graph, forms, dataclasses.replace(params, Omega=d)) for d in drives]
+    base = Model.build(graph, forms, params)
+    rows = [base.with_drive(d) for d in drives]
     if model == "dumbbell-couplings":
-        other = two_state(params, -0.2, 0.05)[1]
+        other = two_state(params, -0.2, 0.05).forms
         driven = dataclasses.replace(params, Omega=0.25)
-        rows = [(graph, f, driven) for f in (forms, other, forms, other)]
-        rows.append((graph, other, dataclasses.replace(driven, omega=1.25)))
+        rows = [Model.build(graph, f, driven) for f in (forms, other, forms, other)]
+        rows.append(Model.build(graph, other, dataclasses.replace(driven, omega=1.25)))
     cutoffs = [c for c in (4, 8, 16) if c <= max_cutoff]
     seen = []
     solve = fock.ground_state
@@ -628,10 +651,10 @@ def test_drive_scan_operators_match_fresh_builds(monkeypatch, model, frame, max_
     monkeypatch.setattr(fock, "ground_state", spy)
     reports = converge_scan(rows, e_tol=0.0, max_cutoff=max_cutoff)
     assert [[c for c, _ in r.energy_history] for r in reports] == [cutoffs] * len(rows)
-    shifted = [build_fock_matrix(*row, 4).displacements.any() for row in rows]
-    assert shifted == [frame == "displaced" or row[2].Omega == 0.0 for row in rows]
+    shifted = [build_fock_matrix(row, 4).displacements.any() for row in rows]
+    assert shifted == [frame == "displaced" or row.params.Omega == 0.0 for row in rows]
     fresh = {
-        (i, c): csr_parts(build_fock_matrix(*row, c).matrix)
+        (i, c): csr_parts(build_fock_matrix(row, c).matrix)
         for i, row in enumerate(rows)
         for c in cutoffs
     }
@@ -644,29 +667,63 @@ def test_drive_scan_operators_match_fresh_builds(monkeypatch, model, frame, max_
     assert all(any(same_bits(fresh[key], fresh[m]) for m in matched if m[1] == key[1]) for key in fresh)
 
 
+def test_a_row_repeated_after_its_sibling_solves_at_its_own_drive(monkeypatch):
+    # the shared operators hold the links of the last row that wrote them, so
+    # a model that comes back after its sibling must write its own drive again
+    params = PhysicalParams(omega=1.0, Omega=0.1)
+    model = two_state(params, 0.3, -0.1)
+    rows = [model, model.with_drive(0.2), model]
+    current, seen = [], []
+    solve = fock.ground_state
+
+    def spy(op, tol=1e-11, v0=None):
+        seen.append((current[-1], op.cutoff, csr_parts(op.matrix)))
+        return solve(op, tol=tol, v0=v0)
+
+    def lazy_rows():
+        for i, row in enumerate(rows):
+            current.append(i)
+            yield row
+
+    monkeypatch.setattr(fock, "ground_state", spy)
+    converge_scan(lazy_rows(), e_tol=0.0, max_cutoff=16)
+    assert {i for i, _, _ in seen} == {0, 1, 2}
+    for i, cutoff, parts in seen:
+        assert same_bits(parts, csr_parts(build_fock_matrix(rows[i], cutoff).matrix))
+
+
 def test_rows_edited_in_place_between_rows_are_another_model():
-    # a lazily produced row may edit a form in place after the last row was
-    # solved: same objects, other values, so the scan must not carry the last
-    # row's operator into it
+    # a lazily produced row may edit its input forms in place after the last
+    # row was built: a model built after the edit sees it, and one built
+    # before holds copies that the edit cannot reach, so its sibling at a
+    # later row solves the unedited model
     params = PhysicalParams(omega=1.0, Omega=0.2, d=1.0, x0=0.3)
     driven = dataclasses.replace(params, Omega=0.3)
     solver = {"e_tol": 1e-9, "max_cutoff": 64}
 
-    def model(edited):
-        graph, forms = two_state(params, 0.35, -0.1, nu=0.3)
+    def inputs(edited):
+        pair_model = two_state(params, 0.35, -0.1, nu=0.3)
+        forms = [
+            dataclasses.replace(f, linear=f.linear.copy(), hessian=f.hessian.copy())
+            for f in pair_model.forms
+        ]
         if edited:
             forms[1].hessian[0, 0] *= 1.5
-        return graph, forms
+        return pair_model.adjacency, forms
 
     def rows():
-        graph, forms = model(edited=False)
-        yield graph, forms, params
+        adjacency, forms = inputs(edited=False)
+        first = Model.build(adjacency, forms, params)
+        yield first
         forms[1].hessian[0, 0] *= 1.5
-        yield graph, forms, driven
+        yield Model.build(adjacency, forms, driven)
+        yield first.with_drive(driven.Omega)
 
     reports = converge_scan(rows(), **solver)
-    alone = [converge_cutoff(*model(False), params, **solver),
-             converge_cutoff(*model(True), driven, **solver)]
+    alone = [converge_cutoff(*inputs(False), params, **solver),
+             converge_cutoff(*inputs(True), driven, **solver),
+             converge_cutoff(*inputs(False), driven, **solver)]
+    assert len(reports) == 3
     for report, independent in zip(reports, alone):
         assert report.converged and independent.converged
         assert report.energy == pytest.approx(independent.energy, abs=solver["e_tol"])
@@ -678,9 +735,9 @@ def test_drive_scan_warm_starts_match_independent_solves(monkeypatch):
     # whose cutoff-8 stages must not start from the triangle's vectors
     graph, forms, params = triangle_model()
     drives = np.linspace(0.06, 0.14, 5)
-    rows = [(graph, forms, dataclasses.replace(params, Omega=d)) for d in drives]
+    rows = [Model.build(graph, forms, params).with_drive(d) for d in drives]
     rows += kappa_rows([0.0, 0.2, 0.4, 0.6])
-    assert [row[1][0].dim for row in rows[len(drives):]] == [1, 3, 3, 3]
+    assert [row.dim for row in rows[len(drives):]] == [1, 3, 3, 3]
     starts = []
     solve = fock.ground_state
 
@@ -696,7 +753,7 @@ def test_drive_scan_warm_starts_match_independent_solves(monkeypatch):
     assert starts[0] == (4, False)
     assert all(warm for _, warm in starts[1:])
     for row, report in zip(rows, reports):
-        alone = converge_cutoff(*row, e_tol=0.0, max_cutoff=8)
+        alone = converge_scan([row], e_tol=0.0, max_cutoff=8)[0]
         assert [c for c, _ in report.energy_history] == [4, 8]
         assert report.converged == alone.converged
         for (_, energy), (_, energy_alone) in zip(report.energy_history, alone.energy_history):
@@ -707,7 +764,7 @@ def test_scan_keeps_a_trail_per_frame(monkeypatch):
     # a zero-drive row centres the nodes on their minima and a driven row
     # does not, so the first driven row starts no stage from its vectors
     graph, forms, params = triangle_model()
-    rows = [(graph, forms, dataclasses.replace(params, Omega=d)) for d in (0.0, 0.1, 0.12)]
+    rows = [Model.build(graph, forms, params).with_drive(d) for d in (0.0, 0.1, 0.12)]
     offered = []
     extrapolate = fock._extrapolate
 
@@ -726,7 +783,7 @@ def test_continuation_above_the_lower_stage_is_solved_again(monkeypatch):
     # the cutoff-4 energy, which nested bases forbid: the stage is re-solved
     # from the padded cutoff-4 vector
     graph, forms, params = triangle_model()
-    op = build_fock_matrix(graph, forms, params, cutoff=8)
+    op = build_fock_matrix(Model.build(graph, forms, params), cutoff=8)
     values, vectors = eigsh(linear_operator(op), k=2, which="SA", tol=1e-13)
     assert values[1] - values[0] > 1e-3
     starts = iter([None, vectors[:, 1]])  # cutoff 4 starts cold, cutoff 8 on the excited state
@@ -770,13 +827,13 @@ def test_scan_start_falls_on_a_descending_grid():
     # decided by its first pair hands the next row half its start, so the
     # rows after a hard one do not all pay for its top stages
     params = PhysicalParams(omega=1.0, Omega=0.0, d=1.0, x0=0.3)
-    rows = [(*two_state(params, 0.35, -0.25 * xb, nu=0.3), params) for xb in (0.9, 0.6, 0.3, 0.0, -0.3)]
+    rows = [two_state(params, 0.35, -0.25 * xb, nu=0.3) for xb in (0.9, 0.6, 0.3, 0.0, -0.3)]
     solver = dict(e_tol=1e-9, max_cutoff=128)
     reports = converge_scan(rows, **solver)
     assert [r.energy_history[0][0] for r in reports] == [4, 32, 16, 8, 4]
     assert [r.cutoff for r in reports] == [64, 64, 32, 16, 16]
     for row, report in zip(rows, reports):
-        alone = converge_cutoff(*row, **solver)
+        alone = converge_scan([row], **solver)[0]
         assert report.converged and alone.converged and report.cutoff >= alone.cutoff
 
 
@@ -790,16 +847,16 @@ def test_scan_over_the_budget_keeps_every_row(monkeypatch):
     pot = ExplicitCouplings(kappa=0.5 * (-1.0 / (2.0 * SQRT2 * nu)), xi=0.0, nu=nu, v_d=1.0)
     graph = build_resonant_manifold(triangle(), -1.0, pot, (0, 0, 1))
     _, forms = build_molecular_model(graph, derive_couplings(pot, params), params)
-    rows = [(graph, forms, dataclasses.replace(params, Omega=d)) for d in (0.0, 0.1)]
+    rows = [Model.build(graph, forms, params).with_drive(d) for d in (0.0, 0.1)]
     solver = dict(e_tol=1e-6)
     builds = []
     build = fock.build_fock_matrix
 
-    def spy(graph, forms, params, cutoff=8):
-        builds.append((params.Omega, cutoff))
-        if (params.Omega, cutoff) == (0.1, 8):
+    def spy(model, cutoff=8):
+        builds.append((model.params.Omega, cutoff))
+        if (model.params.Omega, cutoff) == (0.1, 8):
             raise ResourceBudgetError("over the budget", estimated_bytes=fock.MAX_BYTES + 1)
-        return build(graph, forms, params, cutoff)
+        return build(model, cutoff)
 
     monkeypatch.setattr(fock, "build_fock_matrix", spy)
     first, second = converge_scan(rows, max_cutoff=16, **solver)
@@ -809,7 +866,7 @@ def test_scan_over_the_budget_keeps_every_row(monkeypatch):
     # a scan stopped at 4 carries nothing, so its row 1 starts at 4 on the same trail
     at_four = converge_scan(rows, max_cutoff=4, **solver)[1]
     assert second.energy_history == at_four.energy_history
-    alone = converge_cutoff(*rows[0], max_cutoff=16, **solver)
+    alone = converge_scan([rows[0]], max_cutoff=16, **solver)[0]
     assert first.energy_history == alone.energy_history
 
 
@@ -821,11 +878,11 @@ def test_excited_starts_at_carried_stages_do_not_end_the_row(monkeypatch):
     # its lower stage's energy and is solved again from that stage's vector.
     rows = kappa_rows([0.2, 0.3])
     solver = dict(e_tol=1e-9, max_cutoff=32)
-    alone = converge_cutoff(*rows[1], **solver)
+    alone = converge_scan([rows[1]], **solver)[0]
     assert alone.converged and alone.energy == pytest.approx(-0.25588444143224, abs=1e-12)
     excited = {}
     for cutoff in (8, 16, 32):
-        op = build_fock_matrix(*rows[1], cutoff)
+        op = build_fock_matrix(rows[1], cutoff)
         values, vectors = eigsh(linear_operator(op), k=2, which="SA", tol=1e-13)
         assert values[1] - values[0] > 0.8
         excited[op.dim] = values[1], vectors[:, 1]
@@ -857,7 +914,7 @@ def stable_scans(draw):
         params = PhysicalParams(omega=1.0, Omega=0.0, d=1.0, x0=draw(st.floats(0.1, 0.5)))
         kappa = draw(st.floats(-0.4, 0.4))
         xibars = draw(st.lists(st.floats(-1.0, 0.9), min_size=2, max_size=8))
-        rows = [(*two_state(params, kappa, -0.25 * xb, nu=params.x0), params) for xb in xibars]
+        rows = [two_state(params, kappa, -0.25 * xb, nu=params.x0) for xb in xibars]
         return rows, dict(e_tol=1e-9, max_cutoff=128)
     kappabars = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
     kappabars = draw(st.lists(kappabars, min_size=2, max_size=4))
@@ -885,7 +942,7 @@ def test_scan_rows_agree_with_independent_solves(scan):
     # within solver noise of e_tol may be decided either way.
     rows, solver = scan
     for row, report in zip(rows, converge_scan(rows, **solver)):
-        alone = converge_cutoff(*row, **solver)
+        alone = converge_scan([row], **solver)[0]
         if report.converged != alone.converged or report.cutoff < alone.cutoff:
             assert near_e_tol(report, solver["e_tol"]) or near_e_tol(alone, solver["e_tol"])
         elif report.converged:
@@ -950,11 +1007,11 @@ def count_preparations(monkeypatch):
     calls = []
     prepare = fock._frame_displacements
 
-    def spy(adjacency, forms, params):
-        calls.append(params.Omega)
-        return prepare(adjacency, forms, params)
+    def spy(model):
+        calls.append(model.params.Omega)
+        return prepare(model)
 
-    monkeypatch.setattr(fock, "_LAST", (None, None))
+    fock._prepared.cache_clear()
     monkeypatch.setattr(fock, "_frame_displacements", spy)
     return calls
 
@@ -963,17 +1020,18 @@ def test_scan_prepares_each_model_once(monkeypatch):
     # every stage of a row builds the operator, but the model is prepared
     # once: per row over distinct models, once over a drive scan of one model
     params = PhysicalParams(omega=1.0, Omega=0.0, d=1.0, x0=0.3)
-    rows = [(*two_state(params, 0.35, xi), params) for xi in (-0.2, -0.1, 0.0, 0.05)]
+    rows = [two_state(params, 0.35, xi) for xi in (-0.2, -0.1, 0.0, 0.05)]
     calls = count_preparations(monkeypatch)
     reports = converge_scan(rows, e_tol=1e-9, max_cutoff=128)
     assert sum(len(r.energy_history) for r in reports) > len(rows)
     assert len(calls) == len(rows)
 
-    # a zero drive centres the nodes on their minima and a nonzero one does
-    # not, so a drive scan prepares the model again wherever the frame changes
-    graph, forms = two_state(params, 0.3, -0.1)
+    # a zero drive centres the nodes on their minima and gets its own build,
+    # and the next nonzero drive builds afresh: a drive scan of siblings
+    # prepares each zero-drive row and the first driven row after it
+    base = two_state(params, 0.3, -0.1)
     drives = [0.0, 0.1, 0.2, 0.0, 0.3]
-    rows = [(graph, forms, dataclasses.replace(params, Omega=d)) for d in drives]
+    rows = [base.with_drive(d) for d in drives]
     calls = count_preparations(monkeypatch)
     reports = converge_scan(rows, e_tol=1e-9, max_cutoff=128)
     assert all(len(r.energy_history) > 1 for r in reports)
@@ -1004,7 +1062,7 @@ def test_recorded_diagonal_survives_link_rewrites(monkeypatch, frame):
     # trap frame of the driven build
     refuse_shifts(monkeypatch)
     graph, forms, params = triangle_model(0.1)
-    op = build_fock_matrix(graph, forms, params, cutoff=4)
+    op = build_fock_matrix(Model.build(graph, forms, params), cutoff=4)
     assert op.links
     for drive in (0.1, 0.25, 0.4, 0.0):
         fock._write_links(op.matrix.data, op.links, drive)
@@ -1012,7 +1070,7 @@ def test_recorded_diagonal_survives_link_rewrites(monkeypatch, frame):
         ref = reference_fock_matrix(graph, forms, driven, 4)
         assert same_bits([op.diagonal], [ref.diagonal()])
         assert not op.matrix.diagonal().any()
-    zero = build_fock_matrix(graph, forms, dataclasses.replace(params, Omega=0.0), cutoff=4)
+    zero = build_fock_matrix(Model.build(graph, forms, params).with_drive(0.0), cutoff=4)
     assert same_bits([zero.diagonal], [op.diagonal])
 
 
@@ -1039,8 +1097,8 @@ def test_lobpcg_breakdown_hands_over_quietly():
     params = PhysicalParams(omega=1.0, Omega=0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stable = converge_cutoff(*two_state(params, 0.3, 0.85 * (-0.25)), params, max_cutoff=256)
-        unstable = converge_cutoff(*two_state(params, 0.3, 1.15 * (-0.25)), params, max_cutoff=256)
+        stable = converge_scan([two_state(params, 0.3, 0.85 * (-0.25))], max_cutoff=256)[0]
+        unstable = converge_scan([two_state(params, 0.3, 1.15 * (-0.25))], max_cutoff=256)[0]
     assert stable.converged and stable.cutoff == 128
     assert stable.energy == pytest.approx(-1.5777352836696001, abs=1e-8)
     assert not unstable.converged and unstable.cutoff == 256
@@ -1049,7 +1107,7 @@ def test_lobpcg_breakdown_hands_over_quietly():
 
 def test_ground_state_rejects_unchecked_pair(monkeypatch):
     graph, forms, params = triangle_model()
-    op = build_fock_matrix(graph, forms, params, cutoff=4)
+    op = build_fock_matrix(Model.build(graph, forms, params), cutoff=4)
 
     def wrong_vector(matrix, **kwargs):
         return np.array([-0.5]), np.ones((matrix.shape[0], 1)) / math.sqrt(matrix.shape[0])
@@ -1079,9 +1137,10 @@ def reference_fock_matrix(graph, forms, params, cutoff=8):
     links is shifted; the blocks are joined by ``scipy.sparse.bmat``.
     ``build_fock_matrix`` must store exactly the entries of this matrix.
     """
-    adjacency, forms = node_data(graph, forms)
-    n_nodes, n_modes = len(forms), forms[0].dim
-    beta = fock._frame_displacements(adjacency, forms, params)
+    model = Model.build(graph, forms, params)
+    adjacency, forms = model.adjacency, model.forms
+    n_nodes, n_modes = len(forms), model.dim
+    beta = fock._frame_displacements(model)
     per_node = cutoff**n_modes
 
     def embed(op_local, mode):
@@ -1132,7 +1191,7 @@ def reference_fock_matrix(graph, forms, params, cutoff=8):
 
 def assert_same_operator(graph, forms, params, cutoff):
     """The build stores the reference's strict upper triangle and diagonal bitwise."""
-    op = build_fock_matrix(graph, forms, params, cutoff)
+    op = build_fock_matrix(Model.build(graph, forms, params), cutoff)
     ref = reference_fock_matrix(graph, forms, params, cutoff)
     upper = sp.triu(ref, 1, format="csr")
     upper.sort_indices()
@@ -1180,7 +1239,7 @@ def test_stencil_matches_reference_dumbbell(monkeypatch, drive, frame):
     pot = ExplicitCouplings(kappa=0.4, xi=0.05, nu=0.1, v_d=1.0)
     model = dumbbell_hamiltonian(params, derive_couplings(pot, params))
     for cutoff in (2, 3, 16):
-        op = assert_same_operator(*model, params, cutoff)
+        op = assert_same_operator(model.adjacency, model.forms, params, cutoff)
         assert op.displacements.any() == (frame == "displaced")
 
 
@@ -1224,7 +1283,7 @@ def displaced_stencil_models():
     pairs, pair_forms, pair_params = pair_manifold(0.2)  # no links
     params = PhysicalParams(omega=1.0, Omega=0.0, d=1.0, x0=0.1)
     pot = ExplicitCouplings(kappa=0.4, xi=0.05, nu=0.1, v_d=1.0)
-    link, dumbbell_forms = dumbbell_hamiltonian(params, derive_couplings(pot, params))
+    pair_model = dumbbell_hamiltonian(params, derive_couplings(pot, params))
     pot = ExplicitCouplings(kappa=0.4, xi=0.08, nu=0.1, v_d=1.0)
     unreduced_graph = build_resonant_manifold(dumbbell(), -1.0, pot, (0, 1))
     unreduced = assemble_graph_hamiltonians(unreduced_graph, derive_couplings(pot, params), params)
@@ -1237,7 +1296,7 @@ def displaced_stencil_models():
         (graph.adjacency, triangle_forms, triangle_params),
         (graph.adjacency, edited, triangle_params),
         (pairs.adjacency, pair_forms, pair_params),
-        (link, dumbbell_forms, params),
+        (pair_model.adjacency, pair_model.forms, params),
         (unreduced_graph.adjacency, unreduced, params),
         (SINGLE, single, pair),
     ]
@@ -1248,7 +1307,7 @@ def test_shifted_nodes_drop_only_rounding():
     # l + omega b + 4 Q b = 0 exactly; the build stores that zero, and on the
     # compared models the arithmetic it replaces leaves at most rounding
     for adjacency, forms, params in displaced_stencil_models():
-        beta = fock._frame_displacements(*node_data(adjacency, forms), params)
+        beta = fock._frame_displacements(Model.build(adjacency, forms, params))
         assert beta.any()  # every model shifts some node
         x0 = params.x0
         for form, b in zip(forms, beta):
@@ -1262,15 +1321,17 @@ def test_shifted_nodes_drop_only_rounding():
 
 @pytest.mark.parametrize("frame", ["bare", "displaced"])
 def test_memo_sees_arrays_edited_in_place(frame):
-    # the kept model is keyed by values: a form's Hessian and an adjacency
-    # entry edited in place between two builds give the edited model's
+    # a model holds read-only copies of its input: a form's Hessian and an
+    # adjacency entry edited in place after Model.build leave that model's
+    # operator as it was, and a model built after the edit gives the edited
     # operator.  Without links ("displaced") the first build centres the
     # nodes on their minima, and the link that the edit adds moves them back
     graph, forms, params = triangle_model(drive=0.3)
     adjacency = np.array(graph.adjacency, dtype=float)
     if frame == "displaced":
         adjacency[...] = 0.0
-    first = build_fock_matrix(adjacency, forms, params, 3)
+    model = Model.build(adjacency, forms, params)
+    first = build_fock_matrix(model, 3)
     assert first.displacements.any() == (frame == "displaced")
     forms[1].hessian[0, 0] += 0.25
     assert adjacency[0, 1] == 0.0
@@ -1278,15 +1339,21 @@ def test_memo_sees_arrays_edited_in_place(frame):
     op = assert_same_operator(adjacency, forms, params, 3)
     assert op.dim == first.dim and op.matrix.nnz > first.matrix.nnz
     assert not op.displacements.any()
+    again = build_fock_matrix(model, 3)
+    assert same_bits(csr_parts(again.matrix), csr_parts(first.matrix))
+    assert same_bits([again.diagonal, again.displacements], [first.diagonal, first.displacements])
+    for array in (model.adjacency, model.forms[1].hessian):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
 
 
 def test_shared_build_arrays_are_read_only():
-    graph, forms, params = triangle_model(0.0)
-    op = build_fock_matrix(graph, forms, params, 4)
+    model = Model.build(*triangle_model(0.0))
+    op = build_fock_matrix(model, 4)
     assert np.any(op.displacements)
     with pytest.raises(ValueError):
         op.displacements[0, 0] = 1.0
-    steps = fock._prepared(*node_data(graph, forms), params)[3]
+    steps = fock._prepared(model)[3]
     factors = [f for _, _, _, step_factors in fock._stencil(steps, 4) for f in step_factors]
     assert factors
     for factor in factors:
@@ -1298,7 +1365,7 @@ def test_bad_frame_raises_after_a_valid_build():
     # converge_cutoff still takes the frame keyword a benchmark caller
     # passes; it selects nothing, but a value outside the two names is an error
     graph, forms, params = triangle_model()
-    build_fock_matrix(graph, forms, params, 4)
+    build_fock_matrix(Model.build(graph, forms, params), 4)
     for frame in ("bare", "displaced"):
         assert converge_cutoff(graph, forms, params, max_cutoff=4, frame=frame).cutoff == 4
     for frame in ("Displaced", None, ["bare"]):
@@ -1351,7 +1418,7 @@ def test_apply_and_dense_form_match_the_full_matrix_bitwise(model, seed):
     # the split product sums each row in the full CSR row's order; a scipy
     # whose kernels summed in another order would fail here
     adjacency, forms, params, cutoff = model
-    op = build_fock_matrix(adjacency, forms, params, cutoff)
+    op = build_fock_matrix(Model.build(adjacency, forms, params), cutoff)
     ref = reference_fock_matrix(adjacency, forms, params, cutoff)
     x = np.random.default_rng(seed).normal(size=op.dim)
     assert (op @ x).tobytes() == (ref @ x).tobytes()
@@ -1371,7 +1438,7 @@ def test_budget_guard_fires_before_allocation(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(ResourceBudgetError):
-            build_fock_matrix(graph, forms, params, cutoff=64)
+            build_fock_matrix(Model.build(graph, forms, params), cutoff=64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1383,15 +1450,15 @@ def test_budget_counts_what_the_build_allocates(monkeypatch, cutoff):
     graph, forms, params = triangle_model()
     monkeypatch.setattr(fock, "MAX_BYTES", 0)
     with pytest.raises(ResourceBudgetError) as err:
-        build_fock_matrix(graph, forms, params, cutoff)
+        build_fock_matrix(Model.build(graph, forms, params), cutoff)
     footprint = err.value.estimated_bytes
     monkeypatch.setattr(fock, "MAX_BYTES", footprint - 1)
     with pytest.raises(ResourceBudgetError):
-        build_fock_matrix(graph, forms, params, cutoff)
+        build_fock_matrix(Model.build(graph, forms, params), cutoff)
     monkeypatch.setattr(fock, "MAX_BYTES", footprint)
     tracemalloc.start()
     try:
-        build_fock_matrix(graph, forms, params, cutoff)
+        build_fock_matrix(Model.build(graph, forms, params), cutoff)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

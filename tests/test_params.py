@@ -125,3 +125,12 @@ def test_parameter_validation():
         PowerLaw(1.0, 0)
     with pytest.raises(DomainError):
         ExplicitCouplings(kappa=1.0, xi=0.0, nu=-0.5)
+
+
+@pytest.mark.parametrize("field", ["omega", "Omega", "d", "x0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_parameters_must_be_finite(field, value):
+    # a NaN drive once reached the Fock solver and failed there as a raw
+    # LinAlgError, and an infinite x0 passed the positivity check
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
+        PhysicalParams(**{field: value})

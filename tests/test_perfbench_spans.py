@@ -57,7 +57,7 @@ def test_every_scan_build_is_a_traced_span():
 
     params = PhysicalParams(omega=1.0, Omega=0.0, d=1.0, x0=0.3)
     rows = [
-        (*dumbbell_hamiltonian(params, ExplicitCouplings(kappa=0.35, xi=xi, nu=0.3)), params)
+        dumbbell_hamiltonian(params, ExplicitCouplings(kappa=0.35, xi=xi, nu=0.3))
         for xi in (-0.2, -0.1, 0.0)
     ]
     tracer = runpy.run_path(str(SPANS))["Tracer"]("test")
