@@ -406,6 +406,18 @@ class Model:
         )
         return cls(adjacency, views, constants, linears, hessians, params)
 
+    @staticmethod
+    def require(value) -> Model:
+        """``value`` if it is a :class:`Model`; anything else, such as a row in
+        the removed ``(graph, forms, params)`` spelling, raises
+        :class:`DomainError`."""
+        if not isinstance(value, Model):
+            raise DomainError(
+                f"expected a Model, got {type(value).__name__}: "
+                "build one with Model.build(graph, forms, params)"
+            )
+        return value
+
     @property
     def dim(self) -> int:
         return self.linears.shape[1]

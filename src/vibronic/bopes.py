@@ -205,6 +205,7 @@ def minimize_bo(model: Model, starts=None) -> MinimaReport:
     merge, and the degeneracy counts minima within
     ``DEFAULT_DEGENERACY_TOL * omega`` of the lowest.
     """
+    Model.require(model)
     if np.any(np.linalg.eigvalsh(model.hessians)[:, 0] <= 0.0):
         raise InstabilityError("a node Hessian is not positive definite: the surface is unbounded")
     degeneracy_tol = DEFAULT_DEGENERACY_TOL * model.params.omega
@@ -320,6 +321,7 @@ def transition_scan(model: Model, omegas, **solver) -> TransitionScanResult:
     The grid needs at least ``MIN_SCAN_SAMPLES`` strictly increasing drive
     values.
     """
+    Model.require(model)
     omegas = np.asarray(omegas, dtype=float)
     if omegas.size < MIN_SCAN_SAMPLES:
         raise DomainError(f"need at least {MIN_SCAN_SAMPLES} drive samples, got {omegas.size}")

@@ -33,8 +33,9 @@ node row's width is counted first: its stencil steps right of the diagonal
 plus one column per link to a higher node.  Those widths alone size the
 memory budget check and every array of the build.  The stencil (each step's
 offset, rows and bands) is laid out once per step set and cutoff, and each
-node's rows, with their links, are written in one pass.  Every entry is
-summed in the order of the term list
+node's rows, with their links, are written in slabs of whole first-mode
+values, whose tables hold at most ``GATHER_CELLS`` cells unless one value's
+rows alone hold more.  Every entry is summed in the order of the term list
 ``omega n + const, l_m X_m, Q_mn X_m X_n (m <= n)``.  Link entries are
 written last, as ``Omega * A_st`` at positions the build records.
 :meth:`FockOperator.apply` forms H x in one buffer as U^T x, then diag * x,
@@ -83,7 +84,7 @@ DENSE_CUTOVER = 256  # below this dimension a dense eigensolver is cheaper
 LOBPCG_MAXITER = 60  # good warm starts converge in under 30; past this ARPACK is cheaper
 JACOBI_FLOOR = 1e-2  # smallest preconditioner shift, relative to max(1, |rho|)
 GRAM_FLOOR = 1e-6  # smallest pivot of a LOBPCG Gram factor before p is dropped
-GATHER_CELLS = 2**18  # table cells compacted at once; bounds the gather's temporaries
+GATHER_CELLS = 2**18  # cells of one slab's build tables, unless one first-mode value needs more
 MAX_BYTES = 2**30  # budget of one build's footprint, see build_fock_matrix
 EIG_TOL = 1e-11  # residual target of ground_state, and of every stage at e_tol <= 1e-8
 
@@ -301,19 +302,24 @@ def _steps(terms, n_modes: int):
     )
 
 
-def _footprint(widths, n_blocks: int, per_node: int):
+def _footprint(widths, n_blocks: int, cutoff: int, n_modes: int):
     """``(bytes, index dtype)`` that :func:`_assemble` allocates for these row widths.
 
     The bytes are the strict upper triangle's CSR ``data``/``indices``/
-    ``indptr`` arrays at their untrimmed size, the diagonal, the widest
-    node's ``(per_node, width)`` value, column and mask tables, and the link
-    records: a position per row of each of the ``n_blocks`` link blocks.
+    ``indptr`` arrays at their untrimmed size, the diagonal, one slab's
+    value, column and mask tables and the link records: a position per row
+    of each of the ``n_blocks`` link blocks.  A slab's tables hold at most
+    ``GATHER_CELLS`` cells of the widest row, or one first-mode value's rows
+    where those alone hold more, and never more than a node's rows.
     """
+    per_node = cutoff**n_modes
     dim = len(widths) * per_node
     cells = per_node * sum(widths)
     idx = np.int32 if max(cells, dim) <= np.iinfo(np.int32).max else np.int64
     size = np.dtype(idx).itemsize
-    tables = per_node * max(widths) * (9 + size)
+    widest = max(widths)
+    inner = per_node // cutoff if n_modes else 1  # the rows of one first-mode value
+    tables = min(per_node * widest, max(GATHER_CELLS, inner * widest)) * (9 + size)
     return cells * (8 + size) + (dim + 1 + per_node * n_blocks) * size + 8 * dim + tables, idx
 
 
@@ -358,16 +364,19 @@ def _assemble(
     """Write the strict upper triangle row by row into one CSR matrix, and the diagonal.
 
     ``coefficients`` and ``terms`` are each node's ladder and term
-    coefficients, as :func:`_prepared` gives them.  Each node's diagonal is
-    written by :func:`_diagonal`.  Its rows are filled as a dense
-    ``(per_node, widths[s])`` table whose columns are, in column order, the
-    stencil steps right of the diagonal and the links to higher nodes; the
-    stored entries are the kept cells in row-major order, with ``idx``
-    indices.  Node-block cells outside a step's rows stay zero, and
-    node-block entries that are exactly zero are dropped, so a trap-only
-    node (its reduced form is exactly the trap, see
-    :func:`vibronic.assembly.reduce_modes`) stores nothing but its links;
-    each link keeps its one entry per row.
+    coefficients, as :func:`_prepared` gives them; ``widths`` size the CSR
+    arrays.  Each node's diagonal is written by :func:`_diagonal`.  Its rows
+    are written in slabs of whole first-mode values, as many as fit
+    ``GATHER_CELLS`` table cells and at least one, so each slab's rows are a
+    box of the node block.  A slab is filled as a dense table whose columns
+    are, in column order, the stencil steps right of the diagonal whose term
+    the node uses and the links to higher nodes; its stored entries are the
+    kept cells in row-major order, with ``idx`` indices.  Node-block cells
+    outside a step's rows stay zero, and node-block entries that are exactly
+    zero are dropped, so a trap-only node (all of its term coefficients are
+    zero: its reduced form is exactly the trap, see
+    :func:`vibronic.assembly.reduce_modes`) has no step column and stores
+    nothing but its links; each link keeps its one entry per row.
 
     Returns the matrix, the diagonal and the link records ``(A[s, t],
     heads)`` per link block (see :func:`_write_links`); the link entries are
@@ -377,12 +386,12 @@ def _assemble(
 
     n_modes = coefficients[0][1].size
     per_node = cutoff**n_modes
+    lead = cutoff if n_modes else 1  # first-mode values of a node
+    inner = per_node // lead  # the rows of one first-mode value
     dim = len(coefficients) * per_node
     cells = per_node * sum(widths)  # the unwritten tail is never touched
     bands = _bands(cutoff)
     stencil = _stencil(steps, cutoff)
-    width = len(stencil)
-    offsets = np.array([offset for offset, _, _, _ in stencil], dtype=idx)
     data = np.empty(cells)
     indices = np.empty(cells, dtype=idx)
     indptr = np.zeros(dim + 1, dtype=idx)
@@ -392,31 +401,41 @@ def _assemble(
     for s, node in enumerate(coefficients):
         first = s * per_node
         _diagonal(node, omega, bands, diagonal[first : first + per_node].reshape((cutoff,) * n_modes))
-        vals = cols = keep = table = slab = None  # drop the last node's tables before the next
-        vals = np.zeros((per_node, widths[s]))
-        cols = np.empty((per_node, widths[s]), dtype=idx)
-        keep = np.empty((per_node, widths[s]), dtype=bool)
         coef = terms[s]
-        table = vals[:, :width].reshape((cutoff,) * n_modes + (width,), copy=False)
-        for j, (_, term, rows, factors) in enumerate(stencil):
-            if coef[term] != 0.0:
+        columns = [entry for entry in stencil if coef[entry[1]] != 0.0]
+        width = len(columns)
+        offsets = [offset for offset, _, _, _ in columns] + [(t - s) * per_node for t, _ in links[s]]
+        offsets = np.array(offsets, dtype=idx)
+        # first-mode values per slab; a row may store nothing
+        height = max(1, GATHER_CELLS // max(1, inner * offsets.size))
+        for lo in range(0, lead, height):
+            hi = min(lo + height, lead)
+            vals = cols = keep = table = None  # drop the last slab's tables before the next
+            vals = np.zeros(((hi - lo) * inner, offsets.size))
+            shape = (hi - lo,) + (cutoff,) * (n_modes - 1) + (width,)
+            table = vals[:, :width].reshape(shape, copy=False)
+            for j, (_, term, rows, factors) in enumerate(columns):
+                if hi - lo < lead:  # cut the step's rows to the slab's first-mode values
+                    start, stop = max(rows[0].start, lo), min(rows[0].stop, hi)
+                    if start >= stop:
+                        continue
+                    # only a factor along the first mode is longer than 1 there,
+                    # and one of length 1 is already the whole of this step's rows
+                    cut = slice(start - rows[0].start, stop - rows[0].start)
+                    factors = [f if f.shape[0] == 1 else f[cut] for f in factors]
+                    rows = (slice(start - lo, stop - lo),) + rows[1:]
                 element = factors[0] * factors[1] if len(factors) == 2 else factors[0]
                 table[rows + (j,)] = coef[term] * element
-        np.not_equal(vals[:, :width], 0.0, out=keep[:, :width])
-        row_ids = np.arange(first, first + per_node, dtype=idx)
-        np.add.outer(row_ids, offsets, out=cols[:, :width])
-        for j, (t, _) in enumerate(links[s], start=width):
-            cols[:, j] = row_ids + (t - s) * per_node
-        keep[:, width:] = True
-        counts = keep.sum(axis=1, dtype=idx)
-        counts[0] += pos
-        np.cumsum(counts, out=indptr[first + 1 : first + per_node + 1])
-        height = max(1, GATHER_CELLS // max(1, widths[s]))  # a row may store nothing
-        for lo in range(0, per_node, height):
-            slab = keep[lo : lo + height]
-            end = pos + np.count_nonzero(slab)
-            data[pos:end] = vals[lo : lo + height][slab]
-            indices[pos:end] = cols[lo : lo + height][slab]
+            keep = vals != 0.0
+            keep[:, width:] = True
+            top, bottom = first + lo * inner, first + hi * inner
+            cols = np.add.outer(np.arange(top, bottom, dtype=idx), offsets)
+            counts = keep.sum(axis=1, dtype=idx)
+            counts[0] += pos
+            np.cumsum(counts, out=indptr[top + 1 : bottom + 1])
+            end = int(indptr[bottom])
+            data[pos:end] = vals[keep]
+            indices[pos:end] = cols[keep]
             pos = end
         # links to higher nodes are the last entries of each row, one per link
         ends, n_links = indptr[first + 1 : first + per_node + 1], len(links[s])
@@ -456,18 +475,20 @@ def build_fock_matrix(model: Model, cutoff: int = 8) -> FockOperator:
     build would allocate more than ``MAX_BYTES`` (1 GiB): the upper
     triangle's CSR arrays at their untrimmed size (every stencil step right
     of the diagonal and every link to a higher node, in every row), the
-    diagonal, the widest node's dense tables and the link records.  That
-    footprint is counted from the row widths before anything of size
-    ``cutoff**n_modes`` is allocated.  It is one build's, not the process's:
-    it leaves out the eigensolver's vectors, the zero-padded warm start, up
-    to three ground vectors per sparse stage shape, the operators a scan
-    carries (see :func:`converge_scan`) and the interpreter and libraries.
-    On the benchmark's ``fock-large`` doubling (the triangle, 6 nodes and 4
-    modes, trap frame, cutoffs 4, 8 and 16) the cutoff-16 build's footprint
-    is 124 MB, of which the trimmed CSR arrays keep 46 MB (its three
-    trap-only nodes store only their links), in a process whose peak
-    resident set reads 158 MB (``perfbench`` ``peak_rss_mb``; Linux x86-64,
-    Python 3.11, NumPy 2.4, SciPy 1.17).
+    diagonal, one slab's dense tables (at most ``GATHER_CELLS`` cells, or
+    one first-mode value's rows where those alone hold more; see
+    :func:`_footprint`) and the link records.  That footprint is counted
+    from the row widths before anything of size ``cutoff**n_modes`` is
+    allocated.  It is one build's, not the process's: it leaves out the
+    eigensolver's vectors, the zero-padded warm start, up to three ground
+    vectors per sparse stage shape, the operators a scan carries (see
+    :func:`converge_scan`) and the interpreter and libraries.  On the
+    benchmark's ``fock-large`` doubling (the triangle, 6 nodes and 4 modes,
+    trap frame, cutoffs 4, 8 and 16) the cutoff-16 build's footprint is
+    109 MB, of which the trimmed CSR arrays keep 46 MB (its three trap-only
+    nodes store only their links), in a process whose peak resident set
+    reads about 146 MB, set in the cutoff-16 eigensolve (``perfbench``
+    ``peak_rss_mb``; Linux x86-64, Python 3.11, NumPy 2.4, SciPy 1.17).
 
     The phonon frame is read off the model: where ``Omega A = 0`` each
     positive-definite node is centred on its own stationary point, elsewhere
@@ -476,14 +497,15 @@ def build_fock_matrix(model: Model, cutoff: int = 8) -> FockOperator:
     The last model's are kept for that model object, so the stages of a
     cutoff doubling prepare nothing again; a decoupled model has no links.
     Those arrays are shared and read-only, ``FockOperator.displacements``
-    among them.  The matrix is then written node row by node row from the
-    stencil described in the module docstring, each link as one entry per
-    row.  Every row's column
+    among them.  The matrix is then written node row by node row, one slab
+    of rows at a time, from the stencil described in the module docstring,
+    each link as one entry per row.  Every row's column
     indices are sorted (int32 below 2**31 entries); node-block entries that
     are exactly zero are not stored.  ``FockOperator.links`` records where
     each link block's entries sit in ``matrix.data``, so that a scan can
     move the operator to another nonzero drive in place.
     """
+    Model.require(model)
     if cutoff < 2:
         raise DomainError(f"cutoff must be at least 2, got {cutoff}")
     params = model.params
@@ -492,7 +514,7 @@ def build_fock_matrix(model: Model, cutoff: int = 8) -> FockOperator:
     # a row's table columns: its stencil steps, then one per link
     widths = [len(steps) + len(row) for row in links]
     n_blocks = sum(len(row) for row in links)
-    footprint, idx = _footprint(widths, n_blocks, cutoff**n_modes)
+    footprint, idx = _footprint(widths, n_blocks, cutoff, n_modes)
     if footprint > MAX_BYTES:
         raise ResourceBudgetError(
             f"matrix footprint {footprint/1e9:.2f} GB exceeds budget {MAX_BYTES/1e9:.2f} GB "
@@ -521,7 +543,10 @@ def _residual_limit(tol: float, energy: float) -> float:
 
 
 def _checked_pair(op, energy: float, vec: np.ndarray, tol: float, solver: str):
-    residual = float(np.linalg.norm(op @ vec - energy * vec))
+    residual = op @ vec  # H v - E v in this one vector: E v is formed a slab at a time
+    for lo in range(0, vec.size, GATHER_CELLS):
+        residual[lo : lo + GATHER_CELLS] -= energy * vec[lo : lo + GATHER_CELLS]
+    residual = float(np.linalg.norm(residual))
     limit = _residual_limit(tol, energy)
     if not residual <= limit:  # a NaN residual fails too
         raise EigensolverError(
@@ -531,11 +556,13 @@ def _checked_pair(op, energy: float, vec: np.ndarray, tol: float, solver: str):
 
 
 def _jacobi_lobpcg(apply, diagonal: np.ndarray, v0: np.ndarray, tol: float):
-    """Refine a unit warm start by block-1 LOBPCG preconditioned with 1/|diag(H) - rho|.
+    """Refine a warm start by block-1 LOBPCG preconditioned with 1/|diag(H) - rho|.
 
-    ``apply(v, out)`` writes H v into ``out``, as :meth:`FockOperator.apply`
-    does, ``diagonal`` is diag(H) and rho the Rayleigh quotient of ``v0``; shifts
-    below a small floor are raised to it.  Each iteration applies
+    ``v0`` is left as it is: the iterate x starts as ``v0 / ||v0||``, written
+    straight into its row.  ``apply(v, out)`` writes H v into ``out``, as
+    :meth:`FockOperator.apply` does, ``diagonal`` is diag(H) and rho the
+    Rayleigh quotient of x; shifts below a small floor are raised to it, and
+    the preconditioner is formed in one array.  Each iteration applies
     Rayleigh-Ritz to the span of the iterate x, its preconditioned residual w
     and the previous direction p (Knyazev, SIAM J. Sci. Comput. 23, 517
     (2001)), orthonormalized through the Cholesky factor of their Gram
@@ -548,10 +575,13 @@ def _jacobi_lobpcg(apply, diagonal: np.ndarray, v0: np.ndarray, tol: float):
     """
     space = np.zeros((3, 2, v0.size))  # rows x, w, p, each with H times it
     (x, hx), (w, hw), _ = space
-    x[:] = v0
+    np.divide(v0, np.linalg.norm(v0), out=x)
     apply(x, hx)
     rho = float(x @ hx)
-    precond = 1.0 / np.maximum(np.abs(diagonal - rho), JACOBI_FLOOR * max(1.0, abs(rho)))
+    precond = np.subtract(diagonal, rho)
+    np.abs(precond, out=precond)
+    np.maximum(precond, JACOBI_FLOOR * max(1.0, abs(rho)), out=precond)
+    np.divide(1.0, precond, out=precond)
     limit = _residual_limit(tol, rho)
     rows = 2  # p joins after the first step
     for _ in range(LOBPCG_MAXITER):
@@ -598,7 +628,9 @@ def ground_state(op: FockOperator, tol: float = EIG_TOL, v0: np.ndarray = None):
     ``v0`` is refined by LOBPCG with a Jacobi (diagonal) preconditioner; if
     that misses the tolerance, or no warm start is given, a Krylov iteration
     runs from ``v0`` or from a deterministic all-ones vector with a fixed
-    iteration cap.  Every returned pair satisfies
+    iteration cap.  ``v0`` is left as it is: LOBPCG normalizes it into its
+    own iterate, and only an ARPACK run gets a normalized copy.  Every
+    returned pair satisfies
     ``||H v - E v|| <= tol * max(1, |E|)`` for the unit vector ``v``, so E
     lies within that bound of an eigenvalue (see :func:`stage_tol`), while
     the error of ``v`` itself scales as that bound over the spectral gap.
@@ -612,12 +644,12 @@ def ground_state(op: FockOperator, tol: float = EIG_TOL, v0: np.ndarray = None):
     if v0 is None:
         v0 = np.ones(dim) / math.sqrt(dim)
     else:
-        v0 = v0 / np.linalg.norm(v0)
         try:
             pair = _jacobi_lobpcg(op.apply, op.diagonal, v0, tol)
             return _checked_pair(op, *pair, tol, "LOBPCG")
         except (EigensolverError, np.linalg.LinAlgError):
             pass  # ARPACK takes over from the same warm start
+        v0 = v0 / np.linalg.norm(v0)
     # only ARPACK stages need it
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -734,7 +766,8 @@ def _stage_pair(op: FockOperator, tol: float, guess, padded, bound):
 def converge_scan(models, *, e_tol: float = 1e-8, max_cutoff: int = 256) -> tuple:
     """Run the cutoff doubling of :func:`converge_cutoff` on every row, in order.
 
-    ``models`` is a sequence of :class:`Model` rows; returns one
+    ``models`` is a sequence of :class:`Model` rows, read one at a time (any
+    other row raises :class:`DomainError` when it is reached); returns one
     :class:`SolveReport` per row, each with the stopping rule, the stage
     residual target ``stage_tol(e_tol)`` and the failure handling of a
     one-row call.  Each row's phonon frame is read off its own model, as
@@ -793,7 +826,7 @@ def converge_scan(models, *, e_tol: float = 1e-8, max_cutoff: int = 256) -> tupl
     starts = {}  # (nodes, modes) -> first cutoff of the next row there
     reports = []
     for model in models:
-        if model.params.Omega == 0.0:
+        if Model.require(model).params.Omega == 0.0:
             operators, owner = {}, None
         elif not _siblings(model, owner):
             operators, owner = {}, model

@@ -593,3 +593,17 @@ def test_import_leaves_scipy_optimize_unloaded():
     loaded_optimize, loaded_sparse_linalg = out.stdout.split()
     assert loaded_optimize == "False"
     assert loaded_sparse_linalg == "False"
+
+
+@pytest.mark.parametrize("entry", ["minimize_bo", "transition_scan"])
+def test_tuple_model_names_model_build(entry):
+    # the (graph, forms, params) spelling was removed; it is refused with the
+    # way to build a Model
+    params, graph, _, forms, _ = triangle_setup(kappa=-0.3, Omega=0.1)
+    row = (graph.adjacency, forms, params)
+    message = r"expected a Model, got tuple: build one with Model\.build\(graph, forms, params\)"
+    with pytest.raises(DomainError, match=message):
+        if entry == "minimize_bo":
+            minimize_bo(row)
+        else:
+            transition_scan(row, np.linspace(0.06, 0.30, 8))

@@ -1105,6 +1105,63 @@ def test_lobpcg_breakdown_hands_over_quietly():
     assert unstable.energy == pytest.approx(-47.7, abs=0.05)
 
 
+def test_ground_state_leaves_the_warm_start_alone(monkeypatch):
+    # LOBPCG normalizes the start into its own iterate and only ARPACK gets
+    # a normalized copy: on either path the caller's vector is untouched and
+    # each solver starts from padded / ||padded||, bitwise
+    graph, forms, params = triangle_model()
+    model = Model.build(graph, forms, params)
+    small, op = build_fock_matrix(model, 4), build_fock_matrix(model, 8)
+    # a start of any scale; at 5 times the padded vector, dividing by its
+    # norm and multiplying by the reciprocal give different bits
+    padded = 5.0 * _zero_pad(small, ground_state(small)[1], 8)
+    unit = padded / np.linalg.norm(padded)
+    assert unit.tobytes() != (padded * (1.0 / np.linalg.norm(padded))).tobytes()
+    kept = padded.copy()
+    applied, starts = [], []
+    apply, eigsh = fock.FockOperator.apply, sp.linalg.eigsh
+
+    def spy_apply(self, x, out=None):
+        applied.append(x.copy())
+        return apply(self, x, out)
+
+    def spy_eigsh(matrix, **kwargs):
+        starts.append(kwargs["v0"].copy())
+        return eigsh(matrix, **kwargs)
+
+    monkeypatch.setattr(fock.FockOperator, "apply", spy_apply)
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", spy_eigsh)
+    for maxiter, solver in ((fock.LOBPCG_MAXITER, "LOBPCG"), (0, "ARPACK")):
+        monkeypatch.setattr(fock, "LOBPCG_MAXITER", maxiter)  # 0: LOBPCG misses
+        applied.clear()
+        starts.clear()
+        energy, vec = ground_state(op, v0=padded)
+        assert padded.tobytes() == kept.tobytes()
+        # LOBPCG runs first on either path, and its first product is H x0
+        assert applied[0].tobytes() == unit.tobytes()
+        if solver == "ARPACK":
+            assert len(starts) == 1 and starts[0].tobytes() == unit.tobytes()
+        else:
+            assert not starts
+        # the pair does not depend on the start's scale: doubling is exact
+        ref_energy, ref_vec = ground_state(op, v0=2.0 * padded)
+        assert energy == ref_energy and vec.tobytes() == ref_vec.tobytes()
+
+
+@pytest.mark.parametrize("entry", ["converge_scan", "build_fock_matrix"])
+def test_tuple_rows_name_model_build(entry):
+    # the (graph, forms, params) spelling of a row was removed; a row in it
+    # is refused with the way to build a Model
+    graph, forms, params = triangle_model()
+    row = (graph.adjacency, forms, params)
+    message = r"expected a Model, got tuple: build one with Model\.build\(graph, forms, params\)"
+    with pytest.raises(DomainError, match=message):
+        if entry == "converge_scan":
+            converge_scan([Model.build(*row), row], max_cutoff=4)
+        else:
+            build_fock_matrix(row, 4)
+
+
 def test_ground_state_rejects_unchecked_pair(monkeypatch):
     graph, forms, params = triangle_model()
     op = build_fock_matrix(Model.build(graph, forms, params), cutoff=4)
@@ -1410,6 +1467,42 @@ def small_models(draw):
 def test_stencil_matches_reference_random_models(model):
     adjacency, forms, params, cutoff = model
     assert_same_operator(adjacency, forms, params, cutoff)
+
+
+def assert_same_links(op, ref):
+    assert len(op.links) == len(ref.links)
+    for (a, heads), (b, theirs) in zip(op.links, ref.links):
+        assert a == b and heads.dtype == theirs.dtype and heads.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("cells", [4, 3 * 4**3 * 19])
+def test_stencil_matches_reference_in_slabs(monkeypatch, cells):
+    # a node's rows are written a few first-mode values at a time: at 4
+    # cells one value per slab, whose rows alone exceed the bound; at
+    # 3 * 4**3 * 19 cells the triangle's widest nodes (19 columns) get slabs
+    # of 3 values and 1 at cutoff 4, and its link-only nodes (2 columns)
+    # slabs of 3, 3 and 2 at cutoff 8
+    graph, forms, params = triangle_model()
+    model = Model.build(graph, forms, params)
+    whole = {cutoff: build_fock_matrix(model, cutoff) for cutoff in (4, 8)}
+    adjacency, single, pair = displaced_stencil_models()[-1]
+    alone = {cutoff: build_fock_matrix(Model.build(adjacency, single, pair), cutoff) for cutoff in (3, 8)}
+    monkeypatch.setattr(fock, "GATHER_CELLS", cells)
+    for cutoff, ref in whole.items():
+        assert_same_links(assert_same_operator(graph, forms, params, cutoff), ref)
+    for cutoff, ref in alone.items():
+        op = assert_same_operator(adjacency, single, pair, cutoff)
+        assert same_bits(csr_parts(op.matrix), csr_parts(ref.matrix))
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=small_models())
+def test_stencil_matches_reference_random_models_in_slabs(model):
+    adjacency, forms, params, cutoff = model
+    ref = build_fock_matrix(Model.build(adjacency, forms, params), cutoff)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fock, "GATHER_CELLS", 4)
+        assert_same_links(assert_same_operator(adjacency, forms, params, cutoff), ref)
 
 
 @settings(max_examples=100, deadline=None)
