@@ -23,26 +23,26 @@ occupation steps 0, +-e_m, +-2e_m and +-e_m+-e_n, whose elements are products
 of the bands of X = b + b^dag and X^2.  A build has two parts.  What does not
 depend on the cutoff is prepared once per model, and the last model's is
 kept for that model object, whose arrays are read-only copies that no edit
-can reach: the frame shifts, each node's ladder coefficients, the stencil
-steps (the occupation steps of the terms some node uses) and the links of a
-coupled model.  The rest is assembled per cutoff.
+can reach: the frame shifts, each node's ladder coefficients and the stencil
+steps (the occupation steps of the terms some node uses).  The rest is
+assembled per cutoff.
 
-The operator H is symmetric and stored once: its strict upper triangle U in
-one CSR matrix with sorted rows, its diagonal in an array of its own.  Each
-node row's width is counted first: its stencil steps right of the diagonal
-plus one column per link to a higher node.  Those widths alone size the
-memory budget check and every array of the build.  The stencil (each step's
-offset, rows and bands) is laid out once per step set and cutoff, and each
-node's rows, with their links, are written in slabs of whole first-mode
-values, whose tables hold at most ``GATHER_CELLS`` cells unless one value's
-rows alone hold more.  Every entry is summed in the order of the term list
-``omega n + const, l_m X_m, Q_mn X_m X_n (m <= n)``.  Link entries are
-written last, as ``Omega * A_st`` at positions the build records.
-:meth:`FockOperator.apply` forms H x in one buffer as U^T x, then diag * x,
-then U x, each accumulated in place: for every row the adds of the full
-matrix's sorted CSR row, in that order, so the product is bitwise the full
-matrix's.  The observables read the same bands: :func:`quadrature_moments`
-dots them with three per-node marginals of the state along one mode.
+The operator H is symmetric and stored once: the strict upper triangle U of
+its node blocks in one CSR matrix with sorted rows, its diagonal in an array
+of its own, and each link block as one value ``Omega * A_st`` (s < t).  Each
+node row's width, its stencil steps right of the diagonal, sizes the memory
+budget check and every array of the build.  The stencil (each step's offset,
+rows and bands) is laid out once per step set and cutoff, and each node's
+rows are written in slabs of whole first-mode values, whose tables hold at
+most ``GATHER_CELLS`` cells unless one value's rows alone hold more.  Every
+entry is summed in the order of the term list ``omega n + const, l_m X_m,
+Q_mn X_m X_n (m <= n)``.  A built operator is read-only.
+:meth:`FockOperator.apply` forms H x in one buffer as the links left of the
+diagonal, U^T x, diag * x, U x and the links right of it, each accumulated
+in place: for every row the adds of the full matrix's sorted CSR row, in
+that order, so the product is bitwise the full matrix's.  The observables
+read the same bands: :func:`quadrature_moments` dots them with three
+per-node marginals of the state along one mode.
 
 :func:`converge_cutoff` doubles the cutoff until the ground energy settles,
 starting each stage from the lower stage's zero-padded vector, refined above
@@ -53,8 +53,7 @@ fallback; every returned pair has a checked residual, against a target that
 :func:`converge_scan` runs that doubling along an ordered list of models, the
 one loop behind every scan, and carries work from row to row.  Rows that
 are nonzero-drive siblings of one model (:meth:`Model.with_drive`) share
-each cutoff's operator, whose link entries, all off the diagonal, are
-rewritten (every row still sees its own build bitwise).  Each sparse stage
+each cutoff's node blocks, each row with its own links.  Each sparse stage
 starts from the last three rows' ground vectors of its shape, extrapolated
 quadratically, unless that start fails or ends above the lower stage's
 energy, which nested bases forbid.
@@ -93,21 +92,22 @@ EIG_TOL = 1e-11  # residual target of ground_state, and of every stage at e_tol 
 class FockOperator:
     """Sparse symmetric molecular operator H in a truncated product Fock basis.
 
-    H is stored once: ``matrix`` holds its strict upper triangle U in CSR,
-    with sorted rows, and ``diagonal`` its diagonal, so H = U + U^T +
-    diag.  ``op @ x`` and :meth:`apply` give H x bitwise as the full CSR
-    matrix would, and :meth:`toarray` gives H dense.
+    H is stored once: ``matrix`` holds the strict upper triangle U of its
+    node blocks in CSR, with sorted rows, ``diagonal`` its diagonal and
+    ``links`` its link blocks, so H = U + U^T + diag + the links and their
+    transposes.  Every array is read-only.  ``op @ x`` and :meth:`apply`
+    give H x bitwise as the full CSR matrix would, and :meth:`toarray` gives
+    H dense.
     """
 
-    matrix: "scipy.sparse.csr_matrix"  # the strict upper triangle of H
-    diagonal: np.ndarray  # the diagonal of H, which link rewrites leave alone
+    matrix: "scipy.sparse.csr_matrix"  # the strict upper triangle of the node blocks
+    diagonal: np.ndarray
     n_nodes: int
     n_modes: int
     cutoff: int
     x0: float
     displacements: np.ndarray  # (n_nodes, n_modes) phonon-frame offsets
-    # per link block: (A[s, t], position of each row's entry in matrix.data); see _write_links
-    links: tuple = ()
+    links: tuple = ()  # (s, t, value) per link block s < t, sorted: value times the identity
 
     @property
     def dim(self) -> int:
@@ -116,13 +116,14 @@ class FockOperator:
     def apply(self, x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """H x, written into ``out`` (a new array if None) and returned.
 
-        ``out`` is zeroed, then takes U^T x (the CSR arrays read as the CSC
-        arrays of U^T), diag * x (one diagonal in DIA form) and U x, each
-        accumulated in place by scipy's kernels, with no temporary.  Row i
-        thus sums its entries left of the diagonal, its diagonal and its
-        entries right of it, in column order from 0: the adds of the full
-        matrix's sorted CSR row, so the product is that matrix's bitwise.
-        ``out`` must not overlap ``x``.
+        ``out`` is zeroed, then takes the links left of the diagonal, U^T x
+        (the CSR arrays read as the CSC arrays of U^T), diag * x (one
+        diagonal in DIA form), U x and the links right of the diagonal, each
+        accumulated in place, the node blocks by scipy's kernels.  Row i thus
+        sums its entries left of the diagonal, its diagonal and its entries
+        right of it, in column order from 0: the adds of the full matrix's
+        sorted CSR row, so the product is that matrix's bitwise.  ``out``
+        must not overlap ``x``.
         """
         from scipy.sparse._sparsetools import csc_matvec, csr_matvec, dia_matvec
 
@@ -134,11 +135,16 @@ class FockOperator:
             out = np.zeros(dim)
         else:
             out.fill(0.0)
+        n = dim // self.n_nodes
+        for s, t, value in self.links:  # row t's entries in column node s < t
+            out[t * n : (t + 1) * n] += value * x[s * n : (s + 1) * n]
         arrays = (upper.indptr, upper.indices, upper.data, x, out)
         csc_matvec(dim, dim, *arrays)
         offsets = np.zeros(1, dtype=upper.indices.dtype)
         dia_matvec(dim, dim, 1, dim, offsets, self.diagonal[None, :], x, out)
         csr_matvec(dim, dim, *arrays)
+        for s, t, value in self.links:  # row s's entries in column node t > s
+            out[s * n : (s + 1) * n] += value * x[t * n : (t + 1) * n]
         return out
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -149,6 +155,10 @@ class FockOperator:
         dense = self.matrix.toarray()
         np.copyto(dense, dense.T, where=np.tri(self.dim, k=-1, dtype=bool))
         np.fill_diagonal(dense, self.diagonal)
+        n = self.dim // self.n_nodes
+        rows = np.arange(n)
+        for s, t, value in self.links:
+            dense[s * n + rows, t * n + rows] = dense[t * n + rows, s * n + rows] = value
         return dense
 
 
@@ -229,29 +239,16 @@ def _node_terms(node) -> np.ndarray:
     return np.concatenate(([0.0], l, np.diagonal(q), 2.0 * q[_mode_pairs(l.size)]))
 
 
-def _node_links(adjacency):
-    """Off-diagonal blocks ``(t, A[s, t])`` of each node row s, by column node t > s.
+def _links(model: Model) -> tuple:
+    """The link blocks ``(s, t, Omega * A[s, t])`` of ``model`` over s < t, sorted.
 
-    The block is ``Omega * A[s, t]`` times the phonon identity; the block of
-    row t, column s is its transpose, which the upper triangle leaves out.
-    These are the blocks of a coupled model; a decoupled one has none.
+    The block of nodes s and t is that value times the phonon identity, and
+    so is its transpose; a decoupled model has none.
     """
-    n_nodes = len(adjacency)
-    return tuple(
-        tuple((t, adjacency[s, t]) for t in range(s + 1, n_nodes) if adjacency[s, t] != 0)
-        for s in range(n_nodes)
-    )
-
-
-def _write_links(data: np.ndarray, links, Omega: float):
-    """Write every link entry of a CSR ``data`` array at drive ``Omega``.
-
-    ``links`` holds ``(A[s, t], heads)`` per link block, as :func:`_assemble`
-    records them, where ``heads`` are the positions of the block's one entry
-    in each of its rows, ``Omega * A[s, t]``.
-    """
-    for a, heads in links:
-        data[heads] = Omega * a
+    if model.decoupled:
+        return ()
+    pairs = zip(*np.nonzero(np.triu(model.adjacency, 1)))
+    return tuple((int(s), int(t), model.params.Omega * model.adjacency[s, t]) for s, t in pairs)
 
 
 @functools.lru_cache(maxsize=32)
@@ -302,13 +299,12 @@ def _steps(terms, n_modes: int):
     )
 
 
-def _footprint(widths, n_blocks: int, cutoff: int, n_modes: int):
+def _footprint(widths, cutoff: int, n_modes: int):
     """``(bytes, index dtype)`` that :func:`_assemble` allocates for these row widths.
 
     The bytes are the strict upper triangle's CSR ``data``/``indices``/
-    ``indptr`` arrays at their untrimmed size, the diagonal, one slab's
-    value, column and mask tables and the link records: a position per row
-    of each of the ``n_blocks`` link blocks.  A slab's tables hold at most
+    ``indptr`` arrays at their untrimmed size, the diagonal and one slab's
+    value, column and mask tables.  A slab's tables hold at most
     ``GATHER_CELLS`` cells of the widest row, or one first-mode value's rows
     where those alone hold more, and never more than a node's rows.
     """
@@ -320,7 +316,7 @@ def _footprint(widths, n_blocks: int, cutoff: int, n_modes: int):
     widest = max(widths)
     inner = per_node // cutoff if n_modes else 1  # the rows of one first-mode value
     tables = min(per_node * widest, max(GATHER_CELLS, inner * widest)) * (9 + size)
-    return cells * (8 + size) + (dim + 1 + per_node * n_blocks) * size + 8 * dim + tables, idx
+    return cells * (8 + size) + (dim + 1) * size + 8 * dim + tables, idx
 
 
 @functools.lru_cache(maxsize=16)
@@ -358,10 +354,8 @@ def _diagonal(node, omega: float, bands, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assemble(
-    coefficients, terms, steps, links, widths, idx, omega: float, Omega: float, cutoff: int
-):
-    """Write the strict upper triangle row by row into one CSR matrix, and the diagonal.
+def _assemble(coefficients, terms, steps, widths, idx, omega: float, cutoff: int):
+    """Write the node blocks' strict upper triangle row by row in CSR, and the diagonal.
 
     ``coefficients`` and ``terms`` are each node's ladder and term
     coefficients, as :func:`_prepared` gives them; ``widths`` size the CSR
@@ -370,17 +364,14 @@ def _assemble(
     ``GATHER_CELLS`` table cells and at least one, so each slab's rows are a
     box of the node block.  A slab is filled as a dense table whose columns
     are, in column order, the stencil steps right of the diagonal whose term
-    the node uses and the links to higher nodes; its stored entries are the
-    kept cells in row-major order, with ``idx`` indices.  Node-block cells
-    outside a step's rows stay zero, and node-block entries that are exactly
-    zero are dropped, so a trap-only node (all of its term coefficients are
-    zero: its reduced form is exactly the trap, see
-    :func:`vibronic.assembly.reduce_modes`) has no step column and stores
-    nothing but its links; each link keeps its one entry per row.
+    the node uses; its stored entries are the nonzero cells in row-major
+    order, with ``idx`` indices.  Cells outside a step's rows stay zero, and
+    entries that are exactly zero are dropped, so a trap-only node (all of
+    its term coefficients are zero: its reduced form is exactly the trap,
+    see :func:`vibronic.assembly.reduce_modes`) has no step column and
+    stores nothing.
 
-    Returns the matrix, the diagonal and the link records ``(A[s, t],
-    heads)`` per link block (see :func:`_write_links`); the link entries are
-    written through them, at drive ``Omega``, once the tables are gone.
+    Returns the matrix and the diagonal, every array of them read-only.
     """
     import scipy.sparse as sp  # loaded by the first build, not by ``import vibronic``
 
@@ -396,7 +387,6 @@ def _assemble(
     indices = np.empty(cells, dtype=idx)
     indptr = np.zeros(dim + 1, dtype=idx)
     diagonal = np.empty(dim)
-    records = []
     pos = 0
     for s, node in enumerate(coefficients):
         first = s * per_node
@@ -404,16 +394,15 @@ def _assemble(
         coef = terms[s]
         columns = [entry for entry in stencil if coef[entry[1]] != 0.0]
         width = len(columns)
-        offsets = [offset for offset, _, _, _ in columns] + [(t - s) * per_node for t, _ in links[s]]
-        offsets = np.array(offsets, dtype=idx)
+        offsets = np.array([offset for offset, _, _, _ in columns], dtype=idx)
         # first-mode values per slab; a row may store nothing
-        height = max(1, GATHER_CELLS // max(1, inner * offsets.size))
+        height = max(1, GATHER_CELLS // max(1, inner * width))
         for lo in range(0, lead, height):
             hi = min(lo + height, lead)
             vals = cols = keep = table = None  # drop the last slab's tables before the next
-            vals = np.zeros(((hi - lo) * inner, offsets.size))
+            vals = np.zeros(((hi - lo) * inner, width))
             shape = (hi - lo,) + (cutoff,) * (n_modes - 1) + (width,)
-            table = vals[:, :width].reshape(shape, copy=False)
+            table = vals.reshape(shape, copy=False)
             for j, (_, term, rows, factors) in enumerate(columns):
                 if hi - lo < lead:  # cut the step's rows to the slab's first-mode values
                     start, stop = max(rows[0].start, lo), min(rows[0].stop, hi)
@@ -427,7 +416,6 @@ def _assemble(
                 element = factors[0] * factors[1] if len(factors) == 2 else factors[0]
                 table[rows + (j,)] = coef[term] * element
             keep = vals != 0.0
-            keep[:, width:] = True
             top, bottom = first + lo * inner, first + hi * inner
             cols = np.add.outer(np.arange(top, bottom, dtype=idx), offsets)
             counts = keep.sum(axis=1, dtype=idx)
@@ -437,23 +425,21 @@ def _assemble(
             data[pos:end] = vals[keep]
             indices[pos:end] = cols[keep]
             pos = end
-        # links to higher nodes are the last entries of each row, one per link
-        ends, n_links = indptr[first + 1 : first + per_node + 1], len(links[s])
-        records += [(a, ends + (j - n_links)) for j, (_, a) in enumerate(links[s])]
     data.resize(pos, refcheck=False)
     indices.resize(pos, refcheck=False)
-    _write_links(data, records, Omega)
-    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim)), diagonal, tuple(records)
+    upper = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    for array in (upper.data, upper.indices, upper.indptr, diagonal):
+        array.setflags(write=False)
+    return upper, diagonal
 
 
 @functools.lru_cache(maxsize=1)
 def _prepared(model: Model):
-    """The cutoff-independent inputs of a build, ``(beta, coefficients, terms, steps, links)``.
+    """The cutoff-independent inputs of a build, ``(beta, coefficients, terms, steps)``.
 
     The frame shifts, each node's ladder coefficients and its term
-    coefficients (:func:`_node_terms`), the stencil steps (a tuple) and the
-    link blocks, none where the model is decoupled; every array is
-    read-only.  The last model's are kept for that model object.
+    coefficients (:func:`_node_terms`) and the stencil steps (a tuple); every
+    array is read-only.  The last model's are kept for that model object.
     """
     beta = _frame_displacements(model)
     params = model.params
@@ -461,60 +447,54 @@ def _prepared(model: Model):
     terms = tuple(_node_terms(node) for node in coefficients)
     for array in (beta, *terms, *(a for _, l, q in coefficients for a in (l, q))):
         array.setflags(write=False)
-    links = ((),) * len(model.forms) if model.decoupled else _node_links(model.adjacency)
-    return beta, coefficients, terms, _steps(terms, model.dim), links
+    return beta, coefficients, terms, _steps(terms, model.dim)
 
 
 def build_fock_matrix(model: Model, cutoff: int = 8) -> FockOperator:
     """Assemble the molecular operator of ``model`` in the truncated product Fock basis.
 
     The off-diagonal block between nodes s and t is
-    ``model.params.Omega * A[s, t]`` times the phonon identity; only the
-    strict upper triangle and the diagonal are stored (see
-    :class:`FockOperator`).  Raises :class:`ResourceBudgetError` when the
-    build would allocate more than ``MAX_BYTES`` (1 GiB): the upper
-    triangle's CSR arrays at their untrimmed size (every stencil step right
-    of the diagonal and every link to a higher node, in every row), the
-    diagonal, one slab's dense tables (at most ``GATHER_CELLS`` cells, or
-    one first-mode value's rows where those alone hold more; see
-    :func:`_footprint`) and the link records.  That footprint is counted
-    from the row widths before anything of size ``cutoff**n_modes`` is
-    allocated.  It is one build's, not the process's: it leaves out the
-    eigensolver's vectors, the zero-padded warm start, up to three ground
-    vectors per sparse stage shape, the operators a scan carries (see
-    :func:`converge_scan`) and the interpreter and libraries.  On the
-    benchmark's ``fock-large`` doubling (the triangle, 6 nodes and 4 modes,
-    trap frame, cutoffs 4, 8 and 16) the cutoff-16 build's footprint is
-    109 MB, of which the trimmed CSR arrays keep 46 MB (its three trap-only
-    nodes store only their links), in a process whose peak resident set
-    reads about 146 MB, set in the cutoff-16 eigensolve (``perfbench``
-    ``peak_rss_mb``; Linux x86-64, Python 3.11, NumPy 2.4, SciPy 1.17).
+    ``model.params.Omega * A[s, t]`` times the phonon identity, stored as
+    that one value; of the node blocks only the strict upper triangle and
+    the diagonal are stored (see :class:`FockOperator`).  Raises
+    :class:`ResourceBudgetError` when the build would allocate more than
+    ``MAX_BYTES`` (1 GiB): the upper triangle's CSR arrays at their
+    untrimmed size (every stencil step right of the diagonal, in every row),
+    the diagonal and one slab's dense tables (at most ``GATHER_CELLS``
+    cells, or one first-mode value's rows where those alone hold more; see
+    :func:`_footprint`).  That footprint is counted from the row widths
+    before anything of size ``cutoff**n_modes`` is allocated.  It is one
+    build's, not the process's: it leaves out the eigensolver's vectors, the
+    zero-padded warm start, up to three ground vectors per sparse stage
+    shape, the operators a scan carries (see :func:`converge_scan`) and the
+    interpreter and libraries.  On the benchmark's ``fock-large`` doubling
+    (the triangle, 6 nodes and 4 modes, trap frame, cutoffs 4, 8 and 16) the
+    cutoff-16 build's footprint is 102 MB, of which the trimmed CSR arrays
+    keep 41 MB (its three trap-only nodes store no entry), in a process
+    whose peak resident set reads about 141 MB, set in the cutoff-16
+    eigensolve (``perfbench`` ``peak_rss_mb``; Linux x86-64, Python 3.11,
+    NumPy 2.4, SciPy 1.17).
 
     The phonon frame is read off the model: where ``Omega A = 0`` each
     positive-definite node is centred on its own stationary point, elsewhere
     no node moves (see :func:`_frame_displacements`).  The frame shifts,
-    node coefficients, stencil steps and link list depend on the model only.
-    The last model's are kept for that model object, so the stages of a
-    cutoff doubling prepare nothing again; a decoupled model has no links.
-    Those arrays are shared and read-only, ``FockOperator.displacements``
-    among them.  The matrix is then written node row by node row, one slab
-    of rows at a time, from the stencil described in the module docstring,
-    each link as one entry per row.  Every row's column
-    indices are sorted (int32 below 2**31 entries); node-block entries that
-    are exactly zero are not stored.  ``FockOperator.links`` records where
-    each link block's entries sit in ``matrix.data``, so that a scan can
-    move the operator to another nonzero drive in place.
+    node coefficients and stencil steps depend on the model only.  The last
+    model's are kept for that model object, so the stages of a cutoff
+    doubling prepare nothing again.  Those arrays are shared and read-only,
+    ``FockOperator.displacements`` among them.  The matrix is then written
+    node row by node row, one slab of rows at a time, from the stencil
+    described in the module docstring.  Every row's column indices are
+    sorted (int32 below 2**31 entries); entries that are exactly zero are
+    not stored.  The links are read off the model by :func:`_links`.
     """
     Model.require(model)
     if cutoff < 2:
         raise DomainError(f"cutoff must be at least 2, got {cutoff}")
     params = model.params
     n_nodes, n_modes = len(model.forms), model.dim
-    beta, coefficients, terms, steps, links = _prepared(model)
-    # a row's table columns: its stencil steps, then one per link
-    widths = [len(steps) + len(row) for row in links]
-    n_blocks = sum(len(row) for row in links)
-    footprint, idx = _footprint(widths, n_blocks, cutoff, n_modes)
+    beta, coefficients, terms, steps = _prepared(model)
+    widths = [len(steps)] * n_nodes  # a row's table columns: its stencil steps
+    footprint, idx = _footprint(widths, cutoff, n_modes)
     if footprint > MAX_BYTES:
         raise ResourceBudgetError(
             f"matrix footprint {footprint/1e9:.2f} GB exceeds budget {MAX_BYTES/1e9:.2f} GB "
@@ -522,9 +502,7 @@ def build_fock_matrix(model: Model, cutoff: int = 8) -> FockOperator:
             estimated_bytes=footprint,
         )
 
-    upper, diagonal, records = _assemble(
-        coefficients, terms, steps, links, widths, idx, params.omega, params.Omega, cutoff
-    )
+    upper, diagonal = _assemble(coefficients, terms, steps, widths, idx, params.omega, cutoff)
     return FockOperator(
         matrix=upper,
         diagonal=diagonal,
@@ -533,7 +511,7 @@ def build_fock_matrix(model: Model, cutoff: int = 8) -> FockOperator:
         cutoff=cutoff,
         x0=params.x0,
         displacements=beta,
-        links=records,
+        links=_links(model),
     )
 
 
@@ -729,18 +707,15 @@ def _siblings(model: Model, other) -> bool:
 def _carried_operator(operators: dict, owner: Model, model: Model, cutoff: int):
     """The stage operator of one row: ``owner`` or a nonzero-drive sibling of it.
 
-    A drive of 0 gets its own build.  Any other drive takes
-    ``operators[cutoff]``, which ``owner`` builds on first use, so its
-    preparation is reused; every row rewrites the link entries in place at
-    its own drive, since the last row to write them may have had another.
+    A drive of 0 gets its own build.  Any other drive takes the node blocks
+    of ``operators[cutoff]``, which ``owner`` builds on first use, so its
+    preparation is reused, and its own links.
     """
     if model.params.Omega == 0.0:
         return build_fock_matrix(model, cutoff)
     if cutoff not in operators:
         operators[cutoff] = build_fock_matrix(owner, cutoff)
-    op = operators[cutoff]
-    _write_links(op.matrix.data, op.links, model.params.Omega)
-    return op
+    return dataclasses.replace(operators[cutoff], links=_links(model))
 
 
 def _stage_pair(op: FockOperator, tol: float, guess, padded, bound):
@@ -794,16 +769,15 @@ def converge_scan(models, *, e_tol: float = 1e-8, max_cutoff: int = 256) -> tupl
     *Operators.*  A run of rows with nonzero drives that are
     :meth:`Model.with_drive` siblings, which is decided by identity (they
     share their forms and adjacency objects, see :func:`_siblings`), shares
-    one operator per cutoff.  The run's first row builds each of them on
-    first use, so its preparation serves the whole run, and every row
-    rewrites only the link entries in place at its own drive, which gives
-    its own build's matrix bitwise.  A
-    model built again from the same input is another model, and since
-    :meth:`Model.build` copies the input, no edit can change a model between
-    rows.  A drive of exactly 0 gets its own build (on a model with links it
-    is in the shifted frame), and like a row of another model it ends the
-    run, so the scan holds at most one run's operators, one per reached
-    cutoff, besides the build in progress.
+    the node blocks of one operator per cutoff.  The run's first row builds
+    each of them on first use, so its preparation serves the whole run, and
+    every row takes them with its own links, which gives its own build
+    bitwise.  A model built again from the same input is another model, and
+    since :meth:`Model.build` copies the input, no edit can change a model
+    between rows.  A drive of exactly 0 gets its own build (on a model with
+    links it is in the shifted frame), and like a row of another model it
+    ends the run, so the scan holds at most one run's node blocks, one per
+    reached cutoff, besides the build in progress.
 
     *Vectors.*  Above ``DENSE_CUTOVER`` a stage starts from the last three
     rows' ground vectors of its shape (nodes, modes, cutoff) and frame

@@ -150,7 +150,8 @@ def test_build_stores_the_reference_upper_triangle_and_diagonal(frame):
 
 def test_trap_only_nodes_store_only_their_links():
     # on the criterion-11 triangle three nodes hold no excited pair: their
-    # reduced form is exactly the trap, so their rows keep no stencil entry
+    # reduced form is exactly the trap, so their rows keep no CSR entry and
+    # the operator holds nothing of them but their links
     kappa = 0.5 * critical_points(1.0, 0.5)[1]
     pot = ExplicitCouplings(kappa=kappa, xi=0.0, nu=0.5, v_d=1.0)
     params = PhysicalParams(omega=1.0, Omega=0.1, x0=0.5)
@@ -172,13 +173,12 @@ def test_trap_only_nodes_store_only_their_links():
         assert np.array_equal(forms[s].hessian, trap * np.eye(forms[s].dim))
         assert not forms[s].linear.any()
         block = slice(s * per_node, (s + 1) * per_node)
-        rows = op.matrix[block]
+        assert op.matrix[block].nnz == 0
         higher = [t for t in range(s + 1, op.n_nodes) if graph.adjacency[s, t]]
-        assert np.array_equal(np.diff(rows.indptr), np.full(per_node, len(higher)))
-        assert set(rows.indices // per_node) <= set(higher)
-        assert np.isin(rows.data, params.Omega * graph.adjacency[s, higher]).all()
+        links = [(t, value) for r, t, value in op.links if r == s]
+        assert links == [(t, params.Omega * graph.adjacency[s, t]) for t in higher]
         assert np.array_equal(op.diagonal[block], params.omega * occupation)
-    assert build_fock_matrix(Model.build(graph, forms, params), cutoff=8).matrix.nnz == 207_104
+    assert build_fock_matrix(Model.build(graph, forms, params), cutoff=8).matrix.nnz == 182_528
 
 
 def test_zero_drive_is_block_diagonal():
@@ -590,6 +590,16 @@ def csr_parts(matrix):
     return tuple(a.copy() for a in (matrix.indptr, matrix.indices, matrix.data))
 
 
+def link_array(op):
+    """The operator's links ``(s, t, value)`` as rows of one float array."""
+    return np.array(op.links, dtype=float).reshape(-1, 3)
+
+
+def operator_parts(op):
+    """Every stored array of an operator: its CSR arrays, diagonal and links."""
+    return (*csr_parts(op.matrix), op.diagonal.copy(), link_array(op))
+
+
 def same_bits(a, b):
     return all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
@@ -619,11 +629,11 @@ def kappa_rows(kappabars, nu=0.25, xi=0.15):
     ],
 )
 def test_drive_scan_operators_match_fresh_builds(monkeypatch, model, frame, max_cutoff):
-    # a scan rewrites each cutoff's link entries in place; every stage must
-    # see the build of its own row bitwise, also after a zero drive, which
-    # has no links and so its own build, on a grid that starts there, and
-    # when the forms or the trap change at one nonzero drive, where the
-    # operators of the previous model must be dropped
+    # siblings share each cutoff's node blocks, each with its own links;
+    # every stage must see the build of its own row bitwise, also after a
+    # zero drive, which has no links and so its own build, on a grid that
+    # starts there, and when the forms or the trap change at one nonzero
+    # drive, where the operators of the previous model must be dropped
     if model == "triangle":
         graph, forms, params = triangle_model(0.0)
     else:
@@ -645,7 +655,7 @@ def test_drive_scan_operators_match_fresh_builds(monkeypatch, model, frame, max_
     solve = fock.ground_state
 
     def spy(op, tol=1e-11, v0=None):
-        seen.append((op.cutoff, csr_parts(op.matrix)))
+        seen.append((op.cutoff, operator_parts(op)))
         return solve(op, tol=tol, v0=v0)
 
     monkeypatch.setattr(fock, "ground_state", spy)
@@ -654,7 +664,7 @@ def test_drive_scan_operators_match_fresh_builds(monkeypatch, model, frame, max_
     shifted = [build_fock_matrix(row, 4).displacements.any() for row in rows]
     assert shifted == [frame == "displaced" or row.params.Omega == 0.0 for row in rows]
     fresh = {
-        (i, c): csr_parts(build_fock_matrix(row, c).matrix)
+        (i, c): operator_parts(build_fock_matrix(row, c))
         for i, row in enumerate(rows)
         for c in cutoffs
     }
@@ -668,8 +678,8 @@ def test_drive_scan_operators_match_fresh_builds(monkeypatch, model, frame, max_
 
 
 def test_a_row_repeated_after_its_sibling_solves_at_its_own_drive(monkeypatch):
-    # the shared operators hold the links of the last row that wrote them, so
-    # a model that comes back after its sibling must write its own drive again
+    # the rows share their node blocks, and a model that comes back after its
+    # sibling must take its own links again, not the last row's
     params = PhysicalParams(omega=1.0, Omega=0.1)
     model = two_state(params, 0.3, -0.1)
     rows = [model, model.with_drive(0.2), model]
@@ -677,7 +687,7 @@ def test_a_row_repeated_after_its_sibling_solves_at_its_own_drive(monkeypatch):
     solve = fock.ground_state
 
     def spy(op, tol=1e-11, v0=None):
-        seen.append((current[-1], op.cutoff, csr_parts(op.matrix)))
+        seen.append((current[-1], op.cutoff, operator_parts(op)))
         return solve(op, tol=tol, v0=v0)
 
     def lazy_rows():
@@ -689,7 +699,7 @@ def test_a_row_repeated_after_its_sibling_solves_at_its_own_drive(monkeypatch):
     converge_scan(lazy_rows(), e_tol=0.0, max_cutoff=16)
     assert {i for i, _, _ in seen} == {0, 1, 2}
     for i, cutoff, parts in seen:
-        assert same_bits(parts, csr_parts(build_fock_matrix(rows[i], cutoff).matrix))
+        assert same_bits(parts, operator_parts(build_fock_matrix(rows[i], cutoff)))
 
 
 def test_rows_edited_in_place_between_rows_are_another_model():
@@ -1053,25 +1063,19 @@ def test_extrapolation_is_exact_on_quadratic_trails():
     assert fock._extrapolate([]) is None
 
 
-# links exist only where Omega A != 0, so only in the trap frame
-@pytest.mark.parametrize("frame", ["bare"])
-def test_recorded_diagonal_survives_link_rewrites(monkeypatch, frame):
-    # the diagonal is stored apart from the upper triangle, whose link
-    # entries a rewrite moves; it stays the reference's at every drive.  A
-    # build at zero drive would centre the nodes, so they are held in the
-    # trap frame of the driven build
-    refuse_shifts(monkeypatch)
+def test_built_operators_are_read_only():
+    # a scan's nonzero-drive siblings share their owner's node blocks, so no
+    # row can alter the operator another row solves
     graph, forms, params = triangle_model(0.1)
-    op = build_fock_matrix(Model.build(graph, forms, params), cutoff=4)
-    assert op.links
-    for drive in (0.1, 0.25, 0.4, 0.0):
-        fock._write_links(op.matrix.data, op.links, drive)
-        driven = dataclasses.replace(params, Omega=drive)
-        ref = reference_fock_matrix(graph, forms, driven, 4)
-        assert same_bits([op.diagonal], [ref.diagonal()])
-        assert not op.matrix.diagonal().any()
-    zero = build_fock_matrix(Model.build(graph, forms, params).with_drive(0.0), cutoff=4)
-    assert same_bits([zero.diagonal], [op.diagonal])
+    owner = Model.build(graph, forms, params)
+    operators = {}
+    rows = (owner, owner.with_drive(0.2))
+    ops = [fock._carried_operator(operators, owner, row, 4) for row in rows]
+    assert ops[1].matrix is ops[0].matrix and ops[1].links != ops[0].links
+    for op in ops:
+        for array in (op.matrix.data, op.matrix.indices, op.matrix.indptr, op.diagonal):
+            with pytest.raises(ValueError):
+                array[0] = 1
 
 
 def test_import_leaves_scipy_sparse_unloaded():
@@ -1247,11 +1251,27 @@ def reference_fock_matrix(graph, forms, params, cutoff=8):
 
 
 def assert_same_operator(graph, forms, params, cutoff):
-    """The build stores the reference's strict upper triangle and diagonal bitwise."""
+    """The build stores the reference's node-block strict upper triangle and
+    diagonal bitwise, and its link blocks exactly."""
     op = build_fock_matrix(Model.build(graph, forms, params), cutoff)
     ref = reference_fock_matrix(graph, forms, params, cutoff)
-    upper = sp.triu(ref, 1, format="csr")
+    n = op.dim // op.n_nodes
+    upper = sp.triu(ref, 1, format="coo")
+    inside = upper.row // n == upper.col // n  # the node blocks
+    upper = sp.csr_matrix(
+        (upper.data[inside], (upper.row[inside], upper.col[inside])), shape=ref.shape
+    )
     upper.sort_indices()
+    links = []
+    for s in range(op.n_nodes):
+        for t in range(s + 1, op.n_nodes):
+            block = ref[s * n : (s + 1) * n, t * n : (t + 1) * n]
+            if block.nnz:  # a link block: one value times the identity
+                assert np.array_equal(block.indptr, np.arange(n + 1))
+                assert np.array_equal(block.indices, np.arange(n))
+                assert block.data.tobytes() == np.full(n, block.data[0]).tobytes()
+                links.append((s, t, block.data[0]))
+    assert link_array(op).tobytes() == np.array(links, dtype=float).reshape(-1, 3).tobytes()
     for name in ("indptr", "indices"):
         ours, theirs = getattr(op.matrix, name), getattr(upper, name)
         assert ours.dtype == theirs.dtype == np.int32
@@ -1394,10 +1414,10 @@ def test_memo_sees_arrays_edited_in_place(frame):
     assert adjacency[0, 1] == 0.0
     adjacency[0, 1] = adjacency[1, 0] = 0.75
     op = assert_same_operator(adjacency, forms, params, 3)
-    assert op.dim == first.dim and op.matrix.nnz > first.matrix.nnz
+    assert op.dim == first.dim and len(op.links) == len(first.links) + 1
     assert not op.displacements.any()
     again = build_fock_matrix(model, 3)
-    assert same_bits(csr_parts(again.matrix), csr_parts(first.matrix))
+    assert same_bits(operator_parts(again), operator_parts(first))
     assert same_bits([again.diagonal, again.displacements], [first.diagonal, first.displacements])
     for array in (model.adjacency, model.forms[1].hessian):
         with pytest.raises(ValueError):
@@ -1470,9 +1490,7 @@ def test_stencil_matches_reference_random_models(model):
 
 
 def assert_same_links(op, ref):
-    assert len(op.links) == len(ref.links)
-    for (a, heads), (b, theirs) in zip(op.links, ref.links):
-        assert a == b and heads.dtype == theirs.dtype and heads.tobytes() == theirs.tobytes()
+    assert link_array(op).tobytes() == link_array(ref).tobytes()
 
 
 @pytest.mark.parametrize("cells", [4, 3 * 4**3 * 19])
@@ -1480,8 +1498,8 @@ def test_stencil_matches_reference_in_slabs(monkeypatch, cells):
     # a node's rows are written a few first-mode values at a time: at 4
     # cells one value per slab, whose rows alone exceed the bound; at
     # 3 * 4**3 * 19 cells the triangle's widest nodes (19 columns) get slabs
-    # of 3 values and 1 at cutoff 4, and its link-only nodes (2 columns)
-    # slabs of 3, 3 and 2 at cutoff 8
+    # of 3 values and 1 at cutoff 4, and its trap-only nodes (no column) one
+    # slab of all their rows
     graph, forms, params = triangle_model()
     model = Model.build(graph, forms, params)
     whole = {cutoff: build_fock_matrix(model, cutoff) for cutoff in (4, 8)}
@@ -1506,16 +1524,18 @@ def test_stencil_matches_reference_random_models_in_slabs(model):
 
 
 @settings(max_examples=100, deadline=None)
-@given(model=small_models(), seed=st.integers(0, 2**32 - 1))
-def test_apply_and_dense_form_match_the_full_matrix_bitwise(model, seed):
+@given(model=small_models(), seed=st.integers(0, 2**32 - 1), stride=st.sampled_from([1, 2]))
+def test_apply_and_dense_form_match_the_full_matrix_bitwise(model, seed, stride):
     # the split product sums each row in the full CSR row's order; a scipy
-    # whose kernels summed in another order would fail here
+    # whose kernels summed in another order would fail here.  With stride 2,
+    # x and out are every other element of a longer array, so a term written
+    # through a contiguous copy of out (``out.ravel()``) would be lost
     adjacency, forms, params, cutoff = model
     op = build_fock_matrix(Model.build(adjacency, forms, params), cutoff)
     ref = reference_fock_matrix(adjacency, forms, params, cutoff)
-    x = np.random.default_rng(seed).normal(size=op.dim)
+    x = np.random.default_rng(seed).normal(size=stride * op.dim)[::stride]
     assert (op @ x).tobytes() == (ref @ x).tobytes()
-    out = np.full(op.dim, np.nan)
+    out = np.full(stride * op.dim, np.nan)[::stride]
     assert op.apply(x, out) is out and out.tobytes() == (ref @ x).tobytes()
     assert op.toarray().tobytes() == ref.toarray().tobytes()
     # the kernels would read or write past the end of a short vector
