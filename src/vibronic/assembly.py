@@ -356,9 +356,11 @@ class Model:
     arrays of the model's own, and ``forms`` are the node forms over views of
     them, so no edit made to the input afterwards reaches the model.
     :meth:`with_drive` gives a sibling at another drive that shares all of
-    them; the Fock solver reuses work between siblings by the identity of
-    their ``forms`` and ``adjacency``.  Only models made by these two are
-    supported: any other skips the checks and copies that identity relies on.
+    them; the Fock build reuses node blocks between models by the identity
+    of their ``forms`` and by their frame (:attr:`decoupled`), not by the
+    adjacency, which reaches the operator only through its links.  Only
+    models made by these two are supported: any other skips the checks and
+    copies that identity relies on.
     """
 
     adjacency: np.ndarray  # (n, n)

@@ -21,11 +21,11 @@ The operator is a sum of Kronecker products of banded single-mode factors,
 so it is assembled as a stencil: a node block has entries only at the
 occupation steps 0, +-e_m, +-2e_m and +-e_m+-e_n, whose elements are products
 of the bands of X = b + b^dag and X^2.  A build has two parts.  What does not
-depend on the cutoff is prepared once per model, and the last model's is
-kept for that model object, whose arrays are read-only copies that no edit
-can reach: the frame shifts, each node's ladder coefficients and the stencil
-steps (the occupation steps of the terms some node uses).  The rest is
-assembled per cutoff.
+depend on the cutoff is prepared once: the frame shifts, each node's ladder
+coefficients and the stencil steps (the occupation steps of the terms some
+node uses).  The node blocks are assembled per cutoff.  Both are kept for
+the last model's forms, frame and params less the drive, which is all that
+they read (see :func:`_prepared`), and the links are read off each model.
 
 The operator H is symmetric and stored once: the strict upper triangle U of
 its node blocks in one CSR matrix with sorted rows, its diagonal in an array
@@ -51,12 +51,10 @@ starting each stage from the lower stage's zero-padded vector, refined above
 fallback; every returned pair has a checked residual, against a target that
 :func:`stage_tol` derives from the stopping tolerance ``e_tol``.
 :func:`converge_scan` runs that doubling along an ordered list of models, the
-one loop behind every scan, and carries work from row to row.  Rows that
-are nonzero-drive siblings of one model (:meth:`Model.with_drive`) share
-each cutoff's node blocks, each row with its own links.  Each sparse stage
-starts from the last three rows' ground vectors of its shape, extrapolated
-quadratically, unless that start fails or ends above the lower stage's
-energy, which nested bases forbid.
+one loop behind every scan, and carries work from row to row.  Each sparse
+stage starts from the last three rows' ground vectors of its shape,
+extrapolated quadratically, unless that start fails or ends above the lower
+stage's energy, which nested bases forbid.
 
 A scan row starts its doubling where the last converged row of its shape
 was decided, at a dense stage; see :func:`converge_scan`.
@@ -299,23 +297,22 @@ def _steps(terms, n_modes: int):
     )
 
 
-def _footprint(widths, cutoff: int, n_modes: int):
-    """``(bytes, index dtype)`` that :func:`_assemble` allocates for these row widths.
+def _footprint(width: int, n_nodes: int, cutoff: int, n_modes: int):
+    """``(bytes, index dtype)`` that :func:`_assemble` allocates for rows of ``width`` cells.
 
     The bytes are the strict upper triangle's CSR ``data``/``indices``/
     ``indptr`` arrays at their untrimmed size, the diagonal and one slab's
     value, column and mask tables.  A slab's tables hold at most
-    ``GATHER_CELLS`` cells of the widest row, or one first-mode value's rows
-    where those alone hold more, and never more than a node's rows.
+    ``GATHER_CELLS`` cells of its rows, or one first-mode value's rows where
+    those alone hold more, and never more than a node's rows.
     """
     per_node = cutoff**n_modes
-    dim = len(widths) * per_node
-    cells = per_node * sum(widths)
+    dim = n_nodes * per_node
+    cells = dim * width
     idx = np.int32 if max(cells, dim) <= np.iinfo(np.int32).max else np.int64
     size = np.dtype(idx).itemsize
-    widest = max(widths)
     inner = per_node // cutoff if n_modes else 1  # the rows of one first-mode value
-    tables = min(per_node * widest, max(GATHER_CELLS, inner * widest)) * (9 + size)
+    tables = min(per_node * width, max(GATHER_CELLS, inner * width)) * (9 + size)
     return cells * (8 + size) + (dim + 1) * size + 8 * dim + tables, idx
 
 
@@ -354,13 +351,14 @@ def _diagonal(node, omega: float, bands, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assemble(coefficients, terms, steps, widths, idx, omega: float, cutoff: int):
+def _assemble(coefficients, terms, steps, idx, omega: float, cutoff: int):
     """Write the node blocks' strict upper triangle row by row in CSR, and the diagonal.
 
     ``coefficients`` and ``terms`` are each node's ladder and term
-    coefficients, as :func:`_prepared` gives them; ``widths`` size the CSR
-    arrays.  Each node's diagonal is written by :func:`_diagonal`.  Its rows
-    are written in slabs of whole first-mode values, as many as fit
+    coefficients, as :func:`_prepared` gives them; every row has one CSR
+    cell per stencil step.  Each node's diagonal is written by
+    :func:`_diagonal`.  Its rows are written in slabs of whole first-mode
+    values, as many as fit
     ``GATHER_CELLS`` table cells and at least one, so each slab's rows are a
     box of the node block.  A slab is filled as a dense table whose columns
     are, in column order, the stencil steps right of the diagonal whose term
@@ -380,7 +378,7 @@ def _assemble(coefficients, terms, steps, widths, idx, omega: float, cutoff: int
     lead = cutoff if n_modes else 1  # first-mode values of a node
     inner = per_node // lead  # the rows of one first-mode value
     dim = len(coefficients) * per_node
-    cells = per_node * sum(widths)  # the unwritten tail is never touched
+    cells = dim * len(steps)  # the unwritten tail is never touched
     bands = _bands(cutoff)
     stencil = _stencil(steps, cutoff)
     data = np.empty(cells)
@@ -433,21 +431,31 @@ def _assemble(coefficients, terms, steps, widths, idx, omega: float, cutoff: int
     return upper, diagonal
 
 
-@functools.lru_cache(maxsize=1)
+_memo = {}  # the one key of _prepared -> its preparation and node blocks
+
+
 def _prepared(model: Model):
-    """The cutoff-independent inputs of a build, ``(beta, coefficients, terms, steps)``.
+    """The inputs and node blocks of a build, ``(beta, coefficients, terms, steps, blocks)``.
 
     The frame shifts, each node's ladder coefficients and its term
-    coefficients (:func:`_node_terms`) and the stencil steps (a tuple); every
-    array is read-only.  The last model's are kept for that model object.
+    coefficients (:func:`_node_terms`) and the stencil steps (a tuple), every
+    array read-only, and ``blocks``, which maps each cutoff built since to
+    its node blocks ``(upper, diagonal)``.  They are kept for the last key
+    only: the ``forms`` object, the frame (:attr:`Model.decoupled`) and
+    ``params`` at drive 0, which is all that the node blocks read, so
+    :meth:`Model.with_drive` siblings in one frame share them.
     """
-    beta = _frame_displacements(model)
-    params = model.params
-    coefficients = tuple(_node_coefficients(f, b, params) for f, b in zip(model.forms, beta))
-    terms = tuple(_node_terms(node) for node in coefficients)
-    for array in (beta, *terms, *(a for _, l, q in coefficients for a in (l, q))):
-        array.setflags(write=False)
-    return beta, coefficients, terms, _steps(terms, model.dim)
+    key = (model.forms, model.decoupled, dataclasses.replace(model.params, Omega=0.0))
+    if key not in _memo:
+        _memo.clear()  # the last key's blocks go before the next are built
+        beta = _frame_displacements(model)
+        params = model.params
+        coefficients = tuple(_node_coefficients(f, b, params) for f, b in zip(model.forms, beta))
+        terms = tuple(_node_terms(node) for node in coefficients)
+        for array in (beta, *terms, *(a for _, l, q in coefficients for a in (l, q))):
+            array.setflags(write=False)
+        _memo[key] = beta, coefficients, terms, _steps(terms, model.dim), {}
+    return _memo[key]
 
 
 def build_fock_matrix(model: Model, cutoff: int = 8) -> FockOperator:
@@ -462,47 +470,51 @@ def build_fock_matrix(model: Model, cutoff: int = 8) -> FockOperator:
     untrimmed size (every stencil step right of the diagonal, in every row),
     the diagonal and one slab's dense tables (at most ``GATHER_CELLS``
     cells, or one first-mode value's rows where those alone hold more; see
-    :func:`_footprint`).  That footprint is counted from the row widths
-    before anything of size ``cutoff**n_modes`` is allocated.  It is one
-    build's, not the process's: it leaves out the eigensolver's vectors, the
-    zero-padded warm start, up to three ground vectors per sparse stage
-    shape, the operators a scan carries (see :func:`converge_scan`) and the
-    interpreter and libraries.  On the benchmark's ``fock-large`` doubling
-    (the triangle, 6 nodes and 4 modes, trap frame, cutoffs 4, 8 and 16) the
-    cutoff-16 build's footprint is 102 MB, of which the trimmed CSR arrays
-    keep 41 MB (its three trap-only nodes store no entry), in a process
-    whose peak resident set reads about 141 MB, set in the cutoff-16
-    eigensolve (``perfbench`` ``peak_rss_mb``; Linux x86-64, Python 3.11,
-    NumPy 2.4, SciPy 1.17).
+    :func:`_footprint`).  That footprint is counted from the row width
+    before anything of size ``cutoff**n_modes`` is allocated, and only when
+    the node blocks are assembled.  It is one build's, not the process's: it
+    leaves out the eigensolver's vectors, the zero-padded warm start, up to
+    three ground vectors per sparse stage shape, the node blocks kept from
+    earlier builds and the interpreter and libraries.  On the benchmark's
+    ``fock-large`` doubling (the triangle, 6 nodes and 4 modes, trap frame,
+    cutoffs 4, 8 and 16) the cutoff-16 build's footprint is 102 MB, of which
+    the trimmed CSR arrays keep 41 MB (its three trap-only nodes store no
+    entry), in a process whose peak resident set reads about 141 MB, set in
+    the cutoff-16 eigensolve (``perfbench`` ``peak_rss_mb``; Linux x86-64,
+    Python 3.11, NumPy 2.4, SciPy 1.17).
 
     The phonon frame is read off the model: where ``Omega A = 0`` each
     positive-definite node is centred on its own stationary point, elsewhere
     no node moves (see :func:`_frame_displacements`).  The frame shifts,
-    node coefficients and stencil steps depend on the model only.  The last
-    model's are kept for that model object, so the stages of a cutoff
-    doubling prepare nothing again.  Those arrays are shared and read-only,
-    ``FockOperator.displacements`` among them.  The matrix is then written
-    node row by node row, one slab of rows at a time, from the stencil
-    described in the module docstring.  Every row's column indices are
-    sorted (int32 below 2**31 entries); entries that are exactly zero are
-    not stored.  The links are read off the model by :func:`_links`.
+    node coefficients and stencil steps, and each built cutoff's node
+    blocks, are kept for the last model's ``forms`` object, frame and params
+    at drive 0 (see :func:`_prepared`), so the stages of a cutoff doubling
+    prepare nothing again, and a :meth:`Model.with_drive` sibling in the
+    same frame assembles no cutoff that one has built; after the call the
+    last model's node blocks stay in memory, one per built cutoff.  Those
+    arrays are shared and read-only, ``FockOperator.displacements`` among
+    them.  The matrix is written node row by node row, one slab of rows at a
+    time, from the stencil described in the module docstring.  Every row's
+    column indices are sorted (int32 below 2**31 entries); entries that are
+    exactly zero are not stored.  The links are always read off the model
+    itself by :func:`_links`.
     """
     Model.require(model)
     if cutoff < 2:
         raise DomainError(f"cutoff must be at least 2, got {cutoff}")
     params = model.params
     n_nodes, n_modes = len(model.forms), model.dim
-    beta, coefficients, terms, steps = _prepared(model)
-    widths = [len(steps)] * n_nodes  # a row's table columns: its stencil steps
-    footprint, idx = _footprint(widths, cutoff, n_modes)
-    if footprint > MAX_BYTES:
-        raise ResourceBudgetError(
-            f"matrix footprint {footprint/1e9:.2f} GB exceeds budget {MAX_BYTES/1e9:.2f} GB "
-            f"(nodes={n_nodes}, modes={n_modes}, cutoff={cutoff})",
-            estimated_bytes=footprint,
-        )
-
-    upper, diagonal = _assemble(coefficients, terms, steps, widths, idx, params.omega, cutoff)
+    beta, coefficients, terms, steps, blocks = _prepared(model)
+    if cutoff not in blocks:
+        footprint, idx = _footprint(len(steps), n_nodes, cutoff, n_modes)
+        if footprint > MAX_BYTES:
+            raise ResourceBudgetError(
+                f"matrix footprint {footprint/1e9:.2f} GB exceeds budget {MAX_BYTES/1e9:.2f} GB "
+                f"(nodes={n_nodes}, modes={n_modes}, cutoff={cutoff})",
+                estimated_bytes=footprint,
+            )
+        blocks[cutoff] = _assemble(coefficients, terms, steps, idx, params.omega, cutoff)
+    upper, diagonal = blocks[cutoff]
     return FockOperator(
         matrix=upper,
         diagonal=diagonal,
@@ -693,31 +705,6 @@ def _extrapolate(trail):
     return sum(c * (v if v1 @ v >= 0.0 else -v) for c, v in zip(weights, trail))
 
 
-def _siblings(model: Model, other) -> bool:
-    """Whether ``model`` and ``other`` are :meth:`Model.with_drive` siblings:
-    the same forms and adjacency objects, and equal params but the drive."""
-    return (
-        other is not None
-        and model.forms is other.forms
-        and model.adjacency is other.adjacency
-        and model.params == dataclasses.replace(other.params, Omega=model.params.Omega)
-    )
-
-
-def _carried_operator(operators: dict, owner: Model, model: Model, cutoff: int):
-    """The stage operator of one row: ``owner`` or a nonzero-drive sibling of it.
-
-    A drive of 0 gets its own build.  Any other drive takes the node blocks
-    of ``operators[cutoff]``, which ``owner`` builds on first use, so its
-    preparation is reused, and its own links.
-    """
-    if model.params.Omega == 0.0:
-        return build_fock_matrix(model, cutoff)
-    if cutoff not in operators:
-        operators[cutoff] = build_fock_matrix(owner, cutoff)
-    return dataclasses.replace(operators[cutoff], links=_links(model))
-
-
 def _stage_pair(op: FockOperator, tol: float, guess, padded, bound):
     """Ground pair of one stage, from ``guess`` if that start succeeds at or below ``bound``.
 
@@ -766,18 +753,9 @@ def converge_scan(models, *, e_tol: float = 1e-8, max_cutoff: int = 256) -> tupl
     stop at a higher cutoff than :func:`converge_cutoff` on that row alone,
     whose first pair is (4, 8).
 
-    *Operators.*  A run of rows with nonzero drives that are
-    :meth:`Model.with_drive` siblings, which is decided by identity (they
-    share their forms and adjacency objects, see :func:`_siblings`), shares
-    the node blocks of one operator per cutoff.  The run's first row builds
-    each of them on first use, so its preparation serves the whole run, and
-    every row takes them with its own links, which gives its own build
-    bitwise.  A model built again from the same input is another model, and
-    since :meth:`Model.build` copies the input, no edit can change a model
-    between rows.  A drive of exactly 0 gets its own build (on a model with
-    links it is in the shifted frame), and like a row of another model it
-    ends the run, so the scan holds at most one run's node blocks, one per
-    reached cutoff, besides the build in progress.
+    *Operators.*  Every stage calls :func:`build_fock_matrix`, which gives
+    consecutive :meth:`Model.with_drive` siblings in one frame the same node
+    blocks, each with its own links.
 
     *Vectors.*  Above ``DENSE_CUTOVER`` a stage starts from the last three
     rows' ground vectors of its shape (nodes, modes, cutoff) and frame
@@ -787,23 +765,18 @@ def converge_scan(models, *, e_tol: float = 1e-8, max_cutoff: int = 256) -> tupl
     energy, which the nested bases forbid.
 
     The memory budget counts one build at a time.  Besides that build, a
-    scan holds the operators of one model (one per reached cutoff), up to
-    three ground vectors per sparse stage shape and the zero-padded warm
-    start; none of these is counted.
+    scan holds the node blocks that :func:`build_fock_matrix` keeps (one per
+    reached cutoff), up to three ground vectors per sparse stage shape and
+    the zero-padded warm start; none of these is counted.
     """
     if max_cutoff < 4:
         raise DomainError(f"max_cutoff must be at least 4, got {max_cutoff}")
     tol = stage_tol(e_tol)
-    operators = {}  # cutoff -> operator built by ``owner``
-    owner = None  # the first of a run of nonzero-drive siblings
     trails = {}  # (nodes, modes, cutoff, decoupled) -> ground vectors of the last three rows
     starts = {}  # (nodes, modes) -> first cutoff of the next row there
     reports = []
     for model in models:
-        if Model.require(model).params.Omega == 0.0:
-            operators, owner = {}, None
-        elif not _siblings(model, owner):
-            operators, owner = {}, model
+        Model.require(model)
         history = []
         energy_prev = None
         converged = False
@@ -816,7 +789,7 @@ def converge_scan(models, *, e_tol: float = 1e-8, max_cutoff: int = 256) -> tupl
         while cutoff <= max_cutoff:
             padded = None if state is None else _zero_pad(op, state, cutoff)
             try:
-                op = _carried_operator(operators, owner, model, cutoff)
+                op = build_fock_matrix(model, cutoff)
             except ResourceBudgetError:
                 if not history:
                     raise

@@ -604,6 +604,12 @@ def same_bits(a, b):
     return all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
+def fresh_build(model, cutoff):
+    """``build_fock_matrix(model, cutoff)`` assembled anew, with no node block kept before."""
+    fock._memo.clear()
+    return build_fock_matrix(model, cutoff)
+
+
 def kappa_rows(kappabars, nu=0.25, xi=0.15):
     """``gs-scan-kappa`` rows of the tetrahedron pair; kappa = 0 leaves only the axial mode."""
     params = PhysicalParams(omega=1.0, x0=nu)
@@ -661,10 +667,10 @@ def test_drive_scan_operators_match_fresh_builds(monkeypatch, model, frame, max_
     monkeypatch.setattr(fock, "ground_state", spy)
     reports = converge_scan(rows, e_tol=0.0, max_cutoff=max_cutoff)
     assert [[c for c, _ in r.energy_history] for r in reports] == [cutoffs] * len(rows)
-    shifted = [build_fock_matrix(row, 4).displacements.any() for row in rows]
+    shifted = [fresh_build(row, 4).displacements.any() for row in rows]
     assert shifted == [frame == "displaced" or row.params.Omega == 0.0 for row in rows]
     fresh = {
-        (i, c): operator_parts(build_fock_matrix(row, c))
+        (i, c): operator_parts(fresh_build(row, c))
         for i, row in enumerate(rows)
         for c in cutoffs
     }
@@ -699,7 +705,7 @@ def test_a_row_repeated_after_its_sibling_solves_at_its_own_drive(monkeypatch):
     converge_scan(lazy_rows(), e_tol=0.0, max_cutoff=16)
     assert {i for i, _, _ in seen} == {0, 1, 2}
     for i, cutoff, parts in seen:
-        assert same_bits(parts, operator_parts(build_fock_matrix(rows[i], cutoff)))
+        assert same_bits(parts, operator_parts(fresh_build(rows[i], cutoff)))
 
 
 def test_rows_edited_in_place_between_rows_are_another_model():
@@ -1021,7 +1027,7 @@ def count_preparations(monkeypatch):
         calls.append(model.params.Omega)
         return prepare(model)
 
-    fock._prepared.cache_clear()
+    fock._memo.clear()
     monkeypatch.setattr(fock, "_frame_displacements", spy)
     return calls
 
@@ -1047,6 +1053,24 @@ def test_scan_prepares_each_model_once(monkeypatch):
     assert all(len(r.energy_history) > 1 for r in reports)
     assert calls == [0.0, 0.1, 0.0, 0.3]
 
+    # with no link every drive is in the shifted frame, so the blocks a zero
+    # drive builds serve the whole scan: one preparation, one assembly per cutoff
+    linkless = Model.build(np.zeros((2, 2)), base.forms, base.params)
+    rows = [linkless.with_drive(d) for d in drives]
+    calls = count_preparations(monkeypatch)
+    assemblies = []
+    assemble = fock._assemble
+
+    def spy(coefficients, terms, steps, idx, omega, cutoff):
+        assemblies.append(cutoff)
+        return assemble(coefficients, terms, steps, idx, omega, cutoff)
+
+    monkeypatch.setattr(fock, "_assemble", spy)
+    reports = converge_scan(rows, e_tol=1e-9, max_cutoff=128)
+    assert all(len(r.energy_history) > 1 for r in reports)
+    assert calls == [0.0]
+    assert sorted(assemblies) == sorted({c for r in reports for c, _ in r.energy_history})
+
 
 def test_extrapolation_is_exact_on_quadratic_trails():
     # integer vectors keep the arithmetic exact; the large constant part keeps
@@ -1064,14 +1088,13 @@ def test_extrapolation_is_exact_on_quadratic_trails():
 
 
 def test_built_operators_are_read_only():
-    # a scan's nonzero-drive siblings share their owner's node blocks, so no
-    # row can alter the operator another row solves
+    # nonzero-drive siblings share the node blocks that the first one's build
+    # keeps, so no row can alter the operator another row solves
     graph, forms, params = triangle_model(0.1)
-    owner = Model.build(graph, forms, params)
-    operators = {}
-    rows = (owner, owner.with_drive(0.2))
-    ops = [fock._carried_operator(operators, owner, row, 4) for row in rows]
-    assert ops[1].matrix is ops[0].matrix and ops[1].links != ops[0].links
+    model = Model.build(graph, forms, params)
+    ops = [build_fock_matrix(row, 4) for row in (model, model.with_drive(0.2))]
+    assert ops[1].matrix is ops[0].matrix
+    assert ops[1].links != ops[0].links
     for op in ops:
         for array in (op.matrix.data, op.matrix.indices, op.matrix.indptr, op.diagonal):
             with pytest.raises(ValueError):
