@@ -21,11 +21,11 @@ The operator is a sum of Kronecker products of banded single-mode factors,
 so it is assembled as a stencil: a node block has entries only at the
 occupation steps 0, +-e_m, +-2e_m and +-e_m+-e_n, whose elements are products
 of the bands of X = b + b^dag and X^2.  A build has two parts.  What does not
-depend on the cutoff is prepared once: the frame shifts, each node's ladder
-coefficients and the stencil steps (the occupation steps of the terms some
-node uses).  The node blocks are assembled per cutoff.  Both are kept for
-the last model's forms, frame and params less the drive, which is all that
-they read (see :func:`_prepared`), and the links are read off each model.
+depend on the cutoff is prepared once: the frame shifts, the term table (a
+row of coefficients per node) and the stencil steps (the occupation steps of
+the terms some node uses).  The node blocks are assembled per cutoff.  Both
+are kept for the last model's forms, frame and params less the drive, all
+that they read (see :func:`_prepared`); the links are read off each model.
 
 The operator H is symmetric and stored once: the strict upper triangle U of
 its node blocks in one CSR matrix with sorted rows, its diagonal in an array
@@ -53,8 +53,8 @@ fallback; every returned pair has a checked residual, against a target that
 :func:`converge_scan` runs that doubling along an ordered list of models, the
 one loop behind every scan, and carries work from row to row.  Each sparse
 stage starts from the last three rows' ground vectors of its shape,
-extrapolated quadratically, unless that start fails or ends above the lower
-stage's energy, which nested bases forbid.
+extrapolated quadratically, and is solved again from the zero-padded lower
+stage's vector when that start fails or ends above the lower stage's energy.
 
 A scan row starts its doubling where the last converged row of its shape
 was decided, at a dense stage; see :func:`converge_scan`.
@@ -66,6 +66,7 @@ import contextlib
 import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -202,8 +203,8 @@ def _frame_displacements(model: Model) -> np.ndarray:
     return beta
 
 
-def _node_coefficients(form: QuadraticVibronic, shift: np.ndarray, params: PhysicalParams):
-    """Ladder coefficients ``(const, l, Q)`` of one node in its shifted phonon frame.
+def _node_terms(form: QuadraticVibronic, shift: np.ndarray, params: PhysicalParams) -> np.ndarray:
+    """The term row ``[const, l_m, Q_mm, 2 Q_mn (m < n, row-major)]`` of one node block.
 
     The node block is ``const + omega sum_m n_m + sum_m l_m X_m +
     sum_mn Q_mn X_m X_n`` with ``X_m = b_m + b_m^dag`` and each mode's origin
@@ -218,7 +219,8 @@ def _node_coefficients(form: QuadraticVibronic, shift: np.ndarray, params: Physi
     q = (form.hessian - trap * np.eye(form.dim)) * (x0**2 / 2.0)
     b = shift
     const = form.constant + params.omega * float(b @ b) + 2.0 * float(l @ b) + 4.0 * float(b @ q @ b)
-    return const, np.zeros_like(l) if b.any() else l, q
+    linear = np.zeros_like(l) if b.any() else l
+    return np.concatenate(([const], linear, np.diagonal(q), 2.0 * q[_mode_pairs(form.dim)]))
 
 
 @functools.lru_cache(maxsize=32)
@@ -228,13 +230,6 @@ def _mode_pairs(n_modes: int):
     for index in pairs:
         index.setflags(write=False)
     return pairs
-
-
-def _node_terms(node) -> np.ndarray:
-    """Term coefficients of a node block: 0 for the diagonal, then ``l_m``,
-    ``Q_mm`` and ``2 Q_mn`` (m < n, row-major)."""
-    _, l, q = node
-    return np.concatenate(([0.0], l, np.diagonal(q), 2.0 * q[_mode_pairs(l.size)]))
 
 
 def _links(model: Model) -> tuple:
@@ -283,9 +278,9 @@ def _steps(terms, n_modes: int):
     ``step`` is a tuple of one int per mode, and a term no node uses adds
     none.
     """
-    used = np.any([coef != 0.0 for coef in terms], axis=0)
+    used = (terms != 0.0).any(axis=0)
     unit = np.eye(n_modes, dtype=int)
-    moves = [[]]  # the diagonal term: _diagonal writes it
+    moves = [[]]  # the constant: _diagonal writes it
     moves += [[unit[m]] for m in range(n_modes)]
     moves += [[2 * unit[m]] for m in range(n_modes)]
     moves += [[unit[m] + unit[n], unit[m] - unit[n]] for m, n in zip(*_mode_pairs(n_modes))]
@@ -339,45 +334,43 @@ def _stencil(steps, cutoff: int):
     return tuple(sorted(stencil, key=lambda entry: entry[0]))
 
 
-def _diagonal(node, omega: float, bands, out: np.ndarray) -> np.ndarray:
-    """Write the node-block diagonal into ``out``: omega n + const, then Q_mm (X_m^2) by mode."""
-    const, _, q = node
+def _diagonal(coef: np.ndarray, omega: float, bands, out: np.ndarray) -> np.ndarray:
+    """Write one node's diagonal from its term row ``coef``: omega n + const, then Q_mm X_m^2."""
     cutoff, n_modes = bands[0].size, out.ndim
     occupation = sum(_along(m, np.arange(float(cutoff)), n_modes) for m in range(n_modes))
-    np.add(omega * occupation, const, out=out)
-    for m in range(n_modes):
-        if q[m, m] != 0.0:
-            out += q[m, m] * _along(m, bands[0], n_modes)
+    np.add(omega * occupation, coef[0], out=out)
+    for m, q_mm in enumerate(coef[1 + n_modes : 1 + 2 * n_modes]):
+        if q_mm != 0.0:
+            out += q_mm * _along(m, bands[0], n_modes)
     return out
 
 
-def _assemble(coefficients, terms, steps, idx, omega: float, cutoff: int):
+def _assemble(terms: np.ndarray, steps, idx, omega: float, cutoff: int):
     """Write the node blocks' strict upper triangle row by row in CSR, and the diagonal.
 
-    ``coefficients`` and ``terms`` are each node's ladder and term
-    coefficients, as :func:`_prepared` gives them; every row has one CSR
-    cell per stencil step.  Each node's diagonal is written by
-    :func:`_diagonal`.  Its rows are written in slabs of whole first-mode
-    values, as many as fit
-    ``GATHER_CELLS`` table cells and at least one, so each slab's rows are a
-    box of the node block.  A slab is filled as a dense table whose columns
-    are, in column order, the stencil steps right of the diagonal whose term
-    the node uses; its stored entries are the nonzero cells in row-major
-    order, with ``idx`` indices.  Cells outside a step's rows stay zero, and
-    entries that are exactly zero are dropped, so a trap-only node (all of
-    its term coefficients are zero: its reduced form is exactly the trap,
-    see :func:`vibronic.assembly.reduce_modes`) has no step column and
-    stores nothing.
+    ``terms`` is the term table of :func:`_prepared`, one row per node;
+    every row of the matrix has one CSR cell per stencil step.  Each node's
+    diagonal is written by :func:`_diagonal`.  Its rows are written in slabs
+    of whole first-mode values, as many as fit ``GATHER_CELLS`` table cells
+    and at least one, so each slab's rows are a box of the node block.  A
+    slab is filled as a dense table whose columns are, in column order, the
+    stencil steps right of the diagonal whose term the node uses; its stored
+    entries are the nonzero cells in row-major order, with ``idx`` indices.
+    Cells outside a step's rows stay zero, and entries that are exactly zero
+    are dropped, so a trap-only node (all of its term coefficients but its
+    constant are zero: its reduced form is exactly the trap, see
+    :func:`vibronic.assembly.reduce_modes`) has no step column and stores
+    nothing.
 
     Returns the matrix and the diagonal, every array of them read-only.
     """
     import scipy.sparse as sp  # loaded by the first build, not by ``import vibronic``
 
-    n_modes = coefficients[0][1].size
+    n_modes = (math.isqrt(8 * terms.shape[1] + 1) - 3) // 2  # a row holds 1 + n (n + 3) / 2 terms
     per_node = cutoff**n_modes
     lead = cutoff if n_modes else 1  # first-mode values of a node
     inner = per_node // lead  # the rows of one first-mode value
-    dim = len(coefficients) * per_node
+    dim = len(terms) * per_node
     cells = dim * len(steps)  # the unwritten tail is never touched
     bands = _bands(cutoff)
     stencil = _stencil(steps, cutoff)
@@ -386,10 +379,9 @@ def _assemble(coefficients, terms, steps, idx, omega: float, cutoff: int):
     indptr = np.zeros(dim + 1, dtype=idx)
     diagonal = np.empty(dim)
     pos = 0
-    for s, node in enumerate(coefficients):
+    for s, coef in enumerate(terms):
         first = s * per_node
-        _diagonal(node, omega, bands, diagonal[first : first + per_node].reshape((cutoff,) * n_modes))
-        coef = terms[s]
+        _diagonal(coef, omega, bands, diagonal[first : first + per_node].reshape((cutoff,) * n_modes))
         columns = [entry for entry in stencil if coef[entry[1]] != 0.0]
         width = len(columns)
         offsets = np.array([offset for offset, _, _, _ in columns], dtype=idx)
@@ -435,12 +427,12 @@ _memo = {}  # the one key of _prepared -> its preparation and node blocks
 
 
 def _prepared(model: Model):
-    """The inputs and node blocks of a build, ``(beta, coefficients, terms, steps, blocks)``.
+    """The inputs and node blocks of a build, ``(beta, terms, steps, blocks)``.
 
-    The frame shifts, each node's ladder coefficients and its term
-    coefficients (:func:`_node_terms`) and the stencil steps (a tuple), every
-    array read-only, and ``blocks``, which maps each cutoff built since to
-    its node blocks ``(upper, diagonal)``.  They are kept for the last key
+    The frame shifts, the term table (one row of :func:`_node_terms` per
+    node) and the stencil steps (a tuple), every array read-only, and
+    ``blocks``, which maps each cutoff built since to its node blocks
+    ``(upper, diagonal)``.  They are kept for the last key
     only: the ``forms`` object, the frame (:attr:`Model.decoupled`) and
     ``params`` at drive 0, which is all that the node blocks read, so
     :meth:`Model.with_drive` siblings in one frame share them.
@@ -449,12 +441,10 @@ def _prepared(model: Model):
     if key not in _memo:
         _memo.clear()  # the last key's blocks go before the next are built
         beta = _frame_displacements(model)
-        params = model.params
-        coefficients = tuple(_node_coefficients(f, b, params) for f, b in zip(model.forms, beta))
-        terms = tuple(_node_terms(node) for node in coefficients)
-        for array in (beta, *terms, *(a for _, l, q in coefficients for a in (l, q))):
+        terms = np.array([_node_terms(f, b, model.params) for f, b in zip(model.forms, beta)])
+        for array in (beta, terms):
             array.setflags(write=False)
-        _memo[key] = beta, coefficients, terms, _steps(terms, model.dim), {}
+        _memo[key] = beta, terms, _steps(terms, model.dim), {}
     return _memo[key]
 
 
@@ -486,7 +476,7 @@ def build_fock_matrix(model: Model, cutoff: int = 8) -> FockOperator:
     The phonon frame is read off the model: where ``Omega A = 0`` each
     positive-definite node is centred on its own stationary point, elsewhere
     no node moves (see :func:`_frame_displacements`).  The frame shifts,
-    node coefficients and stencil steps, and each built cutoff's node
+    term table and stencil steps, and each built cutoff's node
     blocks, are kept for the last model's ``forms`` object, frame and params
     at drive 0 (see :func:`_prepared`), so the stages of a cutoff doubling
     prepare nothing again, and a :meth:`Model.with_drive` sibling in the
@@ -500,11 +490,11 @@ def build_fock_matrix(model: Model, cutoff: int = 8) -> FockOperator:
     itself by :func:`_links`.
     """
     Model.require(model)
-    if cutoff < 2:
-        raise DomainError(f"cutoff must be at least 2, got {cutoff}")
+    if not isinstance(cutoff, numbers.Integral) or cutoff < 2:
+        raise DomainError(f"cutoff must be an integer of at least 2, got {cutoff!r}")
     params = model.params
     n_nodes, n_modes = len(model.forms), model.dim
-    beta, coefficients, terms, steps, blocks = _prepared(model)
+    beta, terms, steps, blocks = _prepared(model)
     if cutoff not in blocks:
         footprint, idx = _footprint(len(steps), n_nodes, cutoff, n_modes)
         if footprint > MAX_BYTES:
@@ -513,7 +503,7 @@ def build_fock_matrix(model: Model, cutoff: int = 8) -> FockOperator:
                 f"(nodes={n_nodes}, modes={n_modes}, cutoff={cutoff})",
                 estimated_bytes=footprint,
             )
-        blocks[cutoff] = _assemble(coefficients, terms, steps, idx, params.omega, cutoff)
+        blocks[cutoff] = _assemble(terms, steps, idx, params.omega, cutoff)
     upper, diagonal = blocks[cutoff]
     return FockOperator(
         matrix=upper,
@@ -625,8 +615,11 @@ def ground_state(op: FockOperator, tol: float = EIG_TOL, v0: np.ndarray = None):
     lies within that bound of an eigenvalue (see :func:`stage_tol`), while
     the error of ``v`` itself scales as that bound over the spectral gap.
     Raises :class:`EigensolverError` carrying the best estimate when no
-    solver meets that bound.
+    solver meets that bound, and :class:`DomainError` for a ``tol`` that is
+    not positive and finite, which would turn that check off.
     """
+    if not 0.0 < tol < math.inf:  # NaN fails too
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     dim = op.dim
     if dim <= DENSE_CUTOVER:
         vals, vecs = np.linalg.eigh(op.toarray())
@@ -732,9 +725,10 @@ def converge_scan(models, *, e_tol: float = 1e-8, max_cutoff: int = 256) -> tupl
     other row raises :class:`DomainError` when it is reached); returns one
     :class:`SolveReport` per row, each with the stopping rule, the stage
     residual target ``stage_tol(e_tol)`` and the failure handling of a
-    one-row call.  Each row's phonon frame is read off its own model, as
-    :func:`build_fock_matrix` states.  Three kinds of work are carried from
-    row to row.
+    one-row call; an ``e_tol`` that is negative, infinite or NaN raises
+    :class:`DomainError`.  Each row's phonon frame is read off its own model,
+    as :func:`build_fock_matrix` states.  Three kinds of work are carried
+    from row to row.
 
     *Starting cutoffs.*  A row of shape ``(len(model.forms), model.dim)``
     starts where the last converged row of that shape was decided: at the
@@ -760,9 +754,11 @@ def converge_scan(models, *, e_tol: float = 1e-8, max_cutoff: int = 256) -> tupl
     *Vectors.*  Above ``DENSE_CUTOVER`` a stage starts from the last three
     rows' ground vectors of its shape (nodes, modes, cutoff) and frame
     (:attr:`Model.decoupled`), extrapolated quadratically in the row index,
-    whatever model they came from.  It falls back to the zero-padded lower
-    stage's vector when that start fails or ends above the lower stage's
-    energy, which the nested bases forbid.
+    whatever model they came from.  When that start fails or ends above the
+    lower stage's energy, the stage is solved again from the zero-padded
+    lower stage's vector.  The bases are not nested (the top entry of each
+    X^2 band is the truncated product), so where the ground level rises with
+    the cutoff this throws away a correct start too.
 
     The memory budget counts one build at a time.  Besides that build, a
     scan holds the node blocks that :func:`build_fock_matrix` keeps (one per
@@ -771,6 +767,8 @@ def converge_scan(models, *, e_tol: float = 1e-8, max_cutoff: int = 256) -> tupl
     """
     if max_cutoff < 4:
         raise DomainError(f"max_cutoff must be at least 4, got {max_cutoff}")
+    if not 0.0 <= e_tol < math.inf:  # NaN fails too
+        raise DomainError(f"e_tol must be finite and at least 0, got {e_tol}")
     tol = stage_tol(e_tol)
     trails = {}  # (nodes, modes, cutoff, decoupled) -> ground vectors of the last three rows
     starts = {}  # (nodes, modes) -> first cutoff of the next row there

@@ -499,6 +499,37 @@ def test_cutoff_validation():
         converge_cutoff(SINGLE, excited_block(params, 0.0, 0.0), params, max_cutoff=2)
 
 
+def test_integer_cutoffs_only():
+    # a float cutoff is a domain error, not a failure inside the build;
+    # a NumPy integer builds the same operator as a Python int
+    params = PhysicalParams(omega=1.0, Omega=0.2, x0=0.3)
+    model = two_state(params, 0.35, -0.1)
+    for cutoff in (4.0, 4.5, "4", None):
+        with pytest.raises(DomainError, match="integer"):
+            build_fock_matrix(model, cutoff)
+    op, ref = build_fock_matrix(model, np.int64(4)), build_fock_matrix(model, 4)
+    assert op.toarray().tobytes() == ref.toarray().tobytes()
+
+
+@pytest.mark.parametrize("e_tol", [math.inf, math.nan, -1e-9, -math.inf])
+def test_tolerances_that_turn_the_residual_check_off_are_refused(e_tol):
+    # with e_tol = inf the dumbbell's first pair (4, 8) would stop converged
+    # at E(8) = -0.6133052, 2.5e-4 above the converged -0.6135577; with NaN
+    # every stage's residual limit is NaN, so every check fails
+    params = PhysicalParams(omega=1.0, Omega=0.2, x0=0.3)
+    model = two_state(params, 0.35, -0.1)
+    with pytest.raises(DomainError, match="e_tol"):
+        converge_scan([model], e_tol=e_tol, max_cutoff=16)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-11])
+def test_ground_state_refuses_a_tolerance_that_is_not_positive_and_finite(tol):
+    params = PhysicalParams(omega=1.0, Omega=0.2, x0=0.3)
+    op = build_fock_matrix(two_state(params, 0.35, -0.1), 4)
+    with pytest.raises(DomainError, match="tol"):
+        ground_state(op, tol=tol)
+
+
 def test_stage_tol_moves_only_above_1e_8():
     # compared on e_tol: max(1e-11, e_tol / 1000) would read 1.0000000000000001e-11 at 1e-8
     assert [fock.stage_tol(e_tol) for e_tol in (0.0, 1e-9, 1e-8)] == [fock.EIG_TOL] * 3
@@ -796,8 +827,9 @@ def test_scan_keeps_a_trail_per_frame(monkeypatch):
 
 def test_continuation_above_the_lower_stage_is_solved_again(monkeypatch):
     # a start that lands on an excited state of the cutoff-8 stage ends above
-    # the cutoff-4 energy, which nested bases forbid: the stage is re-solved
-    # from the padded cutoff-4 vector
+    # the cutoff-4 energy: the stage is re-solved from the padded cutoff-4
+    # vector (the stage bases are not nested, so a ground energy can rise
+    # with the cutoff too, and such a start is re-solved all the same)
     graph, forms, params = triangle_model()
     op = build_fock_matrix(Model.build(graph, forms, params), cutoff=8)
     values, vectors = eigsh(linear_operator(op), k=2, which="SA", tol=1e-13)
@@ -1061,9 +1093,9 @@ def test_scan_prepares_each_model_once(monkeypatch):
     assemblies = []
     assemble = fock._assemble
 
-    def spy(coefficients, terms, steps, idx, omega, cutoff):
+    def spy(terms, steps, idx, omega, cutoff):
         assemblies.append(cutoff)
-        return assemble(coefficients, terms, steps, idx, omega, cutoff)
+        return assemble(terms, steps, idx, omega, cutoff)
 
     monkeypatch.setattr(fock, "_assemble", spy)
     reports = converge_scan(rows, e_tol=1e-9, max_cutoff=128)
@@ -1416,7 +1448,7 @@ def test_shifted_nodes_drop_only_rounding():
             l = form.linear * (x0 / SQRT2)
             q = (form.hessian - params.omega / (2.0 * x0**2) * np.eye(form.dim)) * (x0**2 / 2.0)
             assert np.abs(l + params.omega * b + 4.0 * (q @ b)).max() <= 1e-12
-            assert not fock._node_coefficients(form, b, params)[1].any()
+            assert not fock._node_terms(form, b, params)[1 : 1 + form.dim].any()
 
 
 @pytest.mark.parametrize("frame", ["bare", "displaced"])
@@ -1453,7 +1485,7 @@ def test_shared_build_arrays_are_read_only():
     assert np.any(op.displacements)
     with pytest.raises(ValueError):
         op.displacements[0, 0] = 1.0
-    steps = fock._prepared(model)[3]
+    steps = fock._prepared(model)[2]
     factors = [f for _, _, _, step_factors in fock._stencil(steps, 4) for f in step_factors]
     assert factors
     for factor in factors:
@@ -1507,6 +1539,19 @@ def small_models(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(model=small_models())
+# node 0 is trap-only with a nonzero constant: the constant takes the term
+# table's column 0, which reaches the diagonal and no stencil step
+@example(
+    model=(
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        [
+            QuadraticVibronic((0,), 0.7, np.zeros(2), 0.5 * np.eye(2)),
+            QuadraticVibronic((1,), -0.2, np.array([0.3, 0.0]), np.array([[0.9, 0.1], [0.1, 0.5]])),
+        ],
+        PhysicalParams(omega=1.0, Omega=0.3, x0=1.0),
+        4,
+    )
+)
 def test_stencil_matches_reference_random_models(model):
     adjacency, forms, params, cutoff = model
     assert_same_operator(adjacency, forms, params, cutoff)
