@@ -78,11 +78,6 @@ class QuadraticVibronic:
     def dim(self) -> int:
         return self.linear.size
 
-    def energy_at(self, q) -> float:
-        """Classical energy at displacement q (kinetic energy omitted)."""
-        q = np.asarray(q, dtype=float)
-        return float(self.constant + self.linear @ q + q @ self.hessian @ q)
-
     def stationary_point(self) -> np.ndarray:
         """Displacement where the gradient vanishes (least-squares if singular)."""
         a = 2.0 * self.hessian
@@ -354,7 +349,10 @@ class Model:
     adjacency (its entries multiply the drive ``params.Omega``) and the
     stacked form ``constants``, ``linears`` and ``hessians`` are read-only
     arrays of the model's own, and ``forms`` are the node forms over views of
-    them, so no edit made to the input afterwards reaches the model.
+    them, so no edit made to the input afterwards reaches the model.  It
+    decides ``stable`` there for every solver by the one positive-definiteness
+    rule ``np.linalg.eigvalsh(hessians)[:, 0] > 0.0``, and solves each node's
+    :meth:`QuadraticVibronic.stationary_point` once into ``stationary_points``.
     :meth:`with_drive` gives a sibling at another drive that shares all of
     them; the Fock build reuses node blocks between models by the identity
     of their ``forms`` and by their frame (:attr:`decoupled`), not by the
@@ -368,6 +366,8 @@ class Model:
     constants: np.ndarray  # (n,)
     linears: np.ndarray  # (n, dim)
     hessians: np.ndarray  # (n, dim, dim)
+    stable: np.ndarray  # (n,) bool: positive-definite Hessian
+    stationary_points: np.ndarray  # (n, dim)
     params: PhysicalParams
 
     @classmethod
@@ -400,13 +400,15 @@ class Model:
             finite = np.isfinite(stack.reshape(len(forms), -1)).all(axis=1)
             if not finite.all():
                 raise DomainError(f"node {int(np.argmin(finite))} has a non-finite {name}")
-        for array in (adjacency, constants, linears, hessians):
+        stable = np.linalg.eigvalsh(hessians)[:, 0] > 0.0
+        points = np.array([f.stationary_point() for f in forms])
+        for array in (adjacency, constants, linears, hessians, stable, points):
             array.setflags(write=False)
         views = tuple(
             QuadraticVibronic(f.state, float(c), g, h)
             for f, c, g, h in zip(forms, constants, linears, hessians)
         )
-        return cls(adjacency, views, constants, linears, hessians, params)
+        return cls(adjacency, views, constants, linears, hessians, stable, points, params)
 
     @staticmethod
     def require(value) -> Model:

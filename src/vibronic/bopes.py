@@ -62,11 +62,13 @@ def _point(model: Model, q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape != (model.dim,):
         raise DomainError(f"expected {model.dim} coordinates, got shape {q.shape}")
+    if not np.isfinite(q).all():
+        raise DomainError(f"coordinates must be finite, got {q}")
     return q
 
 
 def bo_energy(model: Model, q) -> float:
-    """Smallest electronic eigenvalue at clamped coordinates q."""
+    """Smallest electronic eigenvalue at clamped (finite) coordinates q."""
     return float(np.linalg.eigvalsh(_electronic_matrix(model, _point(model, q)))[0])
 
 
@@ -105,8 +107,7 @@ def default_start_points(model: Model) -> np.ndarray:
             v = np.zeros(dim)
             v[m] = sign * step
             starts.append(v)
-    for f in model.forms:
-        starts.append(np.clip(f.stationary_point(), -half_width, half_width))
+    starts.extend(np.clip(model.stationary_points, -half_width, half_width))
     if dim <= 5:
         for code in range(2**dim):
             corner = np.array([step if (code >> m) & 1 else -step for m in range(dim)])
@@ -125,8 +126,7 @@ def light_start_points(model: Model) -> np.ndarray:
     """
     half_width = 3.0 * model.params.x0
     starts = [np.zeros(model.dim)]
-    for f in model.forms:
-        start = np.clip(f.stationary_point(), -half_width, half_width)
+    for start in np.clip(model.stationary_points, -half_width, half_width):
         if not any(np.array_equal(start, s) for s in starts):
             starts.append(start)
     return np.array(starts)
@@ -178,7 +178,7 @@ def _zero_drive_minima(model: Model) -> list:
     value is the lowest of them all: the envelope's global minimum.
     """
     dedup_dist = DEFAULT_DEDUP_TOL * model.params.x0
-    points = [f.stationary_point() for f in model.forms]
+    points = model.stationary_points
     branches = [np.diag(_electronic_matrix(model, q)) for q in points]  # M = diag(E_s) here
     floor = min(energies[s] for s, energies in enumerate(branches))
     found = []
@@ -193,9 +193,10 @@ def _zero_drive_minima(model: Model) -> list:
 def minimize_bo(model: Model, starts=None) -> MinimaReport:
     """Locate the surface minima: in closed form where ``Omega A = 0``, else by multistart Newton.
 
-    A node Hessian that is not positive definite (the surface is then unbounded
-    below at every drive) raises :class:`InstabilityError`.  Where
-    ``Omega A = 0`` ``starts`` is unused.  Else a saddle-free Newton descent
+    A node that :attr:`Model.stable` does not mark (the surface is then
+    unbounded below at every drive) raises :class:`InstabilityError`.  Where
+    ``Omega A = 0`` ``starts`` is unused.  Else a non-finite start raises
+    :class:`DomainError` before any descent, and a saddle-free Newton descent
     (:func:`_newton`) runs from every start; an endpoint is a minimum only
     where the gap exceeds ``GAP_TOL omega`` and the exact Hessian is positive
     definite, and a saddle is left ``SADDLE_STEP x0`` along its most negative
@@ -206,7 +207,7 @@ def minimize_bo(model: Model, starts=None) -> MinimaReport:
     ``DEFAULT_DEGENERACY_TOL * omega`` of the lowest.
     """
     Model.require(model)
-    if np.any(np.linalg.eigvalsh(model.hessians)[:, 0] <= 0.0):
+    if not model.stable.all():
         raise InstabilityError("a node Hessian is not positive definite: the surface is unbounded")
     degeneracy_tol = DEFAULT_DEGENERACY_TOL * model.params.omega
     tally = dict.fromkeys(("starts", "descents", "evaluations", "saddles_left", "starts_lost"), 0)
@@ -218,6 +219,8 @@ def minimize_bo(model: Model, starts=None) -> MinimaReport:
         starts = np.atleast_2d(np.asarray(starts, dtype=float))
         if starts.shape[1] != model.dim:
             raise DomainError(f"expected {model.dim} coordinates per start, got {starts.shape[1]}")
+        if not np.isfinite(starts).all():
+            raise DomainError("start coordinates must be finite")
         found = []
         for q in starts:
             for _ in range(MAX_DESCENTS):
@@ -268,9 +271,9 @@ def bo_quadratic_check(model: Model, center) -> QuadraticFit:
 
     ``constant`` is the lowest eigenvalue there, ``linear`` its gradient and
     ``quadratic`` half its symmetrized Hessian.  Raises :class:`DomainError`
-    for a wrong-length point and at an electronic crossing (gap at most
-    ``GAP_TOL omega``), where the branch has no derivatives, as at a zero-drive
-    minimum where tied branches meet; driven minima lie off every crossing.
+    for a wrong-length or non-finite point and at a level crossing (gap at
+    most ``GAP_TOL omega``), where the branch has no derivatives, as at a
+    zero-drive minimum where tied branches meet; driven minima lie off them.
     """
     center = _point(model, center)
     energy, gap, grad, hess = _derivatives(model, center)

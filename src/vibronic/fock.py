@@ -10,9 +10,9 @@ x = x0 (b + b^dag)/sqrt(2) per mode; the trap enters exactly as
 omega b^dag b, so the vacuum of a free mode sits at zero energy.
 
 The phonon frame is read off the model.  Where no node couples to another
-(``Omega A = 0``, :attr:`Model.decoupled`), each positive-definite node's
-phonon origin is moved to the stationary point of its own quadratic form,
-which changes nothing but the basis and converges at far smaller cutoffs
+(``Omega A = 0``, :attr:`Model.decoupled`), each node that
+:attr:`Model.stable` marks has its phonon origin moved to its stationary
+point, which changes nothing but the basis and converges at far smaller cutoffs
 when couplings push the minima far from the trap center.  Everywhere else
 every node keeps the trap frame, so the block between nodes s and t is
 Omega * A_st times the phonon identity.
@@ -72,7 +72,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .assembly import Model, ModeBasis, QuadraticVibronic
+from .assembly import Model, ModeBasis
 from .errors import DomainError, EigensolverError, ResourceBudgetError
 from .params import PhysicalParams
 
@@ -181,46 +181,37 @@ def _frame_displacements(model: Model) -> np.ndarray:
 
     Where the model is decoupled (``Omega A = 0``: the test by which
     :func:`vibronic.bopes.minimize_bo` reads its minima in closed form) the
-    operator is block diagonal, and each positive-definite node is centred
-    on its own stationary point.  Elsewhere no node moves, so every link is
-    the phonon identity.
+    operator is block diagonal, and each node that :attr:`Model.stable` marks
+    (``minimize_bo`` reads the same rule) is centred on its own stationary
+    point, unless that is not finite or lies ``MAX_FRAME_SHIFT`` or more
+    away: a shift onto a saddle would hide an instability from the
+    small-cutoff stages.  Elsewhere no node moves, so every link is the
+    phonon identity.
     """
-    beta = np.zeros((len(model.forms), model.dim))
-    if not model.decoupled:
-        return beta
-    for s, form in enumerate(model.forms):
-        try:
-            # Only a positive-definite form has a displaced minimum worth
-            # centering on; shifting onto a saddle would hide an instability
-            # from the small-cutoff stages of the doubling protocol.
-            np.linalg.cholesky(form.hessian)
-        except np.linalg.LinAlgError:
-            continue
-        qstar = form.stationary_point()
-        shift = qstar / (SQRT2 * model.params.x0)
-        if np.all(np.isfinite(shift)) and np.abs(shift).max() < MAX_FRAME_SHIFT:
-            beta[s] = shift
-    return beta
+    shifts = model.stationary_points / (SQRT2 * model.params.x0)
+    centred = model.decoupled & model.stable & (np.abs(shifts).max(axis=1) < MAX_FRAME_SHIFT)
+    return np.where(centred[:, None], shifts, 0.0)
 
 
-def _node_terms(form: QuadraticVibronic, shift: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    """The term row ``[const, l_m, Q_mm, 2 Q_mn (m < n, row-major)]`` of one node block.
+def _term_table(model: Model, beta: np.ndarray) -> np.ndarray:
+    """The term rows ``[const, l_m, Q_mm, 2 Q_mn (m < n, row-major)]`` of the node blocks.
 
-    The node block is ``const + omega sum_m n_m + sum_m l_m X_m +
+    Node s's block is ``const + omega sum_m n_m + sum_m l_m X_m +
     sum_mn Q_mn X_m X_n`` with ``X_m = b_m + b_m^dag`` and each mode's origin
-    moved by ``shift`` (oscillator units), which is either zero or, as
+    moved by ``beta[s]`` (oscillator units), which is either zero or, as
     :func:`_frame_displacements` gives it, the node's own stationary point.
     There the shifted linear term ``l + omega b + 4 Q b`` vanishes, so a
     shifted node gets an exact zero, not its rounding residue.
     """
-    x0 = params.x0
-    trap = params.omega / (2.0 * x0**2)
-    l = form.linear * (x0 / SQRT2)
-    q = (form.hessian - trap * np.eye(form.dim)) * (x0**2 / 2.0)
-    b = shift
-    const = form.constant + params.omega * float(b @ b) + 2.0 * float(l @ b) + 4.0 * float(b @ q @ b)
-    linear = np.zeros_like(l) if b.any() else l
-    return np.concatenate(([const], linear, np.diagonal(q), 2.0 * q[_mode_pairs(form.dim)]))
+    x0, omega = model.params.x0, model.params.omega
+    trap = omega / (2.0 * x0**2)
+    l = model.linears * (x0 / SQRT2)
+    q = (model.hessians - trap * np.eye(model.dim)) * (x0**2 / 2.0)
+    nodes = zip(model.constants, beta, l, q)
+    const = [c + omega * (b @ b) + 2.0 * (g @ b) + 4.0 * (b @ h @ b) for c, b, g, h in nodes]
+    linear = np.where(beta.any(axis=1)[:, None], 0.0, l)
+    m, n = _mode_pairs(model.dim)
+    return np.column_stack((const, linear, np.diagonal(q, axis1=1, axis2=2), 2.0 * q[:, m, n]))
 
 
 @functools.lru_cache(maxsize=32)
@@ -274,7 +265,7 @@ def _steps(terms, n_modes: int):
     The steps are the occupation changes e_m, 2e_m and e_m +- e_n (m < n),
     whose first nonzero change is positive, so their column offset is too;
     their negatives lie left of the diagonal, and the diagonal itself is
-    written by :func:`_diagonal`.  ``term`` indexes :func:`_node_terms`,
+    written by :func:`_diagonal`.  ``term`` indexes :func:`_term_table`,
     ``step`` is a tuple of one int per mode, and a term no node uses adds
     none.
     """
@@ -316,7 +307,7 @@ def _stencil(steps, cutoff: int):
     """The node-block stencil right of the diagonal: the ``steps`` sorted by column offset.
 
     Each entry is ``(offset, term, rows, factors)``: the step's column
-    offset, its term index into :func:`_node_terms`, the block of rows whose
+    offset, its term index into :func:`_term_table`, the block of rows whose
     target occupation stays below the cutoff, and the bands whose product is
     the element there without its coefficient, each broadcastable over that
     block (an X band, an X^2 band or two X bands).  The factors are
@@ -429,7 +420,7 @@ _memo = {}  # the one key of _prepared -> its preparation and node blocks
 def _prepared(model: Model):
     """The inputs and node blocks of a build, ``(beta, terms, steps, blocks)``.
 
-    The frame shifts, the term table (one row of :func:`_node_terms` per
+    The frame shifts, the term table (:func:`_term_table`, one row per
     node) and the stencil steps (a tuple), every array read-only, and
     ``blocks``, which maps each cutoff built since to its node blocks
     ``(upper, diagonal)``.  They are kept for the last key
@@ -441,7 +432,7 @@ def _prepared(model: Model):
     if key not in _memo:
         _memo.clear()  # the last key's blocks go before the next are built
         beta = _frame_displacements(model)
-        terms = np.array([_node_terms(f, b, model.params) for f, b in zip(model.forms, beta)])
+        terms = _term_table(model, beta)
         for array in (beta, terms):
             array.setflags(write=False)
         _memo[key] = beta, terms, _steps(terms, model.dim), {}
@@ -473,10 +464,10 @@ def build_fock_matrix(model: Model, cutoff: int = 8) -> FockOperator:
     the cutoff-16 eigensolve (``perfbench`` ``peak_rss_mb``; Linux x86-64,
     Python 3.11, NumPy 2.4, SciPy 1.17).
 
-    The phonon frame is read off the model: where ``Omega A = 0`` each
-    positive-definite node is centred on its own stationary point, elsewhere
-    no node moves (see :func:`_frame_displacements`).  The frame shifts,
-    term table and stencil steps, and each built cutoff's node
+    The phonon frame is read off the model: where ``Omega A = 0`` each node
+    that :attr:`Model.stable` marks is centred on its own stationary point,
+    elsewhere no node moves (see :func:`_frame_displacements`).  The frame
+    shifts, term table and stencil steps, and each built cutoff's node
     blocks, are kept for the last model's ``forms`` object, frame and params
     at drive 0 (see :func:`_prepared`), so the stages of a cutoff doubling
     prepare nothing again, and a :meth:`Model.with_drive` sibling in the
@@ -493,7 +484,7 @@ def build_fock_matrix(model: Model, cutoff: int = 8) -> FockOperator:
     if not isinstance(cutoff, numbers.Integral) or cutoff < 2:
         raise DomainError(f"cutoff must be an integer of at least 2, got {cutoff!r}")
     params = model.params
-    n_nodes, n_modes = len(model.forms), model.dim
+    n_nodes, n_modes = model.linears.shape
     beta, terms, steps, blocks = _prepared(model)
     if cutoff not in blocks:
         footprint, idx = _footprint(len(steps), n_nodes, cutoff, n_modes)
@@ -725,12 +716,13 @@ def converge_scan(models, *, e_tol: float = 1e-8, max_cutoff: int = 256) -> tupl
     other row raises :class:`DomainError` when it is reached); returns one
     :class:`SolveReport` per row, each with the stopping rule, the stage
     residual target ``stage_tol(e_tol)`` and the failure handling of a
-    one-row call; an ``e_tol`` that is negative, infinite or NaN raises
+    one-row call; an ``e_tol`` that is negative, infinite or NaN, and a
+    ``max_cutoff`` that is not an integer of at least 4, raise
     :class:`DomainError`.  Each row's phonon frame is read off its own model,
     as :func:`build_fock_matrix` states.  Three kinds of work are carried
     from row to row.
 
-    *Starting cutoffs.*  A row of shape ``(len(model.forms), model.dim)``
+    *Starting cutoffs.*  A row of shape ``model.linears.shape`` (nodes, modes)
     starts where the last converged row of that shape was decided: at the
     lower cutoff ``c`` of its deciding pair, or at ``max(4, c // 2)`` when
     that pair was the row's first, which lets the start fall along a grid
@@ -765,8 +757,8 @@ def converge_scan(models, *, e_tol: float = 1e-8, max_cutoff: int = 256) -> tupl
     reached cutoff), up to three ground vectors per sparse stage shape and
     the zero-padded warm start; none of these is counted.
     """
-    if max_cutoff < 4:
-        raise DomainError(f"max_cutoff must be at least 4, got {max_cutoff}")
+    if not isinstance(max_cutoff, numbers.Integral) or max_cutoff < 4:
+        raise DomainError(f"max_cutoff must be an integer of at least 4, got {max_cutoff!r}")
     if not 0.0 <= e_tol < math.inf:  # NaN fails too
         raise DomainError(f"e_tol must be finite and at least 0, got {e_tol}")
     tol = stage_tol(e_tol)
@@ -779,7 +771,7 @@ def converge_scan(models, *, e_tol: float = 1e-8, max_cutoff: int = 256) -> tupl
         energy_prev = None
         converged = False
         op = state = None
-        row_shape = (len(model.forms), model.dim)
+        row_shape = model.linears.shape
         cutoff = starts.get(row_shape, 4)
         # a first stage has no lower one to bound its energy, so it is a dense one
         while cutoff > 4 and row_shape[0] * cutoff ** row_shape[1] > DENSE_CUTOVER:
@@ -851,7 +843,7 @@ def quadrature_moments(op: FockOperator, state: np.ndarray, mode: int):
             raise DomainError("quadrature_moments expects a real state vector")
         state = state.real
     norm = float(state @ state)
-    if abs(norm - 1.0) > 1e-8:
+    if not abs(norm - 1.0) <= 1e-8:  # a NaN norm fails too
         raise DomainError(f"state vector must be normalized, |psi|^2 = {norm}")
 
     # the mode marginals: node s's sums of psi_n psi_(n+k) over every other mode, k = 0, 1, 2

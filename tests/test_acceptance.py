@@ -215,7 +215,7 @@ def test_criterion_09_surface_quadratic_form_and_triple_minimum():
 
     center = report.minima[0][0]
     fit = vb.bo_quadratic_check(surface, center)
-    diags = [f.energy_at(center) for f in forms]
+    diags = surface.constants + surface.linears @ center + (surface.hessians @ center) @ center
     resident = int(np.argmin(diags))
     pair = tuple(i for i, b in enumerate(graph.configs[resident]) if b)
     par, perps = vb.edge_mode_directions(graph.geometry, pair, basis)

@@ -16,6 +16,7 @@ from vibronic import (
     InstabilityError,
     Model,
     PhysicalParams,
+    QuadraticVibronic,
     assemble_graph_hamiltonians,
     bo_energy,
     bo_quadratic_check,
@@ -27,6 +28,7 @@ from vibronic import (
     critical_points,
     derive_couplings,
     dumbbell,
+    dumbbell_hamiltonian,
     edge_mode_directions,
     ground_state,
     light_start_points,
@@ -35,10 +37,12 @@ from vibronic import (
     transition_scan,
     triangle,
 )
+from vibronic import fock
 from vibronic.bopes import _derivatives, transition_scan_csv
 from vibronic.fock import stage_tol
 
 SQRT2 = math.sqrt(2.0)
+SINGLE_NODE = np.zeros((1, 1))
 
 
 def triangle_setup(kappa, xi=0.0, nu=0.5, omega=1.0, Omega=0.0):
@@ -85,6 +89,22 @@ def test_dimension_mismatch_is_rejected():
         bo_quadratic_check(surface, np.zeros(3))
 
 
+def test_non_finite_points_are_rejected():
+    # unchecked, a NaN coordinate reads -0.4000000000000001 off this surface
+    # and a NaN gradient off its fit, and NaN starts end in "no surface
+    # minimum found" after RuntimeWarnings
+    params = PhysicalParams(omega=1.0, Omega=0.2, x0=0.3)
+    pot = ExplicitCouplings(kappa=0.35, xi=-0.1, nu=0.3)
+    surface = dumbbell_hamiltonian(params, pot)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            bo_energy(surface, [value])
+        with pytest.raises(DomainError, match="finite"):
+            bo_quadratic_check(surface, [value])
+        with pytest.raises(DomainError, match="finite"):
+            minimize_bo(surface, starts=[[0.0], [value]])
+
+
 def test_three_degenerate_broken_minima():
     kappa = -0.35
     _, graph, basis, forms, surface = triangle_setup(kappa=kappa)
@@ -117,12 +137,12 @@ def test_strong_drive_restores_the_symmetric_shape():
 
 def test_quadratic_fit_matches_the_local_surface_form():
     kappa, xi, nu = -0.3536, -0.05, 0.5
-    params, graph, basis, forms, surface = triangle_setup(kappa=kappa, xi=xi, nu=nu)
+    params, graph, basis, _, surface = triangle_setup(kappa=kappa, xi=xi, nu=nu)
     report = minimize_bo(surface)
     center = report.minima[0][0]
     fit = bo_quadratic_check(surface, center)
 
-    diags = [f.energy_at(center) for f in forms]
+    diags = surface.constants + surface.linears @ center + (surface.hessians @ center) @ center
     resident = int(np.argmin(diags))
     pair = tuple(i for i, b in enumerate(graph.configs[resident]) if b)
     par, perps = edge_mode_directions(graph.geometry, pair, basis)
@@ -384,6 +404,63 @@ def test_unstable_surface_raises_at_every_drive():
     for drive in (0.0, 0.1):
         with pytest.raises(InstabilityError):
             minimize_bo(surface.with_drive(drive))
+
+
+def rotated_form(angle, curvatures, linear):
+    """A two-mode form whose Hessian has ``curvatures`` along axes turned by ``angle``."""
+    c, s = math.cos(angle), math.sin(angle)
+    turn = np.array([[c, -s], [s, c]])
+    return QuadraticVibronic((1,), 0.0, np.array(linear), turn @ np.diag(curvatures) @ turn.T)
+
+
+# exact zeros and negatives among the curvatures: singular and indefinite Hessians
+CURVATURES = st.sampled_from([-0.5, -1e-3, 0.0, 1e-3, 0.1, 1.0])
+FORMS = st.builds(
+    rotated_form,
+    angle=st.sampled_from([0.0, 0.3, math.atan2(0.3, 0.1), 1.0]),
+    curvatures=st.tuples(CURVATURES, CURVATURES),
+    linear=st.tuples(*[st.sampled_from([0.0, 0.1, 0.3, -0.2])] * 2),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(forms=st.lists(FORMS, min_size=1, max_size=2), linked=st.booleans())
+# a rank-one Hessian that Cholesky refuses and eigvalsh reads as 3.5e-18 > 0:
+# two rules would split here, minimize_bo finding a minimum at -0.25 while the
+# Fock frame refused to centre the node
+@example(
+    forms=[
+        QuadraticVibronic(
+            (1,), 0.0, np.array([0.1, 0.3]), np.array([[0.1 * 0.1, 0.1 * 0.3], [0.1 * 0.3, 0.3 * 0.3]])
+        )
+    ],
+    linked=False,
+)
+def test_both_solvers_give_one_stability_verdict(forms, linked):
+    # a decoupled model (no link, or a link at drive 0): minimize_bo refuses
+    # it exactly when some node is not stable, and the Fock frame centres
+    # exactly the stable nodes whose stationary point is nonzero and in range
+    n = len(forms)
+    adjacency = np.ones((n, n)) - np.eye(n) if linked else np.zeros((n, n))
+    params = PhysicalParams(omega=1.0, Omega=0.0 if linked else 0.2, x0=1.0)
+    model = Model.build(adjacency, forms, params)
+    assert model.decoupled
+    assert model.stable.tolist() == [np.linalg.eigvalsh(f.hessian)[0] > 0.0 for f in forms]
+    for s, form in enumerate(forms):
+        if model.stable[s]:
+            minimize_bo(Model.build(SINGLE_NODE, [form], params))
+        else:
+            with pytest.raises(InstabilityError):
+                minimize_bo(Model.build(SINGLE_NODE, [form], params))
+    if model.stable.all():
+        assert minimize_bo(model).minima
+    else:
+        with pytest.raises(InstabilityError):
+            minimize_bo(model)
+    shifted = fock._frame_displacements(model).any(axis=1)
+    in_range = np.abs(model.stationary_points / SQRT2).max(axis=1) < fock.MAX_FRAME_SHIFT
+    assert not shifted[~model.stable].any()
+    assert shifted.tolist() == (model.stable & in_range & model.stationary_points.any(axis=1)).tolist()
 
 
 # manifolds of different node counts, pairs per node and mode dimensions

@@ -351,6 +351,9 @@ def test_quadrature_moments_validation():
         quadrature_moments(op, good, 5)
     with pytest.raises(DomainError):
         quadrature_moments(op, 0.5 * good, 0)
+    # a NaN norm is not within 1e-8 of 1 either
+    with pytest.raises(DomainError, match="normalized"):
+        quadrature_moments(op, np.full(op.dim, math.nan), 0)
 
 
 def test_mean_displacements_of_excited_pair():
@@ -520,6 +523,17 @@ def test_tolerances_that_turn_the_residual_check_off_are_refused(e_tol):
     model = two_state(params, 0.35, -0.1)
     with pytest.raises(DomainError, match="e_tol"):
         converge_scan([model], e_tol=e_tol, max_cutoff=16)
+
+
+@pytest.mark.parametrize("max_cutoff", [math.nan, 10.5, 16.0, "16", 2])
+def test_converge_scan_refuses_a_max_cutoff_that_is_not_an_integer_of_at_least_4(max_cutoff):
+    # unchecked, NaN runs no stage and fails on the empty history
+    # (IndexError), and 10.5 silently stops the doubling at 8
+    params = PhysicalParams(omega=1.0, Omega=0.2, x0=0.3)
+    model = two_state(params, 0.35, -0.1)
+    with pytest.raises(DomainError, match="max_cutoff must be an integer of at least 4"):
+        converge_scan([model], max_cutoff=max_cutoff)
+    assert converge_scan([model], max_cutoff=np.int64(16))[0].energy_history
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-11])
@@ -1439,16 +1453,18 @@ def test_shifted_nodes_drop_only_rounding():
     # l + omega b + 4 Q b = 0 exactly; the build stores that zero, and on the
     # compared models the arithmetic it replaces leaves at most rounding
     for adjacency, forms, params in displaced_stencil_models():
-        beta = fock._frame_displacements(Model.build(adjacency, forms, params))
+        model = Model.build(adjacency, forms, params)
+        beta = fock._frame_displacements(model)
         assert beta.any()  # every model shifts some node
+        terms = fock._term_table(model, beta)
         x0 = params.x0
-        for form, b in zip(forms, beta):
+        for form, b, row in zip(forms, beta, terms):
             if not b.any():
                 continue
             l = form.linear * (x0 / SQRT2)
             q = (form.hessian - params.omega / (2.0 * x0**2) * np.eye(form.dim)) * (x0**2 / 2.0)
             assert np.abs(l + params.omega * b + 4.0 * (q @ b)).max() <= 1e-12
-            assert not fock._node_terms(form, b, params)[1 : 1 + form.dim].any()
+            assert not row[1 : 1 + form.dim].any()
 
 
 @pytest.mark.parametrize("frame", ["bare", "displaced"])
